@@ -31,15 +31,14 @@ second-order at the time-window edges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import blow_up_time, eval_a_bar, eval_rho_bar, solve_implicit
-from .errors import EmptyKernelSupport, NearBlowup
-from .problem import ProblemSpec, displacement_components
-from .representation import _kernel_pass, _table_for
+from .characteristics import blow_up_time, classical_fields
+from .errors import NearBlowup
+from .problem import ProblemSpec, space_axes, tensor_points
+from .representation import _kernel_means, _support_reach
 
 __all__ = [
     "ResidualReport",
@@ -74,21 +73,10 @@ class ItermRow:
 
 
 def _prelude(spec: ProblemSpec, t: float, x):
-    """Shared kernel pass: selected nodes, weights, moments at (t, x)."""
+    """Shared kernel pass of the I terms; see ``_kernel_means``."""
     if t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    table = _table_for(spec, t)
-    idx, kw, norm = _kernel_pass(spec, t, x, table)
-    wk = table.wrho[idx] * kw
-    den = float(np.sum(wk))
-    if den < spec.tol.denom_floor:
-        raise EmptyKernelSupport(
-            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    u_s = float(np.sum(wk * table.u0v[idx]) / den)
-    a_s = np.array([float(np.sum(wk * table.avals[idx, k]) / den)
-                    for k in range(spec.n)])
-    return table, idx, kw, norm, wk, u_s, a_s
+    return _kernel_means(spec, t, x)
 
 
 def _grad_factor(spec: ProblemSpec, t: float, x, table, idx, a_s) -> np.ndarray:
@@ -103,7 +91,7 @@ def _grad_factor(spec: ProblemSpec, t: float, x, table, idx, a_s) -> np.ndarray:
 
 def eval_I_u_sigma(spec: ProblemSpec, t: float, x) -> float:
     """Covariance source of the u-moment balance, by direct quadrature."""
-    table, idx, kw, norm, wk, u_s, a_s = _prelude(spec, t, x)
+    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
     fac = _grad_factor(spec, t, x, table, idx, a_s)
     return float(norm * np.sum(wk * (table.u0v[idx] - u_s) * fac))
 
@@ -117,7 +105,7 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     closes.  Both pieces vanish identically for velocities that are
     constant in u and t respectively.
     """
-    table, idx, kw, norm, wk, u_s, a_s = _prelude(spec, t, x)
+    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
     fac = _grad_factor(spec, t, x, table, idx, a_s)
     out = np.empty(spec.n)
     dt_vals = None
@@ -137,7 +125,7 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x) -> float:
     Algebraically identical to :func:`eval_I_u_sigma`; kept as an
     independent assembly for cross-checks.
     """
-    table, idx, kw, norm, wk, u_s, a_s = _prelude(spec, t, x)
+    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
     x = np.asarray(x, dtype=float).reshape(spec.n)
     s2t = spec.sigma * spec.sigma * t
     total = 0.0
@@ -153,42 +141,18 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x) -> float:
 
 def _fields_sigma(spec: ProblemSpec, t: float, x):
     """(rho, u, a) of the smoothed representation in one kernel pass."""
-    if t == 0:
-        u0x = spec.init.u0_point(x)
-        a0 = np.array([float(v) for v in spec.velocity.a_values(0.0, u0x)])
-        return spec.init.rho0_point(x), u0x, a0
-    table = _table_for(spec, t)
-    idx, kw, norm = _kernel_pass(spec, t, x, table)
-    wk = table.wrho[idx] * kw
-    den = float(np.sum(wk))
-    if den < spec.tol.denom_floor:
-        raise EmptyKernelSupport(
-            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    u = float(np.sum(wk * table.u0v[idx]) / den)
-    a = np.array([float(np.sum(wk * table.avals[idx, k]) / den)
-                  for k in range(spec.n)])
-    return float(norm * den), u, a
-
-
-def _fields_bar(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) of the transported (classical) solution."""
-    u = solve_implicit(spec, t, x)
-    a = eval_a_bar(spec, t, x)
-    rho = eval_rho_bar(spec, t, x)
-    return rho, u, a
+    _, _, _, norm, den, u, a = _kernel_means(spec, t, x)
+    return norm * den, u, a
 
 
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
     """Box grid points at least ``inset`` away from every box face."""
-    axes = [np.linspace(lo, hi, g) for (lo, hi), g in zip(spec.box, spec.space_grid)]
     kept = [ax[(ax - inset >= lo) & (ax + inset <= hi)]
-            for ax, (lo, hi) in zip(axes, spec.box)]
+            for ax, (lo, hi) in zip(space_axes(spec), spec.box)]
     if any(len(k) == 0 for k in kept):
         raise ValueError(
             f"probe inset {inset:g} leaves no interior grid points")
-    mesh = np.meshgrid(*kept, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_points(kept)
 
 
 def _time_stencil(values: np.ndarray, j: int, J: int, dt: float) -> np.ndarray:
@@ -221,10 +185,7 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
     # support edge (flow displacement plus kernel reach).
     inset = h
     if diffusion:
-        us = np.linspace(spec.u_range[0], spec.u_range[1], 201)
-        disp = displacement_components(spec, t1, us)
-        reach = max(float(np.max(np.abs(d))) for d in disp)
-        inset += reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t1)
+        inset += _support_reach(spec, t1)
     probes = _probe_points(spec, inset)
     P = len(probes)
     n = spec.n
@@ -332,7 +293,7 @@ def residual_pressureless(spec: ProblemSpec, t_window, resolution,
         raise NearBlowup(
             f"window end {t_window[1]:g} exceeds 0.9 * t_star = {0.9 * t_star:g}"
         )
-    return _residual_core(spec, t_window, resolution, _fields_bar,
+    return _residual_core(spec, t_window, resolution, classical_fields,
                           diffusion=False, iterms=False, tag="bar",
                           _source_offset=_source_offset)
 
@@ -363,9 +324,7 @@ def i_term_persistence(spec: ProblemSpec, sigmas, t: float) -> list[ItermRow]:
         raise ValueError("sigmas must be strictly decreasing")
     if t <= 0:
         raise ValueError("i_term_persistence requires t > 0")
-    axes = [np.linspace(lo, hi, g) for (lo, hi), g in zip(spec.box, spec.space_grid)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = tensor_points(space_axes(spec))
     rows = []
     for s in sig:
         sp = spec.with_sigma(s)

@@ -43,9 +43,9 @@ from .errors import (
 )
 from .problem import (
     ProblemSpec,
-    displacement_components,
     du_displacement_components,
     flow_displacement,
+    tensor_points,
 )
 
 __all__ = [
@@ -58,10 +58,19 @@ __all__ = [
     "invert_char_map",
     "eval_rho_bar",
     "eval_a_bar",
+    "classical_fields",
 ]
 
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
+
+
+def _rank1(spec: ProblemSpec, t: float, y, u):
+    """Factors (g, B) of the characteristic Jacobian C = I + B outer g:
+    g = grad u0(y) and B = dA/du(t, u), both of length n."""
+    g = spec.init.grad_u0_point(y)
+    B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+    return g, B
 
 
 @dataclass(frozen=True)
@@ -80,18 +89,14 @@ class CharMap:
         """C = I + B(t, u0(y)) outer grad u0(y), shape (n, n)."""
         y = np.asarray(y, dtype=float).reshape(self.spec.n)
         u = self.spec.init.u0_point(y)
-        g = self.spec.init.grad_u0_point(y)
-        B = np.array([float(c) for c in
-                      du_displacement_components(self.spec, self.t, u)])
+        g, B = _rank1(self.spec, self.t, y, u)
         return np.eye(self.spec.n) + np.outer(B, g)
 
     def det(self, y) -> float:
         """det C via the rank-1 identity det = 1 + grad(u0) . B."""
         y = np.asarray(y, dtype=float).reshape(self.spec.n)
         u = self.spec.init.u0_point(y)
-        g = self.spec.init.grad_u0_point(y)
-        B = np.array([float(c) for c in
-                      du_displacement_components(self.spec, self.t, u)])
+        g, B = _rank1(self.spec, self.t, y, u)
         return float(1.0 + g @ B)
 
 
@@ -166,8 +171,7 @@ def solve_implicit(spec: ProblemSpec, t: float, x) -> float:
             lo = u
         else:
             hi = u
-        g = spec.init.grad_u0_point(y)
-        B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+        g, B = _rank1(spec, t, y, u)
         slope = 1.0 + float(g @ B)
         if slope != 0 and math.isfinite(slope):
             u_next = u - gu / slope
@@ -192,8 +196,7 @@ def gradient_exact(spec: ProblemSpec, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(spec.n)
     u = solve_implicit(spec, t, x)
     y = x - flow_displacement(spec, t, u)
-    g = spec.init.grad_u0_point(y)
-    B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+    g, B = _rank1(spec, t, y, u)
     den = 1.0 + float(g @ B)
     if den < spec.tol.near_blowup_margin:
         raise NearBlowup(
@@ -205,9 +208,7 @@ def gradient_exact(spec: ProblemSpec, t: float, x) -> np.ndarray:
 def _blowup_grid(spec: ProblemSpec) -> np.ndarray:
     per_axis = min(spec.tol.blowup_grid,
                    max(2, int(round(1e6 ** (1.0 / spec.n)))))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in spec.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_points([np.linspace(lo, hi, per_axis) for lo, hi in spec.box])
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -373,8 +374,7 @@ def invert_char_map(spec: ProblemSpec, t: float, x) -> np.ndarray:
         if fn <= spec.tol.newton_tol:
             return y
         u = spec.init.u0_point(y)
-        g = spec.init.grad_u0_point(y)
-        B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+        g, B = _rank1(spec, t, y, u)
         det = 1.0 + float(g @ B)
         if abs(det) < _DET_FLOOR:
             raise SingularJacobian(
@@ -406,8 +406,7 @@ def eval_rho_bar(spec: ProblemSpec, t: float, x) -> float:
     """Transported density rho0(y0) / det C(t, y0)."""
     y0 = invert_char_map(spec, t, x)
     u = spec.init.u0_point(y0)
-    g = spec.init.grad_u0_point(y0)
-    B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+    g, B = _rank1(spec, t, y0, u)
     det = 1.0 + float(g @ B)
     if det < _DET_FLOOR:
         raise SingularJacobian(
@@ -421,3 +420,10 @@ def eval_a_bar(spec: ProblemSpec, t: float, x) -> np.ndarray:
     """Velocity along the classical solution, a(t, u(t, x))."""
     u = solve_implicit(spec, t, x)
     return np.array([float(v) for v in spec.velocity.a_values(t, u)])
+
+
+def classical_fields(spec: ProblemSpec, t: float, x):
+    """(rho, u, a) of the classical solution at x, from one implicit solve."""
+    u = solve_implicit(spec, t, x)
+    a = np.array([float(v) for v in spec.velocity.a_values(t, u)])
+    return eval_rho_bar(spec, t, x), u, a

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (results are unaffected)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured RNG seed")
 
@@ -92,16 +90,6 @@ def _setup_logging() -> None:
     if level is not None:
         logging.basicConfig(level=level, stream=sys.stderr,
                             format="%(levelname)s %(name)s: %(message)s")
-
-
-def _cap_threads(n: int | None) -> None:
-    # Best-effort cap for numeric libraries; the evaluation paths use
-    # fixed reduction orders, so results never depend on this.
-    if n is not None:
-        if n < 1:
-            raise ConfigError("--threads must be >= 1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def _load_spec(args):
@@ -173,15 +161,6 @@ def _parse_resolutions(items: list[str]) -> list[tuple[float, float]]:
     return out
 
 
-def _grid_points(spec):
-    import numpy as np
-
-    axes = [np.linspace(lo, hi, g)
-            for (lo, hi), g in zip(spec.box, spec.space_grid)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return axes, np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _field_grid_from_values(name, t, axes, values, valid):
     from .representation import FieldGrid
 
@@ -192,7 +171,12 @@ def _field_grid_from_values(name, t, axes, values, valid):
 def cmd_solve(args, spec, out: _Outputs) -> None:
     import numpy as np
 
+    from .problem import space_axes, tensor_points
+
     times = args.t if args.t else list(spec.time_points)
+    axes = space_axes(spec)
+    pts = tensor_points(axes)
+    shape = tuple(len(ax) for ax in axes)
     if args.method == "quadrature":
         from .representation import eval_field_grid
 
@@ -201,8 +185,7 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
                 grid = eval_field_grid(spec, t, which)
                 grid.to_csv(out.path(f"fields_sigma_t{j}_{which}.csv"))
     elif args.method == "characteristics":
-        from .characteristics import (blow_up_time, eval_a_bar, eval_rho_bar,
-                                      solve_implicit)
+        from .characteristics import blow_up_time, classical_fields
 
         t_star = blow_up_time(spec).t_star
         for t in times:
@@ -210,16 +193,12 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
                 raise NearBlowup(
                     f"requested t={t:g} is not below t_star={t_star:g}"
                 )
-        axes, pts = _grid_points(spec)
-        shape = tuple(len(ax) for ax in axes)
         for j, t in enumerate(times):
             u = np.empty(len(pts))
             rho = np.empty(len(pts))
             a = np.empty((len(pts), spec.n))
             for i, x in enumerate(pts):
-                u[i] = solve_implicit(spec, t, x)
-                rho[i] = eval_rho_bar(spec, t, x)
-                a[i] = eval_a_bar(spec, t, x)
+                rho[i], u[i], a[i] = classical_fields(spec, t, x)
             valid = np.ones(shape, dtype=bool)
             _field_grid_from_values("rho_bar", t, axes, rho.reshape(shape),
                                     valid).to_csv(out.path(f"fields_char_t{j}_rho.csv"))
@@ -233,8 +212,6 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
                                  sample_initial)
 
         ens0 = sample_initial(spec, args.particles)
-        axes, pts = _grid_points(spec)
-        shape = tuple(len(ax) for ax in axes)
         for j, t in enumerate(times):
             ens = evolve_exact(ens0, spec, t) if t > 0 else ens0
             est = estimate_fields(ens, spec, pts, bandwidth=args.bandwidth)
@@ -261,8 +238,8 @@ def cmd_blowup(args, spec, out: _Outputs) -> None:
 def cmd_converge(args, spec, out: _Outputs) -> None:
     import numpy as np
 
-    from .characteristics import blow_up_time, eval_a_bar, eval_rho_bar, \
-        solve_implicit
+    from .characteristics import blow_up_time, classical_fields
+    from .problem import space_axes, tensor_points
     from .representation import eval_a_sigma, eval_rho_sigma, eval_u_sigma
 
     sigmas = _parse_sigmas(args.sigmas)
@@ -270,15 +247,14 @@ def cmd_converge(args, spec, out: _Outputs) -> None:
     t_star = blow_up_time(spec).t_star
     if t >= t_star:
         raise NearBlowup(f"requested t={t:g} is not below t_star={t_star:g}")
-    _, pts = _grid_points(spec)
-    ref = [(solve_implicit(spec, t, x), eval_a_bar(spec, t, x),
-            eval_rho_bar(spec, t, x)) for x in pts]
+    pts = tensor_points(space_axes(spec))
+    ref = [classical_fields(spec, t, x) for x in pts]
     with open(out.path("convergence.csv"), "w", newline="\n") as fh:
         fh.write("sigma,max_err_u,max_err_a,max_err_rho\n")
         for s in sigmas:
             sp = spec.with_sigma(s)
             eu = ea = er = 0.0
-            for x, (u_ref, a_ref, rho_ref) in zip(pts, ref):
+            for x, (rho_ref, u_ref, a_ref) in zip(pts, ref):
                 eu = max(eu, abs(eval_u_sigma(sp, t, x) - u_ref))
                 ea = max(ea, float(np.max(np.abs(
                     np.asarray(eval_a_sigma(sp, t, x)) - a_ref))))
@@ -341,7 +317,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        _cap_threads(args.threads)
         spec = _load_spec(args)
         out = _Outputs(args.out)
         _COMMANDS[args.subcommand](args, spec, out)

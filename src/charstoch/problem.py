@@ -41,6 +41,8 @@ __all__ = [
     "flow_displacement",
     "displacement_components",
     "du_displacement_components",
+    "space_axes",
+    "tensor_points",
 ]
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -210,6 +212,18 @@ def _filled(value, shape) -> np.ndarray:
     out = np.empty(shape, dtype=float)
     out[...] = value
     return out
+
+
+def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
+    """Axes of the configured output grid over the problem box."""
+    return tuple(np.linspace(lo, hi, g)
+                 for (lo, hi), g in zip(spec.box, spec.space_grid))
+
+
+def tensor_points(axes) -> np.ndarray:
+    """Tensor product of 1D axes as flattened points, shape (M, n), C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +397,8 @@ def _dense_sample(box, space_grid) -> np.ndarray:
     """Tensor sample of the box used for range and sign checks."""
     n = len(box)
     per_axis = max(201, int(round(2e5 ** (1.0 / n))))
-    axes = [np.linspace(lo, hi, max(per_axis, g)) for (lo, hi), g in zip(box, space_grid)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_points([np.linspace(lo, hi, max(per_axis, g))
+                          for (lo, hi), g in zip(box, space_grid)])
 
 
 def _validate_initial_data(init: InitialData, box, space_grid) -> tuple[float, float]:

@@ -17,8 +17,10 @@ Integrals use tensor-product composite Gauss-Legendre rules whose panel
 width tracks the kernel width sigma*sqrt(t), truncated to the ball
 |A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Per-node data that does
 not depend on x (u0, rho0, displacement, velocity) is precomputed once
-per (problem, t) and shared by every evaluation point, so a full grid
-costs one table build plus one masked scan per point.  Cost scales like
+per (problem, t) and shared by every evaluation point.  All fields here
+and the covariance sources in ``balance`` are moments of one kernel pass
+per point (``_kernel_pass``, one masked scan of the table), so a full
+grid costs one table build plus one scan per point.  Cost scales like
 sigma^(-n): halving sigma doubles the node count per axis.
 """
 
@@ -34,16 +36,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport
-from .problem import ProblemSpec, displacement_components
+from .problem import (ProblemSpec, displacement_components, space_axes,
+                      tensor_points)
 from .quadrature import panel_count, panel_rule
 
 __all__ = [
-    "KernelContext",
     "QuadratureGrid",
     "FieldGrid",
     "SweepEntry",
-    "kernel_context",
-    "kernel_weight",
     "quadrature_grid",
     "eval_p_moment",
     "eval_rho_sigma",
@@ -65,51 +65,6 @@ _NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class KernelContext:
-    """Geometry of the Gaussian kernel at one evaluation point."""
-
-    n: int
-    t: float
-    x: np.ndarray
-    sigma: float
-    cutoff_radius: float  # kernel_cutoff * sigma * sqrt(t)
-    norm_const: float     # (2 pi t sigma^2)^(-n/2)
-
-
-def kernel_context(spec: ProblemSpec, t: float, x) -> KernelContext:
-    """Build the kernel context; the kernel must have positive width."""
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    s2t = spec.sigma * spec.sigma * t
-    if s2t < 1e-300:
-        raise DegenerateKernel(
-            f"sigma^2 * t = {s2t:.3e} is below the representable kernel width"
-        )
-    return KernelContext(
-        n=spec.n,
-        t=float(t),
-        x=x,
-        sigma=spec.sigma,
-        cutoff_radius=spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t),
-        norm_const=(2.0 * math.pi * s2t) ** (-spec.n / 2.0),
-    )
-
-
-def kernel_weight(ctx: KernelContext, y, displacement) -> float:
-    """Unnormalized Gaussian weight exp(-|A + y - x|^2 / (2 sigma^2 t)).
-
-    Returns exactly 0.0 once the exponent magnitude exceeds 745, where
-    exp would underflow anyway; no NaN, no subnormal dust.
-    """
-    y = np.asarray(y, dtype=float).reshape(ctx.n)
-    d = np.asarray(displacement, dtype=float).reshape(ctx.n)
-    s2t = ctx.sigma * ctx.sigma * ctx.t
-    e = float(np.sum((d + y - ctx.x) ** 2)) / (2.0 * s2t)
-    if e > _UNDERFLOW:
-        return 0.0
-    return math.exp(-e)
-
-
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Tensor-product composite Gauss-Legendre rule over a box."""
 
@@ -123,8 +78,7 @@ class QuadratureGrid:
     @cached_property
     def points(self) -> np.ndarray:
         """Flattened nodes, shape (M, n), C order."""
-        mesh = np.meshgrid(*self.axis_nodes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points(self.axis_nodes)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -204,18 +158,16 @@ def _table_for(spec: ProblemSpec, t: float) -> _Table:
     return table
 
 
-def _kernel_pass(spec: ProblemSpec, t: float, x, table: _Table):
-    """Select nodes under the truncated kernel around x.
+def _kernel_pass(spec: ProblemSpec, t: float, x):
+    """Select the table nodes under the truncated kernel around x.
 
-    Returns (idx, kw, norm) with node indices, kernel values on them,
-    and the Gaussian normalization constant.
+    Returns (table, idx, wk, norm): the (problem, t) table, indices of
+    the selected nodes, their weights wrho * kernel, and the Gaussian
+    normalization constant.  Requires t > 0.
     """
+    table = _table_for(spec, t)
     x = np.asarray(x, dtype=float).reshape(spec.n)
     s2t = spec.sigma * spec.sigma * t
-    if s2t < 1e-300:
-        raise DegenerateKernel(
-            f"sigma^2 * t = {s2t:.3e} is below the representable kernel width"
-        )
     centers = table.centers
     e = np.zeros(centers.shape[0])
     for i in range(spec.n):
@@ -224,9 +176,39 @@ def _kernel_pass(spec: ProblemSpec, t: float, x, table: _Table):
     e /= 2.0 * s2t
     cut = min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW)
     idx = np.nonzero(e <= cut)[0]
-    kw = np.exp(-e[idx])
+    wk = table.wrho[idx] * np.exp(-e[idx])
     norm = (2.0 * math.pi * s2t) ** (-spec.n / 2.0)
-    return idx, kw, norm
+    return table, idx, wk, norm
+
+
+def _kernel_means(spec: ProblemSpec, t: float, x):
+    """Kernel pass plus the kernel-weighted means of u0 and of a.
+
+    Returns (table, idx, wk, norm, den, u, a) with den the raw weighted
+    mass (the prefactor cancels in the means).  ``den`` is compared
+    against ``denom_floor`` before dividing, and EmptyKernelSupport is
+    raised when nothing lies under the kernel.
+    """
+    table, idx, wk, norm = _kernel_pass(spec, t, x)
+    den = float(np.sum(wk))
+    if den < spec.tol.denom_floor:
+        raise EmptyKernelSupport(
+            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
+        )
+    u = float(np.sum(wk * table.u0v[idx]) / den)
+    a = np.array([float(np.sum(wk * table.avals[idx, i]) / den)
+                  for i in range(spec.n)])
+    return table, idx, wk, norm, den, u, a
+
+
+def _support_reach(spec: ProblemSpec, t: float) -> float:
+    """Largest distance the transported kernel reaches from a foot point:
+    the largest flow displacement over ``u_range`` plus the kernel cutoff
+    radius."""
+    us = np.linspace(spec.u_range[0], spec.u_range[1], 201)
+    disp = displacement_components(spec, t, us)
+    reach = max(float(np.max(np.abs(d))) for d in disp)
+    return reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t)
 
 
 def eval_p_moment(spec: ProblemSpec, t: float, x, phi: Callable) -> float:
@@ -236,39 +218,28 @@ def eval_p_moment(spec: ProblemSpec, t: float, x, phi: Callable) -> float:
     """
     if t <= 0:
         raise ValueError("eval_p_moment requires t > 0")
-    table = _table_for(spec, t)
-    idx, kw, norm = _kernel_pass(spec, t, x, table)
+    table, idx, wk, norm = _kernel_pass(spec, t, x)
     vals = np.asarray(phi(table.u0v[idx]), dtype=float)
-    return float(norm * np.sum(table.wrho[idx] * kw * vals))
+    return float(norm * np.sum(wk * vals))
 
 
 def eval_rho_sigma(spec: ProblemSpec, t: float, x) -> float:
     """Smoothed density rho_sigma(t, x); equals rho0(x) at t = 0."""
     if t == 0:
         return spec.init.rho0_point(x)
-    table = _table_for(spec, t)
-    idx, kw, norm = _kernel_pass(spec, t, x, table)
-    return float(norm * np.sum(table.wrho[idx] * kw))
+    _, _, wk, norm = _kernel_pass(spec, t, x)
+    return float(norm * np.sum(wk))
 
 
 def eval_u_sigma(spec: ProblemSpec, t: float, x) -> float:
     """Smoothed profile u_sigma(t, x); equals u0(x) at t = 0.
 
-    The normalization prefactor cancels in the ratio; the raw weighted
-    mass is compared against ``denom_floor`` before dividing, and
-    EmptyKernelSupport is raised when nothing lies under the kernel.
+    Raises EmptyKernelSupport when no kernel mass lies around x.
     """
     if t == 0:
         return spec.init.u0_point(x)
-    table = _table_for(spec, t)
-    idx, kw, _ = _kernel_pass(spec, t, x, table)
-    wk = table.wrho[idx] * kw
-    den = float(np.sum(wk))
-    if den < spec.tol.denom_floor:
-        raise EmptyKernelSupport(
-            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    return float(np.sum(wk * table.u0v[idx]) / den)
+    *_, u, _ = _kernel_means(spec, t, x)
+    return u
 
 
 def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
@@ -276,16 +247,8 @@ def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     if t == 0:
         u0x = spec.init.u0_point(x)
         return np.array([float(v) for v in spec.velocity.a_values(0.0, u0x)])
-    table = _table_for(spec, t)
-    idx, kw, _ = _kernel_pass(spec, t, x, table)
-    wk = table.wrho[idx] * kw
-    den = float(np.sum(wk))
-    if den < spec.tol.denom_floor:
-        raise EmptyKernelSupport(
-            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    return np.array([float(np.sum(wk * table.avals[idx, i]) / den)
-                     for i in range(spec.n)])
+    *_, a = _kernel_means(spec, t, x)
+    return a
 
 
 @dataclass
@@ -341,11 +304,6 @@ class FieldGrid:
                 fh.write(",".join(cells) + "\n")
 
 
-def _grid_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
-    return tuple(np.linspace(lo, hi, g)
-                 for (lo, hi), g in zip(spec.box, spec.space_grid))
-
-
 def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     """Evaluate one field ("rho", "u" or "a") on the problem's box grid.
 
@@ -359,7 +317,7 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     if not any(math.isclose(t, tp, rel_tol=1e-12, abs_tol=1e-15)
                for tp in spec.time_points):
         raise ValueError(f"t={t!r} is not one of the problem's time points")
-    axes = _grid_axes(spec)
+    axes = space_axes(spec)
     shape = tuple(len(ax) for ax in axes)
     valid = np.ones(shape, dtype=bool)
     if which == "a":
@@ -436,10 +394,7 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     if t == 0:
         return integrate_rho0(spec)
     if margin is None:
-        us = np.linspace(spec.u_range[0], spec.u_range[1], 201)
-        disp = displacement_components(spec, t, us)
-        reach = max(float(np.max(np.abs(d))) for d in disp)
-        margin = reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t)
+        margin = _support_reach(spec, t)
     big_box = [(lo - margin, hi + margin) for lo, hi in spec.box]
     scale = spec.sigma * math.sqrt(t)
     grid = quadrature_grid(big_box, scale,

@@ -9,15 +9,22 @@ import pytest
 from charstoch import (
     NearBlowup,
     attach_ratios,
+    eval_a_bar,
+    eval_a_sigma,
     eval_I_a_sigma,
     eval_I_u_sigma,
     eval_I_u_sigma_assembled,
+    eval_rho_bar,
     eval_rho_sigma,
+    eval_u_sigma,
     i_term_persistence,
     load_problem,
     residual_pressureless,
     residual_sigma_system,
+    solve_implicit,
 )
+from charstoch.balance import _fields_sigma
+from charstoch.characteristics import classical_fields
 
 
 def make(**overrides):
@@ -38,6 +45,15 @@ def make(**overrides):
 @pytest.fixture(scope="module")
 def burgers():
     return make()
+
+
+def probe_cases(burgers):
+    """(spec, t, x): three burgers_sin points and one 2D bump point."""
+    bump2d = make(n=2, a=["u", "u"], u0="exp(-x1^2-x2^2)", sigma=0.2,
+                  box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
+                  time_points=[0.3])
+    return [(burgers, 0.5, np.array([x])) for x in (-1.0, 0.4, 2.0)] \
+        + [(bump2d, 0.3, np.array([0.3, -0.2]))]
 
 
 def test_constant_profile_kills_u_source():
@@ -123,6 +139,24 @@ def test_time_dependent_sigma_system_closes():
     for r in fine:
         assert r.max_residual <= 2e-4
         assert 2.5 <= r.ratio <= 6.0
+
+
+def test_residual_sigma_fields_are_the_public_evaluators(burgers):
+    """The residual path and the pointwise evaluators share one kernel
+    pass, so they agree bit for bit."""
+    for spec, t, x in probe_cases(burgers):
+        rho, u, a = _fields_sigma(spec, t, x)
+        assert rho == eval_rho_sigma(spec, t, x)
+        assert u == eval_u_sigma(spec, t, x)
+        assert np.array_equal(a, eval_a_sigma(spec, t, x))
+
+
+def test_classical_fields_are_the_public_evaluators(burgers):
+    for spec, t, x in probe_cases(burgers):
+        rho, u, a = classical_fields(spec, t, x)
+        assert rho == eval_rho_bar(spec, t, x)
+        assert u == solve_implicit(spec, t, x)
+        assert np.array_equal(a, eval_a_bar(spec, t, x))
 
 
 def test_pressureless_second_order_refinement(burgers):

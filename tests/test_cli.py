@@ -188,5 +188,5 @@ def test_bad_flag_values_exit_2(tmp_path):
                    "--resolutions", "0.08-0.032")
     assert proc.returncode == 2
     proc = run_cli("blowup", "--config", str(BURGERS),
-                   "--out", str(tmp_path / "o"), "--threads", "0")
+                   "--out", str(tmp_path / "o"), "--seed", "-1")
     assert proc.returncode == 2
