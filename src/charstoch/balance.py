@@ -38,7 +38,8 @@ import numpy as np
 from .characteristics import blow_up_time, classical_fields
 from .errors import NearBlowup
 from .problem import ProblemSpec, space_axes, tensor_points
-from .representation import _kernel_means, _support_reach
+from .representation import (_fields_sigma, _kernel_means, _noise_ladder,
+                             _support_reach)
 
 __all__ = [
     "ResidualReport",
@@ -137,12 +138,6 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x) -> float:
         m_ua = norm * np.sum(wk * table.u0v[idx] * table.avals[idx, k] * gk)
         total += m_ua - u_s * m_a - a_s[k] * m_u + u_s * a_s[k] * m_one
     return float(total)
-
-
-def _fields_sigma(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) of the smoothed representation in one kernel pass."""
-    _, _, _, norm, den, u, a = _kernel_means(spec, t, x)
-    return norm * den, u, a
 
 
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
@@ -317,11 +312,7 @@ def i_term_persistence(spec: ProblemSpec, sigmas, t: float) -> list[ItermRow]:
     point of this probe, so it accepts any positive strictly decreasing
     ladder and any t > 0.
     """
-    sig = [float(s) for s in sigmas]
-    if not sig or any(s <= 0 for s in sig):
-        raise ValueError("sigmas must be positive")
-    if any(b >= a for a, b in zip(sig, sig[1:])):
-        raise ValueError("sigmas must be strictly decreasing")
+    sig = _noise_ladder(sigmas)
     if t <= 0:
         raise ValueError("i_term_persistence requires t > 0")
     pts = tensor_points(space_axes(spec))

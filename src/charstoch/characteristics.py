@@ -5,25 +5,29 @@ While the solution stays classical it satisfies the implicit relation
     u(t, x) = u0(x - A(t, u(t, x))),
 
 where A is the flow displacement.  Everything here is built on that
-relation: a safeguarded scalar Newton solve for u, the closed-form
-spatial gradient
+relation and on one root-finder, the safeguarded scalar Newton solve
+for u in ``solve_implicit``.  Its root fixes the characteristic foot
+point y = x - A(t, u), and every other classical field is read off
+there (``_foot``): the inverse of the characteristic map
+y -> y + A(t, u0(y)), the closed-form spatial gradient
 
-    du/dx_i = (du0/dy_i)(y) / (1 + sum_j B_j(t, u0(y)) du0/dy_j(y)),
+    du/dx_i = (du0/dy_i)(y) / (1 + sum_j B_j(t, u) du0/dy_j(y)),
 
-with B_j(t, u) = d/du A_j(t, u) and y the characteristic foot point,
-inversion of the characteristic map y -> y + A(t, u0(y)), and the
-transported density rho0(y) / det C where C = I + B outer grad(u0) is
-the map's Jacobian.  The rank-1 structure of C makes det C equal to the
-gradient denominator, so all blow-up diagnostics agree.
+with B_j(t, u) = d/du A_j(t, u), the transported density
+rho0(y) / det C where C = I + B outer grad(u0) is the map's Jacobian,
+and the velocity a(t, u).  The rank-1 structure of C makes det C equal
+to the gradient denominator and to the Newton slope, so all blow-up
+diagnostics agree.
 
-The critical time is the supremum of times for which the denominator
-stays above -1 over every foot point.  For velocities without explicit
-time dependence this reduces to the classical criterion
+The critical time is the supremum of times for which the condition
+functional G(t, y) = B(t, u0(y)) . grad u0(y) stays above -1 over every
+foot point.  For velocities without explicit time dependence B(t, u) is
+t * da/du(u), so this reduces to the classical criterion
 
-    t* = -1 / min_y sum_i (da_i/du)(u0(y)) du0/dy_i(y),
+    t* = -1 / min_y G(1, y),
 
 infinite when the minimum is nonnegative; otherwise a bisection in t on
-the grid infimum locates the crossing.
+the grid infimum of G(t, .) locates the crossing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .errors import (
     NearBlowup,
     NoConvergence,
@@ -65,12 +68,20 @@ _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
 
 
-def _rank1(spec: ProblemSpec, t: float, y, u):
-    """Factors (g, B) of the characteristic Jacobian C = I + B outer g:
-    g = grad u0(y) and B = dA/du(t, u), both of length n."""
+def _foot(spec: ProblemSpec, t: float, x, u):
+    """Foot point of the characteristic through x that carries the value u.
+
+    Returns (y, g, B, det): y = x - A(t, u), the factors g = grad u0(y)
+    and B = dA/du(t, u) of the characteristic Jacobian C = I + B outer g,
+    and det C = 1 + g . B by the rank-1 identity.  det is also the slope
+    of the Newton residual u - u0(y), and at the root of the implicit
+    relation it is the gradient denominator.
+    """
+    x = np.asarray(x, dtype=float).reshape(spec.n)
+    y = x - flow_displacement(spec, t, u)
     g = spec.init.grad_u0_point(y)
     B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
-    return g, B
+    return y, g, B, 1.0 + float(g @ B)
 
 
 @dataclass(frozen=True)
@@ -85,19 +96,20 @@ class CharMap:
         u = self.spec.init.u0_point(y)
         return y + flow_displacement(self.spec, self.t, u)
 
+    def _foot_at(self, y):
+        """``_foot`` of forward(y) on the characteristic carrying u0(y):
+        its foot point is y up to rounding."""
+        u = self.spec.init.u0_point(y)
+        return _foot(self.spec, self.t, self.forward(y), u)
+
     def jacobian(self, y) -> np.ndarray:
         """C = I + B(t, u0(y)) outer grad u0(y), shape (n, n)."""
-        y = np.asarray(y, dtype=float).reshape(self.spec.n)
-        u = self.spec.init.u0_point(y)
-        g, B = _rank1(self.spec, self.t, y, u)
+        _, g, B, _ = self._foot_at(y)
         return np.eye(self.spec.n) + np.outer(B, g)
 
     def det(self, y) -> float:
         """det C via the rank-1 identity det = 1 + grad(u0) . B."""
-        y = np.asarray(y, dtype=float).reshape(self.spec.n)
-        u = self.spec.init.u0_point(y)
-        g, B = _rank1(self.spec, self.t, y, u)
-        return float(1.0 + g @ B)
+        return self._foot_at(y)[3]
 
 
 def char_map(spec: ProblemSpec, t: float) -> CharMap:
@@ -111,7 +123,7 @@ class BlowupReport:
     For a finite ``t_star`` the minimized functional is the blow-up
     condition value at (t_star, y_star), which sits at -1 up to the
     search tolerance.  For an infinite ``t_star`` under the classical
-    criterion it is the (nonnegative) minimum of the denominator, at its
+    criterion it is the (nonnegative) grid minimum of G(1, .), at its
     minimizing point.
     """
 
@@ -163,7 +175,7 @@ def solve_implicit(spec: ProblemSpec, t: float, x) -> float:
         )
     u = 0.5 * (lo + hi)
     for _ in range(spec.tol.max_iter):
-        y = x - flow_displacement(spec, t, u)
+        y, _, _, slope = _foot(spec, t, x, u)
         gu = u - spec.init.u0_point(y)
         if abs(gu) <= spec.tol.newton_tol:
             return float(u)
@@ -171,8 +183,6 @@ def solve_implicit(spec: ProblemSpec, t: float, x) -> float:
             lo = u
         else:
             hi = u
-        g, B = _rank1(spec, t, y, u)
-        slope = 1.0 + float(g @ B)
         if slope != 0 and math.isfinite(slope):
             u_next = u - gu / slope
         else:
@@ -194,10 +204,7 @@ def gradient_exact(spec: ProblemSpec, t: float, x) -> np.ndarray:
     the caller is probing too close to t*.
     """
     x = np.asarray(x, dtype=float).reshape(spec.n)
-    u = solve_implicit(spec, t, x)
-    y = x - flow_displacement(spec, t, u)
-    g, B = _rank1(spec, t, y, u)
-    den = 1.0 + float(g @ B)
+    _, g, _, den = _foot(spec, t, x, solve_implicit(spec, t, x))
     if den < spec.tol.near_blowup_margin:
         raise NearBlowup(
             f"gradient denominator {den:.3e} at t={t:g}, x={x.tolist()}"
@@ -253,14 +260,27 @@ def _coordinate_golden(f, y0: np.ndarray, spacings, box, sweeps: int = 3):
     return y, fy
 
 
+def _condition(spec: ProblemSpec, t: float, u: np.ndarray,
+               grads: np.ndarray) -> np.ndarray:
+    """Blow-up condition functional G = B(t, u) . grad u0 at m foot
+    points, from their values u (m,) and gradients grads (m, n) of u0."""
+    B = du_displacement_components(spec, t, u)
+    G = np.zeros(len(u))
+    for i in range(spec.n):
+        G += B[i] * grads[:, i]
+    return G
+
+
 def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     """Critical time of gradient blow-up, with its minimizing foot point.
 
-    Velocities without time dependence use the classical closed form on
-    a dense grid with golden-section refinement (method "conway").
-    Otherwise the grid infimum of the accumulated condition functional
-    is bisected in t to the configured tolerance (method "lambda_grid");
-    this assumes the functional crosses -1 transversally.
+    Both methods scan the condition functional G(t, .) on a dense grid
+    and refine the grid minimum by golden-section searches.  Velocities
+    without time dependence have G(t, .) = t G(1, .), so t* follows in
+    closed form from the minimum of G(1, .) (method "conway").
+    Otherwise the grid infimum of G(t, .) is bisected in t to the
+    configured tolerance (method "lambda_grid"); this assumes the
+    functional crosses -1 transversally.
     Grid ties break at the lowest flattened index.
     """
     pts = _blowup_grid(spec)
@@ -269,42 +289,25 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     spacings = [(hi - lo) / (round(len(pts) ** (1.0 / spec.n)) - 1)
                 for lo, hi in spec.box]
 
-    vf = spec.velocity
-    time_dep = any(vf.time_dependent)
+    def grid_argmin(t: float) -> tuple[int, float]:
+        G = _condition(spec, t, u0v, grads)
+        i0 = int(np.argmin(G))
+        return i0, float(G[i0])
 
-    if not time_dep:
-        def slope_values(u_arr: np.ndarray) -> list[np.ndarray]:
-            out = []
-            for i in range(spec.n):
-                if vf.du_components is not None:
-                    v = ex.eval_expr(vf.du_components[i], {"t": 0.0, "u": u_arr})
-                    arr = np.empty(u_arr.shape)
-                    arr[...] = v
-                    out.append(arr)
-                else:
-                    out.append(np.asarray(
-                        ex.numeric_partial(vf.components[i], "u",
-                                           {"u": u_arr}), dtype=float,
-                    ) * np.ones(u_arr.shape))
-            return out
+    def refine(t: float, i0: int):
+        def at(y: np.ndarray) -> float:
+            yy = y[None, :]
+            return float(_condition(spec, t, spec.init.u0_at(yy),
+                                    spec.init.grad_u0_at(yy))[0])
 
-        das = slope_values(u0v)
-        s = np.zeros(len(pts))
-        for i in range(spec.n):
-            s += das[i] * grads[:, i]
-        i0 = int(np.argmin(s))
-        if s[i0] >= 0:
+        return _coordinate_golden(at, pts[i0], spacings, spec.box)
+
+    if not any(spec.velocity.time_dependent):
+        i0, s0 = grid_argmin(1.0)
+        if s0 >= 0:
             return BlowupReport(t_star=math.inf, y_star=pts[i0],
-                                min_functional=float(s[i0]), method="conway")
-
-        def s_point(y: np.ndarray) -> float:
-            u = spec.init.u0_at(y[None, :])
-            g = spec.init.grad_u0_at(y[None, :])[0]
-            da = slope_values(u)
-            return float(sum(float(da[i].reshape(-1)[0]) * g[i]
-                             for i in range(spec.n)))
-
-        y_best, s_best = _coordinate_golden(s_point, pts[i0], spacings, spec.box)
+                                min_functional=s0, method="conway")
+        y_best, s_best = refine(1.0, i0)
         t_star = -1.0 / s_best
         return BlowupReport(t_star=float(t_star), y_star=y_best,
                             min_functional=float(t_star * s_best),
@@ -312,20 +315,7 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 
     # time-dependent velocity: bisection on the grid infimum in t
     def functional_min(t: float):
-        B = du_displacement_components(spec, t, u0v)
-        G = np.zeros(len(pts))
-        for i in range(spec.n):
-            G += B[i] * grads[:, i]
-        i0 = int(np.argmin(G))
-
-        def g_point(y: np.ndarray) -> float:
-            u = spec.init.u0_point(y)
-            g = spec.init.grad_u0_at(y[None, :])[0]
-            Bp = du_displacement_components(spec, t, np.asarray(u))
-            return float(sum(float(np.asarray(Bp[i]).reshape(-1)[0]) * g[i]
-                             for i in range(spec.n)))
-
-        return _coordinate_golden(g_point, pts[i0], spacings, spec.box)
+        return refine(t, grid_argmin(t)[0])
 
     t_hi = max(list(spec.time_points) + [1.0])
     y_hi, m_hi = functional_min(t_hi)
@@ -354,76 +344,36 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 def invert_char_map(spec: ProblemSpec, t: float, x) -> np.ndarray:
     """Find the foot point y0 with y0 + A(t, u0(y0)) = x.
 
-    Newton iteration with the rank-1 Jacobian C, started at x, falling
-    back to damped fixed-point steps whenever the Newton step fails to
-    reduce the residual.  Raises SingularJacobian when det C collapses
-    and NoConvergence at the iteration cap.
+    y0 = x - A(t, u) at the implicit solution u, so it carries no
+    iteration of its own and fails only where ``solve_implicit`` does.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    if t == 0:
-        return x.copy()
-
-    def res(y: np.ndarray) -> np.ndarray:
-        u = spec.init.u0_point(y)
-        return y + flow_displacement(spec, t, u) - x
-
-    y = x.copy()
-    F = res(y)
-    for _ in range(spec.tol.max_iter):
-        fn = float(np.max(np.abs(F)))
-        if fn <= spec.tol.newton_tol:
-            return y
-        u = spec.init.u0_point(y)
-        g, B = _rank1(spec, t, y, u)
-        det = 1.0 + float(g @ B)
-        if abs(det) < _DET_FLOOR:
-            raise SingularJacobian(
-                f"characteristic Jacobian determinant {det:.3e} "
-                f"at t={t:g}, x={x.tolist()}"
-            )
-        C = np.eye(spec.n) + np.outer(B, g)
-        y_next = y - np.linalg.solve(C, F)
-        F_next = res(y_next)
-        if float(np.max(np.abs(F_next))) < fn:
-            y, F = y_next, F_next
-            continue
-        lam = 0.5
-        for _ in range(8):
-            y_try = y - lam * F
-            F_try = res(y_try)
-            if float(np.max(np.abs(F_try))) < fn:
-                y, F = y_try, F_try
-                break
-            lam *= 0.5
-        else:
-            y, F = y_next, F_next
-    raise NoConvergence(
-        f"characteristic inversion did not converge at t={t:g}, x={x.tolist()}"
-    )
+    return _foot(spec, t, x, solve_implicit(spec, t, x))[0]
 
 
 def eval_rho_bar(spec: ProblemSpec, t: float, x) -> float:
-    """Transported density rho0(y0) / det C(t, y0)."""
-    y0 = invert_char_map(spec, t, x)
-    u = spec.init.u0_point(y0)
-    g, B = _rank1(spec, t, y0, u)
-    det = 1.0 + float(g @ B)
+    """Transported density rho0(y0) / det C(t, y0); see classical_fields."""
+    return classical_fields(spec, t, x)[0]
+
+
+def eval_a_bar(spec: ProblemSpec, t: float, x) -> np.ndarray:
+    """Velocity along the classical solution, a(t, u(t, x)); see
+    classical_fields."""
+    return classical_fields(spec, t, x)[2]
+
+
+def classical_fields(spec: ProblemSpec, t: float, x):
+    """(rho, u, a) of the classical solution at x, from one implicit solve.
+
+    rho = rho0(y) / det C at the foot point y of the root u.  Raises
+    SingularJacobian when det C drops below the floor, where the
+    characteristic map folds.
+    """
+    u = solve_implicit(spec, t, x)
+    y, _, _, det = _foot(spec, t, x, u)
     if det < _DET_FLOOR:
         raise SingularJacobian(
             f"characteristic Jacobian determinant {det:.3e} "
             f"at t={t:g}, x={np.asarray(x).tolist()}"
         )
-    return spec.init.rho0_point(y0) / det
-
-
-def eval_a_bar(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Velocity along the classical solution, a(t, u(t, x))."""
-    u = solve_implicit(spec, t, x)
-    return np.array([float(v) for v in spec.velocity.a_values(t, u)])
-
-
-def classical_fields(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) of the classical solution at x, from one implicit solve."""
-    u = solve_implicit(spec, t, x)
     a = np.array([float(v) for v in spec.velocity.a_values(t, u)])
-    return eval_rho_bar(spec, t, x), u, a
+    return spec.init.rho0_point(y) / det, u, a

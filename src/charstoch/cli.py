@@ -161,19 +161,15 @@ def _parse_resolutions(items: list[str]) -> list[tuple[float, float]]:
     return out
 
 
-def _field_grid_from_values(name, t, axes, values, valid):
-    from .representation import FieldGrid
-
-    return FieldGrid(name=name, t=float(t), axes=tuple(axes),
-                     values=values, valid=valid)
-
-
 def cmd_solve(args, spec, out: _Outputs) -> None:
     import numpy as np
 
     from .problem import space_axes, tensor_points
+    from .representation import FieldGrid
 
     times = args.t if args.t else list(spec.time_points)
+    if not all(t >= 0 for t in times):
+        raise ValueError("--t must be >= 0")
     axes = space_axes(spec)
     pts = tensor_points(axes)
     shape = tuple(len(ax) for ax in axes)
@@ -200,13 +196,10 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
             for i, x in enumerate(pts):
                 rho[i], u[i], a[i] = classical_fields(spec, t, x)
             valid = np.ones(shape, dtype=bool)
-            _field_grid_from_values("rho_bar", t, axes, rho.reshape(shape),
-                                    valid).to_csv(out.path(f"fields_char_t{j}_rho.csv"))
-            _field_grid_from_values("u_bar", t, axes, u.reshape(shape),
-                                    valid).to_csv(out.path(f"fields_char_t{j}_u.csv"))
-            _field_grid_from_values("a_bar", t, axes,
-                                    a.reshape(shape + (spec.n,)),
-                                    valid).to_csv(out.path(f"fields_char_t{j}_a.csv"))
+            for which, values in (("rho", rho), ("u", u), ("a", a)):
+                FieldGrid(f"{which}_bar", float(t), axes,
+                          values.reshape(shape + values.shape[1:]), valid
+                          ).to_csv(out.path(f"fields_char_t{j}_{which}.csv"))
     else:
         from .montecarlo import (dump_ensemble, estimate_fields, evolve_exact,
                                  sample_initial)
@@ -215,13 +208,12 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
         for j, t in enumerate(times):
             ens = evolve_exact(ens0, spec, t) if t > 0 else ens0
             est = estimate_fields(ens, spec, pts, bandwidth=args.bandwidth)
-            valid = est.valid.reshape(shape)
-            _field_grid_from_values("rho_hat", t, axes,
-                                    est.rho_hat.reshape(shape),
-                                    np.ones(shape, dtype=bool)
-                                    ).to_csv(out.path(f"fields_mc_t{j}_rho.csv"))
-            _field_grid_from_values("u_hat", t, axes, est.u_hat.reshape(shape),
-                                    valid).to_csv(out.path(f"fields_mc_t{j}_u.csv"))
+            FieldGrid("rho_hat", float(t), axes, est.rho_hat.reshape(shape),
+                      np.ones(shape, dtype=bool)
+                      ).to_csv(out.path(f"fields_mc_t{j}_rho.csv"))
+            FieldGrid("u_hat", float(t), axes, est.u_hat.reshape(shape),
+                      est.valid.reshape(shape)
+                      ).to_csv(out.path(f"fields_mc_t{j}_u.csv"))
             if args.dump_particles:
                 dump_ensemble(ens, out.path(f"particles_t{j}.csv"))
 
@@ -240,9 +232,9 @@ def cmd_converge(args, spec, out: _Outputs) -> None:
 
     from .characteristics import blow_up_time, classical_fields
     from .problem import space_axes, tensor_points
-    from .representation import eval_a_sigma, eval_rho_sigma, eval_u_sigma
+    from .representation import _fields_sigma, _noise_ladder
 
-    sigmas = _parse_sigmas(args.sigmas)
+    sigmas = _noise_ladder(_parse_sigmas(args.sigmas))
     t = args.t
     t_star = blow_up_time(spec).t_star
     if t >= t_star:
@@ -255,10 +247,10 @@ def cmd_converge(args, spec, out: _Outputs) -> None:
             sp = spec.with_sigma(s)
             eu = ea = er = 0.0
             for x, (rho_ref, u_ref, a_ref) in zip(pts, ref):
-                eu = max(eu, abs(eval_u_sigma(sp, t, x) - u_ref))
-                ea = max(ea, float(np.max(np.abs(
-                    np.asarray(eval_a_sigma(sp, t, x)) - a_ref))))
-                er = max(er, abs(eval_rho_sigma(sp, t, x) - rho_ref))
+                rho_s, u_s, a_s = _fields_sigma(sp, t, x)
+                eu = max(eu, abs(u_s - u_ref))
+                ea = max(ea, float(np.max(np.abs(a_s - a_ref))))
+                er = max(er, abs(rho_s - rho_ref))
             fh.write(f"{s:.12e},{eu:.12e},{ea:.12e},{er:.12e}\n")
 
 

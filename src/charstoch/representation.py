@@ -251,6 +251,17 @@ def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     return a
 
 
+def _fields_sigma(spec: ProblemSpec, t: float, x):
+    """(rho, u, a) at x in one kernel pass: the values of eval_rho_sigma,
+    eval_u_sigma and eval_a_sigma, raising EmptyKernelSupport as
+    eval_u_sigma does."""
+    if t == 0:
+        return (eval_rho_sigma(spec, t, x), eval_u_sigma(spec, t, x),
+                eval_a_sigma(spec, t, x))
+    _, _, _, norm, den, u, a = _kernel_means(spec, t, x)
+    return norm * den, u, a
+
+
 @dataclass
 class FieldGrid:
     """A field sampled on the tensor grid of the problem box.
@@ -307,16 +318,14 @@ class FieldGrid:
 def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     """Evaluate one field ("rho", "u" or "a") on the problem's box grid.
 
-    ``t`` must be one of the problem's output times.  Each grid value is
+    ``t`` may be any time >= 0, not only one of the problem's output
+    times: tables are built per (problem, t).  Each grid value is
     produced by the same pointwise evaluator a caller would use, so a
     grid entry and a direct call agree bit for bit.  Points whose kernel
     carries no mass are flagged invalid rather than failing the grid.
     """
     if which not in ("rho", "u", "a"):
         raise ValueError(f"unknown field {which!r}")
-    if not any(math.isclose(t, tp, rel_tol=1e-12, abs_tol=1e-15)
-               for tp in spec.time_points):
-        raise ValueError(f"t={t!r} is not one of the problem's time points")
     axes = space_axes(spec)
     shape = tuple(len(ax) for ax in axes)
     valid = np.ones(shape, dtype=bool)
@@ -346,26 +355,31 @@ class SweepEntry(NamedTuple):
     rho: float
 
 
+def _noise_ladder(sigmas) -> list[float]:
+    """``sigmas`` as floats, checked to be positive and strictly
+    decreasing; raises ValueError otherwise."""
+    sig = [float(s) for s in sigmas]
+    if not sig or not all(s > 0 for s in sig):
+        raise ValueError("sigmas must be positive")
+    if not all(b < a for a, b in zip(sig, sig[1:])):
+        raise ValueError("sigmas must be strictly decreasing")
+    return sig
+
+
 def sigma_sweep(spec: ProblemSpec, t: float, x, sigmas) -> list[SweepEntry]:
     """Evaluate (u, a, rho) at one point for a decreasing noise ladder.
 
     ``sigmas`` must be strictly decreasing and positive; t must be
     positive.  Kernel windows and panel widths adapt per sigma.
     """
-    sig = [float(s) for s in sigmas]
-    if not sig or any(s <= 0 for s in sig):
-        raise ValueError("sigmas must be positive")
-    if any(b >= a for a, b in zip(sig, sig[1:])):
-        raise ValueError("sigmas must be strictly decreasing")
+    sig = _noise_ladder(sigmas)
     if t <= 0:
         raise ValueError("sigma_sweep requires t > 0")
     out = []
     for s in sig:
         sp = spec.with_sigma(s)
         try:
-            u = eval_u_sigma(sp, t, x)
-            a = eval_a_sigma(sp, t, x)
-            rho = eval_rho_sigma(sp, t, x)
+            rho, u, a = _fields_sigma(sp, t, x)
         except EmptyKernelSupport as e:
             raise EmptyKernelSupport(f"sigma={s:g}: {e}") from e
         out.append(SweepEntry(sigma=s, u=u, a=a, rho=rho))

@@ -11,8 +11,10 @@ from charstoch import (
     OutOfBracket,
     blow_up_time,
     char_map,
+    du_displacement_components,
     eval_a_bar,
     eval_rho_bar,
+    flow_displacement,
     gradient_exact,
     invert_char_map,
     load_problem,
@@ -179,6 +181,33 @@ def test_foot_point_value_agrees_with_implicit_solve(burgers):
         u_foot = burgers.init.u0_point(y0)
         u_imp = solve_implicit(burgers, 0.5, np.array([x]))
         assert u_foot == pytest.approx(u_imp, abs=1e-9)
+
+
+def _foot_cases(n):
+    if n == 1:
+        spec = make(rho0="1+0.5*cos(x1)")
+        return [(spec, 0.5, np.array([x])) for x in np.linspace(-4.0, 4.0, 9)]
+    spec = load_problem(json.dumps({
+        "n": 2, "a": ["u", "2*u"], "u0": "exp(-x1^2-x2^2)",
+        "rho0": "exp(-0.1*(x1^2+x2^2))", "sigma": 0.1,
+        "box": [[-2.0, 2.0], [-2.0, 2.0]], "space_grid": [9, 9],
+        "time_points": [0.2],
+    }))
+    rng = np.random.default_rng(7)
+    return [(spec, 0.2, rng.uniform(-1.5, 1.5, size=2)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_foot_point_and_density_come_from_the_implicit_root(n):
+    """The foot point is x - A(t, u) at the root u of solve_implicit, and
+    the density is rho0 / det C there, bit for bit."""
+    for spec, t, x in _foot_cases(n):
+        u = solve_implicit(spec, t, x)
+        y = invert_char_map(spec, t, x)
+        assert np.array_equal(y, x - flow_displacement(spec, t, u))
+        g = spec.init.grad_u0_point(y)
+        B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
+        assert eval_rho_bar(spec, t, x) == spec.init.rho0_point(y) / (1.0 + float(g @ B))
 
 
 def test_transported_velocity_constant_along_characteristics(burgers):

@@ -81,12 +81,15 @@ def test_solve_characteristics_past_blowup_exits_3(tmp_path):
     assert error_payload(proc)["kind"] == "NearBlowup"
 
 
-def test_solve_quadrature_rejects_unlisted_time(tmp_path):
-    proc = run_cli("solve", "--config", str(BURGERS),
-                   "--out", str(tmp_path / "o"),
+def test_solve_quadrature_at_unlisted_time(tmp_path):
+    out = tmp_path / "o"
+    proc = run_cli("solve", "--config", str(BURGERS), "--out", str(out),
                    "--method", "quadrature", "--t", "0.33")
-    assert proc.returncode == 2
-    assert error_payload(proc)["kind"] == "ValueError"
+    assert proc.returncode == 0, proc.stderr
+    for which in ("rho", "u", "a"):
+        rows = (out / f"fields_sigma_t0_{which}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 41
+        assert all(row.split(",")[0] == f"{0.33:.12e}" for row in rows)
 
 
 def test_solve_quadrature_writes_field_grids(tmp_path):
@@ -149,6 +152,15 @@ def test_converge_table_decreases(tmp_path):
     assert rows[1][1] < rows[0][1]
 
 
+def test_converge_rejects_bad_noise_ladder(tmp_path):
+    for sigmas in ("-0.1,0.05", "0.05,0.1", "nan"):
+        proc = run_cli("converge", "--config", str(BURGERS),
+                       "--out", str(tmp_path / "o"),
+                       f"--sigmas={sigmas}", "--t", "0.5")
+        assert proc.returncode == 2
+        assert error_payload(proc)["kind"] == "ValueError"
+
+
 def test_residuals_table_with_ratios(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("residuals", "--config", str(BURGERS), "--out", str(out),
@@ -190,3 +202,9 @@ def test_bad_flag_values_exit_2(tmp_path):
     proc = run_cli("blowup", "--config", str(BURGERS),
                    "--out", str(tmp_path / "o"), "--seed", "-1")
     assert proc.returncode == 2
+    for method in ("quadrature", "characteristics", "montecarlo"):
+        proc = run_cli("solve", "--config", str(BURGERS),
+                       "--out", str(tmp_path / "o"), "--method", method,
+                       "--t", "-0.3")
+        assert proc.returncode == 2
+        assert "--t must be >= 0" in error_payload(proc)["message"]

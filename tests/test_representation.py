@@ -151,9 +151,12 @@ def test_field_grid_matches_pointwise_bitwise(burgers):
     assert grid.valid.all()
 
 
-def test_field_grid_rejects_unlisted_time(burgers):
-    with pytest.raises(ValueError):
-        eval_field_grid(burgers, 0.3, "u")
+def test_field_grid_accepts_any_time(burgers):
+    assert 0.3 not in burgers.time_points
+    grid = eval_field_grid(burgers, 0.3, "u")
+    xs = grid.axes[0]
+    for i in (0, 17, 40):
+        assert grid.values[i] == eval_u_sigma(burgers, 0.3, np.array([xs[i]]))
     with pytest.raises(ValueError):
         eval_field_grid(burgers, 0.5, "phi")
 
