@@ -24,9 +24,10 @@ stencil.  In the vanishing-noise limit the same system without
 diffusion and without I terms holds for the transported fields while
 the solution stays classical.
 
-Residuals are evaluated with second-order central differences in space
-(stencil points leaving the box are masked out) and in time, one-sided
-second-order at the time-window edges.
+These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
+q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
+evaluates it once per q with second-order central differences in space
+and in time, one-sided second-order at the time-window edges.
 """
 
 from __future__ import annotations
@@ -150,13 +151,14 @@ def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
     return tensor_points(kept)
 
 
-def _time_stencil(values: np.ndarray, j: int, J: int, dt: float) -> np.ndarray:
-    """Second-order time derivative along axis 0 at index j."""
-    if 0 < j < J:
-        return (values[j + 1] - values[j - 1]) / (2.0 * dt)
-    if j == 0:
-        return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    return (3.0 * values[J] - 4.0 * values[J - 1] + values[J - 2]) / (2.0 * dt)
+def _ddt(f: np.ndarray, dt: float) -> np.ndarray:
+    """Second-order time derivative along axis 0: central inside,
+    one-sided at both ends."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dt)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dt)
+    return out
 
 
 def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
@@ -199,63 +201,36 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
                 xpo = probes[p] + offsets[o]
                 rho[j, p, o], u[j, p, o], a[j, p, o] = fields(spec, tj, xpo)
 
+    # the densities q and sources S of the one law (module docstring)
+    Q = np.stack([rho, rho * u] + [rho * a[..., i] for i in range(n)])
+    S = np.zeros(Q.shape[:3])
     if iterms:
-        I_u = np.empty((J + 1, P))
-        I_a = np.empty((J + 1, P, n))
         for j, tj in enumerate(times):
             for p in range(P):
-                I_u[j, p] = eval_I_u_sigma(spec, tj, probes[p])
-                I_a[j, p] = eval_I_a_sigma(spec, tj, probes[p])
-
-    rho_u = rho * u
-    rho_a = rho[..., None] * a
+                S[1, j, p] = eval_I_u_sigma(spec, tj, probes[p])
+                S[2:, j, p] = eval_I_a_sigma(spec, tj, probes[p])
     half_s2 = 0.5 * spec.sigma * spec.sigma
-
-    def flux_div(prod: np.ndarray, j: int) -> np.ndarray:
-        # prod has shape (J+1, P, O, n): component k differentiated in x_k
-        out = np.zeros(P)
+    names = [f"mass_{tag}", f"momentum_u_{tag}"] \
+        + [f"momentum_a_{tag}_{i + 1}" for i in range(n)]
+    out = []
+    for q, s_e, name in zip(Q, S, names):
+        # The per-axis sums start from zeros and R is a fresh contiguous
+        # array: the frozen residual references depend on this order.
+        div = np.zeros((J + 1, P))
+        lap = np.zeros((J + 1, P))
         for k in range(n):
-            out += (prod[j, :, 2 + 2 * k, k] - prod[j, :, 1 + 2 * k, k]) / (2.0 * h)
-        return out
-
-    def laplacian(f: np.ndarray, j: int) -> np.ndarray:
-        out = np.zeros(P)
-        for k in range(n):
-            out += (f[j, :, 2 + 2 * k] - 2.0 * f[j, :, 0] + f[j, :, 1 + 2 * k]) / (h * h)
-        return out
-
-    R_mass = np.empty((J + 1, P))
-    R_u = np.empty((J + 1, P))
-    R_a = np.empty((J + 1, P, n))
-    for j in range(J + 1):
-        R_mass[j] = _time_stencil(rho[:, :, 0], j, J, dt_eff) + flux_div(rho_a, j)
-        R_u[j] = _time_stencil(rho_u[:, :, 0], j, J, dt_eff) \
-            + flux_div(rho_u[..., None] * a, j)
+            lo, hi = 1 + 2 * k, 2 + 2 * k
+            div += (q[:, :, hi] * a[:, :, hi, k]
+                    - q[:, :, lo] * a[:, :, lo, k]) / (2.0 * h)
+            lap += (q[:, :, hi] - 2.0 * q[:, :, 0] + q[:, :, lo]) / (h * h)
+        R = _ddt(q[:, :, 0], dt_eff) + div
         if diffusion:
-            R_mass[j] -= half_s2 * laplacian(rho, j)
-            R_u[j] -= half_s2 * laplacian(rho_u, j)
-        if iterms:
-            R_u[j] += I_u[j]
-        for i in range(n):
-            R_a[j, :, i] = _time_stencil(rho_a[:, :, 0, i], j, J, dt_eff) \
-                + flux_div(rho_a[..., i, None] * a, j)
-            if diffusion:
-                R_a[j, :, i] -= half_s2 * laplacian(rho_a[..., i], j)
-            if iterms:
-                R_a[j, :, i] += I_a[j, :, i]
-
-    R_mass += _source_offset
-    R_u += _source_offset
-    R_a += _source_offset
-
-    def report(name: str, R: np.ndarray) -> ResidualReport:
-        return ResidualReport(equation=name, h=h, dt=dt_eff,
-                              max_residual=float(np.max(np.abs(R))),
-                              l1_residual=float(np.mean(np.abs(R))))
-
-    out = [report(f"mass_{tag}", R_mass), report(f"momentum_u_{tag}", R_u)]
-    for i in range(n):
-        out.append(report(f"momentum_a_{tag}_{i + 1}", R_a[:, :, i]))
+            R -= half_s2 * lap
+        R += s_e
+        R += _source_offset
+        out.append(ResidualReport(equation=name, h=h, dt=dt_eff,
+                                  max_residual=float(np.max(np.abs(R))),
+                                  l1_residual=float(np.mean(np.abs(R)))))
     return out
 
 

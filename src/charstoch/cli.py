@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -138,6 +139,15 @@ class _Outputs:
             fh.write("\n")
 
 
+def _check_times(args) -> None:
+    """Refuse a negative or non-finite ``--t`` before any output is opened."""
+    t = getattr(args, "t", None)
+    times = [] if t is None else t if isinstance(t, list) else [t]
+    for v in times:
+        if not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"--t must be >= 0 and finite, got {v:g}")
+
+
 def _parse_sigmas(text: str) -> list[float]:
     try:
         sigmas = [float(s) for s in text.split(",") if s.strip()]
@@ -168,8 +178,6 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
     from .representation import FieldGrid
 
     times = args.t if args.t else list(spec.time_points)
-    if not all(t >= 0 for t in times):
-        raise ValueError("--t must be >= 0")
     axes = space_axes(spec)
     pts = tensor_points(axes)
     shape = tuple(len(ax) for ax in axes)
@@ -310,6 +318,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         spec = _load_spec(args)
+        _check_times(args)
         out = _Outputs(args.out)
         _COMMANDS[args.subcommand](args, spec, out)
         out.write_manifest(args, spec, started)

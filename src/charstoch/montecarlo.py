@@ -10,6 +10,9 @@ path scheme loses.
 All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
 bit for bit from the problem seed alone, independent of call order.
+
+Field estimates reuse the Gaussian sum of the quadrature fields
+(``representation._gaussian_pass``) with the particles as the sources.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ZeroMass
 from .problem import ProblemSpec, displacement_components
-from .representation import integrate_rho0
+from .representation import _UNDERFLOW, _gaussian_pass, integrate_rho0
 
 __all__ = [
     "ParticleEnsemble",
@@ -38,8 +41,6 @@ __all__ = [
 _KEY_INIT = 0x1D17
 _KEY_EXACT = 0xE4AC7
 _KEY_EM = 0xE0777
-
-_EXP_UNDERFLOW = 745.0
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
@@ -158,34 +159,29 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
                     bandwidth: float | None = None) -> FieldEstimate:
     """Kernel-density and weighted-regression field estimates.
 
-    rho_hat is the weighted Gaussian KDE of the particle positions;
-    u_hat the kernel-weighted average of the labels (Nadaraya-Watson).
-    Points whose kernel mass falls below the denominator floor are
-    flagged invalid with u_hat = NaN rather than divided through.
+    rho_hat is the weighted Gaussian KDE of the particle positions, cut
+    only where exp underflows; u_hat the kernel-weighted average of the
+    labels (Nadaraya-Watson).  Points whose kernel mass falls below the
+    denominator floor are flagged invalid with u_hat = NaN rather than
+    divided through.  The bandwidth must be finite and positive.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != spec.n:
         raise ValueError(f"points must have {spec.n} coordinates")
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("bandwidth must be finite and positive")
     norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
     P = pts.shape[0]
     rho_hat = np.empty(P)
     u_hat = np.full(P, np.nan)
     valid = np.zeros(P, dtype=bool)
     for p in range(P):
-        e = np.zeros(len(ens))
-        for k in range(spec.n):
-            d = ens.X[:, k] - pts[p, k]
-            e += d * d
-        e /= 2.0 * h * h
-        kern = np.where(e <= _EXP_UNDERFLOW, np.exp(-np.minimum(e, _EXP_UNDERFLOW)), 0.0)
-        wk = ens.w * kern
+        idx, wk = _gaussian_pass(ens.X, ens.w, pts[p], h * h, _UNDERFLOW)
         den = float(np.sum(wk))
         rho_hat[p] = norm * den
         if den >= spec.tol.denom_floor:
-            u_hat[p] = float(np.sum(wk * ens.U) / den)
+            u_hat[p] = float(np.sum(wk * ens.U[idx]) / den)
             valid[p] = True
     return FieldEstimate(points=pts, rho_hat=rho_hat, u_hat=u_hat,
                          valid=valid, bandwidth=h)

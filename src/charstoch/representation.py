@@ -19,8 +19,9 @@ width tracks the kernel width sigma*sqrt(t), truncated to the ball
 not depend on x (u0, rho0, displacement, velocity) is precomputed once
 per (problem, t) and shared by every evaluation point.  All fields here
 and the covariance sources in ``balance`` are moments of one kernel pass
-per point (``_kernel_pass``, one masked scan of the table), so a full
-grid costs one table build plus one scan per point.  Cost scales like
+per point (``_kernel_pass``, one masked scan of the table by
+``_gaussian_pass``, which the particle estimates share), so a full grid
+costs one table build plus one scan per point.  Cost scales like
 sigma^(-n): halving sigma doubles the node count per axis.
 """
 
@@ -118,6 +119,8 @@ _TABLE_CACHE_MAX = 6
 
 
 def _build_table(spec: ProblemSpec, t: float) -> _Table:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"field tables need a finite time t >= 0, got t={t!r}")
     scale = spec.sigma * math.sqrt(t)
     if scale * scale < 1e-300:
         raise DegenerateKernel(
@@ -158,6 +161,23 @@ def _table_for(spec: ProblemSpec, t: float) -> _Table:
     return table
 
 
+def _gaussian_pass(centers: np.ndarray, weights: np.ndarray, x, var: float,
+                   cut: float):
+    """One Gaussian sum's sources around x: the only place a kernel is
+    evaluated, for quadrature nodes and particles alike.
+
+    With e = |centers - x|^2 / (2 var), returns (idx, wk): the indices
+    of the sources with e <= cut and their weights times exp(-e).
+    """
+    e = np.zeros(centers.shape[0])
+    for i in range(centers.shape[1]):
+        d = centers[:, i] - x[i]
+        e += d * d
+    e /= 2.0 * var
+    idx = np.nonzero(e <= cut)[0]
+    return idx, weights[idx] * np.exp(-e[idx])
+
+
 def _kernel_pass(spec: ProblemSpec, t: float, x):
     """Select the table nodes under the truncated kernel around x.
 
@@ -166,17 +186,10 @@ def _kernel_pass(spec: ProblemSpec, t: float, x):
     normalization constant.  Requires t > 0.
     """
     table = _table_for(spec, t)
-    x = np.asarray(x, dtype=float).reshape(spec.n)
     s2t = spec.sigma * spec.sigma * t
-    centers = table.centers
-    e = np.zeros(centers.shape[0])
-    for i in range(spec.n):
-        d = centers[:, i] - x[i]
-        e += d * d
-    e /= 2.0 * s2t
-    cut = min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW)
-    idx = np.nonzero(e <= cut)[0]
-    wk = table.wrho[idx] * np.exp(-e[idx])
+    idx, wk = _gaussian_pass(table.centers, table.wrho,
+                             np.asarray(x, dtype=float).reshape(spec.n), s2t,
+                             min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
     norm = (2.0 * math.pi * s2t) ** (-spec.n / 2.0)
     return table, idx, wk, norm
 

@@ -109,13 +109,20 @@ def test_constant_data_residuals_vanish():
 
 
 def test_source_offset_shifts_every_residual():
-    spec = make(a=["1"], u0="2", rho0="1", sigma=0.3,
+    line = make(a=["1"], u0="2", rho0="1", sigma=0.3,
                 box=[[-10.0, 10.0]], space_grid=[21], time_points=[0.5])
-    rows = residual_sigma_system(spec, (0.3, 0.5), (0.2, 0.1),
-                                 _source_offset=0.125)
-    for row in rows:
-        assert row.max_residual == pytest.approx(0.125, abs=1e-9)
-        assert row.l1_residual == pytest.approx(0.125, abs=1e-9)
+    plane = make(n=2, a=["1", "0.5"], u0="2", rho0="1", sigma=0.5,
+                 box=[[-5.0, 5.0], [-5.0, 5.0]], space_grid=[11, 11],
+                 time_points=[0.5])
+    for spec in (line, plane):
+        rows = residual_sigma_system(spec, (0.3, 0.5), (0.2, 0.1),
+                                     _source_offset=0.125)
+        assert [r.equation for r in rows] == \
+            ["mass_sigma", "momentum_u_sigma"] \
+            + [f"momentum_a_sigma_{i + 1}" for i in range(spec.n)]
+        for row in rows:
+            assert row.max_residual == pytest.approx(0.125, abs=1e-9)
+            assert row.l1_residual == pytest.approx(0.125, abs=1e-9)
 
 
 def test_sigma_system_second_order_refinement(burgers):

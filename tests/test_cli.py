@@ -208,3 +208,15 @@ def test_bad_flag_values_exit_2(tmp_path):
                        "--t", "-0.3")
         assert proc.returncode == 2
         assert "--t must be >= 0" in error_payload(proc)["message"]
+    for sub, t, extra in (("solve", "inf", ("--method", "quadrature")),
+                          ("solve", "inf", ("--method", "montecarlo")),
+                          ("converge", "nan", ("--sigmas", "0.2,0.1")),
+                          ("converge", "-0.5", ("--sigmas", "0.2,0.1")),
+                          ("iterms", "inf", ("--sigmas", "0.2,0.1")),
+                          ("iterms", "nan", ("--sigmas", "0.2,0.1"))):
+        out = tmp_path / f"{sub}_{t}"
+        proc = run_cli(sub, "--config", str(BURGERS), "--out", str(out),
+                       *extra, "--t", t)
+        assert proc.returncode == 2, (sub, t)
+        assert "--t must be >= 0" in error_payload(proc)["message"]
+        assert not out.exists()

@@ -144,6 +144,39 @@ def test_kde_far_point_is_invalid(burgers):
     assert math.isnan(est.u_hat[0])
 
 
+def dense_kde(ens, pts, h, denom_floor):
+    """Reference KDE: every particle against every target, the Gaussian
+    zeroed past an exponent of 745."""
+    rho, u = np.empty(len(pts)), np.full(len(pts), np.nan)
+    for p, x in enumerate(pts):
+        e = np.sum((ens.X - x) ** 2, axis=1) / (2.0 * h * h)
+        wk = ens.w * np.where(e <= 745.0, np.exp(-np.minimum(e, 745.0)), 0.0)
+        den = np.sum(wk)
+        rho[p] = (2.0 * math.pi * h * h) ** (-pts.shape[1] / 2.0) * den
+        if den >= denom_floor:
+            u[p] = np.sum(wk * ens.U) / den
+    return rho, u
+
+
+def test_kde_matches_dense_gaussian_sum(burgers):
+    bump2d = make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
+                  box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
+                  time_points=[0.3])
+    cases = [(burgers, 20_000, 0.5, np.linspace(-6.0, 6.0, 13)[:, None],
+              [[400.0]], 0.06),
+             (bump2d, 2_000, 0.3, np.array([[0.0, 0.0], [1.0, -0.5]]),
+              [[50.0, -50.0]], 0.2)]
+    for spec, count, t, pts, far, h in cases:
+        ens = evolve_exact(sample_initial(spec, count), spec, t)
+        pts = np.vstack([pts, far])
+        est = estimate_fields(ens, spec, pts, bandwidth=h)
+        rho, u = dense_kde(ens, pts, h, spec.tol.denom_floor)
+        np.testing.assert_allclose(est.rho_hat, rho, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(est.u_hat, u, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(est.valid, ~np.isnan(u))
+        assert est.rho_hat[-1] == 0.0 and not est.valid[-1]
+
+
 def test_density_estimate_improves_with_particles(burgers):
     grid = np.linspace(-6.0, 6.0, 25)[:, None]
     rho_q = np.array([eval_rho_sigma(burgers, 0.5, x) for x in grid])
@@ -162,8 +195,9 @@ def test_estimate_validates_inputs(burgers):
     ens = sample_initial(burgers, 10)
     with pytest.raises(ValueError):
         estimate_fields(ens, burgers, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        estimate_fields(ens, burgers, np.zeros((3, 1)), bandwidth=0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            estimate_fields(ens, burgers, np.zeros((3, 1)), bandwidth=h)
     with pytest.raises(ValueError):
         sample_initial(burgers, 0)
 

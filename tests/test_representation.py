@@ -159,6 +159,9 @@ def test_field_grid_accepts_any_time(burgers):
         assert grid.values[i] == eval_u_sigma(burgers, 0.3, np.array([xs[i]]))
     with pytest.raises(ValueError):
         eval_field_grid(burgers, 0.5, "phi")
+    for t in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite time"):
+            eval_field_grid(burgers, t, "rho")
 
 
 def test_field_grid_csv_scalar(tmp_path, burgers):
