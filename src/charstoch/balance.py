@@ -32,6 +32,7 @@ and in time, one-sided second-order at the time-window edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,8 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
                    _source_offset: float = 0.0) -> list["ResidualReport"]:
     t0, t1 = float(t_window[0]), float(t_window[1])
     h, dt = float(resolution[0]), float(resolution[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"time window ends must be finite, got ({t0:g}, {t1:g})")
     if not t1 > t0:
         raise ValueError("time window must satisfy t0 < t1")
     if h <= 0 or dt <= 0:

@@ -140,12 +140,16 @@ class _Outputs:
 
 
 def _check_times(args) -> None:
-    """Refuse a negative or non-finite ``--t`` before any output is opened."""
+    """Refuse a negative or non-finite ``--t``, and a non-finite
+    ``--window`` end, before any output is opened."""
     t = getattr(args, "t", None)
     times = [] if t is None else t if isinstance(t, list) else [t]
     for v in times:
         if not (math.isfinite(v) and v >= 0):
             raise ConfigError(f"--t must be >= 0 and finite, got {v:g}")
+    for v in getattr(args, "window", None) or []:
+        if not math.isfinite(v):
+            raise ConfigError(f"--window ends must be finite, got {v:g}")
 
 
 def _parse_sigmas(text: str) -> list[float]:

@@ -12,7 +12,10 @@ All randomness comes from counter-based generator streams keyed by
 bit for bit from the problem seed alone, independent of call order.
 
 Field estimates reuse the Gaussian sum of the quadrature fields
-(``representation._gaussian_pass``) with the particles as the sources.
+(``representation._gaussian_pass``) with the particles as the sources:
+each ``estimate_fields`` call buckets the particles once into cells one
+cutoff radius wide, and each target then scans only the particles in
+the 3^n cells around it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 
 from .errors import ZeroMass
 from .problem import ProblemSpec, displacement_components
-from .representation import _UNDERFLOW, _gaussian_pass, integrate_rho0
+from .representation import (_UNDERFLOW, _cell_index, _gaussian_pass,
+                             integrate_rho0)
 
 __all__ = [
     "ParticleEnsemble",
@@ -176,8 +180,9 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     rho_hat = np.empty(P)
     u_hat = np.full(P, np.nan)
     valid = np.zeros(P, dtype=bool)
+    cells = _cell_index(ens.X, h * h, _UNDERFLOW)
     for p in range(P):
-        idx, wk = _gaussian_pass(ens.X, ens.w, pts[p], h * h, _UNDERFLOW)
+        idx, wk = _gaussian_pass(cells, ens.w, pts[p])
         den = float(np.sum(wk))
         rho_hat[p] = norm * den
         if den >= spec.tol.denom_floor:

@@ -19,14 +19,19 @@ width tracks the kernel width sigma*sqrt(t), truncated to the ball
 not depend on x (u0, rho0, displacement, velocity) is precomputed once
 per (problem, t) and shared by every evaluation point.  All fields here
 and the covariance sources in ``balance`` are moments of one kernel pass
-per point (``_kernel_pass``, one masked scan of the table by
-``_gaussian_pass``, which the particle estimates share), so a full grid
-costs one table build plus one scan per point.  Cost scales like
-sigma^(-n): halving sigma doubles the node count per axis.
+per point (``_kernel_pass``, one truncated Gaussian sum by
+``_gaussian_pass``, which the particle estimates share).  The table's
+displaced nodes are bucketed once into cells one cutoff radius wide, so
+a point costs one gather over the 3^n cells around it rather than a
+scan of the whole table, with the same sums bit for bit.  The node
+count still scales like sigma^(-n) (halving sigma doubles it per axis),
+which now governs the table build and its memory, not the cost per
+point.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import OrderedDict
@@ -103,6 +108,75 @@ def quadrature_grid(box, scale: float, *, nodes_per_panel: int = 8,
     return QuadratureGrid(tuple(nodes), tuple(weights))
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """Sources of one truncated Gaussian sum, bucketed into square cells.
+
+    With e = |centers - x|^2 / (2 var), a source can satisfy e <= cut
+    only within radius sqrt(2 var cut) of x, so it lies in one of the
+    3^n cells around x's cell.  ``order`` lists the finite sources
+    stably sorted by flat (C order) cell key; the sources of cell k are
+    ``order[starts[k]:starts[k + 1]]``.
+    """
+
+    centers: np.ndarray  # (M, n)
+    var: float
+    cut: float
+    lo: np.ndarray       # (n,) lower corner of the finite sources
+    width: float
+    shape: np.ndarray    # (n,) cells per axis
+    order: np.ndarray    # (finite sources,)
+    starts: np.ndarray   # (cells + 1,)
+
+
+def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
+    """Bucket ``centers`` for the Gaussian sum with this var and cut.
+
+    Cells are at least one cutoff radius wide (with a 1e-9 margin for
+    rounding in e) and never more numerous than the finite sources, so
+    a tiny bandwidth cannot allocate a huge ``starts``; wider cells only
+    add candidates.  Non-finite centers are left out: they never satisfy
+    e <= cut.
+    """
+    M, n = centers.shape
+    ok = np.all(np.isfinite(centers), axis=1)
+    count = int(np.count_nonzero(ok))
+    # allocated before the temporaries below, so that the pages they
+    # free can go back to the system while the index lives on
+    order = np.empty(count, dtype=np.int32 if M < 2 ** 31 else np.int64)
+    lo, extent = np.zeros(n), np.zeros(n)
+    if count:
+        lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers.T])
+        extent = np.array([np.max(c, where=ok, initial=-np.inf)
+                           for c in centers.T]) - lo
+    per_axis = max(1, int(count ** (1.0 / n)))
+    # tiny keeps the width positive when the radius underflows to 0
+    width = max(math.sqrt(2.0 * var * cut) * (1.0 + 1e-9),
+                float(np.max(extent)) / per_axis, np.finfo(float).tiny)
+    shape = np.minimum(np.floor(extent / width) + 1, per_axis).astype(np.int64)
+    cells = int(np.prod(shape))
+    # flat keys in the narrowest type, which lets the stable sort use a
+    # radix sort; non-finite centers get key ``cells``, after every cell
+    bad = ~ok
+    key = np.zeros(M, dtype=np.min_scalar_type(cells))
+    for c, l, s in zip(centers.T, lo, shape):
+        k = c - l
+        k /= width
+        np.floor(k, out=k)
+        np.minimum(k, s - 1, out=k)
+        k[bad] = 0
+        key *= int(s)
+        key += k.astype(key.dtype)
+    key[bad] = cells
+    starts = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
+    order[:] = np.argsort(key, kind="stable")[:count]
+    logger.debug("cell index: %d sources, %s cells per axis, width %.6g",
+                 M, "x".join(str(s) for s in shape), width)
+    return _Cells(centers=centers, var=var, cut=cut, lo=lo, width=width,
+                  shape=shape, order=order, starts=starts)
+
+
 @dataclass
 class _Table:
     """Per-(problem, t) node data shared across evaluation points."""
@@ -112,6 +186,13 @@ class _Table:
     wrho: np.ndarray     # (M,) tensor weight * rho0
     centers: np.ndarray  # (M, n) node + displacement
     avals: np.ndarray    # (M, n) velocity at (t, u0(node))
+    var: float           # kernel variance sigma^2 t
+    cut: float           # exponent cut of the truncated kernel
+
+    @cached_property
+    def cells(self) -> _Cells:
+        """Cell index of the centers, built on the first kernel pass."""
+        return _cell_index(self.centers, self.var, self.cut)
 
 
 _TABLE_CACHE: OrderedDict[tuple[str, float], _Table] = OrderedDict()
@@ -145,7 +226,9 @@ def _build_table(spec: ProblemSpec, t: float) -> _Table:
     centers = pts + np.stack(disp, axis=-1)
     avals = np.stack(spec.velocity.a_values(t, u0v), axis=-1)
     return _Table(grid=grid, u0v=u0v, wrho=grid.weights * rho0v,
-                  centers=centers, avals=avals)
+                  centers=centers, avals=avals,
+                  var=spec.sigma * spec.sigma * t,
+                  cut=min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Table:
@@ -161,21 +244,40 @@ def _table_for(spec: ProblemSpec, t: float) -> _Table:
     return table
 
 
-def _gaussian_pass(centers: np.ndarray, weights: np.ndarray, x, var: float,
-                   cut: float):
+def _gaussian_pass(cells: _Cells, weights: np.ndarray, x):
     """One Gaussian sum's sources around x: the only place a kernel is
     evaluated, for quadrature nodes and particles alike.
 
-    With e = |centers - x|^2 / (2 var), returns (idx, wk): the indices
-    of the sources with e <= cut and their weights times exp(-e).
+    With e = |centers - x|^2 / (2 var), returns (idx, wk): the ascending
+    indices of the sources with e <= cut and their weights times
+    exp(-e).  Only the sources in the 3^n cells around x are scanned,
+    in ascending index order, so idx, wk and every sum over them equal
+    those of a scan of all sources bit for bit.  A non-finite target,
+    or one with no cell within reach, has no sources.
     """
-    e = np.zeros(centers.shape[0])
+    k = np.floor((x - cells.lo) / cells.width)
+    if not np.all((k >= -1) & (k <= cells.shape)):
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    lo = np.maximum(k - 1, 0).astype(np.int64)
+    hi = np.minimum(k + 1, cells.shape - 1).astype(np.int64)
+    # along the last axis the neighbouring cells are one run of keys
+    lead = itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])))
+    runs = []
+    for head in lead:
+        first = np.ravel_multi_index(head + (lo[-1],), cells.shape)
+        last = first + hi[-1] - lo[-1]
+        runs.append(cells.order[cells.starts[first]:cells.starts[last + 1]])
+    # each cell's indices are one ascending run, which timsort merges
+    cand = np.sort(np.concatenate(runs), kind="stable")
+    centers = np.take(cells.centers, cand, axis=0)
+    e = np.zeros(cand.size)
     for i in range(centers.shape[1]):
         d = centers[:, i] - x[i]
         e += d * d
-    e /= 2.0 * var
-    idx = np.nonzero(e <= cut)[0]
-    return idx, weights[idx] * np.exp(-e[idx])
+    e /= 2.0 * cells.var
+    keep = e <= cells.cut
+    idx = cand[keep].astype(np.intp)
+    return idx, weights[idx] * np.exp(-e[keep])
 
 
 def _kernel_pass(spec: ProblemSpec, t: float, x):
@@ -186,11 +288,9 @@ def _kernel_pass(spec: ProblemSpec, t: float, x):
     normalization constant.  Requires t > 0.
     """
     table = _table_for(spec, t)
-    s2t = spec.sigma * spec.sigma * t
-    idx, wk = _gaussian_pass(table.centers, table.wrho,
-                             np.asarray(x, dtype=float).reshape(spec.n), s2t,
-                             min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
-    norm = (2.0 * math.pi * s2t) ** (-spec.n / 2.0)
+    idx, wk = _gaussian_pass(table.cells, table.wrho,
+                             np.asarray(x, dtype=float).reshape(spec.n))
+    norm = (2.0 * math.pi * table.var) ** (-spec.n / 2.0)
     return table, idx, wk, norm
 
 

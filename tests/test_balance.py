@@ -190,6 +190,11 @@ def test_window_validation(burgers):
         residual_sigma_system(burgers, (0.3, 0.5), (0.04, 0.4))
     with pytest.raises(ValueError):
         residual_sigma_system(burgers, (0.3, 0.5), (-0.1, 0.016))
+    for end in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            residual_sigma_system(burgers, (0.3, end), (0.08, 0.032))
+        with pytest.raises(ValueError, match="finite"):
+            residual_pressureless(burgers, (end, 0.5), (0.08, 0.032))
 
 
 def test_persistence_rows_and_validation(burgers):

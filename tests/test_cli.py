@@ -220,3 +220,14 @@ def test_bad_flag_values_exit_2(tmp_path):
         assert proc.returncode == 2, (sub, t)
         assert "--t must be >= 0" in error_payload(proc)["message"]
         assert not out.exists()
+    for end in ("inf", "nan", "-inf"):
+        out = tmp_path / f"residuals_{end}"
+        proc = run_cli("residuals", "--config", str(BURGERS), "--out",
+                       str(out), "--system", "sigma", "--window", "0.3", end,
+                       "--resolutions", "0.08:0.032")
+        assert proc.returncode == 2, end
+        # argparse reads "-inf" as an option and refuses it with its usage
+        if end != "-inf":
+            assert "--window ends must be finite" in \
+                error_payload(proc)["message"]
+        assert not out.exists()

@@ -18,6 +18,7 @@ from charstoch import (
     load_problem,
     sample_initial,
 )
+from charstoch.representation import _UNDERFLOW, _cell_index
 
 
 def make(**overrides):
@@ -175,6 +176,23 @@ def test_kde_matches_dense_gaussian_sum(burgers):
         np.testing.assert_allclose(est.u_hat, u, rtol=1e-13, atol=0)
         np.testing.assert_array_equal(est.valid, ~np.isnan(u))
         assert est.rho_hat[-1] == 0.0 and not est.valid[-1]
+
+
+def test_tiny_bandwidth_cells_stay_bounded():
+    spec = make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
+                box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
+                time_points=[0.3])
+    ens = evolve_exact(sample_initial(spec, 5_000), spec, 0.3)
+    cells = _cell_index(ens.X, 1e-18, _UNDERFLOW)
+    assert np.prod(cells.shape) <= len(ens)
+    assert cells.starts.size == np.prod(cells.shape) + 1
+    # three particles, the last particle along each axis, and an empty point
+    pts = np.vstack([ens.X[:3], ens.X[np.argmax(ens.X, axis=0)], [[0.5, 0.5]]])
+    est = estimate_fields(ens, spec, pts, bandwidth=1e-9)
+    rho, u = dense_kde(ens, pts, 1e-9, spec.tol.denom_floor)
+    np.testing.assert_array_equal(est.rho_hat, rho)
+    np.testing.assert_array_equal(est.u_hat, u)
+    assert est.valid[:5].all() and not est.valid[5]
 
 
 def test_density_estimate_improves_with_particles(burgers):

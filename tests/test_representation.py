@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from charstoch import (
     load_problem,
     sigma_sweep,
 )
-from charstoch.representation import quadrature_grid
+from charstoch.representation import (_cell_index, _gaussian_pass,
+                                      quadrature_grid)
+
+BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
+          / "gaussian_bump_2d.json")
 
 
 def make(**overrides):
@@ -149,6 +154,64 @@ def test_field_grid_matches_pointwise_bitwise(burgers):
     for i in (0, 10, 20, 40):
         assert grid.values[i] == eval_u_sigma(burgers, 0.5, np.array([xs[i]]))
     assert grid.valid.all()
+
+
+def test_field_grid_matches_pointwise_bitwise_2d():
+    spec = load_problem(BUMP2D.read_text())
+    evaluators = {"rho": eval_rho_sigma, "u": eval_u_sigma, "a": eval_a_sigma}
+    for which, evaluate in evaluators.items():
+        grid = eval_field_grid(spec, 0.3, which)
+        assert grid.valid.all()
+        for i, j in ((0, 0), (0, 5), (5, 5)):  # corner, edge, centre
+            x = np.array([grid.axes[0][i], grid.axes[1][j]])
+            np.testing.assert_array_equal(grid.values[i, j],
+                                          evaluate(spec, 0.3, x))
+
+
+def dense_pass(centers, weights, x, var, cut):
+    """Reference Gaussian pass: every source against the target."""
+    e = np.zeros(centers.shape[0])
+    for i in range(centers.shape[1]):
+        d = centers[:, i] - x[i]
+        e += d * d
+    e /= 2.0 * var
+    idx = np.nonzero(e <= cut)[0]
+    return idx, weights[idx] * np.exp(-e[idx])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_pass_equals_dense_scan(n):
+    rng = np.random.default_rng(10 + n)
+    var, cut = 2.0, 1.0  # cutoff radius exactly 2
+    # a unit lattice, so sources sit exactly one radius from lattice targets
+    lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * n, indexing="ij"),
+                       axis=-1).reshape(-1, n)
+    width = _cell_index(lattice, var, cut).width
+    assert width > 2.0
+    faces = np.stack(np.meshgrid(*[np.arange(4) * width] * n, indexing="ij"),
+                     axis=-1).reshape(-1, n)
+    centers = np.vstack([lattice, faces, rng.uniform(0.0, 8.0, (600, n))])
+    centers[7] = np.nan
+    weights = rng.random(len(centers))
+    cells = _cell_index(centers, var, cut)
+    assert cells.width == width  # the face sources lie on cell boundaries
+    assert 7 not in cells.order
+    far = np.full(n, 20.0)
+    targets = np.vstack([lattice[::7], faces, faces + 2.0 * np.eye(n)[0],
+                         rng.uniform(-4.0, 12.0, (40, n)),  # some outside
+                         [-np.eye(n)[0], np.full(n, 9.0), far,
+                          np.full(n, np.nan)]])
+    # -e1 and (9, ..., 9) are outside the bounding box, within reach of it
+    for x in targets:
+        idx, wk = _gaussian_pass(cells, weights, x)
+        ref_idx, ref_wk = dense_pass(centers, weights, x, var, cut)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(wk, ref_wk)
+        assert np.sum(wk) == np.sum(ref_wk)
+    for x in (far, np.full(n, np.nan)):
+        assert _gaussian_pass(cells, weights, x)[0].size == 0
+    # the lattice source (2, 0, ..., 0) lies exactly one radius from the origin
+    assert 2 * 9 ** (n - 1) in _gaussian_pass(cells, weights, lattice[0])[0]
 
 
 def test_field_grid_accepts_any_time(burgers):
