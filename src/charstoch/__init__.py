@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .expr import eval_expr, expr_to_str, numeric_partial, parse, variables
+from .expr import diff, eval_expr, expr_to_str, numeric_partial, parse, variables
 from .problem import (
     InitialData,
     ProblemSpec,
@@ -96,7 +96,7 @@ __all__ = [
     "DegenerateKernel", "EmptyKernelSupport", "NoConvergence", "OutOfBracket",
     "NearBlowup", "SingularJacobian", "ZeroMass",
     # expressions
-    "parse", "eval_expr", "expr_to_str", "variables", "numeric_partial",
+    "parse", "eval_expr", "expr_to_str", "variables", "diff", "numeric_partial",
     # problem definition
     "ProblemSpec", "VelocityField", "InitialData", "Tolerances",
     "load_problem", "flow_displacement", "displacement_components",

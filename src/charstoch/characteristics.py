@@ -265,10 +265,7 @@ def _condition(spec: ProblemSpec, t: float, u: np.ndarray,
     """Blow-up condition functional G = B(t, u) . grad u0 at m foot
     points, from their values u (m,) and gradients grads (m, n) of u0."""
     B = du_displacement_components(spec, t, u)
-    G = np.zeros(len(u))
-    for i in range(spec.n):
-        G += B[i] * grads[:, i]
-    return G
+    return sum(B[i] * grads[:, i] for i in range(spec.n))
 
 
 def blow_up_time(spec: ProblemSpec) -> BlowupReport:

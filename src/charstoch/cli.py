@@ -6,9 +6,9 @@ every output with its content hash.  Same config and seed give the
 same output bytes; only the manifest's wall-clock duration varies.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
-Failures print a one-line JSON object ``{"error": {"kind", "message"}}``
-on stderr.  The ``CHARSTOCH_LOG`` environment variable (error, warn,
-info, debug) controls diagnostics on stderr.
+Failures, argparse usage errors included, end with a one-line JSON
+object ``{"error": {"kind", "message"}}`` on stderr.  ``CHARSTOCH_LOG``
+(error, warn, info, debug) controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -33,8 +33,16 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Print the usage, then the JSON error line, and exit 2."""
+        self.print_usage(sys.stderr)
+        payload = {"error": {"kind": "UsageError", "message": f"{self.prog}: {message}"}}
+        self.exit(2, json.dumps(payload) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="charstoch",
         description="Stochastic-characteristics solver and diagnostics",
     )
@@ -326,12 +334,10 @@ def main(argv=None) -> int:
         out = _Outputs(args.out)
         _COMMANDS[args.subcommand](args, spec, out)
         out.write_manifest(args, spec, started)
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
         return _fail(e, 2)
     except NumericalError as e:
         return _fail(e, 3)
-    except ValueError as e:
-        return _fail(e, 2)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Closed-form scalar expressions over a small variable alphabet.
 
-Problem data (velocity components, initial profiles, optional analytic
-derivatives) arrives as strings like ``"u"``, ``"sin(x1 - 2.0)"`` or
-``"exp(-x1^2 - x2^2)"``.  This module turns them into small immutable
-trees and evaluates those trees on floats or numpy arrays.
+Problem data (velocity components, initial profiles) arrives as strings
+like ``"u"``, ``"sin(x1 - 2.0)"`` or ``"exp(-x1^2 - x2^2)"``.  This
+module turns them into small immutable trees, evaluates those trees on
+floats or numpy arrays, and differentiates them exactly: :func:`diff`
+returns the partial derivative as another tree, so no derivative the
+solvers use carries a truncation error.
 
 Grammar, tightest first: ``^`` (right associative), unary minus,
 ``*`` ``/``, ``+`` ``-``.  So ``-x1^2`` is ``-(x1^2)`` and ``2^3^2``
@@ -13,7 +15,8 @@ abs.
 Evaluation is plain IEEE double precision, but domain violations
 (log of a nonpositive value, division by zero, sqrt of a negative,
 fractional powers of negatives) raise :class:`EvalDomainError` instead
-of silently producing NaN.
+of silently producing NaN.  The derivatives of ``abs`` and ``sqrt`` divide
+by their argument, so evaluating them where they do not exist raises too.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "eval_expr",
     "expr_to_str",
     "variables",
+    "diff",
     "numeric_partial",
 ]
 
@@ -388,26 +392,73 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset()
 
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
+
+
+def _num(e: Expr) -> float | None:
+    """The value of a constant tree (a Const or a negated Const)."""
+    if isinstance(e, Neg) and isinstance(e.child, Const):
+        return -e.child.value
+    return e.value if isinstance(e, Const) else None
+
+
+def _neg(a: Expr) -> Expr:
+    return a.child if isinstance(a, Neg) else _ZERO if a == _ZERO else Neg(a)
+
+
+def _op(op: str, a: Expr, b: Expr) -> Expr:
+    """BinOp(op, a, b) with 0 and 1 folded and constant + - * combined; a
+    negative constant is Neg(Const), the tree its printed form parses to."""
+    x, y = _num(a), _num(b)
+    if x is not None and y is not None and op in "+-*":
+        v = x + y if op == "+" else x - y if op == "-" else x * y
+        if np.isfinite(v):
+            return Neg(Const(-v)) if v < 0 else Const(v + 0.0)
+    if op == "*" and (x == 0 or y == 0) or op == "/" and x == 0:
+        return _ZERO
+    if op in "+-" and y == 0 or op in "*/^" and y == 1:
+        return a
+    if op == "+" and x == 0 or op == "*" and x == 1:
+        return b
+    return _neg(b) if op == "-" and x == 0 else BinOp(op, a, b)
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """Exact partial derivative of a tree with respect to ``var``, as a tree.
+
+    Covers the whole grammar by the sum, product, quotient, power and
+    chain rules, folding 0 and 1 as it builds, so ``diff(t*u, "u")`` is
+    ``t``.  d|f| = f/|f| df and d sqrt(f) = df / (2 sqrt(f)) divide by
+    zero where f = 0, so there the derivative raises EvalDomainError
+    instead of returning a number.
+    """
+    if isinstance(e, Const):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, Neg):
+        return _neg(diff(e.child, var))
+    if isinstance(e, Call):
+        a = e.arg
+        outer = {"sin": Call("cos", a), "cos": _neg(Call("sin", a)), "exp": e,
+                 "log": _op("/", _ONE, a), "tanh": _op("-", _ONE, BinOp("^", e, _TWO)),
+                 "sqrt": _op("/", _ONE, _op("*", _TWO, e)), "abs": _op("/", a, e)}
+        return _op("*", outer[e.fn], diff(a, var))
+    f, g = e.left, e.right
+    df, dg = diff(f, var), diff(g, var)
+    if e.op in "+-":
+        return _op(e.op, df, dg)
+    if e.op == "*":
+        return _op("+", _op("*", df, g), _op("*", f, dg))
+    if e.op == "/":
+        return _op("-", _op("/", df, g), _op("/", _op("*", f, dg), BinOp("^", g, _TWO)))
+    if dg == _ZERO:  # f^c: c f^(c-1) df
+        return _op("*", _op("*", g, _op("^", f, _op("-", g, _ONE))), df)
+    # f^g = exp(g log f): f^g (dg log f + g df / f)
+    return _op("*", e, _op("+", _op("*", dg, Call("log", f)),
+                           _op("/", _op("*", g, df), f)))
 
 
 def numeric_partial(e: Expr, var: str, bindings: dict):
-    """Second-order central-difference partial derivative of a tree.
-
-    Step size follows h = eps^(1/3) * max(1, |v|) elementwise, with the
-    usual representable-step correction.  Works on scalar or array
-    bindings; returns the same shape as the binding for ``var``.
-    """
-    v = np.asarray(bindings[var], dtype=float)
-    h = _CBRT_EPS * np.maximum(1.0, np.abs(v))
-    hi, lo = v + h, v - h
-    h_eff = (hi - lo) * 0.5  # actual representable half-step
-    up = dict(bindings)
-    dn = dict(bindings)
-    up[var] = hi
-    dn[var] = lo
-    num = np.asarray(_eval(e, up), dtype=float) - np.asarray(_eval(e, dn), dtype=float)
-    out = num / (2.0 * h_eff)
-    if out.ndim == 0 and np.ndim(bindings[var]) == 0:
-        return float(out)
-    return out
+    """Partial derivative of a tree at the bindings: ``diff`` evaluated."""
+    return eval_expr(diff(e, var), bindings)

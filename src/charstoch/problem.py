@@ -16,6 +16,11 @@ Everything downstream works off the flow displacement
 which is computed from a closed form when one is supplied, by the
 shortcut t * a_i(u) when a_i does not depend on t, and by adaptive
 Gauss-Legendre quadrature otherwise.
+
+Every derivative is exact: ``load_problem`` differentiates u0 and a once
+(:func:`charstoch.expr.diff`), and B = dA/du is the time integral of
+da/du by the same rule as A.  The config keys ``a_u`` and ``grad_u0`` are
+optional checks against the derived trees, never evaluated otherwise.
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ __all__ = [
     "tensor_points",
 ]
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical knobs with safe defaults; all overridable per problem."""
@@ -68,16 +70,18 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity components a_i(t, u) plus optional analytic helpers.
+    """Velocity components a_i(t, u) and their exact partial derivatives.
 
-    ``du_components`` are the u-derivatives of the a_i and
-    ``antiderivatives`` are the time antiderivatives A_i(t, u); both are
-    validated against the components on load and used preferentially.
-    ``time_dependent`` caches, per component, whether 't' occurs in a_i.
+    ``du_components`` and ``dt_components`` are the trees of da_i/du and
+    da_i/dt, derived from the components on load.  ``antiderivatives``
+    are optional closed-form time antiderivatives A_i(t, u), validated on
+    load and used in place of time quadrature.  ``time_dependent``
+    caches, per component, whether 't' occurs in a_i.
     """
 
     components: tuple[ex.Expr, ...]
-    du_components: tuple[ex.Expr, ...] | None = None
+    du_components: tuple[ex.Expr, ...]
+    dt_components: tuple[ex.Expr, ...]
     antiderivatives: tuple[ex.Expr, ...] | None = None
     time_dependent: tuple[bool, ...] = ()
 
@@ -87,47 +91,36 @@ class VelocityField:
 
     def a_values(self, t: float, u) -> list[np.ndarray]:
         """Evaluate every component at time t on an array of u values."""
-        u_arr = np.asarray(u, dtype=float)
-        env = {"t": t, "u": u_arr}
-        return [_filled(ex.eval_expr(c, env), u_arr.shape) for c in self.components]
+        return _values(self.components, t, u)
 
     def dt_values(self, t: float, u) -> list[np.ndarray]:
-        """Time partials of the components, by central differences.
-
-        Exactly zero (without differencing) for components without t.
-        """
-        u_arr = np.asarray(u, dtype=float)
-        out = []
-        for c, dep in zip(self.components, self.time_dependent):
-            if not dep:
-                out.append(np.zeros(u_arr.shape))
-            else:
-                d = ex.numeric_partial(c, "t", {"t": t, "u": u_arr})
-                out.append(_filled(d, u_arr.shape))
-        return out
+        """Exact time partials da_i/dt at time t on an array of u values;
+        exactly zero for components without t."""
+        return _values(self.dt_components, t, u)
 
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial profile u0, characteristic density rho0, optional grad u0."""
+    """Initial profile u0, characteristic density rho0, and the trees of
+    grad u0 derived from u0."""
 
     n: int
     u0: ex.Expr
     rho0: ex.Expr
-    grad_u0: tuple[ex.Expr, ...] | None = None
+    grad_u0: tuple[ex.Expr, ...]
 
-    def _env(self, pts: np.ndarray) -> dict:
-        pts = np.asarray(pts, dtype=float)
-        return {f"x{i + 1}": pts[..., i] for i in range(self.n)}
+    def _at(self, trees, pts) -> list[np.ndarray]:
+        """Trees in x1..xn on points of shape (..., n), each with shape (...)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        env = {f"x{i + 1}": pts[..., i] for i in range(self.n)}
+        return [_filled(ex.eval_expr(c, env), pts.shape[:-1]) for c in trees]
 
     def u0_at(self, pts) -> np.ndarray:
         """u0 on points of shape (..., n), returned with shape (...)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _filled(ex.eval_expr(self.u0, self._env(pts)), pts.shape[:-1])
+        return self._at([self.u0], pts)[0]
 
     def rho0_at(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _filled(ex.eval_expr(self.rho0, self._env(pts)), pts.shape[:-1])
+        return self._at([self.rho0], pts)[0]
 
     def u0_point(self, x) -> float:
         return float(self.u0_at(x).reshape(-1)[0])
@@ -139,22 +132,12 @@ class InitialData:
         return self.grad_u0_at(x)[0]
 
     def grad_u0_at(self, pts) -> np.ndarray:
-        """Gradient of u0 on points (..., n) -> (..., n).
+        """Exact gradient of u0 on points (..., n) -> (..., n).
 
-        Uses the analytic components when present, otherwise central
-        differences axis by axis.
+        Raises EvalDomainError at a point where u0 has no derivative,
+        e.g. abs(x1) at x1 = 0.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = self._env(pts)
-        cols = []
-        if self.grad_u0 is not None:
-            for g in self.grad_u0:
-                cols.append(_filled(ex.eval_expr(g, env), pts.shape[:-1]))
-        else:
-            for i in range(self.n):
-                d = ex.numeric_partial(self.u0, f"x{i + 1}", env)
-                cols.append(_filled(d, pts.shape[:-1]))
-        return np.stack(cols, axis=-1)
+        return np.stack(self._at(self.grad_u0, pts), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -185,14 +168,10 @@ class ProblemSpec:
         payload = {
             "n": self.n,
             "a": [ex.expr_to_str(c) for c in self.velocity.components],
-            "a_u": None if self.velocity.du_components is None
-            else [ex.expr_to_str(c) for c in self.velocity.du_components],
             "A": None if self.velocity.antiderivatives is None
             else [ex.expr_to_str(c) for c in self.velocity.antiderivatives],
             "u0": ex.expr_to_str(self.init.u0),
             "rho0": ex.expr_to_str(self.init.rho0),
-            "grad_u0": None if self.init.grad_u0 is None
-            else [ex.expr_to_str(c) for c in self.init.grad_u0],
             "sigma": repr(self.sigma),
             "box": [[repr(lo), repr(hi)] for lo, hi in self.box],
             "space_grid": list(self.space_grid),
@@ -212,6 +191,13 @@ def _filled(value, shape) -> np.ndarray:
     out = np.empty(shape, dtype=float)
     out[...] = value
     return out
+
+
+def _values(trees, t: float, u) -> list[np.ndarray]:
+    """Trees in (t, u) evaluated at time t on an array of u values."""
+    u_arr = np.asarray(u, dtype=float)
+    env = {"t": t, "u": u_arr}
+    return [_filled(ex.eval_expr(c, env), u_arr.shape) for c in trees]
 
 
 def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
@@ -239,9 +225,9 @@ def load_problem(config_text: str) -> ProblemSpec:
 
     Unknown fields are rejected (SchemaError) so typos cannot silently
     change a run.  Field-level shape/type problems raise SchemaError;
-    semantic inconsistencies (negative density, bad box, analytic
-    derivatives that disagree with the components) raise
-    ValidationError.
+    semantic inconsistencies (negative density, bad box, a supplied
+    ``a_u``, ``A`` or ``grad_u0`` that disagrees with the exact
+    derivative of its tree) raise ValidationError.
     """
     try:
         raw = json.loads(config_text)
@@ -286,12 +272,13 @@ def load_problem(config_text: str) -> ProblemSpec:
     tol = _parse_tolerances(raw.get("tolerances", {}))
 
     time_dep = tuple("t" in ex.variables(c) for c in a)
-    velocity = VelocityField(a, a_u, antider, time_dep)
-    init = InitialData(n, u0, rho0, grad_u0)
+    velocity = VelocityField(a, tuple(ex.diff(c, "u") for c in a),
+                             tuple(ex.diff(c, "t") for c in a), antider, time_dep)
+    init = InitialData(n, u0, rho0, tuple(ex.diff(u0, f"x{i + 1}") for i in range(n)))
 
-    u_range = _validate_initial_data(init, box, space_grid)
+    u_range = _validate_initial_data(init, box, space_grid, grad_u0)
     t_max = max(time_points) if time_points and max(time_points) > 0 else 1.0
-    _validate_velocity(velocity, u_range, t_max)
+    _validate_velocity(velocity, u_range, t_max, a_u)
 
     return ProblemSpec(
         n=n, velocity=velocity, init=init, sigma=float(sigma), box=box,
@@ -401,55 +388,47 @@ def _dense_sample(box, space_grid) -> np.ndarray:
                           for (lo, hi), g in zip(box, space_grid)])
 
 
-def _validate_initial_data(init: InitialData, box, space_grid) -> tuple[float, float]:
+def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
+    """Refuse supplied values ``got[i]`` that differ from the exact
+    ``want[i]`` by more than ``tol`` relative, naming ``key[i]``."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        err = np.max(np.abs(w - g) / (1.0 + np.abs(w)))
+        if not err <= tol:
+            raise ValidationError(f"'{key}[{i}]' disagrees with "
+                                  f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
+
+
+def _validate_initial_data(init: InitialData, box, space_grid,
+                           grad_u0) -> tuple[float, float]:
     pts = _dense_sample(box, space_grid)
-    u0v = init.u0_at(pts)
-    if not np.all(np.isfinite(u0v)):
-        raise ValidationError("'u0' is not finite everywhere on the box")
-    rho0v = init.rho0_at(pts)
-    if not np.all(np.isfinite(rho0v)):
-        raise ValidationError("'rho0' is not finite everywhere on the box")
+    u0v, rho0v = init.u0_at(pts), init.rho0_at(pts)
+    for key, v in (("u0", u0v), ("rho0", rho0v)):
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"'{key}' is not finite everywhere on the box")
     if np.any(rho0v < 0):
         raise ValidationError("'rho0' takes negative values on the box")
+    if grad_u0 is not None:
+        _check("grad_u0", init._at(grad_u0, pts), init._at(init.grad_u0, pts),
+               "d/dx{j} of 'u0'")
     lo, hi = float(np.min(u0v)), float(np.max(u0v))
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.01 * max(1.0, abs(hi))
     return (lo - pad, hi + pad)
 
 
-def _validate_velocity(vf: VelocityField, u_range, t_max: float) -> None:
-    """Check analytic derivatives/antiderivatives against the components
-    on a 20 x 20 (t, u) grid at relative tolerance 1e-6."""
-    ts = np.linspace(0.0, t_max, 20)
+def _validate_velocity(vf: VelocityField, u_range, t_max: float, a_u) -> None:
+    """Check a supplied ``a_u`` and ``A`` against the exact derivatives
+    on a 20 x 20 (t, u) grid, and ``A`` for vanishing at t = 0."""
     us = np.linspace(u_range[0], u_range[1], 20)
-    tt, uu = np.meshgrid(ts, us, indexing="ij")
-    if vf.du_components is not None:
-        for i, (ai, dai) in enumerate(zip(vf.components, vf.du_components)):
-            want = _filled(ex.eval_expr(dai, {"t": tt, "u": uu}), tt.shape)
-            got = _filled(ex.numeric_partial(ai, "u", {"t": tt, "u": uu}), tt.shape)
-            err = np.max(np.abs(want - got) / (1.0 + np.abs(want)))
-            if err > 1e-6:
-                raise ValidationError(
-                    f"'a_u[{i}]' disagrees with d/du of 'a[{i}]' "
-                    f"(max relative error {err:.3e})"
-                )
+    tt, uu = np.meshgrid(np.linspace(0.0, t_max, 20), us, indexing="ij")
+    if a_u is not None:
+        _check("a_u", _values(a_u, tt, uu), _values(vf.du_components, tt, uu),
+               "d/du of 'a[{i}]'")
     if vf.antiderivatives is not None:
-        # interior t only, so the central difference stays one-sided-free
-        ts_in = np.linspace(t_max / 20, t_max, 20)
-        tt_in, uu_in = np.meshgrid(ts_in, us, indexing="ij")
-        for i, (ai, Ai) in enumerate(zip(vf.components, vf.antiderivatives)):
-            want = _filled(ex.eval_expr(ai, {"t": tt_in, "u": uu_in}), tt_in.shape)
-            got = _filled(ex.numeric_partial(Ai, "t", {"t": tt_in, "u": uu_in}),
-                          tt_in.shape)
-            err = np.max(np.abs(want - got) / (1.0 + np.abs(want)))
-            if err > 1e-6:
-                raise ValidationError(
-                    f"'A[{i}]' disagrees with time antiderivative of 'a[{i}]' "
-                    f"(max relative error {err:.3e})"
-                )
-            at0 = _filled(ex.eval_expr(Ai, {"t": 0.0, "u": us}), us.shape)
-            if np.max(np.abs(at0) / (1.0 + np.abs(us))) > 1e-9:
-                raise ValidationError(f"'A[{i}]' must vanish at t = 0")
+        _check("A", _values([ex.diff(A, "t") for A in vf.antiderivatives], tt, uu),
+               vf.a_values(tt, uu), "time antiderivative of 'a[{i}]'")
+        _check("A", _values(vf.antiderivatives, 0.0, us), [0.0] * vf.n,
+               "zero at t = 0", tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -457,32 +436,12 @@ def _validate_velocity(vf: VelocityField, u_range, t_max: float) -> None:
 
 
 def displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
-    """A_i(t, u) for an array of u values, one array per component.
-
-    Exactly zero at t = 0.  Closed form > time-independent shortcut >
-    adaptive quadrature, in that order of preference.
-    """
-    u_arr = np.asarray(u, dtype=float)
+    """A_i(t, u) for an array of u values, one array per component: the
+    closed form when supplied, otherwise ``_time_integrals`` of the a_i."""
     vf = spec.velocity
-    if t == 0:
-        return [np.zeros(u_arr.shape) for _ in range(spec.n)]
-    out = []
-    for i in range(spec.n):
-        if vf.antiderivatives is not None:
-            v = ex.eval_expr(vf.antiderivatives[i], {"t": float(t), "u": u_arr})
-            out.append(_filled(v, u_arr.shape))
-        elif not vf.time_dependent[i]:
-            v = ex.eval_expr(vf.components[i], {"u": u_arr})
-            out.append(float(t) * _filled(v, u_arr.shape))
-        else:
-            comp = vf.components[i]
-
-            def integrand(tau, _c=comp):
-                return _filled(ex.eval_expr(_c, {"t": tau, "u": u_arr}), u_arr.shape)
-
-            out.append(adaptive_time_integral(integrand, 0.0, float(t),
-                                              spec.tol.quad_tol_time))
-    return out
+    if vf.antiderivatives is None or t == 0:
+        return _time_integrals(spec, vf.components, t, u)
+    return _values(vf.antiderivatives, float(t), u)
 
 
 def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
@@ -492,37 +451,22 @@ def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
 
 
 def du_displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
-    """d/du of the flow displacement, component by component.
+    """B_i(t, u) = d/du A_i(t, u): the time integral of the exact da_i/du."""
+    return _time_integrals(spec, spec.velocity.du_components, t, u)
 
-    Prefers the integral of an analytic a_u; falls back to central
-    differences of the displacement itself.
-    """
+
+def _time_integrals(spec: ProblemSpec, trees, t: float, u) -> list[np.ndarray]:
+    """Integrals over [0, t] of trees in (t, u) on an array of u values:
+    exactly zero at t = 0, t times the value for a tree without t, and
+    adaptive quadrature otherwise."""
     u_arr = np.asarray(u, dtype=float)
-    vf = spec.velocity
     if t == 0:
-        return [np.zeros(u_arr.shape) for _ in range(spec.n)]
-    if vf.du_components is not None:
-        out = []
-        for i in range(spec.n):
-            dcomp = vf.du_components[i]
-            if "t" not in ex.variables(dcomp):
-                v = ex.eval_expr(dcomp, {"u": u_arr})
-                out.append(float(t) * _filled(v, u_arr.shape))
-            else:
-                def integrand(tau, _c=dcomp):
-                    return _filled(ex.eval_expr(_c, {"t": tau, "u": u_arr}),
-                                   u_arr.shape)
-
-                out.append(adaptive_time_integral(integrand, 0.0, float(t),
-                                                  spec.tol.quad_tol_time))
-        return out
-    h = _CBRT_EPS * np.maximum(1.0, np.abs(u_arr))
-    hi, lo = u_arr + h, u_arr - h
-    step = hi - lo  # twice the representable half-step
-    # The blow-up scan passes 10^6 values: drop each temporary once used.
-    del h
-    up = displacement_components(spec, t, hi)
-    del hi
-    dn = displacement_components(spec, t, lo)
-    del lo
-    return [(a - b) / step for a, b in zip(up, dn)]
+        return [np.zeros(u_arr.shape) for _ in trees]
+    out = []
+    for c in trees:
+        if "t" in ex.variables(c):
+            out.append(adaptive_time_integral(lambda tau, _c=c: _values([_c], tau, u_arr)[0],
+                                              0.0, float(t), spec.tol.quad_tol_time))
+        else:
+            out.append(float(t) * _values([c], t, u_arr)[0])
+    return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from charstoch import (
     load_problem,
     solve_implicit,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make(**overrides):
@@ -123,6 +126,29 @@ def test_blowup_2d():
     rep = blow_up_time(spec)
     assert rep.t_star == pytest.approx(math.sqrt(math.e) / 2.0, abs=1e-3)
     np.testing.assert_allclose(rep.y_star, [0.5, 0.5], atol=1e-3)
+
+
+@pytest.mark.parametrize("name, want, tol", [
+    ("burgers_sin", 1.0, 1e-12),
+    ("burgers_gaussian", math.sqrt(math.e / 2.0), 1e-12),
+    # the golden refinement of the 2D minimum leaves about 4e-11
+    ("gaussian_bump_2d", math.sqrt(math.e) / 2.0, 1e-10),
+])
+def test_blowup_time_of_shipped_configs_is_exact(name, want, tol):
+    """Exact derivatives leave only the golden refinement's error, which
+    is quadratic in the foot-point error at the flat minimum."""
+    spec = load_problem((CONFIGS / f"{name}.json").read_text())
+    assert abs(blow_up_time(spec).t_star - want) <= tol
+
+
+def test_rho_bar_is_exact_on_burgers_sin():
+    """rho_bar = 1 / (1 + t cos y) at the foot point y = x - t u."""
+    spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
+    t = 0.75
+    for x in np.linspace(-6.0, 6.0, 49):
+        y = x - t * solve_implicit(spec, t, [x])
+        want = 1.0 / (1.0 + t * math.cos(y))
+        assert abs(eval_rho_bar(spec, t, [x]) - want) <= 1e-12, x
 
 
 def test_blowup_time_dependent_velocity():

@@ -226,8 +226,15 @@ def test_bad_flag_values_exit_2(tmp_path):
                        str(out), "--system", "sigma", "--window", "0.3", end,
                        "--resolutions", "0.08:0.032")
         assert proc.returncode == 2, end
-        # argparse reads "-inf" as an option and refuses it with its usage
-        if end != "-inf":
-            assert "--window ends must be finite" in \
-                error_payload(proc)["message"]
+        # argparse reads "-inf" as an option: a usage error, still in JSON
+        want = "expected 2 arguments" if end == "-inf" else "--window ends must be finite"
+        assert want in error_payload(proc)["message"]
+        assert not out.exists()
+    for bad in (("--t", "-inf"), ("--method", "bogus")):
+        out = tmp_path / "usage"
+        proc = run_cli("solve", "--config", str(BURGERS), "--out", str(out),
+                       *(("--method", "quadrature") if bad[0] == "--t" else ()), *bad)
+        assert proc.returncode == 2, bad
+        assert error_payload(proc)["kind"] == "UsageError"
+        assert f"argument {bad[0]}" in error_payload(proc)["message"]
         assert not out.exists()

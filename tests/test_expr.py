@@ -1,5 +1,6 @@
-"""Expression engine: tokenizer, parser, evaluator, printer."""
+"""Expression engine: tokenizer, parser, evaluator, printer, derivatives."""
 
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from charstoch import (
     IllegalCharacter,
     UnknownFunction,
     UnknownVariable,
+    diff,
     eval_expr,
     expr_to_str,
+    load_problem,
     numeric_partial,
     parse,
     variables,
@@ -177,3 +180,85 @@ def test_numeric_partial_matches_analytic():
     dx = numeric_partial(e, "x1", env)
     assert du == pytest.approx(2 * 1.3 * math.sin(0.7), rel=1e-8)
     assert dx == pytest.approx(1.3 ** 2 * math.cos(0.7), rel=1e-8)
+
+
+# (source, closed-form d/du at (u, t)) with NumPy's functions, as eval_expr
+DIFF_CASES = [
+    ("u + t", lambda u, t: 1.0),
+    ("t - u", lambda u, t: -1.0),
+    ("-u", lambda u, t: -1.0),
+    ("u*t", lambda u, t: t),
+    ("u/t", lambda u, t: 1.0 / t),
+    ("t/u", lambda u, t: -(t / u ** 2)),
+    ("sin(u)/u", lambda u, t: np.cos(u) / u - np.sin(u) / u ** 2),
+    ("u^3", lambda u, t: 3.0 * u ** 2),
+    ("-u^2", lambda u, t: -(2.0 * u)),
+    ("u^-0.5", lambda u, t: -0.5 * u ** -1.5),
+    ("t^u", lambda u, t: t ** u * np.log(t)),
+    ("u^u", lambda u, t: u ** u * (np.log(u) + 1.0)),
+    ("(u + 1)^(2*u)", lambda u, t: (u + 1.0) ** (2.0 * u)
+     * (2.0 * np.log(u + 1.0) + 2.0 * u / (u + 1.0))),
+    ("sin(u)", lambda u, t: np.cos(u)),
+    ("cos(u)", lambda u, t: -np.sin(u)),
+    ("exp(t*u)", lambda u, t: np.exp(t * u) * t),
+    ("log(u)", lambda u, t: 1.0 / u),
+    ("tanh(u)", lambda u, t: 1.0 - np.tanh(u) ** 2),
+    ("sqrt(u)", lambda u, t: 1.0 / (2.0 * np.sqrt(u))),
+    ("abs(u - 2)", lambda u, t: np.copysign(1.0, u - 2.0)),
+    ("sin(u^2)", lambda u, t: np.cos(u ** 2) * (2.0 * u)),
+]
+
+
+@pytest.mark.parametrize("src, want", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
+def test_diff_matches_closed_form(src, want):
+    d = diff(parse(src, XU), "u")
+    for u in (0.3, 1.7, 2.9):
+        got = eval_expr(d, {"u": u, "t": 1.3})
+        assert got == pytest.approx(want(u, 1.3), rel=1e-14, abs=0), (src, u)
+
+
+@pytest.mark.parametrize("src", [c[0] for c in DIFF_CASES])
+def test_printed_derivative_parses_back_to_the_same_tree(src):
+    d = diff(parse(src, XU), "u")
+    assert parse(expr_to_str(d), XU) == d
+
+
+def test_diff_folds_zero_and_one():
+    assert diff(parse("t*u", XU), "u") == Var("t")
+    assert diff(parse("u", XU), "u") == Const(1.0)
+    assert diff(parse("exp(t)", XU), "u") == Const(0.0)
+    assert diff(parse("-cos(u)", XU), "u") == Call("sin", Var("u"))
+    assert diff(parse("x1^2", XU), "x1") == BinOp("*", Const(2.0), Var("x1"))
+
+
+def test_derivative_refused_where_it_does_not_exist():
+    with pytest.raises(EvalDomainError):
+        eval_expr(diff(parse("sqrt(u)", XU), "u"), {"u": 0.0})
+    spec = load_problem(json.dumps({
+        "n": 1, "a": ["u"], "u0": "abs(x1)", "rho0": "1", "sigma": 0.1,
+        "box": [[-1.0, 1.0]], "space_grid": [11], "time_points": [0.5]}))
+    assert spec.init.grad_u0_at([[0.5]])[0, 0] == 1.0
+    with pytest.raises(EvalDomainError):
+        spec.init.grad_u0_at([[0.0]])
+
+
+def test_diff_of_random_trees_matches_central_difference():
+    """300 random trees: the derivative prints and parses back to itself
+    and agrees with a central difference to its truncation error."""
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(300):
+        e = _random_expr(rng, 4)
+        d = diff(e, "u")
+        assert parse(expr_to_str(d), XU) == d
+        env = {v: float(rng.uniform(0.1, 3.0)) for v in ("x1", "x2", "t", "u")}
+        h = 1e-5
+        try:
+            got = eval_expr(d, env)
+            up = eval_expr(e, {**env, "u": env["u"] + h})
+            dn = eval_expr(e, {**env, "u": env["u"] - h})
+        except EvalDomainError:
+            continue
+        assert got == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-5)
+        checked += 1
+    assert checked > 250

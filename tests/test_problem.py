@@ -142,6 +142,24 @@ def test_analytic_derivative_validated_against_components():
     assert "A[0]" in str(ei.value)
 
 
+@pytest.mark.parametrize("grad", ["0", "-cos(x1)"])
+def test_supplied_grad_u0_validated_against_exact_gradient(grad):
+    cfg = json.loads((CONFIGS / "burgers_sin.json").read_text())
+    with pytest.raises(ValidationError) as ei:
+        load_problem(json.dumps({**cfg, "grad_u0": [grad]}))
+    assert "grad_u0[0]" in str(ei.value)
+
+
+def test_supplied_derivatives_are_checks_only():
+    """A correct ``a_u`` or ``grad_u0`` loads, and the derived trees are
+    the ones evaluated either way."""
+    plain = load_problem(make(a=["u^2"]))
+    checked = load_problem(make(a=["u^2"], a_u=["2*u"], grad_u0=["cos(x1)"]))
+    assert checked.velocity.du_components == plain.velocity.du_components
+    assert checked.init.grad_u0 == plain.init.grad_u0
+    assert checked.digest == plain.digest
+
+
 def test_antiderivative_must_vanish_at_zero():
     with pytest.raises(ValidationError) as ei:
         load_problem(make(a=["u"], A=["t*u+1"]))
