@@ -76,27 +76,29 @@ class ItermRow:
 
 
 def _prelude(spec: ProblemSpec, t: float, x):
-    """Shared kernel pass of the I terms; see ``_kernel_means``."""
+    """Shared kernel pass of the I terms (see ``_kernel_means``) and the
+    center rows of the selected nodes, gathered once."""
     if t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    return _kernel_means(spec, t, x)
+    m = _kernel_means(spec, t, x)
+    return m, np.take(m.table.centers, m.idx, axis=0)
 
 
-def _grad_factor(spec: ProblemSpec, t: float, x, table, idx, a_s) -> np.ndarray:
+def _grad_factor(spec: ProblemSpec, t: float, x, m, centers) -> np.ndarray:
     """Per-node value of sum_k (a_k - a_sigma_k)(A_k + y_k - x_k)/(sigma^2 t)."""
     x = np.asarray(x, dtype=float).reshape(spec.n)
     s2t = spec.sigma * spec.sigma * t
-    fac = np.zeros(len(idx))
+    fac = np.zeros(len(m.idx))
     for k in range(spec.n):
-        fac += (table.avals[idx, k] - a_s[k]) * (table.centers[idx, k] - x[k])
+        fac += (m.avals[:, k] - m.a[k]) * (centers[:, k] - x[k])
     return fac / s2t
 
 
 def eval_I_u_sigma(spec: ProblemSpec, t: float, x) -> float:
     """Covariance source of the u-moment balance, by direct quadrature."""
-    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
-    fac = _grad_factor(spec, t, x, table, idx, a_s)
-    return float(norm * np.sum(wk * (table.u0v[idx] - u_s) * fac))
+    m, centers = _prelude(spec, t, x)
+    fac = _grad_factor(spec, t, x, m, centers)
+    return float(m.norm * np.sum(m.wk * (m.u0v - m.u) * fac))
 
 
 def eval_I_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
@@ -108,16 +110,16 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     closes.  Both pieces vanish identically for velocities that are
     constant in u and t respectively.
     """
-    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
-    fac = _grad_factor(spec, t, x, table, idx, a_s)
+    m, centers = _prelude(spec, t, x)
+    fac = _grad_factor(spec, t, x, m, centers)
     out = np.empty(spec.n)
     dt_vals = None
     for i in range(spec.n):
-        grad_term = norm * np.sum(wk * (table.avals[idx, i] - a_s[i]) * fac)
+        grad_term = m.norm * np.sum(m.wk * (m.avals[:, i] - m.a[i]) * fac)
         if spec.velocity.time_dependent[i]:
             if dt_vals is None:
-                dt_vals = spec.velocity.dt_values(t, table.u0v[idx])
-            grad_term -= norm * np.sum(wk * dt_vals[i])
+                dt_vals = spec.velocity.dt_values(t, m.u0v)
+            grad_term -= m.norm * np.sum(m.wk * dt_vals[i])
         out[i] = grad_term
     return out
 
@@ -128,17 +130,19 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x) -> float:
     Algebraically identical to :func:`eval_I_u_sigma`; kept as an
     independent assembly for cross-checks.
     """
-    table, idx, wk, norm, _, u_s, a_s = _prelude(spec, t, x)
+    m, centers = _prelude(spec, t, x)
     x = np.asarray(x, dtype=float).reshape(spec.n)
     s2t = spec.sigma * spec.sigma * t
+    norm, wk, u0v = m.norm, m.wk, m.u0v
     total = 0.0
     for k in range(spec.n):
-        gk = (table.centers[idx, k] - x[k]) / s2t
+        gk = (centers[:, k] - x[k]) / s2t
+        ak = m.avals[:, k]
         m_one = norm * np.sum(wk * gk)
-        m_u = norm * np.sum(wk * table.u0v[idx] * gk)
-        m_a = norm * np.sum(wk * table.avals[idx, k] * gk)
-        m_ua = norm * np.sum(wk * table.u0v[idx] * table.avals[idx, k] * gk)
-        total += m_ua - u_s * m_a - a_s[k] * m_u + u_s * a_s[k] * m_one
+        m_u = norm * np.sum(wk * u0v * gk)
+        m_a = norm * np.sum(wk * ak * gk)
+        m_ua = norm * np.sum(wk * u0v * ak * gk)
+        total += m_ua - m.u * m_a - m.a[k] * m_u + m.u * m.a[k] * m_one
     return float(total)
 
 

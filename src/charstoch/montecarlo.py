@@ -13,9 +13,11 @@ bit for bit from the problem seed alone, independent of call order.
 
 Field estimates reuse the Gaussian sum of the quadrature fields
 (``representation._gaussian_pass``) with the particles as the sources:
-each ``estimate_fields`` call buckets the particles once into cells one
-cutoff radius wide, and each target then scans only the particles in
-the 3^n cells around it.
+each ``estimate_fields`` call sorts the particles once into cells one
+cutoff radius wide, with copies of X, w and U in that cell order, and
+each target then scans only the 3^(n-1) contiguous slices that hold the
+particles of the 3^n cells around it.  Its sums run in cell order, not
+particle order.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class ParticleEnsemble:
     ``y`` are the sampled initial positions, ``U = u0(y)`` the frozen
     characteristic labels, ``X`` the current positions and ``w`` the
     importance weights, which sum to the initial mass of rho0 over the
-    box and stay fixed under evolution.
+    box and stay fixed under evolution.  At t = 0, ``X`` is ``y`` (the
+    same array); nothing writes an ensemble's arrays in place.
     """
 
     y: np.ndarray  # (N, n)
@@ -105,7 +108,7 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
             f"(quadrature {mass:.3e}, sample {total:.3e})"
         )
     w = w_raw * (mass / total)
-    return ParticleEnsemble(y=y, U=U, X=y.copy(), w=w, t=0.0, seed=spec.rng_seed)
+    return ParticleEnsemble(y=y, U=U, X=y, w=w, t=0.0, seed=spec.rng_seed)
 
 
 def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> ParticleEnsemble:
@@ -122,8 +125,11 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     for i, comp in enumerate(displacement_components(spec, t, ens.U)):
         drift[:, i] = comp
     z = _stream(ens.seed, _KEY_EXACT).standard_normal((len(ens), n))
-    x = ens.y + drift + spec.sigma * math.sqrt(t) * z
-    return replace(ens, X=x, t=float(t))
+    # y + drift + sigma sqrt(t) z, without temporaries
+    drift += ens.y
+    z *= spec.sigma * math.sqrt(t)
+    drift += z
+    return replace(ens, X=drift, t=float(t))
 
 
 def evolve_em(ens: ParticleEnsemble, spec: ProblemSpec, t: float,
@@ -181,12 +187,14 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     u_hat = np.full(P, np.nan)
     valid = np.zeros(P, dtype=bool)
     cells = _cell_index(ens.X, h * h, _UNDERFLOW)
+    w, U = np.take(ens.w, cells.order), np.take(ens.U, cells.order)
+    cells = replace(cells, order=None)
     for p in range(P):
-        idx, wk = _gaussian_pass(cells, ens.w, pts[p])
+        idx, wk = _gaussian_pass(cells, w, pts[p])
         den = float(np.sum(wk))
         rho_hat[p] = norm * den
         if den >= spec.tol.denom_floor:
-            u_hat[p] = float(np.sum(wk * ens.U[idx]) / den)
+            u_hat[p] = float(np.sum(wk * np.take(U, idx)) / den)
             valid[p] = True
     return FieldEstimate(points=pts, rho_hat=rho_hat, u_hat=u_hat,
                          valid=valid, bandwidth=h)

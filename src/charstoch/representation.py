@@ -20,13 +20,16 @@ not depend on x (u0, rho0, displacement, velocity) is precomputed once
 per (problem, t) and shared by every evaluation point.  All fields here
 and the covariance sources in ``balance`` are moments of one kernel pass
 per point (``_kernel_pass``, one truncated Gaussian sum by
-``_gaussian_pass``, which the particle estimates share).  The table's
-displaced nodes are bucketed once into cells one cutoff radius wide, so
-a point costs one gather over the 3^n cells around it rather than a
-scan of the whole table, with the same sums bit for bit.  The node
-count still scales like sigma^(-n) (halving sigma doubles it per axis),
-which now governs the table build and its memory, not the cost per
-point.
+``_gaussian_pass``, which the particle estimates share).  The table is
+stored in cell order: its displaced nodes are sorted once into cells
+one cutoff radius wide, and every per-node array is permuted to match.
+The nodes of the 3^n cells around a point are then 3^(n-1) contiguous
+slices of the table, so a point costs a scan of those slices rather
+than of the whole table, with no per-point gather.  Sums run in cell
+order, and equal a scan of the whole table in that order bit for bit.
+The node count still scales like sigma^(-n) (halving sigma doubles it
+per axis), which now governs the table build and its memory, not the
+cost per point.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import itertools
 import logging
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -110,27 +113,31 @@ def quadrature_grid(box, scale: float, *, nodes_per_panel: int = 8,
 
 @dataclass(frozen=True)
 class _Cells:
-    """Sources of one truncated Gaussian sum, bucketed into square cells.
+    """Finite sources of one truncated Gaussian sum, sorted into cells.
 
     With e = |centers - x|^2 / (2 var), a source can satisfy e <= cut
     only within radius sqrt(2 var cut) of x, so it lies in one of the
-    3^n cells around x's cell.  ``order`` lists the finite sources
-    stably sorted by flat (C order) cell key; the sources of cell k are
-    ``order[starts[k]:starts[k + 1]]``.
+    3^n square cells around x's cell.  ``centers`` holds the finite
+    sources stably sorted by flat (C order) cell key, so the sources of
+    cell k are ``centers[starts[k]:starts[k + 1]]``; ``order[j]`` is the
+    caller's index of the source at cell-order position j.  Callers
+    permute their per-source data by ``order`` once and then drop it
+    (``replace(cells, order=None)``), as no kernel pass reads it.
     """
 
-    centers: np.ndarray  # (M, n)
+    centers: np.ndarray  # (finite sources, n) in cell order
     var: float
     cut: float
     lo: np.ndarray       # (n,) lower corner of the finite sources
     width: float
     shape: np.ndarray    # (n,) cells per axis
-    order: np.ndarray    # (finite sources,)
+    order: np.ndarray | None  # (finite sources,) caller's index per position
     starts: np.ndarray   # (cells + 1,)
 
 
 def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
-    """Bucket ``centers`` for the Gaussian sum with this var and cut.
+    """Sort ``centers`` into cells for the Gaussian sum with this var
+    and cut.
 
     Cells are at least one cutoff radius wide (with a 1e-9 margin for
     rounding in e) and never more numerous than the finite sources, so
@@ -143,7 +150,7 @@ def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
     count = int(np.count_nonzero(ok))
     # allocated before the temporaries below, so that the pages they
     # free can go back to the system while the index lives on
-    order = np.empty(count, dtype=np.int32 if M < 2 ** 31 else np.int64)
+    ordered = np.empty((count, n))
     lo, extent = np.zeros(n), np.zeros(n)
     if count:
         lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers.T])
@@ -170,29 +177,32 @@ def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
     key[bad] = cells
     starts = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
-    order[:] = np.argsort(key, kind="stable")[:count]
+    order = np.argsort(key, kind="stable")[:count]
+    del key
+    np.take(centers, order, axis=0, out=ordered)
     logger.debug("cell index: %d sources, %s cells per axis, width %.6g",
                  M, "x".join(str(s) for s in shape), width)
-    return _Cells(centers=centers, var=var, cut=cut, lo=lo, width=width,
+    return _Cells(centers=ordered, var=var, cut=cut, lo=lo, width=width,
                   shape=shape, order=order, starts=starts)
 
 
 @dataclass
 class _Table:
-    """Per-(problem, t) node data shared across evaluation points."""
+    """Per-(problem, t) node data shared across evaluation points.
 
-    grid: QuadratureGrid
+    Every array is in the cell order of ``cells`` and holds only the
+    nodes with a finite center; the others never carry kernel mass.
+    """
+
+    cells: _Cells        # cell index of the centers
     u0v: np.ndarray      # (M,)
     wrho: np.ndarray     # (M,) tensor weight * rho0
-    centers: np.ndarray  # (M, n) node + displacement
     avals: np.ndarray    # (M, n) velocity at (t, u0(node))
-    var: float           # kernel variance sigma^2 t
-    cut: float           # exponent cut of the truncated kernel
 
-    @cached_property
-    def cells(self) -> _Cells:
-        """Cell index of the centers, built on the first kernel pass."""
-        return _cell_index(self.centers, self.var, self.cut)
+    @property
+    def centers(self) -> np.ndarray:
+        """(M, n) node + displacement."""
+        return self.cells.centers
 
 
 _TABLE_CACHE: OrderedDict[tuple[str, float], _Table] = OrderedDict()
@@ -219,16 +229,19 @@ def _build_table(spec: ProblemSpec, t: float) -> _Table:
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel,
                            max_panels=cap)
-    pts = grid.points
-    u0v = spec.init.u0_at(pts)
-    rho0v = spec.init.rho0_at(pts)
-    disp = displacement_components(spec, t, u0v)
-    centers = pts + np.stack(disp, axis=-1)
+    u0v = spec.init.u0_at(grid.points)
+    wrho = grid.weights * spec.init.rho0_at(grid.points)
+    centers = grid.points + np.stack(displacement_components(spec, t, u0v),
+                                     axis=-1)
+    del grid  # and with it the cached tensor points and weights
+    cells = _cell_index(centers, spec.sigma * spec.sigma * t,
+                        min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
+    del centers
+    u0v, wrho = u0v[cells.order], wrho[cells.order]
+    # a is elementwise in u0, so it is evaluated in cell order directly
     avals = np.stack(spec.velocity.a_values(t, u0v), axis=-1)
-    return _Table(grid=grid, u0v=u0v, wrho=grid.weights * rho0v,
-                  centers=centers, avals=avals,
-                  var=spec.sigma * spec.sigma * t,
-                  cut=min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
+    return _Table(cells=replace(cells, order=None), u0v=u0v, wrho=wrho,
+                  avals=avals)
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Table:
@@ -248,59 +261,80 @@ def _gaussian_pass(cells: _Cells, weights: np.ndarray, x):
     """One Gaussian sum's sources around x: the only place a kernel is
     evaluated, for quadrature nodes and particles alike.
 
-    With e = |centers - x|^2 / (2 var), returns (idx, wk): the ascending
-    indices of the sources with e <= cut and their weights times
-    exp(-e).  Only the sources in the 3^n cells around x are scanned,
-    in ascending index order, so idx, wk and every sum over them equal
-    those of a scan of all sources bit for bit.  A non-finite target,
-    or one with no cell within reach, has no sources.
+    With e = |cells.centers - x|^2 / (2 var), returns (idx, wk): the
+    ascending cell-order positions of the sources with e <= cut and
+    their weights times exp(-e); ``weights`` is in cell order too.
+    The 3^n cells around x are 3^(n-1) runs of consecutive keys, one
+    per line along the last axis, so e is computed on that many
+    contiguous slices, in ascending position order: idx, wk and every
+    sum over them equal those of a scan of all sources bit for bit.  A
+    non-finite target, or one with no cell within reach, has no
+    sources.
     """
     k = np.floor((x - cells.lo) / cells.width)
     if not np.all((k >= -1) & (k <= cells.shape)):
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     lo = np.maximum(k - 1, 0).astype(np.int64)
     hi = np.minimum(k + 1, cells.shape - 1).astype(np.int64)
-    # along the last axis the neighbouring cells are one run of keys
     lead = itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])))
-    runs = []
+    idx, wk = [], []
     for head in lead:
         first = np.ravel_multi_index(head + (lo[-1],), cells.shape)
-        last = first + hi[-1] - lo[-1]
-        runs.append(cells.order[cells.starts[first]:cells.starts[last + 1]])
-    # each cell's indices are one ascending run, which timsort merges
-    cand = np.sort(np.concatenate(runs), kind="stable")
-    centers = np.take(cells.centers, cand, axis=0)
-    e = np.zeros(cand.size)
-    for i in range(centers.shape[1]):
-        d = centers[:, i] - x[i]
-        e += d * d
-    e /= 2.0 * cells.var
-    keep = e <= cells.cut
-    idx = cand[keep].astype(np.intp)
-    return idx, weights[idx] * np.exp(-e[keep])
+        start = cells.starts[first]
+        stop = cells.starts[first + hi[-1] - lo[-1] + 1]
+        centers = cells.centers[start:stop]
+        e = centers[:, 0] - x[0]
+        e *= e
+        for i in range(1, centers.shape[1]):
+            d = centers[:, i] - x[i]
+            d *= d
+            e += d
+        e /= 2.0 * cells.var
+        keep = e <= cells.cut
+        idx.append(np.flatnonzero(keep) + start)
+        wk.append(weights[start:stop][keep] * np.exp(-e[keep]))
+    if len(idx) == 1:
+        return idx[0], wk[0]
+    return np.concatenate(idx), np.concatenate(wk)
 
 
 def _kernel_pass(spec: ProblemSpec, t: float, x):
     """Select the table nodes under the truncated kernel around x.
 
-    Returns (table, idx, wk, norm): the (problem, t) table, indices of
-    the selected nodes, their weights wrho * kernel, and the Gaussian
-    normalization constant.  Requires t > 0.
+    Returns (table, idx, wk, norm): the (problem, t) table, positions
+    of the selected nodes in its arrays, their weights wrho * kernel,
+    and the Gaussian normalization constant.  Requires t > 0.
     """
     table = _table_for(spec, t)
     idx, wk = _gaussian_pass(table.cells, table.wrho,
                              np.asarray(x, dtype=float).reshape(spec.n))
-    norm = (2.0 * math.pi * table.var) ** (-spec.n / 2.0)
+    norm = (2.0 * math.pi * table.cells.var) ** (-spec.n / 2.0)
     return table, idx, wk, norm
 
 
-def _kernel_means(spec: ProblemSpec, t: float, x):
+class _Means(NamedTuple):
+    """A kernel pass around x with the kernel-weighted means of u0 and
+    of a, and the rows of the selected nodes they were taken from."""
+
+    table: _Table
+    idx: np.ndarray    # (k,) positions of the selected nodes
+    wk: np.ndarray     # (k,) their weights wrho * kernel
+    norm: float        # Gaussian normalization constant
+    den: float         # raw weighted mass, sum of wk
+    u: float           # mean of u0
+    a: np.ndarray      # (n,) mean of a
+    u0v: np.ndarray    # (k,) u0 of the selected nodes
+    avals: np.ndarray  # (k, n) a of the selected nodes
+
+
+def _kernel_means(spec: ProblemSpec, t: float, x) -> _Means:
     """Kernel pass plus the kernel-weighted means of u0 and of a.
 
-    Returns (table, idx, wk, norm, den, u, a) with den the raw weighted
-    mass (the prefactor cancels in the means).  ``den`` is compared
-    against ``denom_floor`` before dividing, and EmptyKernelSupport is
-    raised when nothing lies under the kernel.
+    ``den`` is the raw weighted mass (the prefactor cancels in the
+    means).  It is compared against ``denom_floor`` before dividing,
+    and EmptyKernelSupport is raised when nothing lies under the
+    kernel.  The rows of u0 and a are gathered once, for the means and
+    for the caller.
     """
     table, idx, wk, norm = _kernel_pass(spec, t, x)
     den = float(np.sum(wk))
@@ -308,10 +342,12 @@ def _kernel_means(spec: ProblemSpec, t: float, x):
         raise EmptyKernelSupport(
             f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
         )
-    u = float(np.sum(wk * table.u0v[idx]) / den)
-    a = np.array([float(np.sum(wk * table.avals[idx, i]) / den)
+    u0v = np.take(table.u0v, idx)
+    avals = np.take(table.avals, idx, axis=0)
+    u = float(np.sum(wk * u0v) / den)
+    a = np.array([float(np.sum(wk * avals[:, i]) / den)
                   for i in range(spec.n)])
-    return table, idx, wk, norm, den, u, a
+    return _Means(table, idx, wk, norm, den, u, a, u0v, avals)
 
 
 def _support_reach(spec: ProblemSpec, t: float) -> float:
@@ -351,8 +387,7 @@ def eval_u_sigma(spec: ProblemSpec, t: float, x) -> float:
     """
     if t == 0:
         return spec.init.u0_point(x)
-    *_, u, _ = _kernel_means(spec, t, x)
-    return u
+    return _kernel_means(spec, t, x).u
 
 
 def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
@@ -360,8 +395,7 @@ def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     if t == 0:
         u0x = spec.init.u0_point(x)
         return np.array([float(v) for v in spec.velocity.a_values(0.0, u0x)])
-    *_, a = _kernel_means(spec, t, x)
-    return a
+    return _kernel_means(spec, t, x).a
 
 
 def _fields_sigma(spec: ProblemSpec, t: float, x):
@@ -371,8 +405,8 @@ def _fields_sigma(spec: ProblemSpec, t: float, x):
     if t == 0:
         return (eval_rho_sigma(spec, t, x), eval_u_sigma(spec, t, x),
                 eval_a_sigma(spec, t, x))
-    _, _, _, norm, den, u, a = _kernel_means(spec, t, x)
-    return norm * den, u, a
+    m = _kernel_means(spec, t, x)
+    return m.norm * m.den, m.u, m.a
 
 
 @dataclass

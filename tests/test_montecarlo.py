@@ -178,6 +178,39 @@ def test_kde_matches_dense_gaussian_sum(burgers):
         assert est.rho_hat[-1] == 0.0 and not est.valid[-1]
 
 
+def test_kde_equals_dense_sums_in_cell_order(burgers):
+    bump2d = make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
+                  box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
+                  time_points=[0.3])
+    cases = [(burgers, 20_000, 0.5, np.linspace(-6.0, 6.0, 13)[:, None],
+              [[400.0]], 0.06),
+             (bump2d, 2_000, 0.3, np.array([[0.0, 0.0], [1.0, -0.5]]),
+              [[50.0, -50.0]], 0.2)]
+    for spec, count, t, pts, far, h in cases:
+        ens = evolve_exact(sample_initial(spec, count), spec, t)
+        pts = np.vstack([pts, far])
+        est = estimate_fields(ens, spec, pts, bandwidth=h)
+        # the sources as the estimator sums them: in cell order
+        order = _cell_index(ens.X, h * h, _UNDERFLOW).order
+        X, w, U = ens.X[order], ens.w[order], ens.U[order]
+        norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
+        for p, x in enumerate(pts):
+            e = np.zeros(len(X))
+            for i in range(spec.n):
+                d = X[:, i] - x[i]
+                e += d * d
+            e /= 2.0 * (h * h)
+            keep = e <= _UNDERFLOW
+            wk = w[keep] * np.exp(-e[keep])
+            den = float(np.sum(wk))
+            assert est.rho_hat[p] == norm * den
+            if den >= spec.tol.denom_floor:
+                assert est.u_hat[p] == float(np.sum(wk * U[keep]) / den)
+            else:
+                assert np.isnan(est.u_hat[p]) and not est.valid[p]
+        assert est.rho_hat[-1] == 0.0
+
+
 def test_tiny_bandwidth_cells_stay_bounded():
     spec = make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],

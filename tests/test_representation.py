@@ -21,7 +21,7 @@ from charstoch import (
     sigma_sweep,
 )
 from charstoch.representation import (_cell_index, _gaussian_pass,
-                                      quadrature_grid)
+                                      _kernel_means, quadrature_grid)
 
 BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
           / "gaussian_bump_2d.json")
@@ -195,7 +195,14 @@ def test_cell_pass_equals_dense_scan(n):
     weights = rng.random(len(centers))
     cells = _cell_index(centers, var, cut)
     assert cells.width == width  # the face sources lie on cell boundaries
+    # the NaN center is left out of the cell order, so it is never scanned
     assert 7 not in cells.order
+    assert len(cells.order) == len(centers) - 1
+    np.testing.assert_array_equal(np.sort(cells.order),
+                                  np.delete(np.arange(len(centers)), 7))
+    assert np.array_equal(cells.centers, centers[cells.order])
+    # sources are in cell order; the dense reference scans them all
+    ordered, ordered_w = centers[cells.order], weights[cells.order]
     far = np.full(n, 20.0)
     targets = np.vstack([lattice[::7], faces, faces + 2.0 * np.eye(n)[0],
                          rng.uniform(-4.0, 12.0, (40, n)),  # some outside
@@ -203,15 +210,36 @@ def test_cell_pass_equals_dense_scan(n):
                           np.full(n, np.nan)]])
     # -e1 and (9, ..., 9) are outside the bounding box, within reach of it
     for x in targets:
-        idx, wk = _gaussian_pass(cells, weights, x)
-        ref_idx, ref_wk = dense_pass(centers, weights, x, var, cut)
+        idx, wk = _gaussian_pass(cells, ordered_w, x)
+        ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cut)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(wk, ref_wk)
         assert np.sum(wk) == np.sum(ref_wk)
     for x in (far, np.full(n, np.nan)):
-        assert _gaussian_pass(cells, weights, x)[0].size == 0
+        assert _gaussian_pass(cells, ordered_w, x)[0].size == 0
     # the lattice source (2, 0, ..., 0) lies exactly one radius from the origin
-    assert 2 * 9 ** (n - 1) in _gaussian_pass(cells, weights, lattice[0])[0]
+    near = _gaussian_pass(cells, ordered_w, lattice[0])[0]
+    assert 2 * 9 ** (n - 1) in cells.order[near]
+
+
+def test_kernel_means_equal_dense_sums_over_table():
+    spec = load_problem(BUMP2D.read_text())
+    for x in ([0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-3.2, 0.2]):
+        x = np.array(x)
+        m = _kernel_means(spec, 0.3, x)
+        table = m.table
+        assert np.all(np.isfinite(table.centers))
+        idx, wk = dense_pass(table.centers, table.wrho, x, table.cells.var,
+                             table.cells.cut)
+        np.testing.assert_array_equal(m.idx, idx)
+        np.testing.assert_array_equal(m.wk, wk)
+        den = float(np.sum(wk))
+        assert m.den == den
+        assert m.u == float(np.sum(wk * table.u0v[idx]) / den)
+        for i in range(2):
+            assert m.a[i] == float(np.sum(wk * table.avals[idx, i]) / den)
+        np.testing.assert_array_equal(m.avals, table.avals[idx])
+        assert eval_rho_sigma(spec, 0.3, x) == m.norm * den
 
 
 def test_field_grid_accepts_any_time(burgers):
