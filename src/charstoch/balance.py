@@ -175,9 +175,11 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
         raise ValueError(f"time window ends must be finite, got ({t0:g}, {t1:g})")
     if not t1 > t0:
         raise ValueError("time window must satisfy t0 < t1")
-    if h <= 0 or dt <= 0:
-        raise ValueError("resolution entries must be positive")
-    J = int(round((t1 - t0) / dt))
+    steps = (t1 - t0) / dt if 0 < dt < math.inf else math.nan
+    if not (0 < h < math.inf and math.isfinite(steps)):
+        raise ValueError(f"resolution ({h:g}, {dt:g}) needs finite positive h and "
+                         f"dt and a finite step count over ({t0:g}, {t1:g})")
+    J = int(round(steps))
     if J < 2:
         raise ValueError("time window too short for the time stencil")
     dt_eff = (t1 - t0) / J
@@ -199,14 +201,8 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
         offsets[1 + 2 * k, k] = -h
         offsets[2 + 2 * k, k] = +h
 
-    rho = np.empty((J + 1, P, O))
-    u = np.empty((J + 1, P, O))
-    a = np.empty((J + 1, P, O, n))
-    for j, tj in enumerate(times):
-        for p in range(P):
-            for o in range(O):
-                xpo = probes[p] + offsets[o]
-                rho[j, p, o], u[j, p, o], a[j, p, o] = fields(spec, tj, xpo)
+    stencil = probes[:, None, :] + offsets[None, :, :]
+    rho, u, a = map(np.stack, zip(*(fields(spec, tj, stencil) for tj in times)))
 
     # the densities q and sources S of the one law (module docstring)
     Q = np.stack([rho, rho * u] + [rho * a[..., i] for i in range(n)])

@@ -5,10 +5,11 @@ While the solution stays classical it satisfies the implicit relation
     u(t, x) = u0(x - A(t, u(t, x))),
 
 where A is the flow displacement.  Everything here is built on that
-relation and on one root-finder, the safeguarded scalar Newton solve
-for u in ``solve_implicit``.  Its root fixes the characteristic foot
-point y = x - A(t, u), and every other classical field is read off
-there (``_foot``): the inverse of the characteristic map
+relation and on one root-finder, ``solve_implicit``: one safeguarded
+Newton iteration for u over a whole batch of points, each with its own
+bracket.  Its root fixes the characteristic foot point y = x - A(t, u),
+and every other classical field is read off there (``_foot``): the
+inverse of the characteristic map
 y -> y + A(t, u0(y)), the closed-form spatial gradient
 
     du/dx_i = (du0/dy_i)(y) / (1 + sum_j B_j(t, u) du0/dy_j(y)),
@@ -17,7 +18,8 @@ with B_j(t, u) = d/du A_j(t, u), the transported density
 rho0(y) / det C where C = I + B outer grad(u0) is the map's Jacobian,
 and the velocity a(t, u).  The rank-1 structure of C makes det C equal
 to the gradient denominator and to the Newton slope, so all blow-up
-diagnostics agree.
+diagnostics agree.  Every field maps points (..., n) to values (...),
+a float for one point; a point's value does not depend on its batch.
 
 The critical time is the supremum of times for which the condition
 functional G(t, y) = B(t, u0(y)) . grad u0(y) stays above -1 over every
@@ -38,18 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NearBlowup,
-    NoConvergence,
-    OutOfBracket,
-    SingularJacobian,
-)
-from .problem import (
-    ProblemSpec,
-    du_displacement_components,
-    flow_displacement,
-    tensor_points,
-)
+from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
+from .problem import (ProblemSpec, _batched, _point_rows, displacement_components,
+                      du_displacement_components, tensor_points)
 
 __all__ = [
     "CharMap",
@@ -66,22 +59,35 @@ __all__ = [
 
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
+_BLOWUP_CHUNK = 65_536  # blow-up grid points evaluated at once
 
 
-def _foot(spec: ProblemSpec, t: float, x, u):
-    """Foot point of the characteristic through x that carries the value u.
+def _refuse(error, fail: np.ndarray, X: np.ndarray, t: float, what: str,
+            *values: np.ndarray) -> None:
+    """Raise ``error`` at the first row of X where ``fail`` holds, with
+    ``what`` formatted by the ``values`` of that row."""
+    bad = np.flatnonzero(fail)
+    if bad.size:
+        i = bad[0]
+        head = what.format(*(v[i] for v in values))
+        raise error(f"{head} at t={t:g}, x={X[i].tolist()}")
 
-    Returns (y, g, B, det): y = x - A(t, u), the factors g = grad u0(y)
-    and B = dA/du(t, u) of the characteristic Jacobian C = I + B outer g,
-    and det C = 1 + g . B by the rank-1 identity.  det is also the slope
-    of the Newton residual u - u0(y), and at the root of the implicit
-    relation it is the gradient denominator.
+
+def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
+    """Foot points of the characteristics through the rows of X (P, n)
+    that carry the values u (P,).
+
+    Returns per-point (y, g, B, det): y = X - A(t, u), the factors
+    g = grad u0(y) and B = dA/du(t, u) of the characteristic Jacobian
+    C = I + B outer g, and det C = 1 + g . B by the rank-1 identity.  det
+    is also the slope of the Newton residual u - u0(y), and at the root
+    of the implicit relation it is the gradient denominator.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    y = x - flow_displacement(spec, t, u)
-    g = spec.init.grad_u0_point(y)
-    B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
-    return y, g, B, 1.0 + float(g @ B)
+    y = X - np.stack(displacement_components(spec, t, u), axis=-1)
+    g = spec.init.grad_u0_at(y)
+    B = np.stack(du_displacement_components(spec, t, u), axis=-1)
+    # a stacked matmul rounds g . B as the 1-D dot of one point does
+    return y, g, B, 1.0 + (g[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -92,24 +98,25 @@ class CharMap:
     t: float
 
     def forward(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float).reshape(self.spec.n)
-        u = self.spec.init.u0_point(y)
-        return y + flow_displacement(self.spec, self.t, u)
+        Y, shape = _point_rows(y, self.spec.n)
+        A = displacement_components(self.spec, self.t, self.spec.init.u0_at(Y))
+        return _batched(Y + np.stack(A, axis=-1), shape)
 
     def _foot_at(self, y):
-        """``_foot`` of forward(y) on the characteristic carrying u0(y):
-        its foot point is y up to rounding."""
-        u = self.spec.init.u0_point(y)
-        return _foot(self.spec, self.t, self.forward(y), u)
+        """Batch shape of y and ``_foot`` of forward(y) on the
+        characteristics carrying u0(y), whose foot points are y."""
+        Y, shape = _point_rows(y, self.spec.n)
+        return shape, _foot(self.spec, self.t, self.forward(Y), self.spec.init.u0_at(Y))
 
     def jacobian(self, y) -> np.ndarray:
-        """C = I + B(t, u0(y)) outer grad u0(y), shape (n, n)."""
-        _, g, B, _ = self._foot_at(y)
-        return np.eye(self.spec.n) + np.outer(B, g)
+        """C = I + B(t, u0(y)) outer grad u0(y), shape (..., n, n)."""
+        shape, (_, g, B, _) = self._foot_at(y)
+        return _batched(np.eye(self.spec.n) + B[:, :, None] * g[:, None, :], shape)
 
-    def det(self, y) -> float:
+    def det(self, y):
         """det C via the rank-1 identity det = 1 + grad(u0) . B."""
-        return self._foot_at(y)[3]
+        shape, foot = self._foot_at(y)
+        return _batched(foot[3], shape)
 
 
 def char_map(spec: ProblemSpec, t: float) -> CharMap:
@@ -142,74 +149,66 @@ class BlowupReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def solve_implicit(spec: ProblemSpec, t: float, x) -> float:
-    """Solve u = u0(x - A(t, u)) by safeguarded Newton on a bracket.
+def solve_implicit(spec: ProblemSpec, t: float, x):
+    """Solve u = u0(x - A(t, u)) at points x (..., n) by one safeguarded
+    Newton iteration over all of them.
 
-    The root is bracketed by the (1%-inflated) range of u0, inside
-    which the residual changes sign.  Newton steps are taken when they
-    stay inside the current bracket; otherwise the step falls back to
-    bisection.  Converged when |u - u0(x - A(t, u))| <= newton_tol.
-    Callers are responsible for keeping t below the blow-up time; past
-    it the bracket still contains a root, but which branch is found is
-    not specified.
+    Each point's root is bracketed by the (1%-inflated) range of u0, in
+    which its residual changes sign.  A Newton step is taken where it
+    stays inside the point's bracket, else the point bisects; a point is
+    frozen once |u - u0(x - A(t, u))| <= newton_tol.  Callers keep t
+    below the blow-up time; past it the bracket still contains a root,
+    but which branch is found is not specified.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
+    X, shape = _point_rows(x, spec.n)
     if t == 0:
-        return spec.init.u0_point(x)
+        return _batched(spec.init.u0_at(X), shape)
     lo, hi = spec.u_range
 
-    def residual(u: float) -> float:
-        y = x - flow_displacement(spec, t, u)
-        return u - spec.init.u0_point(y)
+    def residual(u: np.ndarray) -> np.ndarray:
+        A = displacement_components(spec, t, u)
+        return u - spec.init.u0_at(X - np.stack(A, axis=-1))
 
-    glo = residual(lo)
-    ghi = residual(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo > 0 or ghi < 0:
-        raise OutOfBracket(
-            f"u-residual does not change sign over [{lo:g}, {hi:g}] "
-            f"at t={t:g}, x={x.tolist()}"
-        )
-    u = 0.5 * (lo + hi)
+    glo = residual(np.full(len(X), lo))
+    ghi = residual(np.full(len(X), hi))
+    live = (glo != 0.0) & (ghi != 0.0)
+    _refuse(OutOfBracket, live & ((glo > 0) | (ghi < 0)), X, t,
+            f"u-residual does not change sign over [{lo:g}, {hi:g}]")
+    u = np.where(glo == 0.0, lo, np.where(ghi == 0.0, hi, 0.5 * (lo + hi)))
+    lo, hi = np.full(len(X), lo), np.full(len(X), hi)
     for _ in range(spec.tol.max_iter):
-        y, _, _, slope = _foot(spec, t, x, u)
-        gu = u - spec.init.u0_point(y)
-        if abs(gu) <= spec.tol.newton_tol:
-            return float(u)
-        if gu < 0:
-            lo = u
-        else:
-            hi = u
-        if slope != 0 and math.isfinite(slope):
-            u_next = u - gu / slope
-        else:
-            u_next = 0.5 * (lo + hi)
-        if not (lo < u_next < hi) or not math.isfinite(u_next):
-            u_next = 0.5 * (lo + hi)
-        u = u_next
-    raise NoConvergence(
-        f"implicit solve did not reach {spec.tol.newton_tol:g} "
-        f"in {spec.tol.max_iter} iterations at t={t:g}, x={x.tolist()}"
-    )
+        if not live.any():
+            break
+        v, a, b = u[live], lo[live], hi[live]
+        y, _, _, slope = _foot(spec, t, X[live], v)
+        gv = v - spec.init.u0_at(y)
+        a, b = np.where(gv < 0, v, a), np.where(gv < 0, b, v)
+        # a zero or non-finite slope lands outside the bracket: bisect
+        with np.errstate(all="ignore"):
+            step = v - gv / slope
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        done = np.abs(gv) <= spec.tol.newton_tol
+        u[live] = np.where(done, v, step)
+        lo[live], hi[live] = a, b
+        live[live] = ~done
+    _refuse(NoConvergence, live, X, t, f"implicit solve did not reach "
+            f"{spec.tol.newton_tol:g} in {spec.tol.max_iter} iterations")
+    return _batched(u, shape)
 
 
 def gradient_exact(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Spatial gradient of the classical solution, closed form.
+    """Spatial gradient of the classical solution at x (..., n), closed
+    form, shape (..., n).
 
     Raises NearBlowup when the shared denominator drops below the
     configured margin; at that point the formula is untrustworthy and
     the caller is probing too close to t*.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    _, g, _, den = _foot(spec, t, x, solve_implicit(spec, t, x))
-    if den < spec.tol.near_blowup_margin:
-        raise NearBlowup(
-            f"gradient denominator {den:.3e} at t={t:g}, x={x.tolist()}"
-        )
-    return g / den
+    X, shape = _point_rows(x, spec.n)
+    _, g, _, den = _foot(spec, t, X, solve_implicit(spec, t, X))
+    _refuse(NearBlowup, den < spec.tol.near_blowup_margin, X, t,
+            "gradient denominator {:.3e}", den)
+    return _batched(g / den[:, None], shape)
 
 
 def _blowup_grid(spec: ProblemSpec) -> np.ndarray:
@@ -260,11 +259,11 @@ def _coordinate_golden(f, y0: np.ndarray, spacings, box, sweeps: int = 3):
     return y, fy
 
 
-def _condition(spec: ProblemSpec, t: float, u: np.ndarray,
-               grads: np.ndarray) -> np.ndarray:
-    """Blow-up condition functional G = B(t, u) . grad u0 at m foot
-    points, from their values u (m,) and gradients grads (m, n) of u0."""
-    B = du_displacement_components(spec, t, u)
+def _condition(spec: ProblemSpec, t: float, pts: np.ndarray) -> np.ndarray:
+    """Blow-up condition functional G = B(t, u0) . grad u0 at foot points
+    (m, n)."""
+    B = du_displacement_components(spec, t, spec.init.u0_at(pts))
+    grads = spec.init.grad_u0_at(pts)
     return sum(B[i] * grads[:, i] for i in range(spec.n))
 
 
@@ -278,24 +277,25 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     Otherwise the grid infimum of G(t, .) is bisected in t to the
     configured tolerance (method "lambda_grid"); this assumes the
     functional crosses -1 transversally.
-    Grid ties break at the lowest flattened index.
+    Grid ties break at the lowest flattened index.  The grid is scanned
+    in chunks of ``_BLOWUP_CHUNK`` points, so memory stays bounded.
     """
     pts = _blowup_grid(spec)
-    grads = spec.init.grad_u0_at(pts)
-    u0v = spec.init.u0_at(pts)
     spacings = [(hi - lo) / (round(len(pts) ** (1.0 / spec.n)) - 1)
                 for lo, hi in spec.box]
 
     def grid_argmin(t: float) -> tuple[int, float]:
-        G = _condition(spec, t, u0v, grads)
-        i0 = int(np.argmin(G))
-        return i0, float(G[i0])
+        i0, s0 = 0, None
+        for start in range(0, len(pts), _BLOWUP_CHUNK):
+            G = _condition(spec, t, pts[start:start + _BLOWUP_CHUNK])
+            i = int(np.argmin(G))
+            if s0 is None or G[i] < s0:
+                i0, s0 = start + i, float(G[i])
+        return i0, s0
 
     def refine(t: float, i0: int):
         def at(y: np.ndarray) -> float:
-            yy = y[None, :]
-            return float(_condition(spec, t, spec.init.u0_at(yy),
-                                    spec.init.grad_u0_at(yy))[0])
+            return float(_condition(spec, t, y[None, :])[0])
 
         return _coordinate_golden(at, pts[i0], spacings, spec.box)
 
@@ -339,12 +339,13 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 
 
 def invert_char_map(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Find the foot point y0 with y0 + A(t, u0(y0)) = x.
+    """Find the foot points y0 with y0 + A(t, u0(y0)) = x, shape (..., n).
 
     y0 = x - A(t, u) at the implicit solution u, so it carries no
     iteration of its own and fails only where ``solve_implicit`` does.
     """
-    return _foot(spec, t, x, solve_implicit(spec, t, x))[0]
+    X, shape = _point_rows(x, spec.n)
+    return _batched(_foot(spec, t, X, solve_implicit(spec, t, X))[0], shape)
 
 
 def eval_rho_bar(spec: ProblemSpec, t: float, x) -> float:
@@ -359,18 +360,18 @@ def eval_a_bar(spec: ProblemSpec, t: float, x) -> np.ndarray:
 
 
 def classical_fields(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) of the classical solution at x, from one implicit solve.
+    """(rho, u, a) of the classical solution at points x (..., n), from
+    one implicit solve: rho and u of shape (...), a of shape (..., n).
 
     rho = rho0(y) / det C at the foot point y of the root u.  Raises
-    SingularJacobian when det C drops below the floor, where the
-    characteristic map folds.
+    SingularJacobian, naming the first such point, when det C drops
+    below the floor, where the characteristic map folds.
     """
-    u = solve_implicit(spec, t, x)
-    y, _, _, det = _foot(spec, t, x, u)
-    if det < _DET_FLOOR:
-        raise SingularJacobian(
-            f"characteristic Jacobian determinant {det:.3e} "
-            f"at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    a = np.array([float(v) for v in spec.velocity.a_values(t, u)])
-    return spec.init.rho0_point(y) / det, u, a
+    X, shape = _point_rows(x, spec.n)
+    u = solve_implicit(spec, t, X)
+    y, _, _, det = _foot(spec, t, X, u)
+    _refuse(SingularJacobian, det < _DET_FLOOR, X, t,
+            "characteristic Jacobian determinant {:.3e}", det)
+    a = np.stack(spec.velocity.a_values(t, u), axis=-1)
+    return (_batched(spec.init.rho0_at(y) / det, shape), _batched(u, shape),
+            _batched(a, shape))

@@ -122,15 +122,6 @@ class InitialData:
     def rho0_at(self, pts) -> np.ndarray:
         return self._at([self.rho0], pts)[0]
 
-    def u0_point(self, x) -> float:
-        return float(self.u0_at(x).reshape(-1)[0])
-
-    def rho0_point(self, x) -> float:
-        return float(self.rho0_at(x).reshape(-1)[0])
-
-    def grad_u0_point(self, x) -> np.ndarray:
-        return self.grad_u0_at(x)[0]
-
     def grad_u0_at(self, pts) -> np.ndarray:
         """Exact gradient of u0 on points (..., n) -> (..., n).
 
@@ -198,6 +189,19 @@ def _values(trees, t: float, u) -> list[np.ndarray]:
     u_arr = np.asarray(u, dtype=float)
     env = {"t": t, "u": u_arr}
     return [_filled(ex.eval_expr(c, env), u_arr.shape) for c in trees]
+
+
+def _point_rows(x, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Points of shape (..., n) as rows (P, n), and the batch shape (...)."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape[:-1]
+    return x.reshape(shape + (n,)).reshape(-1, n), shape
+
+
+def _batched(values: np.ndarray, shape):
+    """Per-row values (P, ...) in the batch shape; a float for one point."""
+    values = values.reshape(shape + values.shape[1:])
+    return float(values) if values.ndim == 0 else values
 
 
 def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
@@ -446,8 +450,7 @@ def displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
 
 def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
     """A(t, u) as a vector of length n, for a scalar u."""
-    comps = displacement_components(spec, t, np.asarray(float(u)))
-    return np.array([float(c) for c in comps])
+    return np.stack(displacement_components(spec, t, np.asarray(float(u))))
 
 
 def du_displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 Two flavors are needed: fixed tensor-product panel rules over the
 spatial box (panel width tied to the kernel width sigma*sqrt(t)), and
 an adaptive rule in time for flow displacements when no closed form is
-available.
+available, which accepts each element of the integrand on its own error.
 """
 
 from __future__ import annotations
@@ -48,12 +48,13 @@ def panel_rule(lo: float, hi: float, n_panels: int,
 
 def adaptive_time_integral(f, t0: float, t1: float, tol: float,
                            max_depth: int = 30) -> np.ndarray:
-    """Integrate a vector-valued ``f(tau) -> ndarray`` over [t0, t1].
+    """Integrate an elementwise ``f(tau) -> ndarray`` over [t0, t1].
 
-    Panel-bisection Gauss-Legendre: each panel is accepted when a
-    15-point estimate and the sum of two half-panel estimates agree to
-    the panel's share of ``tol`` in the max norm.  The absolute
-    tolerance refers to the whole integral.
+    Panel-bisection Gauss-Legendre: a panel is accepted for an element
+    when a 15-point estimate and the sum of two half-panel estimates
+    agree there to the panel's share of ``tol``; the elements that fail
+    take the sum over the bisected panels.  The absolute tolerance
+    refers to each element's whole integral.
     """
     if t1 == t0:
         return np.asarray(f(t0), dtype=float) * 0.0
@@ -75,9 +76,10 @@ def adaptive_time_integral(f, t0: float, t1: float, tol: float,
         m = 0.5 * (a + b)
         left = gl(a, m)
         right = gl(m, b)
-        err = np.max(np.abs(left + right - whole))
-        if err <= tol * (abs(b - a) / total_len) or depth >= max_depth:
+        ok = np.abs(left + right - whole) <= tol * (abs(b - a) / total_len)
+        if np.all(ok) or depth >= max_depth:
             return left + right
-        return recurse(a, m, left, depth + 1) + recurse(m, b, right, depth + 1)
+        return np.where(ok, left + right, recurse(a, m, left, depth + 1)
+                        + recurse(m, b, right, depth + 1))
 
     return recurse(t0, t1, gl(t0, t1), 0)

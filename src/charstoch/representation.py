@@ -45,8 +45,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport
-from .problem import (ProblemSpec, displacement_components, space_axes,
-                      tensor_points)
+from .problem import (ProblemSpec, _batched, _point_rows,
+                      displacement_components, space_axes, tensor_points)
 from .quadrature import panel_count, panel_rule
 
 __all__ = [
@@ -375,7 +375,7 @@ def eval_p_moment(spec: ProblemSpec, t: float, x, phi: Callable) -> float:
 def eval_rho_sigma(spec: ProblemSpec, t: float, x) -> float:
     """Smoothed density rho_sigma(t, x); equals rho0(x) at t = 0."""
     if t == 0:
-        return spec.init.rho0_point(x)
+        return spec.init.rho0_at(x)[0]
     _, _, wk, norm = _kernel_pass(spec, t, x)
     return float(norm * np.sum(wk))
 
@@ -386,27 +386,32 @@ def eval_u_sigma(spec: ProblemSpec, t: float, x) -> float:
     Raises EmptyKernelSupport when no kernel mass lies around x.
     """
     if t == 0:
-        return spec.init.u0_point(x)
+        return spec.init.u0_at(x)[0]
     return _kernel_means(spec, t, x).u
 
 
 def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     """Smoothed velocity a_sigma(t, x) as a vector of length n."""
     if t == 0:
-        u0x = spec.init.u0_point(x)
-        return np.array([float(v) for v in spec.velocity.a_values(0.0, u0x)])
+        return _fields_sigma(spec, t, x)[2]
     return _kernel_means(spec, t, x).a
 
 
 def _fields_sigma(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) at x in one kernel pass: the values of eval_rho_sigma,
-    eval_u_sigma and eval_a_sigma, raising EmptyKernelSupport as
-    eval_u_sigma does."""
+    """(rho, u, a) at points x (..., n), one kernel pass per point: the
+    values of eval_rho_sigma, eval_u_sigma and eval_a_sigma in the shapes
+    of ``classical_fields``, raising EmptyKernelSupport as eval_u_sigma
+    does."""
+    X, shape = _point_rows(x, spec.n)
     if t == 0:
-        return (eval_rho_sigma(spec, t, x), eval_u_sigma(spec, t, x),
-                eval_a_sigma(spec, t, x))
-    m = _kernel_means(spec, t, x)
-    return m.norm * m.den, m.u, m.a
+        u = spec.init.u0_at(X)
+        rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
+    else:
+        rho, u, a = np.empty(len(X)), np.empty(len(X)), np.empty((len(X), spec.n))
+        for i, p in enumerate(X):
+            m = _kernel_means(spec, t, p)
+            rho[i], u[i], a[i] = m.norm * m.den, m.u, m.a
+    return _batched(rho, shape), _batched(u, shape), _batched(a, shape)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from charstoch import (
     load_problem,
     solve_implicit,
 )
+from charstoch.characteristics import classical_fields
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -204,7 +205,7 @@ def test_char_map_round_trip(burgers):
 def test_foot_point_value_agrees_with_implicit_solve(burgers):
     for x in np.linspace(-4.0, 4.0, 9):
         y0 = invert_char_map(burgers, 0.5, np.array([x]))
-        u_foot = burgers.init.u0_point(y0)
+        u_foot = burgers.init.u0_at(y0)[0]
         u_imp = solve_implicit(burgers, 0.5, np.array([x]))
         assert u_foot == pytest.approx(u_imp, abs=1e-9)
 
@@ -231,9 +232,9 @@ def test_foot_point_and_density_come_from_the_implicit_root(n):
         u = solve_implicit(spec, t, x)
         y = invert_char_map(spec, t, x)
         assert np.array_equal(y, x - flow_displacement(spec, t, u))
-        g = spec.init.grad_u0_point(y)
+        g = spec.init.grad_u0_at(y)[0]
         B = np.array([float(c) for c in du_displacement_components(spec, t, u)])
-        assert eval_rho_bar(spec, t, x) == spec.init.rho0_point(y) / (1.0 + float(g @ B))
+        assert eval_rho_bar(spec, t, x) == spec.init.rho0_at(y)[0] / (1.0 + float(g @ B))
 
 
 def test_transported_velocity_constant_along_characteristics(burgers):
@@ -264,3 +265,40 @@ def test_min_det_decreases_toward_blowup(burgers):
         cm = char_map(burgers, t)
         mins.append(min(cm.det(y) for y in ys))
     assert mins[0] > mins[1] > mins[2] > 0.0
+
+
+def _batch_case(case):
+    """(spec, t, X): 1D Burgers and the 2D a = (u, 2u) case of
+    _foot_cases with their points stacked, or a time-dependent a = t*u."""
+    if case == "t*u":
+        return make(a=["t*u"]), 0.9, np.linspace(-5.0, 5.0, 11)[:, None]
+    cases = _foot_cases(1 if case == "burgers" else 2)
+    return cases[0][0], cases[0][1], np.stack([x for _, _, x in cases])
+
+
+@pytest.mark.parametrize("case", ["burgers", "2d", "t*u"])
+def test_batch_equals_pointwise_calls(case):
+    """A batch of points gives each point the value of its own call."""
+    spec, t, X = _batch_case(case)
+    u = solve_implicit(spec, t, X)
+    rho, u_f, a = classical_fields(spec, t, X)
+    assert u.shape == rho.shape == (len(X),) and a.shape == X.shape
+    assert np.array_equal(u_f, u)
+    for i, x in enumerate(X):
+        assert solve_implicit(spec, t, x) == u[i]
+        rho_i, u_i, a_i = classical_fields(spec, t, x)
+        assert isinstance(rho_i, float) and isinstance(u_i, float)
+        assert (rho_i, u_i) == (rho[i], u[i])
+        assert np.array_equal(a_i, a[i])
+    grid = X.reshape((1, len(X), spec.n))
+    assert np.array_equal(classical_fields(spec, t, grid)[0], rho[None, :])
+
+
+def test_out_of_bracket_names_the_failing_point_of_a_batch():
+    spec = make(u0="x1", box=[[-1.0, 1.0]], space_grid=[21])
+    X = np.array([[0.1], [-0.3], [5.0], [0.2], [6.0]])
+    with pytest.raises(OutOfBracket, match=r"x=\[5\.0\]"):
+        solve_implicit(spec, 0.5, X)
+    with pytest.raises(OutOfBracket, match=r"x=\[5\.0\]"):
+        classical_fields(spec, 0.5, X)
+    assert np.all(np.isfinite(solve_implicit(spec, 0.5, X[[0, 1, 3]])))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from charstoch.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 BURGERS = ROOT / "configs" / "burgers_sin.json"
 TANH = ROOT / "configs" / "burgers_tanh.json"
@@ -238,3 +240,17 @@ def test_bad_flag_values_exit_2(tmp_path):
         assert error_payload(proc)["kind"] == "UsageError"
         assert f"argument {bad[0]}" in error_payload(proc)["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("res", ["0.08:1e-300", "0.08:nan", "0.08:inf",
+                                 "nan:0.01", "inf:0.01"])
+def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
+    """A non-finite or non-positive h or dt, or a step count that
+    overflows, is a configuration error naming the resolution."""
+    code = main(["residuals", "--config", str(BURGERS), "--out", str(tmp_path / "o"),
+                 "--system", "sigma", "--window", "0.3", "1e308", "--resolutions", res])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["kind"] == "ValueError"
+    h, dt = (float(v) for v in res.split(":"))
+    assert f"resolution ({h:g}, {dt:g})" in err["message"]

@@ -16,6 +16,7 @@ from charstoch import (
     flow_displacement,
     load_problem,
 )
+from charstoch.quadrature import adaptive_time_integral
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -233,3 +234,18 @@ def test_du_displacement_matches_finite_difference():
     np.testing.assert_allclose(got, (up - dn) / (2 * eps), rtol=1e-6)
     # closed form: d/du of t*u^2 is 2*t*u
     np.testing.assert_allclose(got, 2 * 0.7 * u, rtol=1e-9)
+
+
+@pytest.mark.parametrize("t1", [1.0, 2.0])
+def test_time_integral_accepts_each_element_on_its_own_error(t1):
+    """Panels are accepted per element, so an element's integral does not
+    depend on the rest of the array: the batch equals batches of one."""
+    u = np.array([0.1, 0.7, 40.0])
+
+    def cosine(us):
+        return lambda tau: np.cos(tau * tau * us)
+
+    batch = adaptive_time_integral(cosine(u), 0.0, t1, 1e-10)
+    for i in range(len(u)):
+        one = adaptive_time_integral(cosine(u[i:i + 1]), 0.0, t1, 1e-10)
+        assert batch[i] == one[0], u[i]
