@@ -45,7 +45,6 @@ from .representation import (
     SweepEntry,
     eval_a_sigma,
     eval_field_grid,
-    eval_p_moment,
     eval_rho_sigma,
     eval_u_sigma,
     integrate_rho0,
@@ -103,7 +102,7 @@ __all__ = [
     "du_displacement_components",
     # smoothed representation
     "FieldGrid", "SweepEntry", "eval_rho_sigma", "eval_u_sigma",
-    "eval_a_sigma", "eval_p_moment", "eval_field_grid", "sigma_sweep",
+    "eval_a_sigma", "eval_field_grid", "sigma_sweep",
     "integrate_rho0", "integrate_rho_sigma",
     # characteristics
     "CharMap", "char_map", "BlowupReport", "blow_up_time", "solve_implicit",

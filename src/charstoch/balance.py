@@ -18,7 +18,9 @@ The kernel gradient is available in closed form,
     dP/dx_k ~ (A_k(t, u0(y)) + y_k - x_k) / (sigma^2 t) * kernel,
 
 so the I terms are plain quadratures; no finite differencing of P is
-ever involved.  The signs above are the ones that close the identities;
+ever involved.  They take points (..., n), and each point costs one
+kernel pass of the fields' moment loop (``representation._kernel_means``),
+whose gathered rows of u0 and a give the covariances.  The signs above are the ones that close the identities;
 with them the discrete residuals vanish at the order of the space-time
 stencil.  In the vanishing-noise limit the same system without
 diffusion and without I terms holds for the transported fields while
@@ -27,7 +29,8 @@ the solution stays classical.
 These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
 q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
 evaluates it once per q with second-order central differences in space
-and in time, one-sided second-order at the time-window edges.
+and in time, one-sided second-order at the time-window edges, making
+one field call and one call per I term for each time.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import blow_up_time, classical_fields
-from .errors import NearBlowup
-from .problem import ProblemSpec, space_axes, tensor_points
+from .errors import EmptyKernelSupport, NearBlowup
+from .problem import (ProblemSpec, _batched, _point_rows, _refuse, space_axes,
+                      tensor_points)
 from .representation import (_fields_sigma, _kernel_means, _noise_ladder,
-                             _support_reach)
+                             _support_reach, _table_for)
 
 __all__ = [
     "ResidualReport",
@@ -75,34 +79,61 @@ class ItermRow:
     i_a_sup: np.ndarray  # per component
 
 
-def _prelude(spec: ProblemSpec, t: float, x):
-    """Shared kernel pass of the I terms (see ``_kernel_means``) and the
-    center rows of the selected nodes, gathered once."""
+def _i_terms(spec: ProblemSpec, t: float, x, which: str):
+    """I_u ("u"), I_a ("a") or I_u assembled from raw moments
+    ("assembled") at points x (..., n), one kernel pass per point: a
+    float or an n-vector for one point.  Raises EmptyKernelSupport at
+    the first point without kernel mass."""
     if t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    m = _kernel_means(spec, t, x)
-    return m, np.take(m.table.centers, m.idx, axis=0)
-
-
-def _grad_factor(spec: ProblemSpec, t: float, x, m, centers) -> np.ndarray:
-    """Per-node value of sum_k (a_k - a_sigma_k)(A_k + y_k - x_k)/(sigma^2 t)."""
-    x = np.asarray(x, dtype=float).reshape(spec.n)
+    table = _table_for(spec, t)
+    X, shape = _point_rows(x, spec.n)
+    n, floor, norm = spec.n, spec.tol.denom_floor, table.norm
     s2t = spec.sigma * spec.sigma * t
-    fac = np.zeros(len(m.idx))
-    for k in range(spec.n):
-        fac += (m.avals[:, k] - m.a[k]) * (centers[:, k] - x[k])
-    return fac / s2t
+    dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
+    out = np.empty((len(X), n) if which == "a" else len(X))
+    for p, xp in enumerate(X):
+        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(
+            table.cells, table.wrho, table.columns, xp, floor)
+        _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
+        centers = np.take(table.centers, idx, axis=0)
+        if which == "assembled":
+            total = 0.0
+            for k in range(n):
+                gk = (centers[:, k] - xp[k]) / s2t
+                m_one = norm * np.sum(wk * gk)
+                m_u = norm * np.sum(wk * u0v * gk)
+                m_a = norm * np.sum(wk * avals[k] * gk)
+                m_ua = norm * np.sum(wk * u0v * avals[k] * gk)
+                total += m_ua - u * m_a - a[k] * m_u + u * a[k] * m_one
+            out[p] = total
+            continue
+        # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node
+        fac = np.zeros(len(idx))
+        for k in range(n):
+            fac += (avals[k] - a[k]) * (centers[:, k] - xp[k])
+        fac /= s2t
+        if which == "u":
+            out[p] = norm * np.sum(wk * (u0v - u) * fac)
+            continue
+        for i in range(n):
+            out[p, i] = norm * np.sum(wk * (avals[i] - a[i]) * fac)
+        if dt_components:
+            dt_vals = spec.velocity.dt_values(t, u0v)
+            for i in dt_components:
+                out[p, i] -= norm * np.sum(wk * dt_vals[i])
+    return _batched(out, shape)
 
 
-def eval_I_u_sigma(spec: ProblemSpec, t: float, x) -> float:
-    """Covariance source of the u-moment balance, by direct quadrature."""
-    m, centers = _prelude(spec, t, x)
-    fac = _grad_factor(spec, t, x, m, centers)
-    return float(m.norm * np.sum(m.wk * (m.u0v - m.u) * fac))
+def eval_I_u_sigma(spec: ProblemSpec, t: float, x):
+    """Covariance source of the u-moment balance at points x (..., n),
+    by direct quadrature."""
+    return _i_terms(spec, t, x, "u")
 
 
-def eval_I_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Covariance sources of the velocity-moment balances, length n.
+def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
+    """Covariance sources of the velocity-moment balances at points
+    x (..., n), with a trailing axis of length n.
 
     The gradient covariance is the same structure as the u source; when
     a component of the velocity depends on t explicitly, its
@@ -110,40 +141,16 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
     closes.  Both pieces vanish identically for velocities that are
     constant in u and t respectively.
     """
-    m, centers = _prelude(spec, t, x)
-    fac = _grad_factor(spec, t, x, m, centers)
-    out = np.empty(spec.n)
-    dt_vals = None
-    for i in range(spec.n):
-        grad_term = m.norm * np.sum(m.wk * (m.avals[:, i] - m.a[i]) * fac)
-        if spec.velocity.time_dependent[i]:
-            if dt_vals is None:
-                dt_vals = spec.velocity.dt_values(t, m.u0v)
-            grad_term -= m.norm * np.sum(m.wk * dt_vals[i])
-        out[i] = grad_term
-    return out
+    return _i_terms(spec, t, x, "a")
 
 
-def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x) -> float:
+def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
     """I_u rebuilt from raw gradient moments of 1, u, a_k and u a_k.
 
     Algebraically identical to :func:`eval_I_u_sigma`; kept as an
     independent assembly for cross-checks.
     """
-    m, centers = _prelude(spec, t, x)
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    s2t = spec.sigma * spec.sigma * t
-    norm, wk, u0v = m.norm, m.wk, m.u0v
-    total = 0.0
-    for k in range(spec.n):
-        gk = (centers[:, k] - x[k]) / s2t
-        ak = m.avals[:, k]
-        m_one = norm * np.sum(wk * gk)
-        m_u = norm * np.sum(wk * u0v * gk)
-        m_a = norm * np.sum(wk * ak * gk)
-        m_ua = norm * np.sum(wk * u0v * ak * gk)
-        total += m_ua - m.u * m_a - m.a[k] * m_u + m.u * m.a[k] * m_one
-    return float(total)
+    return _i_terms(spec, t, x, "assembled")
 
 
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
@@ -202,16 +209,18 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
         offsets[2 + 2 * k, k] = +h
 
     stencil = probes[:, None, :] + offsets[None, :, :]
-    rho, u, a = map(np.stack, zip(*(fields(spec, tj, stencil) for tj in times)))
-
-    # the densities q and sources S of the one law (module docstring)
+    # the sources S and then the densities q of the one law (module
+    # docstring); the I terms of a time are taken right after its
+    # fields, while its table is still cached
+    S = np.zeros((2 + n, J + 1, P))
+    per_time = []
+    for j, tj in enumerate(times):
+        per_time.append(fields(spec, tj, stencil))
+        if iterms:
+            S[1, j] = eval_I_u_sigma(spec, tj, probes)
+            S[2:, j] = eval_I_a_sigma(spec, tj, probes).T
+    rho, u, a = map(np.stack, zip(*per_time))
     Q = np.stack([rho, rho * u] + [rho * a[..., i] for i in range(n)])
-    S = np.zeros(Q.shape[:3])
-    if iterms:
-        for j, tj in enumerate(times):
-            for p in range(P):
-                S[1, j, p] = eval_I_u_sigma(spec, tj, probes[p])
-                S[2:, j, p] = eval_I_a_sigma(spec, tj, probes[p])
     half_s2 = 0.5 * spec.sigma * spec.sigma
     names = [f"mass_{tag}", f"momentum_u_{tag}"] \
         + [f"momentum_a_{tag}_{i + 1}" for i in range(n)]
@@ -297,10 +306,8 @@ def i_term_persistence(spec: ProblemSpec, sigmas, t: float) -> list[ItermRow]:
     rows = []
     for s in sig:
         sp = spec.with_sigma(s)
-        iu_max = 0.0
-        ia_max = np.zeros(spec.n)
-        for x in pts:
-            iu_max = max(iu_max, abs(eval_I_u_sigma(sp, t, x)))
-            ia_max = np.maximum(ia_max, np.abs(eval_I_a_sigma(sp, t, x)))
-        rows.append(ItermRow(sigma=s, i_u_sup=iu_max, i_a_sup=ia_max))
+        # a NaN I_u is skipped (fmax), a NaN I_a propagates (max)
+        iu = np.fmax.reduce(np.abs(eval_I_u_sigma(sp, t, pts)), initial=0.0)
+        ia = np.max(np.abs(eval_I_a_sigma(sp, t, pts)), axis=0, initial=0.0)
+        rows.append(ItermRow(sigma=s, i_u_sup=float(iu), i_a_sup=ia))
     return rows

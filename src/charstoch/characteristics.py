@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
-from .problem import (ProblemSpec, _batched, _point_rows, displacement_components,
-                      du_displacement_components, tensor_points)
+from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
+                      displacement_components, du_displacement_components,
+                      tensor_points)
 
 __all__ = [
     "CharMap",
@@ -60,17 +61,6 @@ __all__ = [
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
 _BLOWUP_CHUNK = 65_536  # blow-up grid points evaluated at once
-
-
-def _refuse(error, fail: np.ndarray, X: np.ndarray, t: float, what: str,
-            *values: np.ndarray) -> None:
-    """Raise ``error`` at the first row of X where ``fail`` holds, with
-    ``what`` formatted by the ``values`` of that row."""
-    bad = np.flatnonzero(fail)
-    if bad.size:
-        i = bad[0]
-        head = what.format(*(v[i] for v in values))
-        raise error(f"{head} at t={t:g}, x={X[i].tolist()}")
 
 
 def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):

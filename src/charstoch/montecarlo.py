@@ -11,13 +11,13 @@ All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
 bit for bit from the problem seed alone, independent of call order.
 
-Field estimates reuse the Gaussian sum of the quadrature fields
-(``representation._gaussian_pass``) with the particles as the sources:
-each ``estimate_fields`` call sorts the particles once into cells one
-cutoff radius wide, with copies of X, w and U in that cell order, and
-each target then scans only the 3^(n-1) contiguous slices that hold the
-particles of the 3^n cells around it.  Its sums run in cell order, not
-particle order.
+Field estimates run the kernel-moment loop of the quadrature fields
+(``representation._kernel_moments``) with the particles as the sources
+and their labels U as the one column: each ``estimate_fields`` call
+sorts the particles once into cells one cutoff radius wide, with copies
+of X, w and U in that cell order, and each target then scans only the
+3^(n-1) contiguous slices that hold the particles of the 3^n cells
+around it.  Its sums run in cell order, not particle order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ZeroMass
 from .problem import ProblemSpec, displacement_components
-from .representation import (_UNDERFLOW, _cell_index, _gaussian_pass,
+from .representation import (_UNDERFLOW, _cell_index, _kernel_moments,
                              integrate_rho0)
 
 __all__ = [
@@ -182,22 +182,12 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
     norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
-    P = pts.shape[0]
-    rho_hat = np.empty(P)
-    u_hat = np.full(P, np.nan)
-    valid = np.zeros(P, dtype=bool)
     cells = _cell_index(ens.X, h * h, _UNDERFLOW)
     w, U = np.take(ens.w, cells.order), np.take(ens.U, cells.order)
-    cells = replace(cells, order=None)
-    for p in range(P):
-        idx, wk = _gaussian_pass(cells, w, pts[p])
-        den = float(np.sum(wk))
-        rho_hat[p] = norm * den
-        if den >= spec.tol.denom_floor:
-            u_hat[p] = float(np.sum(wk * np.take(U, idx)) / den)
-            valid[p] = True
-    return FieldEstimate(points=pts, rho_hat=rho_hat, u_hat=u_hat,
-                         valid=valid, bandwidth=h)
+    cells = replace(cells, order=None)  # frees the order before the scan
+    den, means = _kernel_moments(cells, w, (U,), pts, spec.tol.denom_floor)
+    return FieldEstimate(points=pts, rho_hat=norm * den, u_hat=means[:, 0],
+                         valid=den >= spec.tol.denom_floor, bandwidth=h)
 
 
 def dump_ensemble(ens: ParticleEnsemble, path) -> None:

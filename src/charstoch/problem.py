@@ -204,6 +204,17 @@ def _batched(values: np.ndarray, shape):
     return float(values) if values.ndim == 0 else values
 
 
+def _refuse(error, fail: np.ndarray, X: np.ndarray, t: float, what: str,
+            *values: np.ndarray) -> None:
+    """Raise ``error`` at the first row of X where ``fail`` holds, with
+    ``what`` formatted by the ``values`` of that row."""
+    bad = np.flatnonzero(fail)
+    if bad.size:
+        i = bad[0]
+        head = what.format(*(v[i] for v in values))
+        raise error(f"{head} at t={t:g}, x={X[i].tolist()}")
+
+
 def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
     """Axes of the configured output grid over the problem box."""
     return tuple(np.linspace(lo, hi, g)

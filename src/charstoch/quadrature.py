@@ -54,7 +54,10 @@ def adaptive_time_integral(f, t0: float, t1: float, tol: float,
     when a 15-point estimate and the sum of two half-panel estimates
     agree there to the panel's share of ``tol``; the elements that fail
     take the sum over the bisected panels.  The absolute tolerance
-    refers to each element's whole integral.
+    refers to each element's whole integral.  An element whose
+    half-panel sum is not finite is accepted on the panel where that
+    first shows, as bisection cannot make it finite: its integral is
+    then inf or NaN.
     """
     if t1 == t0:
         return np.asarray(f(t0), dtype=float) * 0.0
@@ -76,10 +79,13 @@ def adaptive_time_integral(f, t0: float, t1: float, tol: float,
         m = 0.5 * (a + b)
         left = gl(a, m)
         right = gl(m, b)
-        ok = np.abs(left + right - whole) <= tol * (abs(b - a) / total_len)
+        est = left + right
+        with np.errstate(invalid="ignore"):  # inf - inf where est is not finite
+            ok = np.abs(est - whole) <= tol * (abs(b - a) / total_len)
+        ok |= ~np.isfinite(est)
         if np.all(ok) or depth >= max_depth:
-            return left + right
-        return np.where(ok, left + right, recurse(a, m, left, depth + 1)
+            return est
+        return np.where(ok, est, recurse(a, m, left, depth + 1)
                         + recurse(m, b, right, depth + 1))
 
     return recurse(t0, t1, gl(t0, t1), 0)

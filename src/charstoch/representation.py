@@ -17,19 +17,22 @@ Integrals use tensor-product composite Gauss-Legendre rules whose panel
 width tracks the kernel width sigma*sqrt(t), truncated to the ball
 |A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Per-node data that does
 not depend on x (u0, rho0, displacement, velocity) is precomputed once
-per (problem, t) and shared by every evaluation point.  All fields here
-and the covariance sources in ``balance`` are moments of one kernel pass
-per point (``_kernel_pass``, one truncated Gaussian sum by
-``_gaussian_pass``, which the particle estimates share).  The table is
-stored in cell order: its displaced nodes are sorted once into cells
-one cutoff radius wide, and every per-node array is permuted to match.
-The nodes of the 3^n cells around a point are then 3^(n-1) contiguous
-slices of the table, so a point costs a scan of those slices rather
-than of the whole table, with no per-point gather.  Sums run in cell
-order, and equal a scan of the whole table in that order bit for bit.
-The node count still scales like sigma^(-n) (halving sigma doubles it
-per axis), which now governs the table build and its memory, not the
-cost per point.
+per (problem, t) and shared by every evaluation point.  Every field
+takes points (..., n) and returns one value per point.  The fields here,
+the covariance sources in ``balance`` and the particle estimates in
+``montecarlo`` are all moments of one kernel pass per point:
+``_kernel_means`` runs one truncated Gaussian sum (``_gaussian_pass``)
+and takes the weighted means of per-source columns, u0 and then
+a_1..a_n for a table, and ``_kernel_moments`` runs it over a point set.
+The table is stored in cell order: its displaced nodes are sorted once
+into cells one cutoff radius wide, and every per-node array is permuted
+to match.  The nodes of the 3^n cells around a point are then 3^(n-1)
+contiguous slices of the table, so a point costs a scan of those slices
+rather than of the whole table, with no per-point gather.  Sums run in
+cell order, and equal a scan of the whole table in that order bit for
+bit.  The node count still scales like sigma^(-n) (halving sigma
+doubles it per axis), which now governs the table build and its
+memory, not the cost per point.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport
-from .problem import (ProblemSpec, _batched, _point_rows,
+from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
                       displacement_components, space_axes, tensor_points)
 from .quadrature import panel_count, panel_rule
 
@@ -54,7 +57,6 @@ __all__ = [
     "FieldGrid",
     "SweepEntry",
     "quadrature_grid",
-    "eval_p_moment",
     "eval_rho_sigma",
     "eval_u_sigma",
     "eval_a_sigma",
@@ -195,14 +197,18 @@ class _Table:
     """
 
     cells: _Cells        # cell index of the centers
-    u0v: np.ndarray      # (M,)
     wrho: np.ndarray     # (M,) tensor weight * rho0
-    avals: np.ndarray    # (M, n) velocity at (t, u0(node))
+    columns: tuple[np.ndarray, ...]  # (M,) each: u0, then a_1..a_n at (t, u0)
 
     @property
     def centers(self) -> np.ndarray:
         """(M, n) node + displacement."""
         return self.cells.centers
+
+    @property
+    def norm(self) -> float:
+        """Normalization constant of the Gaussian kernel."""
+        return (2.0 * math.pi * self.cells.var) ** (-self.centers.shape[1] / 2.0)
 
 
 _TABLE_CACHE: OrderedDict[tuple[str, float], _Table] = OrderedDict()
@@ -239,9 +245,8 @@ def _build_table(spec: ProblemSpec, t: float) -> _Table:
     del centers
     u0v, wrho = u0v[cells.order], wrho[cells.order]
     # a is elementwise in u0, so it is evaluated in cell order directly
-    avals = np.stack(spec.velocity.a_values(t, u0v), axis=-1)
-    return _Table(cells=replace(cells, order=None), u0v=u0v, wrho=wrho,
-                  avals=avals)
+    return _Table(cells=replace(cells, order=None), wrho=wrho,
+                  columns=(u0v, *spec.velocity.a_values(t, u0v)))
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Table:
@@ -298,56 +303,33 @@ def _gaussian_pass(cells: _Cells, weights: np.ndarray, x):
     return np.concatenate(idx), np.concatenate(wk)
 
 
-def _kernel_pass(spec: ProblemSpec, t: float, x):
-    """Select the table nodes under the truncated kernel around x.
+def _kernel_means(cells: _Cells, weights: np.ndarray, columns, x,
+                  floor: float):
+    """One Gaussian sum around x and the weighted means of per-source
+    ``columns`` (contiguous 1-D arrays in cell order, like ``weights``).
 
-    Returns (table, idx, wk, norm): the (problem, t) table, positions
-    of the selected nodes in its arrays, their weights wrho * kernel,
-    and the Gaussian normalization constant.  Requires t > 0.
+    Returns (idx, wk, den, rows, means): the sources and weights of
+    ``_gaussian_pass``, their raw mass den = sum(wk), each column's
+    values at idx, and each column's mean sum(wk * row) / den.  The
+    means are NaN unless den >= ``floor``, so a vanishing mass is never
+    divided through.
     """
-    table = _table_for(spec, t)
-    idx, wk = _gaussian_pass(table.cells, table.wrho,
-                             np.asarray(x, dtype=float).reshape(spec.n))
-    norm = (2.0 * math.pi * table.cells.var) ** (-spec.n / 2.0)
-    return table, idx, wk, norm
-
-
-class _Means(NamedTuple):
-    """A kernel pass around x with the kernel-weighted means of u0 and
-    of a, and the rows of the selected nodes they were taken from."""
-
-    table: _Table
-    idx: np.ndarray    # (k,) positions of the selected nodes
-    wk: np.ndarray     # (k,) their weights wrho * kernel
-    norm: float        # Gaussian normalization constant
-    den: float         # raw weighted mass, sum of wk
-    u: float           # mean of u0
-    a: np.ndarray      # (n,) mean of a
-    u0v: np.ndarray    # (k,) u0 of the selected nodes
-    avals: np.ndarray  # (k, n) a of the selected nodes
-
-
-def _kernel_means(spec: ProblemSpec, t: float, x) -> _Means:
-    """Kernel pass plus the kernel-weighted means of u0 and of a.
-
-    ``den`` is the raw weighted mass (the prefactor cancels in the
-    means).  It is compared against ``denom_floor`` before dividing,
-    and EmptyKernelSupport is raised when nothing lies under the
-    kernel.  The rows of u0 and a are gathered once, for the means and
-    for the caller.
-    """
-    table, idx, wk, norm = _kernel_pass(spec, t, x)
+    idx, wk = _gaussian_pass(cells, weights, x)
     den = float(np.sum(wk))
-    if den < spec.tol.denom_floor:
-        raise EmptyKernelSupport(
-            f"no kernel mass at t={t:g}, x={np.asarray(x).tolist()}"
-        )
-    u0v = np.take(table.u0v, idx)
-    avals = np.take(table.avals, idx, axis=0)
-    u = float(np.sum(wk * u0v) / den)
-    a = np.array([float(np.sum(wk * avals[:, i]) / den)
-                  for i in range(spec.n)])
-    return _Means(table, idx, wk, norm, den, u, a, u0v, avals)
+    rows = [np.take(c, idx) for c in columns]
+    if den >= floor:
+        return idx, wk, den, rows, [float(np.sum(wk * r) / den) for r in rows]
+    return idx, wk, den, rows, [math.nan] * len(rows)
+
+
+def _kernel_moments(cells: _Cells, weights: np.ndarray, columns, X: np.ndarray,
+                    floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_kernel_means`` at each row of X (P, n): the raw masses (P,)
+    and the column means (P, len(columns))."""
+    den, means = np.empty(len(X)), np.empty((len(X), len(columns)))
+    for p, x in enumerate(X):
+        _, _, den[p], _, means[p] = _kernel_means(cells, weights, columns, x, floor)
+    return den, means
 
 
 def _support_reach(spec: ProblemSpec, t: float) -> float:
@@ -360,57 +342,46 @@ def _support_reach(spec: ProblemSpec, t: float) -> float:
     return reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t)
 
 
-def eval_p_moment(spec: ProblemSpec, t: float, x, phi: Callable) -> float:
-    """Moment integral phi(u) against the full density (prefactor included).
+def eval_rho_sigma(spec: ProblemSpec, t: float, x):
+    """Smoothed density rho_sigma(t, x) at points x (..., n); equals
+    rho0(x) at t = 0.  Defined at points without kernel mass too."""
+    X, shape = _point_rows(x, spec.n)
+    if t == 0:
+        return _batched(spec.init.rho0_at(X), shape)
+    table = _table_for(spec, t)
+    den, _ = _kernel_moments(table.cells, table.wrho, (), X, spec.tol.denom_floor)
+    return _batched(table.norm * den, shape)
 
-    ``phi`` must accept a numpy array of u values.  Requires t > 0.
+
+def eval_u_sigma(spec: ProblemSpec, t: float, x):
+    """Smoothed profile u_sigma(t, x) at points x (..., n); equals u0(x)
+    at t = 0.
+
+    Raises EmptyKernelSupport at the first point without kernel mass.
     """
-    if t <= 0:
-        raise ValueError("eval_p_moment requires t > 0")
-    table, idx, wk, norm = _kernel_pass(spec, t, x)
-    vals = np.asarray(phi(table.u0v[idx]), dtype=float)
-    return float(norm * np.sum(wk * vals))
+    return _fields_sigma(spec, t, x)[1]
 
 
-def eval_rho_sigma(spec: ProblemSpec, t: float, x) -> float:
-    """Smoothed density rho_sigma(t, x); equals rho0(x) at t = 0."""
-    if t == 0:
-        return spec.init.rho0_at(x)[0]
-    _, _, wk, norm = _kernel_pass(spec, t, x)
-    return float(norm * np.sum(wk))
-
-
-def eval_u_sigma(spec: ProblemSpec, t: float, x) -> float:
-    """Smoothed profile u_sigma(t, x); equals u0(x) at t = 0.
-
-    Raises EmptyKernelSupport when no kernel mass lies around x.
-    """
-    if t == 0:
-        return spec.init.u0_at(x)[0]
-    return _kernel_means(spec, t, x).u
-
-
-def eval_a_sigma(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Smoothed velocity a_sigma(t, x) as a vector of length n."""
-    if t == 0:
-        return _fields_sigma(spec, t, x)[2]
-    return _kernel_means(spec, t, x).a
+def eval_a_sigma(spec: ProblemSpec, t: float, x):
+    """Smoothed velocity a_sigma(t, x) at points x (..., n), with a
+    trailing axis of length n; raises as eval_u_sigma does."""
+    return _fields_sigma(spec, t, x)[2]
 
 
 def _fields_sigma(spec: ProblemSpec, t: float, x):
-    """(rho, u, a) at points x (..., n), one kernel pass per point: the
-    values of eval_rho_sigma, eval_u_sigma and eval_a_sigma in the shapes
-    of ``classical_fields``, raising EmptyKernelSupport as eval_u_sigma
-    does."""
+    """(rho, u, a) at points x (..., n), one kernel pass per point, in
+    the shapes of ``classical_fields``.  Raises EmptyKernelSupport at the
+    first point without kernel mass."""
     X, shape = _point_rows(x, spec.n)
     if t == 0:
         u = spec.init.u0_at(X)
         rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
     else:
-        rho, u, a = np.empty(len(X)), np.empty(len(X)), np.empty((len(X), spec.n))
-        for i, p in enumerate(X):
-            m = _kernel_means(spec, t, p)
-            rho[i], u[i], a[i] = m.norm * m.den, m.u, m.a
+        table = _table_for(spec, t)
+        den, means = _kernel_moments(table.cells, table.wrho, table.columns, X,
+                                     spec.tol.denom_floor)
+        _refuse(EmptyKernelSupport, den < spec.tol.denom_floor, X, t, "no kernel mass")
+        rho, u, a = table.norm * den, means[:, 0], means[:, 1:]
     return _batched(rho, shape), _batched(u, shape), _batched(a, shape)
 
 
@@ -476,28 +447,24 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     grid entry and a direct call agree bit for bit.  Points whose kernel
     carries no mass are flagged invalid rather than failing the grid.
     """
-    if which not in ("rho", "u", "a"):
+    # looked up per call, so that a rebound evaluator is the one called
+    evaluate = {"rho": eval_rho_sigma, "u": eval_u_sigma,
+                "a": eval_a_sigma}.get(which)
+    if evaluate is None:
         raise ValueError(f"unknown field {which!r}")
     axes = space_axes(spec)
-    shape = tuple(len(ax) for ax in axes)
-    valid = np.ones(shape, dtype=bool)
-    if which == "a":
-        values = np.empty(shape + (spec.n,))
-    else:
-        values = np.empty(shape)
-    for idx in np.ndindex(shape):
-        x = np.array([axes[i][idx[i]] for i in range(spec.n)])
+    pts = tensor_points(axes)
+    values = np.empty((len(pts), spec.n) if which == "a" else len(pts))
+    valid = np.ones(len(pts), dtype=bool)
+    for i, x in enumerate(pts):
         try:
-            if which == "rho":
-                values[idx] = eval_rho_sigma(spec, t, x)
-            elif which == "u":
-                values[idx] = eval_u_sigma(spec, t, x)
-            else:
-                values[idx] = eval_a_sigma(spec, t, x)
+            values[i] = evaluate(spec, t, x)
         except EmptyKernelSupport:
-            values[idx] = np.nan
-            valid[idx] = False
-    return FieldGrid(name=which, t=float(t), axes=axes, values=values, valid=valid)
+            values[i], valid[i] = np.nan, False
+    shape = tuple(len(ax) for ax in axes)
+    return FieldGrid(name=which, t=float(t), axes=axes,
+                     values=values.reshape(shape + values.shape[1:]),
+                     valid=valid.reshape(shape))
 
 
 class SweepEntry(NamedTuple):
@@ -555,7 +522,8 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     inside the integration domain, so each axis is padded by the largest
     flow displacement plus the kernel cutoff radius (overridable via
     ``margin``).  Cost is one pointwise field evaluation per node of an
-    n-dimensional tensor rule; intended for n = 1 or 2.
+    n-dimensional tensor rule, summed in node order; intended for n = 1
+    or 2.
     """
     if t == 0:
         return integrate_rho0(spec)
@@ -566,7 +534,5 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     grid = quadrature_grid(big_box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel,
                            max_panels=spec.tol.max_panels)
-    total = 0.0
-    for x, w in zip(grid.points, grid.weights):
-        total += w * eval_rho_sigma(spec, t, x)
-    return float(total)
+    # cumsum adds in node order, as a running total would
+    return float(np.cumsum(grid.weights * eval_rho_sigma(spec, t, grid.points))[-1])

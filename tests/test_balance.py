@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from charstoch import (
+    EmptyKernelSupport,
     NearBlowup,
     attach_ratios,
     eval_a_bar,
@@ -148,14 +149,35 @@ def test_time_dependent_sigma_system_closes():
         assert 2.5 <= r.ratio <= 6.0
 
 
+SMOOTHED = (eval_rho_sigma, eval_u_sigma, eval_a_sigma, eval_I_u_sigma,
+            eval_I_a_sigma, eval_I_u_sigma_assembled)
+
+
 def test_residual_sigma_fields_are_the_public_evaluators(burgers):
     """The residual path and the pointwise evaluators share one kernel
-    pass, so they agree bit for bit."""
+    pass, so they agree bit for bit; a batch equals its per-point
+    calls."""
     for spec, t, x in probe_cases(burgers):
         rho, u, a = _fields_sigma(spec, t, x)
         assert rho == eval_rho_sigma(spec, t, x)
         assert u == eval_u_sigma(spec, t, x)
         assert np.array_equal(a, eval_a_sigma(spec, t, x))
+    X = np.stack([x for spec, _, x in probe_cases(burgers) if spec is burgers])
+    for evaluate in SMOOTHED:
+        batch = evaluate(burgers, 0.5, X)
+        for p, x in enumerate(X):
+            one = evaluate(burgers, 0.5, x)
+            assert type(one) is float or one.shape == (1,)  # a or I_a
+            np.testing.assert_array_equal(batch[p], one)
+    # a batch is refused at its first point without kernel mass, except
+    # by the density, which is defined there
+    narrow = make(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], sigma=0.05,
+                  space_grid=[17], time_points=[0.1])
+    grid = np.linspace(-8.0, 8.0, 17)[:, None]
+    for evaluate in SMOOTHED[1:]:
+        with pytest.raises(EmptyKernelSupport, match=r"t=0\.1, x=\[-8\.0\]$"):
+            evaluate(narrow, 0.1, grid)
+    assert eval_rho_sigma(narrow, 0.1, grid).shape == (17,)
 
 
 def test_classical_fields_are_the_public_evaluators(burgers):

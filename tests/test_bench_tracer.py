@@ -32,10 +32,9 @@ def test_tracer_targets_resolve_to_package_attributes():
         assert callable(owner), f"{module}.{path}"
 
 
-def test_traced_classical_fields_reach_solve_implicit(tmp_path):
-    """Every classical field is solved through the public solve_implicit,
-    which a workload's traced ``uses`` may name: a batch path that routed
-    around it would read 0 there."""
+def assert_traced_calls_rise(tmp_path, runs):
+    """Run each (argv, counter) of ``runs`` on burgers_sin through
+    ``cli.main`` under the tracer; each run must raise its counter."""
     for info in pkgutil.iter_modules(charstoch.__path__, "charstoch."):
         if info.name != "charstoch.__main__":  # that one runs the CLI
             importlib.import_module(info.name)
@@ -44,13 +43,34 @@ def test_traced_classical_fields_reach_solve_implicit(tmp_path):
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        for i, args in enumerate((
-                ("solve", "--method", "characteristics"),
-                ("residuals", "--system", "pressureless", "--window", "0.2",
-                 "0.4", "--resolutions", "0.08:0.032"))):
-            before = tracer.metrics()["characteristics.solve_implicit.calls"]
+        for i, (args, counter) in enumerate(runs):
+            before = tracer.metrics()[counter]
             assert cli.main([args[0], "--config", str(BURGERS),
                              "--out", str(tmp_path / str(i)), *args[1:]]) == 0
-            assert tracer.metrics()["characteristics.solve_implicit.calls"] >= before + 1
+            assert tracer.metrics()[counter] >= before + 1, (args, counter)
     finally:
         tracer.uninstall()
+
+
+def test_traced_classical_fields_reach_solve_implicit(tmp_path):
+    """Every classical field is solved through the public solve_implicit,
+    which a workload's traced ``uses`` may name: a batch path that routed
+    around it would read 0 there."""
+    counter = "characteristics.solve_implicit.calls"
+    assert_traced_calls_rise(tmp_path, (
+        (("solve", "--method", "characteristics"), counter),
+        (("residuals", "--system", "pressureless", "--window", "0.2", "0.4",
+          "--resolutions", "0.08:0.032"), counter)))
+
+
+def test_traced_smoothed_fields_reach_the_public_evaluators(tmp_path):
+    """The smoothed fields and I terms take point sets, but the field
+    grid and the I-term paths still call the public evaluators, which
+    workloads' traced ``uses`` name: a batch path that routed around
+    them would read 0 there."""
+    assert_traced_calls_rise(tmp_path, (
+        (("solve", "--method", "quadrature"), "representation.point_eval.calls"),
+        (("iterms", "--sigmas", "0.2,0.1", "--t", "0.5"),
+         "balance.eval_I_u_sigma.calls"),
+        (("residuals", "--system", "sigma", "--window", "0.3", "0.5",
+          "--resolutions", "0.08:0.032"), "balance.eval_I_u_sigma.calls")))

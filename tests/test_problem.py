@@ -249,3 +249,21 @@ def test_time_integral_accepts_each_element_on_its_own_error(t1):
     for i in range(len(u)):
         one = adaptive_time_integral(cosine(u[i:i + 1]), 0.0, t1, 1e-10)
         assert batch[i] == one[0], u[i]
+
+
+def test_time_integral_accepts_a_non_finite_element_where_it_shows():
+    """Bisection cannot make a non-finite panel estimate finite, so the
+    element is accepted on the first panel where it shows instead of
+    being bisected down to max_depth (about 10^10 integrand calls)."""
+    calls = []
+
+    def f(tau, bad=True):
+        calls.append(tau)
+        head = [np.cos(0.3 * tau)] + ([np.inf if tau > 0.71 else 1.0] if bad else [])
+        return np.array(head + [np.exp(tau)])
+
+    got = adaptive_time_integral(f, 0.0, 1.0, 1e-10)
+    assert len(calls) <= 45
+    assert got[1] == np.inf
+    ref = adaptive_time_integral(lambda tau: f(tau, bad=False), 0.0, 1.0, 1e-10)
+    assert got[0] == ref[0] and got[2] == ref[1]

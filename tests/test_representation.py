@@ -10,9 +10,11 @@ import pytest
 from charstoch import (
     DegenerateKernel,
     EmptyKernelSupport,
+    eval_I_a_sigma,
+    eval_I_u_sigma,
+    eval_I_u_sigma_assembled,
     eval_a_sigma,
     eval_field_grid,
-    eval_p_moment,
     eval_rho_sigma,
     eval_u_sigma,
     integrate_rho0,
@@ -21,7 +23,8 @@ from charstoch import (
     sigma_sweep,
 )
 from charstoch.representation import (_cell_index, _gaussian_pass,
-                                      _kernel_means, quadrature_grid)
+                                      _kernel_means, _table_for,
+                                      quadrature_grid)
 
 BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
           / "gaussian_bump_2d.json")
@@ -92,17 +95,6 @@ def test_u_sigma_stays_in_initial_range(burgers):
             assert -1.0 - 1e-9 <= u <= 1.0 + 1e-9
 
 
-def test_moment_with_unit_phi_equals_density(burgers):
-    x = np.array([0.3])
-    got = eval_p_moment(burgers, 0.5, x, lambda u: np.ones_like(u))
-    assert got == eval_rho_sigma(burgers, 0.5, x)
-
-
-def test_p_moment_requires_positive_time(burgers):
-    with pytest.raises(ValueError):
-        eval_p_moment(burgers, 0.0, np.array([0.0]), lambda u: u)
-
-
 def test_mass_conserved(burgers):
     m0 = integrate_rho0(burgers)
     assert m0 == pytest.approx(4 * math.pi, rel=1e-12)
@@ -166,6 +158,31 @@ def test_field_grid_matches_pointwise_bitwise_2d():
             x = np.array([grid.axes[0][i], grid.axes[1][j]])
             np.testing.assert_array_equal(grid.values[i, j],
                                           evaluate(spec, 0.3, x))
+        # the whole 11 x 11 grid as one batch (..., 2)
+        pts = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
+        np.testing.assert_array_equal(evaluate(spec, 0.3, pts), grid.values)
+    pts = pts.reshape(-1, 2)
+    for evaluate in (eval_I_u_sigma, eval_I_a_sigma, eval_I_u_sigma_assembled):
+        batch = evaluate(spec, 0.3, pts)
+        for p, x in enumerate(pts):
+            np.testing.assert_array_equal(batch[p], evaluate(spec, 0.3, x))
+
+
+def test_field_grid_flags_points_without_kernel_mass():
+    """rho0 so narrow that at t = 0.1 only grid points 7-9 of 17 see
+    kernel mass above the denominator floor: u and a are NaN and
+    invalid elsewhere, rho is valid everywhere."""
+    spec = make(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], sigma=0.05,
+                space_grid=[17], time_points=[0.1])
+    inside = np.zeros(17, dtype=bool)
+    inside[7:10] = True
+    for which in ("u", "a"):
+        grid = eval_field_grid(spec, 0.1, which)
+        np.testing.assert_array_equal(grid.valid, inside)
+        assert np.all(np.isnan(grid.values[~inside]))
+        assert np.all(np.isfinite(grid.values[inside]))
+    rho = eval_field_grid(spec, 0.1, "rho")
+    assert rho.valid.all() and np.all(np.isfinite(rho.values))
 
 
 def dense_pass(centers, weights, x, var, cut):
@@ -224,22 +241,25 @@ def test_cell_pass_equals_dense_scan(n):
 
 def test_kernel_means_equal_dense_sums_over_table():
     spec = load_problem(BUMP2D.read_text())
+    table = _table_for(spec, 0.3)
+    assert np.all(np.isfinite(table.centers))
+    u0v, *avals = table.columns
     for x in ([0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-3.2, 0.2]):
         x = np.array(x)
-        m = _kernel_means(spec, 0.3, x)
-        table = m.table
-        assert np.all(np.isfinite(table.centers))
+        m_idx, m_wk, m_den, rows, (m_u, *m_a) = _kernel_means(
+            table.cells, table.wrho, table.columns, x, spec.tol.denom_floor)
         idx, wk = dense_pass(table.centers, table.wrho, x, table.cells.var,
                              table.cells.cut)
-        np.testing.assert_array_equal(m.idx, idx)
-        np.testing.assert_array_equal(m.wk, wk)
+        np.testing.assert_array_equal(m_idx, idx)
+        np.testing.assert_array_equal(m_wk, wk)
         den = float(np.sum(wk))
-        assert m.den == den
-        assert m.u == float(np.sum(wk * table.u0v[idx]) / den)
+        assert m_den == den
+        assert m_u == float(np.sum(wk * u0v[idx]) / den)
         for i in range(2):
-            assert m.a[i] == float(np.sum(wk * table.avals[idx, i]) / den)
-        np.testing.assert_array_equal(m.avals, table.avals[idx])
-        assert eval_rho_sigma(spec, 0.3, x) == m.norm * den
+            assert m_a[i] == float(np.sum(wk * avals[i][idx]) / den)
+        for row, column in zip(rows, table.columns):
+            np.testing.assert_array_equal(row, column[idx])
+        assert eval_rho_sigma(spec, 0.3, x) == table.norm * den
 
 
 def test_field_grid_accepts_any_time(burgers):
