@@ -19,12 +19,14 @@ The kernel gradient is available in closed form,
 
 so the I terms are plain quadratures; no finite differencing of P is
 ever involved.  They take points (..., n), and each point costs one
-kernel pass of the fields' moment loop (``representation._kernel_means``),
-whose gathered rows of u0 and a give the covariances.  The signs above are the ones that close the identities;
-with them the discrete residuals vanish at the order of the space-time
-stencil.  In the vanishing-noise limit the same system without
-diffusion and without I terms holds for the transported fields while
-the solution stays classical.
+kernel pass over the table of (problem, t), the kernel sources of the
+smoothed fields (``representation._kernel_means``): the sources' rows
+of u0 and a give the covariances and their centers the gradient.  The
+signs above are the ones that close the identities; with them the
+discrete residuals vanish at the order of the space-time stencil.  In
+the vanishing-noise limit the same system without diffusion and
+without I terms holds for the transported fields while the solution
+stays classical.
 
 These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
 q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
@@ -93,8 +95,7 @@ def _i_terms(spec: ProblemSpec, t: float, x, which: str):
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
     out = np.empty((len(X), n) if which == "a" else len(X))
     for p, xp in enumerate(X):
-        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(
-            table.cells, table.wrho, table.columns, xp, floor)
+        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
         _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
         centers = np.take(table.centers, idx, axis=0)
         if which == "assembled":
@@ -173,9 +174,10 @@ def _ddt(f: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
-                   diffusion: bool, iterms: bool, tag: str,
+def _residual_core(spec: ProblemSpec, t_window, resolution, smoothed: bool,
                    _source_offset: float = 0.0) -> list["ResidualReport"]:
+    """Residuals of the smoothed system (``smoothed``: sigma fields,
+    diffusion and I terms) or of the limit system (classical fields)."""
     t0, t1 = float(t_window[0]), float(t_window[1])
     h, dt = float(resolution[0]), float(resolution[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -196,8 +198,9 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
     # the stencil error is dominated by the edge transient rather than
     # the equations under test; probes stay clear of the transported
     # support edge (flow displacement plus kernel reach).
+    fields, tag = (_fields_sigma, "sigma") if smoothed else (classical_fields, "bar")
     inset = h
-    if diffusion:
+    if smoothed:
         inset += _support_reach(spec, t1)
     probes = _probe_points(spec, inset)
     P = len(probes)
@@ -216,7 +219,7 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
     per_time = []
     for j, tj in enumerate(times):
         per_time.append(fields(spec, tj, stencil))
-        if iterms:
+        if smoothed:
             S[1, j] = eval_I_u_sigma(spec, tj, probes)
             S[2:, j] = eval_I_a_sigma(spec, tj, probes).T
     rho, u, a = map(np.stack, zip(*per_time))
@@ -236,7 +239,7 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, fields,
                     - q[:, :, lo] * a[:, :, lo, k]) / (2.0 * h)
             lap += (q[:, :, hi] - 2.0 * q[:, :, 0] + q[:, :, lo]) / (h * h)
         R = _ddt(q[:, :, 0], dt_eff) + div
-        if diffusion:
+        if smoothed:
             R -= half_s2 * lap
         R += s_e
         R += _source_offset
@@ -258,8 +261,7 @@ def residual_sigma_system(spec: ProblemSpec, t_window, resolution,
     """
     if not t_window[0] > 0:
         raise ValueError("sigma-system window requires t0 > 0")
-    return _residual_core(spec, t_window, resolution, _fields_sigma,
-                          diffusion=True, iterms=True, tag="sigma",
+    return _residual_core(spec, t_window, resolution, smoothed=True,
                           _source_offset=_source_offset)
 
 
@@ -275,8 +277,7 @@ def residual_pressureless(spec: ProblemSpec, t_window, resolution,
         raise NearBlowup(
             f"window end {t_window[1]:g} exceeds 0.9 * t_star = {0.9 * t_star:g}"
         )
-    return _residual_core(spec, t_window, resolution, classical_fields,
-                          diffusion=False, iterms=False, tag="bar",
+    return _residual_core(spec, t_window, resolution, smoothed=False,
                           _source_offset=_source_offset)
 
 

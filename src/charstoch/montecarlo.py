@@ -11,13 +11,12 @@ All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
 bit for bit from the problem seed alone, independent of call order.
 
-Field estimates run the kernel-moment loop of the quadrature fields
-(``representation._kernel_moments``) with the particles as the sources
-and their labels U as the one column: each ``estimate_fields`` call
-sorts the particles once into cells one cutoff radius wide, with copies
-of X, w and U in that cell order, and each target then scans only the
-3^(n-1) contiguous slices that hold the particles of the 3^n cells
-around it.  Its sums run in cell order, not particle order.
+Field estimates are kernel moments of the quadrature fields' kind:
+each ``estimate_fields`` call makes the particles one kernel-source
+object (``representation._sources``), with their weights and their
+labels U as the one column, and runs ``representation._kernel_moments``
+on it.  Each target then scans only the particles of the 3^n cells
+around it, and its sums run in cell order, not particle order.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ZeroMass
-from .problem import ProblemSpec, displacement_components
-from .representation import (_UNDERFLOW, _cell_index, _kernel_moments,
+from .problem import ProblemSpec, _point_rows, displacement_components
+from .representation import (_UNDERFLOW, _kernel_moments, _sources,
                              integrate_rho0)
 
 __all__ = [
@@ -77,10 +76,10 @@ class ParticleEnsemble:
 
 
 class FieldEstimate(NamedTuple):
-    points: np.ndarray     # (P, n)
-    rho_hat: np.ndarray    # (P,)
-    u_hat: np.ndarray      # (P,) NaN where invalid
-    valid: np.ndarray      # (P,) bool
+    points: np.ndarray     # (..., n)
+    rho_hat: np.ndarray    # (...)
+    u_hat: np.ndarray      # (...) NaN where invalid
+    valid: np.ndarray      # (...) bool
     bandwidth: float
 
 
@@ -173,21 +172,23 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     only where exp underflows; u_hat the kernel-weighted average of the
     labels (Nadaraya-Watson).  Points whose kernel mass falls below the
     denominator floor are flagged invalid with u_hat = NaN rather than
-    divided through.  The bandwidth must be finite and positive.
+    divided through.  Points are (..., n), and the estimates take their
+    batch shape.  The bandwidth must be finite and positive.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != spec.n:
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (spec.n,):
         raise ValueError(f"points must have {spec.n} coordinates")
+    X, shape = _point_rows(pts, spec.n)
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
-    norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
-    cells = _cell_index(ens.X, h * h, _UNDERFLOW)
-    w, U = np.take(ens.w, cells.order), np.take(ens.U, cells.order)
-    cells = replace(cells, order=None)  # frees the order before the scan
-    den, means = _kernel_moments(cells, w, (U,), pts, spec.tol.denom_floor)
-    return FieldEstimate(points=pts, rho_hat=norm * den, u_hat=means[:, 0],
-                         valid=den >= spec.tol.denom_floor, bandwidth=h)
+    src = _sources(ens.X, ens.w, (ens.U,), h * h, _UNDERFLOW,
+                   (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
+    den, means = _kernel_moments(src, X, spec.tol.denom_floor)
+    return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),
+                         u_hat=means[:, 0].reshape(shape),
+                         valid=(den >= spec.tol.denom_floor).reshape(shape),
+                         bandwidth=h)
 
 
 def dump_ensemble(ens: ParticleEnsemble, path) -> None:

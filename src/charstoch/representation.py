@@ -15,24 +15,26 @@ y-integral against this density over the problem box:
 
 Integrals use tensor-product composite Gauss-Legendre rules whose panel
 width tracks the kernel width sigma*sqrt(t), truncated to the ball
-|A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Per-node data that does
-not depend on x (u0, rho0, displacement, velocity) is precomputed once
-per (problem, t) and shared by every evaluation point.  Every field
-takes points (..., n) and returns one value per point.  The fields here,
-the covariance sources in ``balance`` and the particle estimates in
-``montecarlo`` are all moments of one kernel pass per point:
-``_kernel_means`` runs one truncated Gaussian sum (``_gaussian_pass``)
-and takes the weighted means of per-source columns, u0 and then
-a_1..a_n for a table, and ``_kernel_moments`` runs it over a point set.
-The table is stored in cell order: its displaced nodes are sorted once
-into cells one cutoff radius wide, and every per-node array is permuted
-to match.  The nodes of the 3^n cells around a point are then 3^(n-1)
-contiguous slices of the table, so a point costs a scan of those slices
-rather than of the whole table, with no per-point gather.  Sums run in
-cell order, and equal a scan of the whole table in that order bit for
-bit.  The node count still scales like sigma^(-n) (halving sigma
-doubles it per axis), which now governs the table build and its
-memory, not the cost per point.
+|A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Every field takes
+points (..., n) and returns one value per point.
+
+A quadrature table and a particle ensemble are two discretizations of
+the same source measure, and both are one ``_Sources``: centers,
+weights, per-source columns and the kernel's var, cut and norm.  The
+table of a (problem, t) holds the displaced nodes, tensor weight *
+rho0, and the columns u0 and a_1..a_n, and is shared by every point;
+``montecarlo`` builds one from the particles and their labels U.  The
+one constructor, ``_sources``, sorts all of it once into cells one
+cutoff radius wide.  The sources of the 3^n cells around a point are
+then 3^(n-1) contiguous slices, so ``_gaussian_pass``, the only kernel
+evaluation, scans those slices rather than every source.  The fields
+here, the covariance sources in ``balance`` and the particle estimates
+are all moments of that pass: ``_kernel_means`` takes the weighted
+means of the columns around one point, and ``_kernel_moments`` runs it
+over a point set.  Sums run in cell order, and equal a scan of all
+sources in that order bit for bit.  The node count still scales like
+sigma^(-n) (halving sigma doubles it per axis), which governs the table
+build and its memory, not the cost per point.
 """
 
 from __future__ import annotations
@@ -114,44 +116,49 @@ def quadrature_grid(box, scale: float, *, nodes_per_panel: int = 8,
 
 
 @dataclass(frozen=True)
-class _Cells:
-    """Finite sources of one truncated Gaussian sum, sorted into cells.
+class _Sources:
+    """The finite sources of one truncated Gaussian sum, in cell order.
 
-    With e = |centers - x|^2 / (2 var), a source can satisfy e <= cut
-    only within radius sqrt(2 var cut) of x, so it lies in one of the
-    3^n square cells around x's cell.  ``centers`` holds the finite
-    sources stably sorted by flat (C order) cell key, so the sources of
-    cell k are ``centers[starts[k]:starts[k + 1]]``; ``order[j]`` is the
-    caller's index of the source at cell-order position j.  Callers
-    permute their per-source data by ``order`` once and then drop it
-    (``replace(cells, order=None)``), as no kernel pass reads it.
+    A quadrature table and a particle ensemble are both such a set:
+    ``centers`` (displaced nodes or particle positions), ``weights``
+    (tensor weight * rho0, or particle weights) and per-source
+    ``columns`` (u0 and then a_1..a_n, or the labels U), with the
+    kernel's ``var``, ``cut`` and normalization ``norm``.  With
+    e = |centers - x|^2 / (2 var), a source can satisfy e <= cut only
+    within radius sqrt(2 var cut) of x, so it lies in one of the 3^n
+    square cells around x's cell.  Every array is stably sorted by flat
+    (C order) cell key, so the sources of cell k are positions
+    ``starts[k]:starts[k + 1]``.  Sources with a non-finite center are
+    left out: they never carry kernel mass.
     """
 
-    centers: np.ndarray  # (finite sources, n) in cell order
+    centers: np.ndarray  # (M, n)
+    weights: np.ndarray  # (M,)
+    columns: tuple[np.ndarray, ...]  # (M,) each
     var: float
     cut: float
+    norm: float
     lo: np.ndarray       # (n,) lower corner of the finite sources
     width: float
     shape: np.ndarray    # (n,) cells per axis
-    order: np.ndarray | None  # (finite sources,) caller's index per position
     starts: np.ndarray   # (cells + 1,)
 
 
-def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
-    """Sort ``centers`` into cells for the Gaussian sum with this var
-    and cut.
+def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
+             cut: float, norm: float) -> _Sources:
+    """Sort ``centers`` (M, n), ``weights`` (M,) and each of ``columns``
+    (M,) into cells for the Gaussian sum with this var and cut.
 
     Cells are at least one cutoff radius wide (with a 1e-9 margin for
     rounding in e) and never more numerous than the finite sources, so
     a tiny bandwidth cannot allocate a huge ``starts``; wider cells only
-    add candidates.  Non-finite centers are left out: they never satisfy
-    e <= cut.
+    add candidates.
     """
     M, n = centers.shape
     ok = np.all(np.isfinite(centers), axis=1)
     count = int(np.count_nonzero(ok))
     # allocated before the temporaries below, so that the pages they
-    # free can go back to the system while the index lives on
+    # free can go back to the system while the sources live on
     ordered = np.empty((count, n))
     lo, extent = np.zeros(n), np.zeros(n)
     if count:
@@ -180,42 +187,23 @@ def _cell_index(centers: np.ndarray, var: float, cut: float) -> _Cells:
     starts = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
     order = np.argsort(key, kind="stable")[:count]
-    del key
+    del key, k, ok, bad  # before the permuted copies, to keep the peak down
     np.take(centers, order, axis=0, out=ordered)
-    logger.debug("cell index: %d sources, %s cells per axis, width %.6g",
+    logger.debug("kernel sources: %d, %s cells per axis, width %.6g",
                  M, "x".join(str(s) for s in shape), width)
-    return _Cells(centers=ordered, var=var, cut=cut, lo=lo, width=width,
-                  shape=shape, order=order, starts=starts)
+    return _Sources(centers=ordered, weights=np.take(weights, order),
+                    columns=tuple(np.take(c, order) for c in columns),
+                    var=var, cut=cut, norm=norm, lo=lo, width=width,
+                    shape=shape, starts=starts)
 
 
-@dataclass
-class _Table:
-    """Per-(problem, t) node data shared across evaluation points.
-
-    Every array is in the cell order of ``cells`` and holds only the
-    nodes with a finite center; the others never carry kernel mass.
-    """
-
-    cells: _Cells        # cell index of the centers
-    wrho: np.ndarray     # (M,) tensor weight * rho0
-    columns: tuple[np.ndarray, ...]  # (M,) each: u0, then a_1..a_n at (t, u0)
-
-    @property
-    def centers(self) -> np.ndarray:
-        """(M, n) node + displacement."""
-        return self.cells.centers
-
-    @property
-    def norm(self) -> float:
-        """Normalization constant of the Gaussian kernel."""
-        return (2.0 * math.pi * self.cells.var) ** (-self.centers.shape[1] / 2.0)
-
-
-_TABLE_CACHE: OrderedDict[tuple[str, float], _Table] = OrderedDict()
+_TABLE_CACHE: OrderedDict[tuple[str, float], _Sources] = OrderedDict()
 _TABLE_CACHE_MAX = 6
 
 
-def _build_table(spec: ProblemSpec, t: float) -> _Table:
+def _build_table(spec: ProblemSpec, t: float) -> _Sources:
+    """The quadrature nodes of (spec, t) as kernel sources: weights
+    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0)."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"field tables need a finite time t >= 0, got t={t!r}")
     scale = spec.sigma * math.sqrt(t)
@@ -240,16 +228,17 @@ def _build_table(spec: ProblemSpec, t: float) -> _Table:
     centers = grid.points + np.stack(displacement_components(spec, t, u0v),
                                      axis=-1)
     del grid  # and with it the cached tensor points and weights
-    cells = _cell_index(centers, spec.sigma * spec.sigma * t,
-                        min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW))
-    del centers
-    u0v, wrho = u0v[cells.order], wrho[cells.order]
+    var = spec.sigma * spec.sigma * t
+    table = _sources(centers, wrho, (u0v,), var,
+                     min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW),
+                     (2.0 * math.pi * var) ** (-spec.n / 2.0))
+    del centers, wrho
     # a is elementwise in u0, so it is evaluated in cell order directly
-    return _Table(cells=replace(cells, order=None), wrho=wrho,
-                  columns=(u0v, *spec.velocity.a_values(t, u0v)))
+    u0v = table.columns[0]
+    return replace(table, columns=(u0v, *spec.velocity.a_values(t, u0v)))
 
 
-def _table_for(spec: ProblemSpec, t: float) -> _Table:
+def _table_for(spec: ProblemSpec, t: float) -> _Sources:
     key = (spec.digest, float(t))
     table = _TABLE_CACHE.get(key)
     if table is None:
@@ -262,51 +251,49 @@ def _table_for(spec: ProblemSpec, t: float) -> _Table:
     return table
 
 
-def _gaussian_pass(cells: _Cells, weights: np.ndarray, x):
+def _gaussian_pass(src: _Sources, x):
     """One Gaussian sum's sources around x: the only place a kernel is
     evaluated, for quadrature nodes and particles alike.
 
-    With e = |cells.centers - x|^2 / (2 var), returns (idx, wk): the
+    With e = |src.centers - x|^2 / (2 var), returns (idx, wk): the
     ascending cell-order positions of the sources with e <= cut and
-    their weights times exp(-e); ``weights`` is in cell order too.
-    The 3^n cells around x are 3^(n-1) runs of consecutive keys, one
-    per line along the last axis, so e is computed on that many
-    contiguous slices, in ascending position order: idx, wk and every
-    sum over them equal those of a scan of all sources bit for bit.  A
-    non-finite target, or one with no cell within reach, has no
-    sources.
+    their weights times exp(-e).  The 3^n cells around x are 3^(n-1)
+    runs of consecutive keys, one per line along the last axis, so e is
+    computed on that many contiguous slices, in ascending position
+    order: idx, wk and every sum over them equal those of a scan of all
+    sources bit for bit.  A non-finite target, or one with no cell
+    within reach, has no sources.
     """
-    k = np.floor((x - cells.lo) / cells.width)
-    if not np.all((k >= -1) & (k <= cells.shape)):
+    k = np.floor((x - src.lo) / src.width)
+    if not np.all((k >= -1) & (k <= src.shape)):
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     lo = np.maximum(k - 1, 0).astype(np.int64)
-    hi = np.minimum(k + 1, cells.shape - 1).astype(np.int64)
+    hi = np.minimum(k + 1, src.shape - 1).astype(np.int64)
     lead = itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])))
     idx, wk = [], []
     for head in lead:
-        first = np.ravel_multi_index(head + (lo[-1],), cells.shape)
-        start = cells.starts[first]
-        stop = cells.starts[first + hi[-1] - lo[-1] + 1]
-        centers = cells.centers[start:stop]
+        first = np.ravel_multi_index(head + (lo[-1],), src.shape)
+        start = src.starts[first]
+        stop = src.starts[first + hi[-1] - lo[-1] + 1]
+        centers = src.centers[start:stop]
         e = centers[:, 0] - x[0]
         e *= e
         for i in range(1, centers.shape[1]):
             d = centers[:, i] - x[i]
             d *= d
             e += d
-        e /= 2.0 * cells.var
-        keep = e <= cells.cut
+        e /= 2.0 * src.var
+        keep = e <= src.cut
         idx.append(np.flatnonzero(keep) + start)
-        wk.append(weights[start:stop][keep] * np.exp(-e[keep]))
+        wk.append(src.weights[start:stop][keep] * np.exp(-e[keep]))
     if len(idx) == 1:
         return idx[0], wk[0]
     return np.concatenate(idx), np.concatenate(wk)
 
 
-def _kernel_means(cells: _Cells, weights: np.ndarray, columns, x,
-                  floor: float):
-    """One Gaussian sum around x and the weighted means of per-source
-    ``columns`` (contiguous 1-D arrays in cell order, like ``weights``).
+def _kernel_means(src: _Sources, x, floor: float):
+    """One Gaussian sum around x and the weighted means of the sources'
+    columns.
 
     Returns (idx, wk, den, rows, means): the sources and weights of
     ``_gaussian_pass``, their raw mass den = sum(wk), each column's
@@ -314,21 +301,21 @@ def _kernel_means(cells: _Cells, weights: np.ndarray, columns, x,
     means are NaN unless den >= ``floor``, so a vanishing mass is never
     divided through.
     """
-    idx, wk = _gaussian_pass(cells, weights, x)
+    idx, wk = _gaussian_pass(src, x)
     den = float(np.sum(wk))
-    rows = [np.take(c, idx) for c in columns]
+    rows = [np.take(c, idx) for c in src.columns]
     if den >= floor:
         return idx, wk, den, rows, [float(np.sum(wk * r) / den) for r in rows]
     return idx, wk, den, rows, [math.nan] * len(rows)
 
 
-def _kernel_moments(cells: _Cells, weights: np.ndarray, columns, X: np.ndarray,
+def _kernel_moments(src: _Sources, X: np.ndarray,
                     floor: float) -> tuple[np.ndarray, np.ndarray]:
     """``_kernel_means`` at each row of X (P, n): the raw masses (P,)
-    and the column means (P, len(columns))."""
-    den, means = np.empty(len(X)), np.empty((len(X), len(columns)))
+    and the column means (P, len(src.columns))."""
+    den, means = np.empty(len(X)), np.empty((len(X), len(src.columns)))
     for p, x in enumerate(X):
-        _, _, den[p], _, means[p] = _kernel_means(cells, weights, columns, x, floor)
+        _, _, den[p], _, means[p] = _kernel_means(src, x, floor)
     return den, means
 
 
@@ -349,7 +336,7 @@ def eval_rho_sigma(spec: ProblemSpec, t: float, x):
     if t == 0:
         return _batched(spec.init.rho0_at(X), shape)
     table = _table_for(spec, t)
-    den, _ = _kernel_moments(table.cells, table.wrho, (), X, spec.tol.denom_floor)
+    den, _ = _kernel_moments(replace(table, columns=()), X, spec.tol.denom_floor)
     return _batched(table.norm * den, shape)
 
 
@@ -378,8 +365,7 @@ def _fields_sigma(spec: ProblemSpec, t: float, x):
         rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
     else:
         table = _table_for(spec, t)
-        den, means = _kernel_moments(table.cells, table.wrho, table.columns, X,
-                                     spec.tol.denom_floor)
+        den, means = _kernel_moments(table, X, spec.tol.denom_floor)
         _refuse(EmptyKernelSupport, den < spec.tol.denom_floor, X, t, "no kernel mass")
         rho, u, a = table.norm * den, means[:, 0], means[:, 1:]
     return _batched(rho, shape), _batched(u, shape), _batched(a, shape)

@@ -191,25 +191,36 @@ def test_iterms_table(tmp_path):
     assert vals[0][1] > vals[1][1] > 0.0
 
 
-def test_bad_flag_values_exit_2(tmp_path):
-    proc = run_cli("iterms", "--config", str(BURGERS),
-                   "--out", str(tmp_path / "o"),
-                   "--sigmas", "0.2,zebra", "--t", "0.5")
-    assert proc.returncode == 2
-    proc = run_cli("residuals", "--config", str(BURGERS),
-                   "--out", str(tmp_path / "o"),
-                   "--system", "sigma", "--window", "0.3", "0.5",
-                   "--resolutions", "0.08-0.032")
-    assert proc.returncode == 2
-    proc = run_cli("blowup", "--config", str(BURGERS),
-                   "--out", str(tmp_path / "o"), "--seed", "-1")
-    assert proc.returncode == 2
+def run_main(capsys, *args):
+    """``charstoch ARGS`` in this process: the exit code and the error
+    payload of the last stderr line (argparse usage errors included)."""
+    try:
+        code = main(list(args))
+    except SystemExit as e:
+        code = e.code
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    return code, json.loads(line)["error"]
+
+
+def test_bad_flag_values_exit_2(tmp_path, capsys):
+    code, _ = run_main(capsys, "iterms", "--config", str(BURGERS),
+                       "--out", str(tmp_path / "o"),
+                       "--sigmas", "0.2,zebra", "--t", "0.5")
+    assert code == 2
+    code, _ = run_main(capsys, "residuals", "--config", str(BURGERS),
+                       "--out", str(tmp_path / "o"),
+                       "--system", "sigma", "--window", "0.3", "0.5",
+                       "--resolutions", "0.08-0.032")
+    assert code == 2
+    code, _ = run_main(capsys, "blowup", "--config", str(BURGERS),
+                       "--out", str(tmp_path / "o"), "--seed", "-1")
+    assert code == 2
     for method in ("quadrature", "characteristics", "montecarlo"):
-        proc = run_cli("solve", "--config", str(BURGERS),
-                       "--out", str(tmp_path / "o"), "--method", method,
-                       "--t", "-0.3")
-        assert proc.returncode == 2
-        assert "--t must be >= 0" in error_payload(proc)["message"]
+        code, err = run_main(capsys, "solve", "--config", str(BURGERS),
+                             "--out", str(tmp_path / "o"), "--method", method,
+                             "--t", "-0.3")
+        assert code == 2
+        assert "--t must be >= 0" in err["message"]
     for sub, t, extra in (("solve", "inf", ("--method", "quadrature")),
                           ("solve", "inf", ("--method", "montecarlo")),
                           ("converge", "nan", ("--sigmas", "0.2,0.1")),
@@ -217,28 +228,29 @@ def test_bad_flag_values_exit_2(tmp_path):
                           ("iterms", "inf", ("--sigmas", "0.2,0.1")),
                           ("iterms", "nan", ("--sigmas", "0.2,0.1"))):
         out = tmp_path / f"{sub}_{t}"
-        proc = run_cli(sub, "--config", str(BURGERS), "--out", str(out),
-                       *extra, "--t", t)
-        assert proc.returncode == 2, (sub, t)
-        assert "--t must be >= 0" in error_payload(proc)["message"]
+        code, err = run_main(capsys, sub, "--config", str(BURGERS), "--out",
+                             str(out), *extra, "--t", t)
+        assert code == 2, (sub, t)
+        assert "--t must be >= 0" in err["message"]
         assert not out.exists()
     for end in ("inf", "nan", "-inf"):
         out = tmp_path / f"residuals_{end}"
-        proc = run_cli("residuals", "--config", str(BURGERS), "--out",
-                       str(out), "--system", "sigma", "--window", "0.3", end,
-                       "--resolutions", "0.08:0.032")
-        assert proc.returncode == 2, end
+        code, err = run_main(capsys, "residuals", "--config", str(BURGERS),
+                             "--out", str(out), "--system", "sigma",
+                             "--window", "0.3", end, "--resolutions", "0.08:0.032")
+        assert code == 2, end
         # argparse reads "-inf" as an option: a usage error, still in JSON
         want = "expected 2 arguments" if end == "-inf" else "--window ends must be finite"
-        assert want in error_payload(proc)["message"]
+        assert want in err["message"]
         assert not out.exists()
     for bad in (("--t", "-inf"), ("--method", "bogus")):
         out = tmp_path / "usage"
-        proc = run_cli("solve", "--config", str(BURGERS), "--out", str(out),
-                       *(("--method", "quadrature") if bad[0] == "--t" else ()), *bad)
-        assert proc.returncode == 2, bad
-        assert error_payload(proc)["kind"] == "UsageError"
-        assert f"argument {bad[0]}" in error_payload(proc)["message"]
+        code, err = run_main(capsys, "solve", "--config", str(BURGERS), "--out",
+                             str(out), *(("--method", "quadrature")
+                                         if bad[0] == "--t" else ()), *bad)
+        assert code == 2, bad
+        assert err["kind"] == "UsageError"
+        assert f"argument {bad[0]}" in err["message"]
         assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from charstoch import (
     ZeroMass,
     estimate_fields,
     dump_ensemble,
+    eval_u_sigma,
     evolve_em,
     evolve_exact,
     integrate_rho0,
@@ -18,7 +20,11 @@ from charstoch import (
     load_problem,
     sample_initial,
 )
-from charstoch.representation import _UNDERFLOW, _cell_index
+from charstoch.problem import space_axes, tensor_points
+from charstoch.representation import _UNDERFLOW, _sources
+
+BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
+          / "gaussian_bump_2d.json")
 
 
 def make(**overrides):
@@ -190,8 +196,10 @@ def test_kde_equals_dense_sums_in_cell_order(burgers):
         ens = evolve_exact(sample_initial(spec, count), spec, t)
         pts = np.vstack([pts, far])
         est = estimate_fields(ens, spec, pts, bandwidth=h)
-        # the sources as the estimator sums them: in cell order
-        order = _cell_index(ens.X, h * h, _UNDERFLOW).order
+        # the sources as the estimator sums them, in cell order,
+        # recovered through an index column
+        order = _sources(ens.X, ens.w, (np.arange(len(ens), dtype=float),),
+                         h * h, _UNDERFLOW, 1.0).columns[0].astype(np.intp)
         X, w, U = ens.X[order], ens.w[order], ens.U[order]
         norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
         for p, x in enumerate(pts):
@@ -216,7 +224,7 @@ def test_tiny_bandwidth_cells_stay_bounded():
                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
                 time_points=[0.3])
     ens = evolve_exact(sample_initial(spec, 5_000), spec, 0.3)
-    cells = _cell_index(ens.X, 1e-18, _UNDERFLOW)
+    cells = _sources(ens.X, ens.w, (ens.U,), 1e-18, _UNDERFLOW, 1.0)
     assert np.prod(cells.shape) <= len(ens)
     assert cells.starts.size == np.prod(cells.shape) + 1
     # three particles, the last particle along each axis, and an empty point
@@ -242,6 +250,19 @@ def test_density_estimate_improves_with_particles(burgers):
     assert l1[-1] < 0.5 * l1[0]
 
 
+def test_particles_match_quadrature_fields_2d():
+    """test_05's u bound on the 2D bump grid at t = 0.3.  With bandwidth
+    0.05, max |u_hat - u_sigma| is 0.0068 at 10^6 particles (the
+    bandwidth bias) and 0.0071 at the 300,000 used here; over seeds 1-8
+    it ranges 0.0056-0.0119 at 300,000 and 0.0076-0.0176 at 100,000."""
+    spec = load_problem(BUMP2D.read_text())
+    pts = tensor_points(space_axes(spec))
+    ens = evolve_exact(sample_initial(spec, 300_000), spec, 0.3)
+    est = estimate_fields(ens, spec, pts, bandwidth=0.05)
+    assert est.valid.all()
+    assert float(np.max(np.abs(est.u_hat - eval_u_sigma(spec, 0.3, pts)))) <= 0.03
+
+
 def test_estimate_validates_inputs(burgers):
     ens = sample_initial(burgers, 10)
     with pytest.raises(ValueError):
@@ -251,6 +272,15 @@ def test_estimate_validates_inputs(burgers):
             estimate_fields(ens, burgers, np.zeros((3, 1)), bandwidth=h)
     with pytest.raises(ValueError):
         sample_initial(burgers, 0)
+    # points (..., n): a (2, 3, 1) batch equals the flat call
+    ens = evolve_exact(sample_initial(burgers, 1_000), burgers, 0.5)
+    pts = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 40.0]).reshape(2, 3, 1)
+    flat = estimate_fields(ens, burgers, pts.reshape(6, 1), bandwidth=0.3)
+    est = estimate_fields(ens, burgers, pts, bandwidth=0.3)
+    assert flat.valid[:5].all() and not flat.valid[5]
+    for got, want in zip(est[1:4], flat[1:4]):
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got.reshape(6), want)
 
 
 def test_zero_density_raises():

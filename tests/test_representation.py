@@ -22,9 +22,8 @@ from charstoch import (
     load_problem,
     sigma_sweep,
 )
-from charstoch.representation import (_cell_index, _gaussian_pass,
-                                      _kernel_means, _table_for,
-                                      quadrature_grid)
+from charstoch.representation import (_gaussian_pass, _kernel_means,
+                                      _sources, _table_for, quadrature_grid)
 
 BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
           / "gaussian_bump_2d.json")
@@ -203,23 +202,27 @@ def test_cell_pass_equals_dense_scan(n):
     # a unit lattice, so sources sit exactly one radius from lattice targets
     lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * n, indexing="ij"),
                        axis=-1).reshape(-1, n)
-    width = _cell_index(lattice, var, cut).width
+    width = _sources(lattice, np.ones(len(lattice)), (), var, cut, 1.0).width
     assert width > 2.0
     faces = np.stack(np.meshgrid(*[np.arange(4) * width] * n, indexing="ij"),
                      axis=-1).reshape(-1, n)
     centers = np.vstack([lattice, faces, rng.uniform(0.0, 8.0, (600, n))])
     centers[7] = np.nan
     weights = rng.random(len(centers))
-    cells = _cell_index(centers, var, cut)
+    # an index column recovers the cell order of the sources
+    cells = _sources(centers, weights, (np.arange(len(centers), dtype=float),),
+                     var, cut, 1.0)
+    order = cells.columns[0].astype(np.intp)
     assert cells.width == width  # the face sources lie on cell boundaries
     # the NaN center is left out of the cell order, so it is never scanned
-    assert 7 not in cells.order
-    assert len(cells.order) == len(centers) - 1
-    np.testing.assert_array_equal(np.sort(cells.order),
+    assert 7 not in order
+    assert len(order) == len(centers) - 1
+    np.testing.assert_array_equal(np.sort(order),
                                   np.delete(np.arange(len(centers)), 7))
-    assert np.array_equal(cells.centers, centers[cells.order])
+    assert np.array_equal(cells.centers, centers[order])
+    assert np.array_equal(cells.weights, weights[order])
     # sources are in cell order; the dense reference scans them all
-    ordered, ordered_w = centers[cells.order], weights[cells.order]
+    ordered, ordered_w = centers[order], weights[order]
     far = np.full(n, 20.0)
     targets = np.vstack([lattice[::7], faces, faces + 2.0 * np.eye(n)[0],
                          rng.uniform(-4.0, 12.0, (40, n)),  # some outside
@@ -227,16 +230,16 @@ def test_cell_pass_equals_dense_scan(n):
                           np.full(n, np.nan)]])
     # -e1 and (9, ..., 9) are outside the bounding box, within reach of it
     for x in targets:
-        idx, wk = _gaussian_pass(cells, ordered_w, x)
+        idx, wk = _gaussian_pass(cells, x)
         ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cut)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(wk, ref_wk)
         assert np.sum(wk) == np.sum(ref_wk)
     for x in (far, np.full(n, np.nan)):
-        assert _gaussian_pass(cells, ordered_w, x)[0].size == 0
+        assert _gaussian_pass(cells, x)[0].size == 0
     # the lattice source (2, 0, ..., 0) lies exactly one radius from the origin
-    near = _gaussian_pass(cells, ordered_w, lattice[0])[0]
-    assert 2 * 9 ** (n - 1) in cells.order[near]
+    near = _gaussian_pass(cells, lattice[0])[0]
+    assert 2 * 9 ** (n - 1) in order[near]
 
 
 def test_kernel_means_equal_dense_sums_over_table():
@@ -247,9 +250,9 @@ def test_kernel_means_equal_dense_sums_over_table():
     for x in ([0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-3.2, 0.2]):
         x = np.array(x)
         m_idx, m_wk, m_den, rows, (m_u, *m_a) = _kernel_means(
-            table.cells, table.wrho, table.columns, x, spec.tol.denom_floor)
-        idx, wk = dense_pass(table.centers, table.wrho, x, table.cells.var,
-                             table.cells.cut)
+            table, x, spec.tol.denom_floor)
+        idx, wk = dense_pass(table.centers, table.weights, x, table.var,
+                             table.cut)
         np.testing.assert_array_equal(m_idx, idx)
         np.testing.assert_array_equal(m_wk, wk)
         den = float(np.sum(wk))
