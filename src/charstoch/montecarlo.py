@@ -15,13 +15,14 @@ Field estimates are kernel moments of the quadrature fields' kind:
 each ``estimate_fields`` call makes the particles one kernel-source
 object (``representation._sources``), with their weights and their
 labels U as the one column, and runs ``representation._kernel_moments``
-on it.  Each target then scans only the particles of the 3^n cells
-around it, and its sums run in cell order, not particle order.
+on it.  The kernel is truncated by the tables' rule: ``kernel_cutoff``
+kernel widths from the target, the width being the bandwidth h.  Each
+target then scans only the particles of the 3^n cells, 8 h wide by
+default, around it, and its sums run in cell order, not particle order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -30,8 +31,7 @@ import numpy as np
 
 from .errors import ZeroMass
 from .problem import ProblemSpec, _point_rows, displacement_components
-from .representation import (_UNDERFLOW, _kernel_moments, _sources,
-                             integrate_rho0)
+from .representation import _kernel_moments, _sources, integrate_rho0
 
 __all__ = [
     "ParticleEnsemble",
@@ -46,6 +46,9 @@ __all__ = [
 _KEY_INIT = 0x1D17
 _KEY_EXACT = 0xE4AC7
 _KEY_EM = 0xE0777
+
+# particle rows formatted per write in dump_ensemble
+_DUMP_ROWS = 4096
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
@@ -169,11 +172,13 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     """Kernel-density and weighted-regression field estimates.
 
     rho_hat is the weighted Gaussian KDE of the particle positions, cut
-    only where exp underflows; u_hat the kernel-weighted average of the
-    labels (Nadaraya-Watson).  Points whose kernel mass falls below the
-    denominator floor are flagged invalid with u_hat = NaN rather than
-    divided through.  Points are (..., n), and the estimates take their
-    batch shape.  The bandwidth must be finite and positive.
+    at ``spec.tol.kernel_cutoff`` bandwidths like the quadrature kernel;
+    u_hat the kernel-weighted average of the labels (Nadaraya-Watson).
+    Points whose kernel mass falls below the denominator floor, such as
+    points more than the cutoff from every particle, are flagged invalid
+    with u_hat = NaN rather than divided through.  Points are (..., n),
+    and the estimates take their batch shape.  The bandwidth must be
+    finite and positive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (spec.n,):
@@ -182,7 +187,7 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
-    src = _sources(ens.X, ens.w, (ens.U,), h * h, _UNDERFLOW,
+    src = _sources(ens.X, ens.w, (ens.U,), h * h, spec.tol.kernel_cutoff,
                    (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
     den, means = _kernel_moments(src, X, spec.tol.denom_floor)
     return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),
@@ -192,14 +197,19 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
 
 
 def dump_ensemble(ens: ParticleEnsemble, path) -> None:
-    """Write particles as CSV: y1..yn, U, X1..Xn, w in %.12e."""
+    """Write particles as CSV: y1..yn, U, X1..Xn, w in %.12e.
+
+    The bytes are those of ``csv.writer`` (``\\r\\n`` line ends, no
+    quoting), formatted ``_DUMP_ROWS`` rows per ``%`` call.
+    """
     n = ens.y.shape[1]
     header = [f"y{i + 1}" for i in range(n)] + ["U"] \
         + [f"X{i + 1}" for i in range(n)] + ["w"]
+    row = ",".join(["%.12e"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(len(ens)):
-            row = [f"{v:.12e}" for v in ens.y[j]] + [f"{ens.U[j]:.12e}"] \
-                + [f"{v:.12e}" for v in ens.X[j]] + [f"{ens.w[j]:.12e}"]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, len(ens), _DUMP_ROWS):
+            b = min(a + _DUMP_ROWS, len(ens))
+            block = np.column_stack([ens.y[a:b], ens.U[a:b], ens.X[a:b],
+                                     ens.w[a:b]])
+            fh.write((row * (b - a)) % tuple(block.ravel().tolist()))

@@ -55,7 +55,8 @@ class Tolerances:
     """Numerical knobs with safe defaults; all overridable per problem."""
 
     quad_tol_time: float = 1e-10   # absolute tolerance of time quadrature
-    kernel_cutoff: float = 8.0     # kernel truncated at this many sigma*sqrt(t)
+    kernel_cutoff: float = 8.0     # kernel cut at this many kernel widths:
+                                   # sigma*sqrt(t), or the particle bandwidth
     newton_tol: float = 1e-12      # residual tolerance of root finders
     max_iter: int = 100            # iteration cap of root finders
     denom_floor: float = 1e-250    # raw weighted-mass floor for ratio fields

@@ -16,7 +16,8 @@ y-integral against this density over the problem box:
 Integrals use tensor-product composite Gauss-Legendre rules whose panel
 width tracks the kernel width sigma*sqrt(t), truncated to the ball
 |A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Every field takes
-points (..., n) and returns one value per point.
+points (..., n) and returns one value per point.  The particle KDE in
+``montecarlo`` is cut by the same rule, ``kernel_cutoff`` bandwidths.
 
 A quadrature table and a particle ensemble are two discretizations of
 the same source measure, and both are one ``_Sources``: centers,
@@ -145,15 +146,19 @@ class _Sources:
 
 
 def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
-             cut: float, norm: float) -> _Sources:
+             cutoff: float, norm: float) -> _Sources:
     """Sort ``centers`` (M, n), ``weights`` (M,) and each of ``columns``
-    (M,) into cells for the Gaussian sum with this var and cut.
+    (M,) into cells for the Gaussian sum with this var, truncated
+    ``cutoff`` kernel widths sqrt(var) from each target.
 
+    The one truncation rule of every kernel sum: a source counts while
+    e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
     Cells are at least one cutoff radius wide (with a 1e-9 margin for
     rounding in e) and never more numerous than the finite sources, so
     a tiny bandwidth cannot allocate a huge ``starts``; wider cells only
     add candidates.
     """
+    cut = min(0.5 * cutoff ** 2, _UNDERFLOW)
     M, n = centers.shape
     ok = np.all(np.isfinite(centers), axis=1)
     count = int(np.count_nonzero(ok))
@@ -229,8 +234,7 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
                                      axis=-1)
     del grid  # and with it the cached tensor points and weights
     var = spec.sigma * spec.sigma * t
-    table = _sources(centers, wrho, (u0v,), var,
-                     min(0.5 * spec.tol.kernel_cutoff ** 2, _UNDERFLOW),
+    table = _sources(centers, wrho, (u0v,), var, spec.tol.kernel_cutoff,
                      (2.0 * math.pi * var) ** (-spec.n / 2.0))
     del centers, wrho
     # a is elementwise in u0, so it is evaluated in cell order directly

@@ -1,5 +1,7 @@
 """Particle transport: sampling, exact and Euler pushforward, KDE."""
 
+import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,7 +23,7 @@ from charstoch import (
     sample_initial,
 )
 from charstoch.problem import space_axes, tensor_points
-from charstoch.representation import _UNDERFLOW, _sources
+from charstoch.representation import _sources
 
 BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
           / "gaussian_bump_2d.json")
@@ -65,8 +67,6 @@ def test_sampling_is_seed_deterministic(burgers):
     b = sample_initial(burgers, 5000)
     np.testing.assert_array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.w, b.w)
-    import dataclasses
-
     other = dataclasses.replace(burgers, rng_seed=43)
     c = sample_initial(other, 5000)
     assert not np.array_equal(a.y, c.y)
@@ -145,10 +145,13 @@ def test_kde_far_point_is_invalid(burgers):
     ens = ParticleEnsemble(y=np.zeros((1, 1)), U=np.array([0.25]),
                            X=np.zeros((1, 1)), w=np.array([1.0]),
                            t=0.5, seed=0)
-    est = estimate_fields(ens, burgers, np.array([[500.0]]), bandwidth=0.01)
-    assert est.rho_hat[0] == 0.0
-    assert not est.valid[0]
-    assert math.isnan(est.u_hat[0])
+    # 500 is past where exp underflows; 0.1 is ten bandwidths away, past
+    # the cutoff of kernel_cutoff = 8 bandwidths, so its mass is cut to 0
+    est = estimate_fields(ens, burgers, np.array([[500.0], [0.1]]),
+                          bandwidth=0.01)
+    np.testing.assert_array_equal(est.rho_hat, [0.0, 0.0])
+    assert not est.valid.any()
+    assert np.isnan(est.u_hat).all()
 
 
 def dense_kde(ens, pts, h, denom_floor):
@@ -196,27 +199,74 @@ def test_kde_equals_dense_sums_in_cell_order(burgers):
         ens = evolve_exact(sample_initial(spec, count), spec, t)
         pts = np.vstack([pts, far])
         est = estimate_fields(ens, spec, pts, bandwidth=h)
-        # the sources as the estimator sums them, in cell order,
-        # recovered through an index column
-        order = _sources(ens.X, ens.w, (np.arange(len(ens), dtype=float),),
-                         h * h, _UNDERFLOW, 1.0).columns[0].astype(np.intp)
-        X, w, U = ens.X[order], ens.w[order], ens.U[order]
-        norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
-        for p, x in enumerate(pts):
-            e = np.zeros(len(X))
-            for i in range(spec.n):
-                d = X[:, i] - x[i]
-                e += d * d
-            e /= 2.0 * (h * h)
-            keep = e <= _UNDERFLOW
-            wk = w[keep] * np.exp(-e[keep])
-            den = float(np.sum(wk))
-            assert est.rho_hat[p] == norm * den
-            if den >= spec.tol.denom_floor:
-                assert est.u_hat[p] == float(np.sum(wk * U[keep]) / den)
-            else:
-                assert np.isnan(est.u_hat[p]) and not est.valid[p]
+        assert_cell_order_sums(est, ens, spec, pts, h)
         assert est.rho_hat[-1] == 0.0
+
+
+def assert_cell_order_sums(est, ens, spec, pts, h):
+    """The estimates equal dense sums over the sources as the estimator
+    builds them: in their cell order, recovered through an index column,
+    and cut where their e exceeds that object's cut."""
+    src = _sources(ens.X, ens.w, (np.arange(len(ens), dtype=float),),
+                   h * h, spec.tol.kernel_cutoff, 1.0)
+    order = src.columns[0].astype(np.intp)
+    X, w, U = ens.X[order], ens.w[order], ens.U[order]
+    norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
+    for p, x in enumerate(pts):
+        e = np.zeros(len(X))
+        for i in range(spec.n):
+            d = X[:, i] - x[i]
+            e += d * d
+        e /= 2.0 * (h * h)
+        keep = e <= src.cut
+        wk = w[keep] * np.exp(-e[keep])
+        den = float(np.sum(wk))
+        assert est.rho_hat[p] == norm * den
+        if den >= spec.tol.denom_floor:
+            assert est.u_hat[p] == float(np.sum(wk * U[keep]) / den)
+        else:
+            assert np.isnan(est.u_hat[p]) and not est.valid[p]
+
+
+def unit_particle_fields(spec, X, x, h, U=0.25):
+    """Estimates at the targets x of unit-weight particles at X (1D)."""
+    X = np.asarray(X, dtype=float)[:, None]
+    ens = ParticleEnsemble(y=X, U=np.full(len(X), U), X=X,
+                           w=np.ones(len(X)), t=0.5, seed=0)
+    return estimate_fields(ens, spec, np.asarray(x, dtype=float)[:, None],
+                           bandwidth=h)
+
+
+def test_kde_cut_at_kernel_cutoff_bandwidths(burgers):
+    """A particle 7.9 bandwidths from a target adds its one Gaussian term;
+    one 8.1 bandwidths away (kernel_cutoff = 8) adds nothing."""
+    h = 0.02
+    assert burgers.tol.kernel_cutoff == 8.0
+    x = 7.9 * h
+    est = unit_particle_fields(burgers, [0.0, x + 8.1 * h], [x], h)
+    d = 0.0 - x
+    e = np.array([d * d / (2.0 * (h * h))])
+    term = (2.0 * math.pi * h * h) ** -0.5 * float(np.exp(-e)[0])
+    assert est.rho_hat[0] == term
+    assert est.u_hat[0] == 0.25 and est.valid[0]
+    # the nearer particle alone gives the same sums
+    alone = unit_particle_fields(burgers, [0.0], [x], h)
+    assert alone.rho_hat[0] == est.rho_hat[0]
+
+
+def test_large_kernel_cutoff_restores_underflow_cut():
+    """kernel_cutoff = 40 asks for e <= 800, past where exp underflows,
+    so the sums run to e <= 745 and reach particles 38 bandwidths off."""
+    spec = make(tolerances={"kernel_cutoff": 40})
+    h = 0.06
+    far = unit_particle_fields(spec, [0.0], [38.0 * h, 39.0 * h], h)
+    assert far.rho_hat[0] > 0.0
+    assert far.rho_hat[1] == 0.0 and not far.valid[1]
+    ens = evolve_exact(sample_initial(spec, 20_000), spec, 0.5)
+    pts = np.vstack([np.linspace(-6.0, 6.0, 13)[:, None], [[12.0]]])
+    est = estimate_fields(ens, spec, pts, bandwidth=h)
+    assert _sources(ens.X, ens.w, (), h * h, 40.0, 1.0).cut == 745.0
+    assert_cell_order_sums(est, ens, spec, pts, h)
 
 
 def test_tiny_bandwidth_cells_stay_bounded():
@@ -224,7 +274,8 @@ def test_tiny_bandwidth_cells_stay_bounded():
                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
                 time_points=[0.3])
     ens = evolve_exact(sample_initial(spec, 5_000), spec, 0.3)
-    cells = _sources(ens.X, ens.w, (ens.U,), 1e-18, _UNDERFLOW, 1.0)
+    cells = _sources(ens.X, ens.w, (ens.U,), 1e-18, spec.tol.kernel_cutoff,
+                     1.0)
     assert np.prod(cells.shape) <= len(ens)
     assert cells.starts.size == np.prod(cells.shape) + 1
     # three particles, the last particle along each axis, and an empty point
@@ -300,3 +351,41 @@ def test_dump_ensemble_csv(tmp_path, burgers):
     assert float(cells[0]) == pytest.approx(ens.y[2, 0], rel=1e-12)
     assert float(cells[2]) == pytest.approx(ens.X[2, 0], rel=1e-12)
     assert all("e" in c for c in cells)
+
+
+def dump_rows(ens, path):
+    """Reference dump: one ``csv.writer`` row per particle."""
+    n = ens.y.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"y{i + 1}" for i in range(n)] + ["U"]
+                        + [f"X{i + 1}" for i in range(n)] + ["w"])
+        for j in range(len(ens)):
+            writer.writerow([f"{v:.12e}" for v in ens.y[j]]
+                            + [f"{ens.U[j]:.12e}"]
+                            + [f"{v:.12e}" for v in ens.X[j]]
+                            + [f"{ens.w[j]:.12e}"])
+
+
+def test_dump_ensemble_bytes_equal_row_writer(tmp_path, burgers):
+    """More rows than one formatting chunk, in 1D and 2D, with signed
+    zeros and non-finite values among them."""
+    bump2d = make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
+                  box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
+                  time_points=[0.3])
+    for spec in (burgers, bump2d):
+        ens = evolve_exact(sample_initial(spec, 9_000), spec, 0.3)
+        X = ens.X.copy()
+        X[0, 0], X[1, -1], X[2, 0] = -0.0, np.nan, -np.inf
+        ens = dataclasses.replace(ens, X=X)
+        dump_ensemble(ens, tmp_path / "fast.csv")
+        dump_rows(ens, tmp_path / "rows.csv")
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\r\n") == len(ens) + 1
+    empty = dataclasses.replace(ens, y=ens.y[:0], U=ens.U[:0], X=ens.X[:0],
+                                w=ens.w[:0])
+    dump_ensemble(empty, tmp_path / "fast.csv")
+    dump_rows(empty, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == b"y1,y2,U,X1,X2,w\r\n"
+    assert (tmp_path / "rows.csv").read_bytes() == b"y1,y2,U,X1,X2,w\r\n"

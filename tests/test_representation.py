@@ -198,11 +198,11 @@ def dense_pass(centers, weights, x, var, cut):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cell_pass_equals_dense_scan(n):
     rng = np.random.default_rng(10 + n)
-    var, cut = 2.0, 1.0  # cutoff radius exactly 2
+    var, cutoff = 1.0, 2.0  # cutoff radius exactly 2, cut e <= 2
     # a unit lattice, so sources sit exactly one radius from lattice targets
     lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * n, indexing="ij"),
                        axis=-1).reshape(-1, n)
-    width = _sources(lattice, np.ones(len(lattice)), (), var, cut, 1.0).width
+    width = _sources(lattice, np.ones(len(lattice)), (), var, cutoff, 1.0).width
     assert width > 2.0
     faces = np.stack(np.meshgrid(*[np.arange(4) * width] * n, indexing="ij"),
                      axis=-1).reshape(-1, n)
@@ -211,8 +211,9 @@ def test_cell_pass_equals_dense_scan(n):
     weights = rng.random(len(centers))
     # an index column recovers the cell order of the sources
     cells = _sources(centers, weights, (np.arange(len(centers), dtype=float),),
-                     var, cut, 1.0)
+                     var, cutoff, 1.0)
     order = cells.columns[0].astype(np.intp)
+    assert cells.cut == 2.0
     assert cells.width == width  # the face sources lie on cell boundaries
     # the NaN center is left out of the cell order, so it is never scanned
     assert 7 not in order
@@ -231,7 +232,7 @@ def test_cell_pass_equals_dense_scan(n):
     # -e1 and (9, ..., 9) are outside the bounding box, within reach of it
     for x in targets:
         idx, wk = _gaussian_pass(cells, x)
-        ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cut)
+        ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cells.cut)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(wk, ref_wk)
         assert np.sum(wk) == np.sum(ref_wk)
