@@ -18,21 +18,24 @@ The kernel gradient is available in closed form,
     dP/dx_k ~ (A_k(t, u0(y)) + y_k - x_k) / (sigma^2 t) * kernel,
 
 so the I terms are plain quadratures; no finite differencing of P is
-ever involved.  They take points (..., n), and each point costs one
-kernel pass over the table of (problem, t), the kernel sources of the
-smoothed fields (``representation._kernel_means``): the sources' rows
-of u0 and a give the covariances and their centers the gradient.  The
-signs above are the ones that close the identities; with them the
-discrete residuals vanish at the order of the space-time stencil.  In
-the vanishing-noise limit the same system without diffusion and
-without I terms holds for the transported fields while the solution
-stays classical.
+ever involved.  They take points (..., n), and I_u and I_a of a point
+set share one pass: one kernel pass per point over the table of
+(problem, t), the kernel sources of the smoothed fields
+(``representation._kernel_means``), whose rows of u0 and a give the
+covariances and whose centers give the gradient.  The pair computed
+last is kept, so asking for both terms at the same points, in either
+order, costs the passes once.  The signs above are the ones that close
+the identities; with them the discrete residuals vanish at the order
+of the space-time stencil.  In the vanishing-noise limit the same
+system without diffusion and without I terms holds for the transported
+fields while the solution stays classical.
 
 These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
 q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
 evaluates it once per q with second-order central differences in space
 and in time, one-sided second-order at the time-window edges, making
-one field call and one call per I term for each time.
+one field call and the two I-term calls, which share their passes, for
+each time.
 """
 
 from __future__ import annotations
@@ -81,55 +84,67 @@ class ItermRow:
     i_a_sup: np.ndarray  # per component
 
 
-def _i_terms(spec: ProblemSpec, t: float, x, which: str):
-    """I_u ("u"), I_a ("a") or I_u assembled from raw moments
-    ("assembled") at points x (..., n), one kernel pass per point: a
-    float or an n-vector for one point.  Raises EmptyKernelSupport at
-    the first point without kernel mass."""
+def _i_term_table(spec: ProblemSpec, t: float):
+    """The kernel sources of (spec, t) for the I terms, which need t > 0."""
     if t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    table = _table_for(spec, t)
-    X, shape = _point_rows(x, spec.n)
-    n, floor, norm = spec.n, spec.tol.denom_floor, table.norm
+    return _table_for(spec, t)
+
+
+def _i_term_passes(spec: ProblemSpec, t: float, table, X: np.ndarray):
+    """Per point xp of X (P, n): xp, its ``_kernel_means`` and the rows
+    of the sources' centers.  Raises EmptyKernelSupport at the first
+    point without kernel mass."""
+    floor = spec.tol.denom_floor
+    for xp in X:
+        idx, wk, den, rows, means = _kernel_means(table, xp, floor)
+        _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
+        yield xp, wk, rows, means, np.take(table.centers, idx, axis=0)
+
+
+# the (I_u, I_a) pair computed last, as (key, I_u (P,), I_a (P, n))
+_last_pair = None
+
+
+def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
+    """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
+    point for both.  The pair is kept until the next one is computed,
+    so the second of the two public calls at the same points makes no
+    pass; callers must copy what they return."""
+    global _last_pair
+    table = _i_term_table(spec, t)
+    key = (spec.digest, float(t), X.shape, X.tobytes())
+    last = _last_pair  # read once, so the key and values come together
+    if last is not None and last[0] == key:
+        return last[1:]
+    n, norm = spec.n, table.norm
     s2t = spec.sigma * spec.sigma * t
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
-    out = np.empty((len(X), n) if which == "a" else len(X))
-    for p, xp in enumerate(X):
-        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
-        _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
-        centers = np.take(table.centers, idx, axis=0)
-        if which == "assembled":
-            total = 0.0
-            for k in range(n):
-                gk = (centers[:, k] - xp[k]) / s2t
-                m_one = norm * np.sum(wk * gk)
-                m_u = norm * np.sum(wk * u0v * gk)
-                m_a = norm * np.sum(wk * avals[k] * gk)
-                m_ua = norm * np.sum(wk * u0v * avals[k] * gk)
-                total += m_ua - u * m_a - a[k] * m_u + u * a[k] * m_one
-            out[p] = total
-            continue
+    iu, ia = np.empty(len(X)), np.empty((len(X), n))
+    for p, (xp, wk, (u0v, *avals), (u, *a), centers) in \
+            enumerate(_i_term_passes(spec, t, table, X)):
         # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node
-        fac = np.zeros(len(idx))
+        fac = np.zeros(len(wk))
         for k in range(n):
             fac += (avals[k] - a[k]) * (centers[:, k] - xp[k])
         fac /= s2t
-        if which == "u":
-            out[p] = norm * np.sum(wk * (u0v - u) * fac)
-            continue
+        iu[p] = norm * np.sum(wk * (u0v - u) * fac)
         for i in range(n):
-            out[p, i] = norm * np.sum(wk * (avals[i] - a[i]) * fac)
+            ia[p, i] = norm * np.sum(wk * (avals[i] - a[i]) * fac)
         if dt_components:
             dt_vals = spec.velocity.dt_values(t, u0v)
             for i in dt_components:
-                out[p, i] -= norm * np.sum(wk * dt_vals[i])
-    return _batched(out, shape)
+                ia[p, i] -= norm * np.sum(wk * dt_vals[i])
+    _last_pair = (key, iu, ia)
+    return iu, ia
 
 
 def eval_I_u_sigma(spec: ProblemSpec, t: float, x):
     """Covariance source of the u-moment balance at points x (..., n),
-    by direct quadrature."""
-    return _i_terms(spec, t, x, "u")
+    by direct quadrature.  Raises EmptyKernelSupport at the first point
+    without kernel mass."""
+    X, shape = _point_rows(x, spec.n)
+    return _batched(_i_terms(spec, t, X)[0].copy(), shape)
 
 
 def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
@@ -140,18 +155,36 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
     a component of the velocity depends on t explicitly, its
     time-derivative moment is subtracted so the momentum identity still
     closes.  Both pieces vanish identically for velocities that are
-    constant in u and t respectively.
+    constant in u and t respectively.  I_u at the same points comes out
+    of the same passes, so calling both costs one pass per point.
     """
-    return _i_terms(spec, t, x, "a")
+    X, shape = _point_rows(x, spec.n)
+    return _batched(_i_terms(spec, t, X)[1].copy(), shape)
 
 
 def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
     """I_u rebuilt from raw gradient moments of 1, u, a_k and u a_k.
 
     Algebraically identical to :func:`eval_I_u_sigma`; kept as an
-    independent assembly for cross-checks.
+    independent assembly for cross-checks, with its own kernel passes.
     """
-    return _i_terms(spec, t, x, "assembled")
+    X, shape = _point_rows(x, spec.n)
+    table = _i_term_table(spec, t)
+    n, norm = spec.n, table.norm
+    s2t = spec.sigma * spec.sigma * t
+    out = np.empty(len(X))
+    for p, (xp, wk, (u0v, *avals), (u, *a), centers) in \
+            enumerate(_i_term_passes(spec, t, table, X)):
+        total = 0.0
+        for k in range(n):
+            gk = (centers[:, k] - xp[k]) / s2t
+            m_one = norm * np.sum(wk * gk)
+            m_u = norm * np.sum(wk * u0v * gk)
+            m_a = norm * np.sum(wk * avals[k] * gk)
+            m_ua = norm * np.sum(wk * u0v * avals[k] * gk)
+            total += m_ua - u * m_a - a[k] * m_u + u * a[k] * m_one
+        out[p] = total
+    return _batched(out, shape)
 
 
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
@@ -214,7 +247,8 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, smoothed: bool,
     stencil = probes[:, None, :] + offsets[None, :, :]
     # the sources S and then the densities q of the one law (module
     # docstring); the I terms of a time are taken right after its
-    # fields, while its table is still cached
+    # fields, while its table is still cached, and I_a right after I_u
+    # at the same probes, so the two share one kernel pass per probe
     S = np.zeros((2 + n, J + 1, P))
     per_time = []
     for j, tj in enumerate(times):

@@ -50,6 +50,9 @@ __all__ = [
     "tensor_points",
 ]
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical knobs with safe defaults; all overridable per problem."""
@@ -385,13 +388,16 @@ def _parse_tolerances(src) -> Tolerances:
     for key, val in src.items():
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise SchemaError(f"tolerance '{key}' must be a number")
+        # chained comparisons refuse NaN, infinities and ints past the
+        # float range before int() or float() sees them
         if key in Tolerances._INT_FIELDS:
-            if int(val) != val or val < 1:
-                raise SchemaError(f"tolerance '{key}' must be a positive integer")
+            if not (1 <= val <= _FLOAT_MAX and int(val) == val):
+                raise SchemaError(
+                    f"tolerance '{key}' must be a finite positive integer")
             kwargs[key] = int(val)
         else:
-            if val <= 0:
-                raise ValidationError(f"tolerance '{key}' must be > 0")
+            if not 0 < val <= _FLOAT_MAX:
+                raise ValidationError(f"tolerance '{key}' must be finite and > 0")
             kwargs[key] = float(val)
     return Tolerances(**kwargs)
 

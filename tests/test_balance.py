@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from charstoch import (
     residual_sigma_system,
     solve_implicit,
 )
+from charstoch import balance, representation
 from charstoch.balance import _fields_sigma
 from charstoch.characteristics import classical_fields
+
+BUMP_2D = Path(__file__).resolve().parent.parent / "configs" / "gaussian_bump_2d.json"
 
 
 def make(**overrides):
@@ -180,6 +184,83 @@ def test_residual_sigma_fields_are_the_public_evaluators(burgers):
     assert eval_rho_sigma(narrow, 0.1, grid).shape == (17,)
 
 
+def count_passes(monkeypatch) -> list:
+    """Start from no kept I-term pair; the returned list grows by one
+    per kernel pass."""
+    passes = []
+    real = representation._gaussian_pass
+
+    def counting(src, x):
+        passes.append(x)
+        return real(src, x)
+
+    monkeypatch.setattr(representation, "_gaussian_pass", counting)
+    monkeypatch.setattr(balance, "_last_pair", None)
+    return passes
+
+
+@pytest.mark.parametrize("first", [eval_I_u_sigma, eval_I_a_sigma])
+def test_i_terms_share_one_pass_per_point(monkeypatch, first):
+    """I_u and I_a at the same P points cost P kernel passes together, in
+    either order, and equal the per-point calls and a cold recomputation
+    bit for bit.  a = t u makes I_a carry the time-derivative moment."""
+    bump = make(n=2, a=["u", "u^2/2"], u0="exp(-x1^2-x2^2)", sigma=0.2,
+                box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
+                time_points=[0.3])
+    tdep = make(a=["t*u"], u0="0.7+0.2*sin(x1)", rho0="exp(-x1^2)", sigma=0.3,
+                box=[[-6.0, 6.0]], space_grid=[25], time_points=[0.5])
+    second = eval_I_a_sigma if first is eval_I_u_sigma else eval_I_u_sigma
+    passes = count_passes(monkeypatch)
+    for spec, t, X in ((bump, 0.3, np.array([[0.3, -0.2], [0.0, 0.5], [1.0, 1.0]])),
+                       (tdep, 0.5, np.linspace(-2.0, 2.0, 5)[:, None])):
+        passes.clear()
+        pair = {f: f(spec, t, X) for f in (first, second)}
+        assert len(passes) == len(X)
+        # callers get copies: writing into one changes nothing kept
+        for f in (first, second):
+            f(spec, t, X).fill(0.0)
+        assert len(passes) == len(X)
+        for f in (first, second):
+            np.testing.assert_array_equal(f(spec, t, X), pair[f])
+            for p, x in enumerate(X):
+                np.testing.assert_array_equal(f(spec, t, x), pair[f][p])
+        monkeypatch.setattr(balance, "_last_pair", None)
+        for f in (second, first):
+            np.testing.assert_array_equal(f(spec, t, X), pair[f])
+    assert np.all(pair[eval_I_a_sigma] != 0.0)
+
+
+def test_i_term_pair_recomputed_for_new_sigma_time_or_points(monkeypatch, burgers):
+    X = np.linspace(-2.0, 2.0, 5)[:, None]
+    passes = count_passes(monkeypatch)
+    eval_I_u_sigma(burgers, 0.5, X)
+    for spec, t, pts in ((burgers.with_sigma(0.05), 0.5, X), (burgers, 0.4, X),
+                         (burgers, 0.5, X + 0.1), (burgers, 0.5, X[:3]),
+                         (burgers, 0.5, X)):
+        passes.clear()
+        eval_I_a_sigma(spec, t, pts)
+        assert len(passes) == len(pts), (spec.sigma, t, pts)
+
+
+def test_refused_i_term_batch_stores_nothing(monkeypatch):
+    """A batch refused part way keeps no pair, so no later call can be
+    answered from it, and the pair kept before it stays."""
+    narrow = make(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], sigma=0.05,
+                  space_grid=[17], time_points=[0.1])
+    grid = np.linspace(-8.0, 8.0, 17)[8:, None]  # x = 0, 1, ..., 8
+    inner = np.array([[0.0], [0.01]])
+    passes = count_passes(monkeypatch)
+    iu = eval_I_u_sigma(narrow, 0.1, inner)
+    for evaluate in (eval_I_u_sigma, eval_I_a_sigma, eval_I_u_sigma):
+        passes.clear()
+        with pytest.raises(EmptyKernelSupport, match=r"t=0\.1, x=\[2\.0\]$"):
+            evaluate(narrow, 0.1, grid)
+        assert len(passes) == 3  # x = 0 and 1, then the refused x = 2
+    passes.clear()
+    np.testing.assert_array_equal(eval_I_u_sigma(narrow, 0.1, inner), iu)
+    assert passes == []
+
+
 def test_classical_fields_are_the_public_evaluators(burgers):
     for spec, t, x in probe_cases(burgers):
         rho, u, a = classical_fields(spec, t, x)
@@ -196,6 +277,32 @@ def test_pressureless_second_order_refinement(burgers):
         assert 2.5 <= r.ratio <= 6.0
     assert [r.equation for r in fine] == ["mass_bar", "momentum_u_bar",
                                           "momentum_a_bar_1"]
+
+
+@pytest.mark.parametrize("a", [["u", "u"], ["u", "u^2/2"]])
+def test_pressureless_second_order_refinement_2d(a):
+    """test_07's band on the 2D bump.  The coarser pair 0.2:0.04 ->
+    0.1:0.02 gives a momentum ratio of 2.79, below the band, so the
+    first pair that enters it, 0.1:0.02 -> 0.05:0.01, is the one
+    checked.  With a = (u, u^2/2) the second velocity moment is its own
+    law, apart from the u moment."""
+    cfg = json.loads(BUMP_2D.read_text())
+    spec = load_problem(json.dumps(dict(cfg, a=a)))
+    coarse = residual_pressureless(spec, (0.2, 0.4), (0.1, 0.02))
+    fine = residual_pressureless(spec, (0.2, 0.4), (0.05, 0.01))
+    attach_ratios(coarse, fine)
+    by_eq = {r.equation: r for r in fine}
+    assert list(by_eq) == ["mass_bar", "momentum_u_bar", "momentum_a_bar_1",
+                           "momentum_a_bar_2"]
+    for r in fine:
+        assert 2.8 <= r.ratio <= 5.2, f"{r.equation}: ratio {r.ratio:.2f}"
+    u_row, a2_row = by_eq["momentum_u_bar"], by_eq["momentum_a_bar_2"]
+    assert by_eq["momentum_a_bar_1"].max_residual == u_row.max_residual
+    if a[1] == "u":
+        assert a2_row.max_residual == u_row.max_residual
+    else:
+        assert a2_row.max_residual != u_row.max_residual
+        assert a2_row.ratio != u_row.ratio
 
 
 def test_pressureless_refuses_window_near_blowup(burgers):

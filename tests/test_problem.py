@@ -131,6 +131,16 @@ def test_tolerance_overrides():
         load_problem(make(tolerances={"blowup_tol": 0.0}))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerances_refused_at_load(value):
+    """json reads NaN and Infinity; a float tolerance must be finite and
+    > 0, an integer one a finite positive integer."""
+    with pytest.raises(ValidationError, match="kernel_cutoff"):
+        load_problem(make(tolerances={"kernel_cutoff": value}))
+    with pytest.raises(SchemaError, match="nodes_per_panel"):
+        load_problem(make(tolerances={"nodes_per_panel": value}))
+
+
 def test_analytic_derivative_validated_against_components():
     ok = make(a=["t*u"], a_u=["t"], A=["t^2/2*u"])
     spec = load_problem(ok)
