@@ -22,9 +22,11 @@ ever involved.  They take points (..., n), and I_u and I_a of a point
 set share one pass: one kernel pass per point over the table of
 (problem, t), the kernel sources of the smoothed fields
 (``representation._kernel_means``), whose rows of u0 and a give the
-covariances and whose centers give the gradient.  The pair computed
-last is kept, so asking for both terms at the same points, in either
-order, costs the passes once.  The signs above are the ones that close
+covariances and whose centers give the gradient.  The pair is kept
+with the masses and means of the same passes, as the kernel results of
+the last point set in ``representation``, so asking for both terms and
+then the fields at the same points, in any order, costs the passes
+once.  The signs above are the ones that close
 the identities; with them the discrete residuals vanish at the order
 of the space-time stencil.  In the vanishing-noise limit the same
 system without diffusion and without I terms holds for the transported
@@ -33,9 +35,10 @@ fields while the solution stays classical.
 These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
 q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
 evaluates it once per q with second-order central differences in space
-and in time, one-sided second-order at the time-window edges, making
-one field call and the two I-term calls, which share their passes, for
-each time.
+and in time, one-sided second-order at the time-window edges.  For
+each time it asks for the two I terms at the probes, then the fields
+at the probes, which their pass answers, and at the 2n offset points:
+(2n + 1) passes per probe.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from .characteristics import blow_up_time, classical_fields
 from .errors import EmptyKernelSupport, NearBlowup
 from .problem import (ProblemSpec, _batched, _point_rows, _refuse, space_axes,
                       tensor_points)
-from .representation import (_fields_sigma, _kernel_means, _noise_ladder,
+from .representation import (_KernelResults, _fields_sigma, _keep, _kept,
+                             _kernel_means, _noise_ladder, _point_key,
                              _support_reach, _table_for)
 
 __all__ = [
@@ -99,30 +103,28 @@ def _i_term_passes(spec: ProblemSpec, t: float, table, X: np.ndarray):
     for xp in X:
         idx, wk, den, rows, means = _kernel_means(table, xp, floor)
         _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
-        yield xp, wk, rows, means, np.take(table.centers, idx, axis=0)
-
-
-# the (I_u, I_a) pair computed last, as (key, I_u (P,), I_a (P, n))
-_last_pair = None
+        yield xp, wk, den, rows, means, np.take(table.centers, idx, axis=0)
 
 
 def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
-    point for both.  The pair is kept until the next one is computed,
-    so the second of the two public calls at the same points makes no
-    pass; callers must copy what they return."""
-    global _last_pair
+    point for both.  The pair is kept with the masses and means of the
+    same passes, so the second of the two public calls at the same
+    points, and the fields there, make no pass; callers must copy what
+    they return.  A batch refused part way keeps nothing."""
     table = _i_term_table(spec, t)
-    key = (spec.digest, float(t), X.shape, X.tobytes())
-    last = _last_pair  # read once, so the key and values come together
-    if last is not None and last[0] == key:
-        return last[1:]
+    key = _point_key(spec, t, X)
+    kept = _kept(key)
+    if kept is not None and kept.i_terms is not None:
+        return kept.i_terms
     n, norm = spec.n, table.norm
     s2t = spec.sigma * spec.sigma * t
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
+    den, means = np.empty(len(X)), np.empty((len(X), 1 + n))
     iu, ia = np.empty(len(X)), np.empty((len(X), n))
-    for p, (xp, wk, (u0v, *avals), (u, *a), centers) in \
+    for p, (xp, wk, mass, (u0v, *avals), (u, *a), centers) in \
             enumerate(_i_term_passes(spec, t, table, X)):
+        den[p], means[p] = mass, (u, *a)
         # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node
         fac = np.zeros(len(wk))
         for k in range(n):
@@ -135,7 +137,7 @@ def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
             dt_vals = spec.velocity.dt_values(t, u0v)
             for i in dt_components:
                 ia[p, i] -= norm * np.sum(wk * dt_vals[i])
-    _last_pair = (key, iu, ia)
+    _keep(_KernelResults(key, den, means, (iu, ia)))
     return iu, ia
 
 
@@ -173,7 +175,7 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
     n, norm = spec.n, table.norm
     s2t = spec.sigma * spec.sigma * t
     out = np.empty(len(X))
-    for p, (xp, wk, (u0v, *avals), (u, *a), centers) in \
+    for p, (xp, wk, _, (u0v, *avals), (u, *a), centers) in \
             enumerate(_i_term_passes(spec, t, table, X)):
         total = 0.0
         for k in range(n):
@@ -246,16 +248,21 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, smoothed: bool,
 
     stencil = probes[:, None, :] + offsets[None, :, :]
     # the sources S and then the densities q of the one law (module
-    # docstring); the I terms of a time are taken right after its
-    # fields, while its table is still cached, and I_a right after I_u
-    # at the same probes, so the two share one kernel pass per probe
+    # docstring).  The I terms of a time come first, I_a right after
+    # I_u at the same probes, so the two share one kernel pass per
+    # probe, which also answers the fields at the probes; only the 2n
+    # offset points of each probe then take a pass of their own
     S = np.zeros((2 + n, J + 1, P))
     per_time = []
     for j, tj in enumerate(times):
-        per_time.append(fields(spec, tj, stencil))
         if smoothed:
             S[1, j] = eval_I_u_sigma(spec, tj, probes)
             S[2:, j] = eval_I_a_sigma(spec, tj, probes).T
+            per_time.append([np.concatenate([c[:, None], o], axis=1) for c, o in
+                             zip(fields(spec, tj, probes),
+                                 fields(spec, tj, stencil[:, 1:]))])
+        else:
+            per_time.append(fields(spec, tj, stencil))
     rho, u, a = map(np.stack, zip(*per_time))
     Q = np.stack([rho, rho * u] + [rho * a[..., i] for i in range(n)])
     half_s2 = 0.5 * spec.sigma * spec.sigma

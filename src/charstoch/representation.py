@@ -32,8 +32,12 @@ evaluation, scans those slices rather than every source.  The fields
 here, the covariance sources in ``balance`` and the particle estimates
 are all moments of that pass: ``_kernel_means`` takes the weighted
 means of the columns around one point, and ``_kernel_moments`` runs it
-over a point set.  Sums run in cell order, and equal a scan of all
-sources in that order bit for bit.  The node count still scales like
+over a point set.  The kernel results of the last point set (masses,
+means, and the I terms when an I-term pass made them) are kept, so the
+three fields and the two I terms at the same points cost one pass per
+point; a field grid makes its pass once for all three fields.  Sums run
+in cell order, and equal a scan of all sources in that order bit for
+bit.  The node count still scales like
 sigma^(-n) (halving sigma doubles it per axis), which governs the table
 build and its memory, not the cost per point.
 """
@@ -323,6 +327,53 @@ def _kernel_moments(src: _Sources, X: np.ndarray,
     return den, means
 
 
+@dataclass(frozen=True)
+class _KernelResults:
+    """The kernel results of one point set X (P, n) at one (problem, t):
+    the raw masses ``den`` (P,), the table's column means ``means``
+    (P, 1 + n), and (I_u (P,), I_a (P, n)) when an I-term pass made
+    them.  ``key`` is ``_point_key`` of that point set."""
+
+    key: tuple
+    den: np.ndarray
+    means: np.ndarray
+    i_terms: tuple[np.ndarray, np.ndarray] | None = None
+
+
+# the kernel results of the last point set, so that the fields and the
+# I terms asked for at the same points share one pass per point
+_last_results: _KernelResults | None = None
+
+
+def _point_key(spec: ProblemSpec, t: float, X: np.ndarray) -> tuple:
+    return (spec.digest, float(t), X.shape, X.tobytes())
+
+
+def _kept(key: tuple) -> _KernelResults | None:
+    """The kept kernel results if they are those of ``key``, else None."""
+    last = _last_results  # read once, so the key and values come together
+    return last if last is not None and last.key == key else None
+
+
+def _keep(results: _KernelResults | None) -> None:
+    global _last_results
+    _last_results = results
+
+
+def _moments_at(spec: ProblemSpec, t: float, X: np.ndarray):
+    """(table, den (P,), means (P, 1 + n)) of the table of (spec, t) at
+    the points X (P, n): the kept results of X if there are some, else
+    one pass per point, kept.  The arrays may be the kept ones, so
+    callers must not write into them."""
+    table = _table_for(spec, t)
+    key = _point_key(spec, t, X)
+    kept = _kept(key)
+    if kept is None:
+        kept = _KernelResults(key, *_kernel_moments(table, X, spec.tol.denom_floor))
+        _keep(kept)
+    return table, kept.den, kept.means
+
+
 def _support_reach(spec: ProblemSpec, t: float) -> float:
     """Largest distance the transported kernel reaches from a foot point:
     the largest flow displacement over ``u_range`` plus the kernel cutoff
@@ -340,7 +391,12 @@ def eval_rho_sigma(spec: ProblemSpec, t: float, x):
     if t == 0:
         return _batched(spec.init.rho0_at(X), shape)
     table = _table_for(spec, t)
-    den, _ = _kernel_moments(replace(table, columns=()), X, spec.tol.denom_floor)
+    kept = _kept(_point_key(spec, t, X))
+    if kept is None:
+        # a miss takes no column means: the masses alone are cheaper
+        den, _ = _kernel_moments(replace(table, columns=()), X, spec.tol.denom_floor)
+    else:
+        den = kept.den
     return _batched(table.norm * den, shape)
 
 
@@ -361,16 +417,17 @@ def eval_a_sigma(spec: ProblemSpec, t: float, x):
 
 def _fields_sigma(spec: ProblemSpec, t: float, x):
     """(rho, u, a) at points x (..., n), one kernel pass per point, in
-    the shapes of ``classical_fields``.  Raises EmptyKernelSupport at the
+    the shapes of ``classical_fields``; the kept kernel results of the
+    same points answer without a pass.  Raises EmptyKernelSupport at the
     first point without kernel mass."""
     X, shape = _point_rows(x, spec.n)
     if t == 0:
         u = spec.init.u0_at(X)
         rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
     else:
-        table = _table_for(spec, t)
-        den, means = _kernel_moments(table, X, spec.tol.denom_floor)
+        table, den, means = _moments_at(spec, t, X)
         _refuse(EmptyKernelSupport, den < spec.tol.denom_floor, X, t, "no kernel mass")
+        means = means.copy()  # u and a are views, and callers get copies
         rho, u, a = table.norm * den, means[:, 0], means[:, 1:]
     return _batched(rho, shape), _batched(u, shape), _batched(a, shape)
 
@@ -432,10 +489,13 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     """Evaluate one field ("rho", "u" or "a") on the problem's box grid.
 
     ``t`` may be any time >= 0, not only one of the problem's output
-    times: tables are built per (problem, t).  Each grid value is
-    produced by the same pointwise evaluator a caller would use, so a
-    grid entry and a direct call agree bit for bit.  Points whose kernel
-    carries no mass are flagged invalid rather than failing the grid.
+    times: tables are built per (problem, t).  One kernel pass per grid
+    point gives the masses and means of all three fields; it is kept,
+    so the grids of the other two fields at this t make no pass.  The
+    grid values are then those of one call of the field's public
+    evaluator, which the kept pass answers, so a grid entry and a
+    direct call agree bit for bit.  Points whose kernel carries no mass
+    are flagged invalid rather than failing the grid.
     """
     # looked up per call, so that a rebound evaluator is the one called
     evaluate = {"rho": eval_rho_sigma, "u": eval_u_sigma,
@@ -444,13 +504,22 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
         raise ValueError(f"unknown field {which!r}")
     axes = space_axes(spec)
     pts = tensor_points(axes)
-    values = np.empty((len(pts), spec.n) if which == "a" else len(pts))
+    values = np.full((len(pts), spec.n) if which == "a" else len(pts), np.nan)
     valid = np.ones(len(pts), dtype=bool)
-    for i, x in enumerate(pts):
-        try:
-            values[i] = evaluate(spec, t, x)
-        except EmptyKernelSupport:
-            values[i], valid[i] = np.nan, False
+    if t != 0:
+        _, den, means = _moments_at(spec, t, pts)
+        if which != "rho":  # the density is defined without kernel mass
+            valid = den >= spec.tol.denom_floor
+    if valid.all():
+        values[...] = evaluate(spec, t, pts)
+    else:
+        # u and a refuse points without kernel mass, so the evaluator is
+        # asked for the others only, from the kept pass cut down to them;
+        # the whole grid's pass is kept again afterwards
+        grid_results, inside = _last_results, pts[valid]
+        _keep(_KernelResults(_point_key(spec, t, inside), den[valid], means[valid]))
+        values[valid] = evaluate(spec, t, inside)
+        _keep(grid_results)
     shape = tuple(len(ax) for ax in axes)
     return FieldGrid(name=which, t=float(t), axes=axes,
                      values=values.reshape(shape + values.shape[1:]),

@@ -1,5 +1,6 @@
 """Moment-balance identities and their covariance source terms."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from charstoch import (
     attach_ratios,
     eval_a_bar,
     eval_a_sigma,
+    eval_field_grid,
     eval_I_a_sigma,
     eval_I_u_sigma,
     eval_I_u_sigma_assembled,
@@ -185,7 +187,7 @@ def test_residual_sigma_fields_are_the_public_evaluators(burgers):
 
 
 def count_passes(monkeypatch) -> list:
-    """Start from no kept I-term pair; the returned list grows by one
+    """Start from no kept kernel results; the returned list grows by one
     per kernel pass."""
     passes = []
     real = representation._gaussian_pass
@@ -195,7 +197,7 @@ def count_passes(monkeypatch) -> list:
         return real(src, x)
 
     monkeypatch.setattr(representation, "_gaussian_pass", counting)
-    monkeypatch.setattr(balance, "_last_pair", None)
+    monkeypatch.setattr(representation, "_last_results", None)
     return passes
 
 
@@ -224,7 +226,7 @@ def test_i_terms_share_one_pass_per_point(monkeypatch, first):
             np.testing.assert_array_equal(f(spec, t, X), pair[f])
             for p, x in enumerate(X):
                 np.testing.assert_array_equal(f(spec, t, x), pair[f][p])
-        monkeypatch.setattr(balance, "_last_pair", None)
+        monkeypatch.setattr(representation, "_last_results", None)
         for f in (second, first):
             np.testing.assert_array_equal(f(spec, t, X), pair[f])
     assert np.all(pair[eval_I_a_sigma] != 0.0)
@@ -259,6 +261,100 @@ def test_refused_i_term_batch_stores_nothing(monkeypatch):
     passes.clear()
     np.testing.assert_array_equal(eval_I_u_sigma(narrow, 0.1, inner), iu)
     assert passes == []
+
+
+NARROW = dict(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], sigma=0.05,
+              space_grid=[17], time_points=[0.1])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("rho", "u", "a"))))
+def test_field_grids_share_one_pass_per_point(monkeypatch, order):
+    """The rho, u and a grids at one (spec, t) cost one kernel pass per
+    grid point together, in any order, and equal grids computed with
+    nothing kept.  The narrow rho0 leaves 14 of 17 points without
+    kernel mass."""
+    bump = load_problem(BUMP_2D.read_text())
+    passes = count_passes(monkeypatch)
+    for spec, t in ((bump, 0.3), (make(**NARROW), 0.1)):
+        passes.clear()
+        grids = [eval_field_grid(spec, t, which) for which in order]
+        assert len(passes) == grids[0].valid.size
+        for which, grid in zip(order, grids):
+            monkeypatch.setattr(representation, "_last_results", None)
+            cold = eval_field_grid(spec, t, which)
+            np.testing.assert_array_equal(grid.values, cold.values)
+            np.testing.assert_array_equal(grid.valid, cold.valid)
+        assert np.count_nonzero(grids[order.index("u")].valid) \
+            == (121 if spec is bump else 3)
+
+
+def test_kept_fields_are_copies_and_recomputed_for_new_sigma_time_or_points(
+        monkeypatch, burgers):
+    X = np.linspace(-2.0, 2.0, 5)[:, None]
+    passes = count_passes(monkeypatch)
+    fields = [f(burgers, 0.5, X) for f in (eval_rho_sigma, eval_u_sigma, eval_a_sigma)]
+    assert len(passes) == 2 * len(X)  # rho alone, then u and a together
+    for f in (eval_rho_sigma, eval_u_sigma, eval_a_sigma):
+        f(burgers, 0.5, X).fill(0.0)
+    rho, u, a = _fields_sigma(burgers, 0.5, X)
+    u.fill(0.0)
+    a.fill(0.0)
+    assert len(passes) == 2 * len(X)
+    for f, kept in zip((eval_rho_sigma, eval_u_sigma, eval_a_sigma), fields):
+        np.testing.assert_array_equal(f(burgers, 0.5, X), kept)
+    for spec, t, pts in ((burgers.with_sigma(0.05), 0.5, X), (burgers, 0.4, X),
+                         (burgers, 0.5, X + 0.1), (burgers, 0.5, X[:3]),
+                         (burgers, 0.5, X)):
+        passes.clear()
+        eval_a_sigma(spec, t, pts)
+        assert len(passes) == len(pts), (spec.sigma, t, pts)
+    # the I terms need every node of a pass, not only the kept means,
+    # and their pass then answers the fields
+    passes.clear()
+    eval_I_u_sigma(burgers, 0.5, X)
+    assert len(passes) == len(X)
+    np.testing.assert_array_equal(eval_u_sigma(burgers, 0.5, X), fields[1])
+    assert len(passes) == len(X)
+
+
+def test_sigma_residuals_reuse_the_i_term_pass_at_probes(monkeypatch, burgers):
+    """One residual_sigma_system call on burgers_sin costs (J+1)(2n+1)P
+    kernel passes, the fields at the probes coming from the I-term
+    pass, and reports exactly what it reports with nothing kept before
+    any field call, which costs (J+1)(2n+2)P."""
+    window, (h, dt) = (0.3, 0.5), (0.2, 0.05)
+    J, n = 4, 1
+    P = len(balance._probe_points(
+        burgers, h + representation._support_reach(burgers, window[1])))
+    passes = count_passes(monkeypatch)
+    reports = residual_sigma_system(burgers, window, (h, dt))
+    assert len(passes) == (J + 1) * (2 * n + 1) * P
+
+    def cold(spec, t, x):
+        representation._keep(None)
+        return _fields_sigma(spec, t, x)
+
+    monkeypatch.setattr(balance, "_fields_sigma", cold)
+    passes.clear()
+    assert residual_sigma_system(burgers, window, (h, dt)) == reports
+    assert len(passes) == (J + 1) * (2 * n + 2) * P
+
+
+def test_sigma_system_second_order_refinement_2d():
+    """test_06's band on the 2D bump with a = (u, u^2/2), whose second
+    velocity moment is its own law, with its own n-component I_a."""
+    cfg = json.loads(BUMP_2D.read_text())
+    spec = load_problem(json.dumps(dict(cfg, a=["u", "u^2/2"])))
+    coarse = residual_sigma_system(spec, (0.3, 0.5), (0.2, 0.04))
+    fine = residual_sigma_system(spec, (0.3, 0.5), (0.1, 0.02))
+    attach_ratios(coarse, fine)
+    by_eq = {r.equation: r for r in fine}
+    assert list(by_eq) == ["mass_sigma", "momentum_u_sigma",
+                           "momentum_a_sigma_1", "momentum_a_sigma_2"]
+    for r in fine:
+        assert 2.8 <= r.ratio <= 5.2, f"{r.equation}: ratio {r.ratio:.2f}"
+    assert by_eq["momentum_a_sigma_2"].max_residual \
+        != by_eq["momentum_u_sigma"].max_residual
 
 
 def test_classical_fields_are_the_public_evaluators(burgers):

@@ -170,16 +170,20 @@ def test_field_grid_matches_pointwise_bitwise_2d():
 def test_field_grid_flags_points_without_kernel_mass():
     """rho0 so narrow that at t = 0.1 only grid points 7-9 of 17 see
     kernel mass above the denominator floor: u and a are NaN and
-    invalid elsewhere, rho is valid everywhere."""
+    invalid elsewhere, and equal the pointwise evaluators bit for bit
+    where valid; rho is valid everywhere."""
     spec = make(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], sigma=0.05,
                 space_grid=[17], time_points=[0.1])
     inside = np.zeros(17, dtype=bool)
     inside[7:10] = True
-    for which in ("u", "a"):
+    for which, evaluate in (("u", eval_u_sigma), ("a", eval_a_sigma)):
         grid = eval_field_grid(spec, 0.1, which)
         np.testing.assert_array_equal(grid.valid, inside)
         assert np.all(np.isnan(grid.values[~inside]))
         assert np.all(np.isfinite(grid.values[inside]))
+        for i in np.flatnonzero(inside):
+            x = np.array([grid.axes[0][i]])
+            assert np.all(grid.values[i] == evaluate(spec, 0.1, x))
     rho = eval_field_grid(spec, 0.1, "rho")
     assert rho.valid.all() and np.all(np.isfinite(rho.values))
 
