@@ -22,11 +22,13 @@ ever involved.  They take points (..., n), and I_u and I_a of a point
 set share one pass: one kernel pass per point over the table of
 (problem, t), the kernel sources of the smoothed fields
 (``representation._kernel_means``), whose rows of u0 and a give the
-covariances and whose centers give the gradient.  The pair is kept
-with the masses and means of the same passes, as the kernel results of
-the last point set in ``representation``, so asking for both terms and
-then the fields at the same points, in any order, costs the passes
-once.  The signs above are the ones that close
+covariances and whose centers, gathered per axis, give the gradient.
+Each distinct column's deviation from its mean and its sum are formed
+once: where a_i is u, its column is the u0 column and I_a_i is I_u's
+sum.  The pair is kept with the masses and means of the same passes,
+as the kernel results of the last point set in ``representation``, so
+asking for both terms and then the fields at the same points, in any
+order, costs the passes once.  The signs above are the ones that close
 the identities; with them the discrete residuals vanish at the order
 of the space-time stencil.  In the vanishing-noise limit the same
 system without diffusion and without I terms holds for the transported
@@ -96,22 +98,25 @@ def _i_term_table(spec: ProblemSpec, t: float):
 
 
 def _i_term_passes(spec: ProblemSpec, t: float, table, X: np.ndarray):
-    """Per point xp of X (P, n): xp, its ``_kernel_means`` and the rows
-    of the sources' centers.  Raises EmptyKernelSupport at the first
-    point without kernel mass."""
+    """Per point xp of X (P, n): xp, its ``_kernel_means`` and the
+    sources' centers there, one gathered array per axis.  Raises
+    EmptyKernelSupport at the first point without kernel mass."""
     floor = spec.tol.denom_floor
     for xp in X:
         idx, wk, den, rows, means = _kernel_means(table, xp, floor)
         _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
-        yield xp, wk, den, rows, means, np.take(table.centers, idx, axis=0)
+        yield xp, wk, den, rows, means, [ax.take(idx) for ax in table.axes]
 
 
 def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
-    point for both.  The pair is kept with the masses and means of the
-    same passes, so the second of the two public calls at the same
-    points, and the fields there, make no pass; callers must copy what
-    they return.  A batch refused part way keeps nothing."""
+    point for both.  Each distinct column's deviation from its mean,
+    and its sum, is formed once: a column that repeats an earlier one
+    (an a_i column that is the u0 column when a_i is u) takes that
+    one's sum.  The pair is kept with the masses and means of the same
+    passes, so the second of the two public calls at the same points,
+    and the fields there, make no pass; callers must copy what they
+    return.  A batch refused part way keeps nothing."""
     table = _i_term_table(spec, t)
     key = _point_key(spec, t, X)
     kept = _kept(key)
@@ -122,19 +127,20 @@ def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
     den, means = np.empty(len(X)), np.empty((len(X), 1 + n))
     iu, ia = np.empty(len(X)), np.empty((len(X), n))
-    for p, (xp, wk, mass, (u0v, *avals), (u, *a), centers) in \
+    for p, (xp, wk, mass, rows, mean, centers) in \
             enumerate(_i_term_passes(spec, t, table, X)):
-        den[p], means[p] = mass, (u, *a)
+        den[p], means[p] = mass, mean
+        # row - mean per column, u0 first, then a_1..a_n
+        dev = table.per_column(lambda i: rows[i] - mean[i])
         # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node
         fac = np.zeros(len(wk))
         for k in range(n):
-            fac += (avals[k] - a[k]) * (centers[:, k] - xp[k])
+            fac += dev[1 + k] * (centers[k] - xp[k])
         fac /= s2t
-        iu[p] = norm * np.sum(wk * (u0v - u) * fac)
-        for i in range(n):
-            ia[p, i] = norm * np.sum(wk * (avals[i] - a[i]) * fac)
+        sums = table.per_column(lambda i: norm * np.sum(wk * dev[i] * fac))
+        iu[p], ia[p] = sums[0], sums[1:]
         if dt_components:
-            dt_vals = spec.velocity.dt_values(t, u0v)
+            dt_vals = spec.velocity.dt_values(t, rows[0])
             for i in dt_components:
                 ia[p, i] -= norm * np.sum(wk * dt_vals[i])
     _keep(_KernelResults(key, den, means, (iu, ia)))
@@ -179,7 +185,7 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
             enumerate(_i_term_passes(spec, t, table, X)):
         total = 0.0
         for k in range(n):
-            gk = (centers[:, k] - xp[k]) / s2t
+            gk = (centers[k] - xp[k]) / s2t
             m_one = norm * np.sum(wk * gk)
             m_u = norm * np.sum(wk * u0v * gk)
             m_a = norm * np.sum(wk * avals[k] * gk)

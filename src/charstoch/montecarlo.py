@@ -13,9 +13,9 @@ bit for bit from the problem seed alone, independent of call order.
 
 Field estimates are kernel moments of the quadrature fields' kind:
 each ``estimate_fields`` call makes the particles one kernel-source
-object (``representation._sources``), with their weights and their
-labels U as the one column, and runs ``representation._kernel_moments``
-on it.  The kernel is truncated by the tables' rule: ``kernel_cutoff``
+object (``representation._sources``), with their positions as one
+array per axis, their weights, and their labels U as the one column,
+and runs ``representation._kernel_moments`` on it.  The kernel is truncated by the tables' rule: ``kernel_cutoff``
 kernel widths from the target, the width being the bandwidth h.  Each
 target then scans only the particles of the 3^n cells, 8 h wide by
 default, around it, and its sums run in cell order, not particle order.

@@ -20,26 +20,29 @@ points (..., n) and returns one value per point.  The particle KDE in
 ``montecarlo`` is cut by the same rule, ``kernel_cutoff`` bandwidths.
 
 A quadrature table and a particle ensemble are two discretizations of
-the same source measure, and both are one ``_Sources``: centers,
-weights, per-source columns and the kernel's var, cut and norm.  The
-table of a (problem, t) holds the displaced nodes, tensor weight *
-rho0, and the columns u0 and a_1..a_n, and is shared by every point;
-``montecarlo`` builds one from the particles and their labels U.  The
-one constructor, ``_sources``, sorts all of it once into cells one
-cutoff radius wide.  The sources of the 3^n cells around a point are
-then 3^(n-1) contiguous slices, so ``_gaussian_pass``, the only kernel
-evaluation, scans those slices rather than every source.  The fields
-here, the covariance sources in ``balance`` and the particle estimates
-are all moments of that pass: ``_kernel_means`` takes the weighted
-means of the columns around one point, and ``_kernel_moments`` runs it
-over a point set.  The kernel results of the last point set (masses,
-means, and the I terms when an I-term pass made them) are kept, so the
-three fields and the two I terms at the same points cost one pass per
-point; a field grid makes its pass once for all three fields.  Sums run
-in cell order, and equal a scan of all sources in that order bit for
-bit.  The node count still scales like
-sigma^(-n) (halving sigma doubles it per axis), which governs the table
-build and its memory, not the cost per point.
+the same source measure, and both are one ``_Sources``: centers, one
+contiguous array per axis, weights, per-source columns and the
+kernel's var, cut and norm.  The table of a (problem, t) holds the
+displaced nodes, tensor weight * rho0, and the columns u0 and
+a_1..a_n, and is shared by every point; ``montecarlo`` builds one from
+the particles and their labels U.  A table holds one array per
+distinct velocity expression: an a_i that is u is the u0 column
+itself, and equal expressions share one array.  The one constructor,
+``_sources``, sorts all of it once into cells one cutoff radius wide.
+The sources of the 3^n cells around a point are then 3^(n-1)
+contiguous slices, so ``_gaussian_pass``, the only kernel evaluation,
+scans those slices rather than every source.  The fields here, the
+covariance sources in ``balance`` and the particle estimates are all
+moments of that pass: ``_kernel_means`` gathers and averages each
+distinct column around one point once, and ``_kernel_moments`` runs
+it over a point set.  The kernel results of the last point set
+(masses, means, and the I terms when an I-term pass made them) are
+kept, so the three fields and the two I terms at the same points cost
+one pass per point; a field grid makes its pass once for all three
+fields.  Sums run in cell order, and equal a scan of all sources in
+that order bit for bit.  The node count still scales like sigma^(-n)
+(halving sigma doubles it per axis), which governs the table build
+and its memory, not the cost per point.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport
-from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
+from . import expr as ex
+from .problem import (ProblemSpec, _batched, _point_rows, _refuse, _values,
                       displacement_components, space_axes, tensor_points)
 from .quadrature import panel_count, panel_rule
 
@@ -124,20 +128,25 @@ def quadrature_grid(box, scale: float, *, nodes_per_panel: int = 8,
 class _Sources:
     """The finite sources of one truncated Gaussian sum, in cell order.
 
-    A quadrature table and a particle ensemble are both such a set:
-    ``centers`` (displaced nodes or particle positions), ``weights``
-    (tensor weight * rho0, or particle weights) and per-source
-    ``columns`` (u0 and then a_1..a_n, or the labels U), with the
-    kernel's ``var``, ``cut`` and normalization ``norm``.  With
-    e = |centers - x|^2 / (2 var), a source can satisfy e <= cut only
-    within radius sqrt(2 var cut) of x, so it lies in one of the 3^n
-    square cells around x's cell.  Every array is stably sorted by flat
-    (C order) cell key, so the sources of cell k are positions
-    ``starts[k]:starts[k + 1]``.  Sources with a non-finite center are
-    left out: they never carry kernel mass.
+    A quadrature table and a particle ensemble are both such a set: the
+    centers (displaced nodes or particle positions) as one contiguous
+    array per axis, ``axes``, ``weights`` (tensor weight * rho0, or
+    particle weights) and per-source ``columns`` (u0 and then a_1..a_n,
+    or the labels U), with the kernel's ``var``, ``cut`` and
+    normalization ``norm``.  Columns may be the same array: a table's
+    a_i column is its u0 column when a_i is u, and equal velocity
+    expressions share one array; ``first_of`` names the first column
+    each one repeats, and ``per_column`` lets a pass gather and average
+    each distinct array once.  With e = |center - x|^2 / (2 var), a
+    source can satisfy e <= cut only within radius sqrt(2 var cut) of
+    x, so it lies in one of the 3^n square cells around x's cell.
+    Every array is stably sorted by flat (C order) cell key, so the
+    sources of cell k are positions ``starts[k]:starts[k + 1]``.
+    Sources with a non-finite center are left out: they never carry
+    kernel mass.
     """
 
-    centers: np.ndarray  # (M, n)
+    axes: tuple[np.ndarray, ...]  # n arrays (M,)
     weights: np.ndarray  # (M,)
     columns: tuple[np.ndarray, ...]  # (M,) each
     var: float
@@ -148,12 +157,35 @@ class _Sources:
     shape: np.ndarray    # (n,) cells per axis
     starts: np.ndarray   # (cells + 1,)
 
+    @cached_property
+    def first_of(self) -> tuple[int, ...]:
+        """Per column, the position of the first column that is the
+        same array; a column is distinct where that is its own."""
+        return tuple(next(j for j, d in enumerate(self.columns) if d is c)
+                     for c in self.columns)
+
+    def per_column(self, f) -> list:
+        """[f(i) for each column i], calling f once per distinct array: a
+        column that repeats column j gets f(j)'s object."""
+        out = []
+        for i, j in enumerate(self.first_of):
+            out.append(out[j] if j != i else f(i))
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the sources' arrays, each distinct one once."""
+        distinct = {id(c): c for c in self.columns}.values()
+        return sum(a.nbytes for a in (*self.axes, self.weights, *distinct,
+                                      self.starts))
+
 
 def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
              cutoff: float, norm: float) -> _Sources:
     """Sort ``centers`` (M, n), ``weights`` (M,) and each of ``columns``
     (M,) into cells for the Gaussian sum with this var, truncated
-    ``cutoff`` kernel widths sqrt(var) from each target.
+    ``cutoff`` kernel widths sqrt(var) from each target.  The centers
+    come back as one contiguous array per axis.
 
     The one truncation rule of every kernel sum: a source counts while
     e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
@@ -166,9 +198,6 @@ def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
     M, n = centers.shape
     ok = np.all(np.isfinite(centers), axis=1)
     count = int(np.count_nonzero(ok))
-    # allocated before the temporaries below, so that the pages they
-    # free can go back to the system while the sources live on
-    ordered = np.empty((count, n))
     lo, extent = np.zeros(n), np.zeros(n)
     if count:
         lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers.T])
@@ -196,14 +225,21 @@ def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
     starts = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
     order = np.argsort(key, kind="stable")[:count]
-    del key, k, ok, bad  # before the permuted copies, to keep the peak down
-    np.take(centers, order, axis=0, out=ordered)
-    logger.debug("kernel sources: %d, %s cells per axis, width %.6g",
-                 M, "x".join(str(s) for s in shape), width)
-    return _Sources(centers=ordered, weights=np.take(weights, order),
-                    columns=tuple(np.take(c, order) for c in columns),
-                    var=var, cut=cut, norm=norm, lo=lo, width=width,
-                    shape=shape, starts=starts)
+    # the permuted copies are allocated once the key temporaries are
+    # freed; allocating them first measured higher peaks
+    del key, k, ok, bad
+    axes = tuple(np.empty(count) for _ in range(n))
+    for c, ax in zip(centers.T, axes):
+        np.take(c, order, out=ax)
+    src = _Sources(axes=axes, weights=np.take(weights, order),
+                   columns=tuple(np.take(c, order) for c in columns),
+                   var=var, cut=cut, norm=norm, lo=lo, width=width,
+                   shape=shape, starts=starts)
+    logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "
+                 "%d distinct columns, %d bytes",
+                 M, "x".join(str(s) for s in shape), width,
+                 len(set(src.first_of)), src.nbytes)
+    return src
 
 
 _TABLE_CACHE: OrderedDict[tuple[str, float], _Sources] = OrderedDict()
@@ -212,7 +248,8 @@ _TABLE_CACHE_MAX = 6
 
 def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     """The quadrature nodes of (spec, t) as kernel sources: weights
-    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0)."""
+    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
+    a columns evaluated in cell order (``_velocity_columns``)."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"field tables need a finite time t >= 0, got t={t!r}")
     scale = spec.sigma * math.sqrt(t)
@@ -240,10 +277,25 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     var = spec.sigma * spec.sigma * t
     table = _sources(centers, wrho, (u0v,), var, spec.tol.kernel_cutoff,
                      (2.0 * math.pi * var) ** (-spec.n / 2.0))
-    del centers, wrho
-    # a is elementwise in u0, so it is evaluated in cell order directly
+    # a is elementwise in u0, so it is evaluated in cell order directly,
+    # once the unsorted arrays are freed: that keeps it out of the peak
+    del centers, wrho, u0v
     u0v = table.columns[0]
-    return replace(table, columns=(u0v, *spec.velocity.a_values(t, u0v)))
+    table = replace(table, columns=(u0v, *_velocity_columns(spec, t, u0v)))
+    logger.debug("kernel table at sigma=%g t=%g: %d distinct columns, %d bytes",
+                 spec.sigma, t, len(set(table.first_of)), table.nbytes)
+    return table
+
+
+def _velocity_columns(spec: ProblemSpec, t: float, u0v: np.ndarray):
+    """a_1..a_n at (t, u0v), each distinct tree evaluated once: a
+    component whose tree is u is u0v itself, and equal trees share one
+    array."""
+    arrays = {ex.Var("u"): u0v}
+    for c in spec.velocity.components:
+        if c not in arrays:
+            arrays[c] = _values([c], t, u0v)[0]
+    return [arrays[c] for c in spec.velocity.components]
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Sources:
@@ -263,14 +315,14 @@ def _gaussian_pass(src: _Sources, x):
     """One Gaussian sum's sources around x: the only place a kernel is
     evaluated, for quadrature nodes and particles alike.
 
-    With e = |src.centers - x|^2 / (2 var), returns (idx, wk): the
+    With e = |center - x|^2 / (2 var), returns (idx, wk): the
     ascending cell-order positions of the sources with e <= cut and
     their weights times exp(-e).  The 3^n cells around x are 3^(n-1)
     runs of consecutive keys, one per line along the last axis, so e is
     computed on that many contiguous slices, in ascending position
-    order: idx, wk and every sum over them equal those of a scan of all
-    sources bit for bit.  A non-finite target, or one with no cell
-    within reach, has no sources.
+    order, from the per-axis ``axes``: idx, wk and every sum over them
+    equal those of a scan of all sources bit for bit.  A non-finite
+    target, or one with no cell within reach, has no sources.
     """
     k = np.floor((x - src.lo) / src.width)
     if not np.all((k >= -1) & (k <= src.shape)):
@@ -283,17 +335,16 @@ def _gaussian_pass(src: _Sources, x):
         first = np.ravel_multi_index(head + (lo[-1],), src.shape)
         start = src.starts[first]
         stop = src.starts[first + hi[-1] - lo[-1] + 1]
-        centers = src.centers[start:stop]
-        e = centers[:, 0] - x[0]
+        e = src.axes[0][start:stop] - x[0]
         e *= e
-        for i in range(1, centers.shape[1]):
-            d = centers[:, i] - x[i]
+        for ax, xi in zip(src.axes[1:], x[1:]):
+            d = ax[start:stop] - xi
             d *= d
             e += d
         e /= 2.0 * src.var
-        keep = e <= src.cut
-        idx.append(np.flatnonzero(keep) + start)
-        wk.append(src.weights[start:stop][keep] * np.exp(-e[keep]))
+        keep = np.flatnonzero(e <= src.cut)
+        idx.append(keep + start)
+        wk.append(src.weights[start:stop].take(keep) * np.exp(-e.take(keep)))
     if len(idx) == 1:
         return idx[0], wk[0]
     return np.concatenate(idx), np.concatenate(wk)
@@ -305,15 +356,18 @@ def _kernel_means(src: _Sources, x, floor: float):
 
     Returns (idx, wk, den, rows, means): the sources and weights of
     ``_gaussian_pass``, their raw mass den = sum(wk), each column's
-    values at idx, and each column's mean sum(wk * row) / den.  The
+    values at idx, and each column's mean sum(wk * row) / den.  Each
+    distinct column array is gathered and averaged once; a column that
+    repeats an earlier one gets that one's row and mean objects.  The
     means are NaN unless den >= ``floor``, so a vanishing mass is never
     divided through.
     """
     idx, wk = _gaussian_pass(src, x)
     den = float(np.sum(wk))
-    rows = [np.take(c, idx) for c in src.columns]
+    rows = src.per_column(lambda i: src.columns[i].take(idx))
     if den >= floor:
-        return idx, wk, den, rows, [float(np.sum(wk * r) / den) for r in rows]
+        return idx, wk, den, rows, src.per_column(
+            lambda i: float(np.sum(wk * rows[i]) / den))
     return idx, wk, den, rows, [math.nan] * len(rows)
 
 
@@ -580,9 +634,11 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     Mass is conserved only when the transported kernel support stays
     inside the integration domain, so each axis is padded by the largest
     flow displacement plus the kernel cutoff radius (overridable via
-    ``margin``).  Cost is one pointwise field evaluation per node of an
-    n-dimensional tensor rule, summed in node order; intended for n = 1
-    or 2.
+    ``margin``).  Cost is one kernel pass per node of an n-dimensional
+    tensor rule, summed in node order.  That suits n = 1.  In 2D it
+    does not finish at the default tolerances: on ``gaussian_bump_2d``
+    at t = 0.3 the rule has 1096^2 = 1.2 million nodes, each a pass of
+    up to about 0.4 ms.
     """
     if t == 0:
         return integrate_rho0(spec)

@@ -224,7 +224,8 @@ def test_cell_pass_equals_dense_scan(n):
     assert len(order) == len(centers) - 1
     np.testing.assert_array_equal(np.sort(order),
                                   np.delete(np.arange(len(centers)), 7))
-    assert np.array_equal(cells.centers, centers[order])
+    assert np.array_equal(np.stack(cells.axes, axis=1), centers[order])
+    assert all(ax.flags.c_contiguous for ax in cells.axes)
     assert np.array_equal(cells.weights, weights[order])
     # sources are in cell order; the dense reference scans them all
     ordered, ordered_w = centers[order], weights[order]
@@ -250,14 +251,14 @@ def test_cell_pass_equals_dense_scan(n):
 def test_kernel_means_equal_dense_sums_over_table():
     spec = load_problem(BUMP2D.read_text())
     table = _table_for(spec, 0.3)
-    assert np.all(np.isfinite(table.centers))
+    centers = np.stack(table.axes, axis=1)
+    assert np.all(np.isfinite(centers))
     u0v, *avals = table.columns
     for x in ([0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-3.2, 0.2]):
         x = np.array(x)
         m_idx, m_wk, m_den, rows, (m_u, *m_a) = _kernel_means(
             table, x, spec.tol.denom_floor)
-        idx, wk = dense_pass(table.centers, table.weights, x, table.var,
-                             table.cut)
+        idx, wk = dense_pass(centers, table.weights, x, table.var, table.cut)
         np.testing.assert_array_equal(m_idx, idx)
         np.testing.assert_array_equal(m_wk, wk)
         den = float(np.sum(wk))
@@ -268,6 +269,64 @@ def test_kernel_means_equal_dense_sums_over_table():
         for row, column in zip(rows, table.columns):
             np.testing.assert_array_equal(row, column[idx])
         assert eval_rho_sigma(spec, 0.3, x) == table.norm * den
+
+
+def bump(a):
+    """The 2D Gaussian bump at sigma = 0.2 with velocity expressions a."""
+    return make(n=2, a=a, u0="exp(-x1^2-x2^2)", sigma=0.2,
+                box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
+                time_points=[0.3])
+
+
+def distinct_arrays(table):
+    return len({id(c) for c in table.columns})
+
+
+def test_tables_hold_one_array_per_distinct_velocity_expression(burgers, caplog):
+    table = _table_for(burgers, 0.5)
+    assert len(table.columns) == 2 and distinct_arrays(table) == 1
+    for a, count in ((["u", "u"], 1), (["u", "u^2/2"], 2),
+                     (["u^2/2", "u^2/2"], 2), (["u*1", "1*u"], 3)):
+        spec = bump(a)
+        with caplog.at_level("DEBUG", logger="charstoch.representation"):
+            caplog.clear()
+            table = _table_for(spec, 0.3)
+        assert distinct_arrays(table) == count
+        assert len(set(table.first_of)) == count
+        assert f"{count} distinct columns, {table.nbytes} bytes" in caplog.text
+        u0v, *avals = table.columns
+        for got, want in zip(avals, spec.velocity.a_values(0.3, u0v)):
+            np.testing.assert_array_equal(got, want)
+        # the centers are one contiguous array per axis
+        assert len(table.axes) == 2
+        assert all(ax.ndim == 1 and ax.flags.c_contiguous for ax in table.axes)
+        # a repeated column gets the row and mean objects of its first
+        _, _, _, rows, means = _kernel_means(table, np.array([0.3, -0.2]),
+                                             spec.tol.denom_floor)
+        for i, j in enumerate(table.first_of):
+            assert rows[i] is rows[j] and means[i] is means[j]
+    assert table.nbytes == sum(a.nbytes for a in (*table.axes, table.weights,
+                                                  *table.columns, table.starts))
+
+
+@pytest.mark.parametrize("aliased, spelled", [(["u", "u"], ["u*1", "1*u"]),
+                                              (["u", "u^2/2"], ["u*1", "u^2/2"])])
+def test_shared_columns_give_the_values_of_distinct_ones(aliased, spelled):
+    """Trees spelled differently hold arrays of their own, with the same
+    values; every field and I term equals the shared columns' bit for
+    bit, batch and per point."""
+    evaluators = (eval_rho_sigma, eval_u_sigma, eval_a_sigma, eval_I_u_sigma,
+                  eval_I_a_sigma, eval_I_u_sigma_assembled)
+    pts = np.array([[0.0, 0.0], [0.3, -0.2], [1.1, 0.7], [-2.0, 1.5]])
+    shared, distinct = bump(aliased), bump(spelled)
+    assert distinct_arrays(_table_for(distinct, 0.3)) == 3
+    for t in (0.3, 1.5):
+        for f in evaluators:
+            want = f(shared, t, pts)
+            assert np.array_equal(f(distinct, t, pts), want)
+            for x, w in zip(pts, want):
+                assert np.array_equal(f(shared, t, x), w)
+                assert np.array_equal(f(distinct, t, x), w)
 
 
 def test_field_grid_accepts_any_time(burgers):
