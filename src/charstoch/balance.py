@@ -342,10 +342,15 @@ def attach_ratios(coarse: list[ResidualReport],
 def i_term_persistence(spec: ProblemSpec, sigmas, t: float) -> list[ItermRow]:
     """Sup norms of the I terms over the box grid for a noise ladder.
 
-    Below the blow-up time the sources shrink with sigma; past it they
-    level off near the shock instead of vanishing.  That contrast is the
-    point of this probe, so it accepts any positive strictly decreasing
-    ladder and any t > 0.
+    Below the blow-up time the sources shrink with sigma.  Past it they
+    do not vanish, and there is no shock: inside the fold of the
+    characteristic map they tend to d/dx P, where the pressure P is the
+    covariance of u and a across the branches, and at the caustics that
+    bound the fold their sup grows as sigma shrinks.  That contrast is
+    the point of this probe, so it accepts any positive strictly
+    decreasing ladder and any t > 0.  The box grid does not resolve the
+    kernel width at the caustics, so past blow-up the sups are those of
+    the grid points, not of the fields.
     """
     sig = _noise_ladder(sigmas)
     if t <= 0:

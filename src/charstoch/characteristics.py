@@ -29,13 +29,17 @@ t * da/du(u), so this reduces to the classical criterion
     t* = -1 / min_y G(1, y),
 
 infinite when the minimum is nonnegative; otherwise a bisection in t on
-the grid infimum of G(t, .) locates the crossing.
+the grid infimum of G(t, .) locates the crossing.  The grid is scanned
+in chunks, each one coordinate array per axis, and G takes u0 and its
+gradient from one program.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,7 @@ import numpy as np
 from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
 from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
                       displacement_components, du_displacement_components,
-                      tensor_points)
+                      tensor_columns)
 
 __all__ = [
     "CharMap",
@@ -58,6 +62,8 @@ __all__ = [
     "classical_fields",
 ]
 
+logger = logging.getLogger(__name__)
+
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
 _BLOWUP_CHUNK = 65_536  # blow-up grid points evaluated at once
@@ -67,17 +73,20 @@ def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
     """Foot points of the characteristics through the rows of X (P, n)
     that carry the values u (P,).
 
-    Returns per-point (y, g, B, det): y = X - A(t, u), the factors
-    g = grad u0(y) and B = dA/du(t, u) of the characteristic Jacobian
-    C = I + B outer g, and det C = 1 + g . B by the rank-1 identity.  det
-    is also the slope of the Newton residual u - u0(y), and at the root
-    of the implicit relation it is the gradient denominator.
+    Returns per-point (y, u0y, g, B, det): y = X - A(t, u), u0y =
+    u0(y), the factors g = grad u0(y) and B = dA/du(t, u) of the
+    characteristic Jacobian C = I + B outer g, and det C = 1 + g . B by
+    the rank-1 identity.  u0 and g come from one program, which computes
+    their shared subexpressions once.  det is also the slope of the
+    Newton residual u - u0y, and at the root of the implicit relation it
+    is the gradient denominator.
     """
     y = X - np.stack(displacement_components(spec, t, u), axis=-1)
-    g = spec.init.grad_u0_at(y)
+    u0y, *g = spec.init.jet_at(y)
+    g = np.stack(g, axis=-1)
     B = np.stack(du_displacement_components(spec, t, u), axis=-1)
     # a stacked matmul rounds g . B as the 1-D dot of one point does
-    return y, g, B, 1.0 + (g[:, None, :] @ B[:, :, None])[:, 0, 0]
+    return y, u0y, g, B, 1.0 + (g[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -100,13 +109,13 @@ class CharMap:
 
     def jacobian(self, y) -> np.ndarray:
         """C = I + B(t, u0(y)) outer grad u0(y), shape (..., n, n)."""
-        shape, (_, g, B, _) = self._foot_at(y)
+        shape, (_, _, g, B, _) = self._foot_at(y)
         return _batched(np.eye(self.spec.n) + B[:, :, None] * g[:, None, :], shape)
 
     def det(self, y):
         """det C via the rank-1 identity det = 1 + grad(u0) . B."""
         shape, foot = self._foot_at(y)
-        return _batched(foot[3], shape)
+        return _batched(foot[4], shape)
 
 
 def char_map(spec: ProblemSpec, t: float) -> CharMap:
@@ -170,8 +179,8 @@ def solve_implicit(spec: ProblemSpec, t: float, x):
         if not live.any():
             break
         v, a, b = u[live], lo[live], hi[live]
-        y, _, _, slope = _foot(spec, t, X[live], v)
-        gv = v - spec.init.u0_at(y)
+        _, u0y, _, _, slope = _foot(spec, t, X[live], v)
+        gv = v - u0y
         a, b = np.where(gv < 0, v, a), np.where(gv < 0, b, v)
         # a zero or non-finite slope lands outside the bracket: bisect
         with np.errstate(all="ignore"):
@@ -195,16 +204,27 @@ def gradient_exact(spec: ProblemSpec, t: float, x) -> np.ndarray:
     the caller is probing too close to t*.
     """
     X, shape = _point_rows(x, spec.n)
-    _, g, _, den = _foot(spec, t, X, solve_implicit(spec, t, X))
+    _, _, g, _, den = _foot(spec, t, X, solve_implicit(spec, t, X))
     _refuse(NearBlowup, den < spec.tol.near_blowup_margin, X, t,
             "gradient denominator {:.3e}", den)
     return _batched(g / den[:, None], shape)
 
 
-def _blowup_grid(spec: ProblemSpec) -> np.ndarray:
+def _blowup_grid(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
+    """The axes of the blow-up search grid over the box."""
     per_axis = min(spec.tol.blowup_grid,
                    max(2, int(round(1e6 ** (1.0 / spec.n)))))
-    return tensor_points([np.linspace(lo, hi, per_axis) for lo, hi in spec.box])
+    return tuple(np.linspace(lo, hi, per_axis) for lo, hi in spec.box)
+
+
+def _grid_chunks(axes, size: int):
+    """The tensor grid of ``axes`` in C order, in chunks of whole lines
+    along the first axis and about ``size`` points each: (flat index of
+    the chunk's first point, one contiguous coordinate array per axis)."""
+    line = math.prod(len(ax) for ax in axes[1:])
+    step = max(1, size // line)
+    for i in range(0, len(axes[0]), step):
+        yield i * line, tensor_columns((axes[0][i:i + step], *axes[1:]))
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -249,12 +269,12 @@ def _coordinate_golden(f, y0: np.ndarray, spacings, box, sweeps: int = 3):
     return y, fy
 
 
-def _condition(spec: ProblemSpec, t: float, pts: np.ndarray) -> np.ndarray:
+def _condition(spec: ProblemSpec, t: float, columns) -> np.ndarray:
     """Blow-up condition functional G = B(t, u0) . grad u0 at foot points
-    (m, n)."""
-    B = du_displacement_components(spec, t, spec.init.u0_at(pts))
-    grads = spec.init.grad_u0_at(pts)
-    return sum(B[i] * grads[:, i] for i in range(spec.n))
+    given as one coordinate array per axis."""
+    u0v, *grads = spec.init.on_columns(spec.init.jet_program, columns)
+    B = du_displacement_components(spec, t, u0v)
+    return sum(B[i] * grads[i] for i in range(spec.n))
 
 
 def blow_up_time(spec: ProblemSpec) -> BlowupReport:
@@ -267,17 +287,24 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     Otherwise the grid infimum of G(t, .) is bisected in t to the
     configured tolerance (method "lambda_grid"); this assumes the
     functional crosses -1 transversally.
-    Grid ties break at the lowest flattened index.  The grid is scanned
-    in chunks of ``_BLOWUP_CHUNK`` points, so memory stays bounded.
+    Grid ties break at the lowest flattened index.  The grid is never
+    formed whole: it is scanned in chunks of about ``_BLOWUP_CHUNK``
+    points, one coordinate array per axis, so memory stays bounded.
     """
-    pts = _blowup_grid(spec)
-    spacings = [(hi - lo) / (round(len(pts) ** (1.0 / spec.n)) - 1)
-                for lo, hi in spec.box]
+    started = time.perf_counter()
+    axes = _blowup_grid(spec)
+    shape = tuple(len(ax) for ax in axes)
+    spacings = [(hi - lo) / (len(ax) - 1) for (lo, hi), ax in zip(spec.box, axes)]
+    work = {"chunks": 0, "refine": 0}
+
+    def point(i: int) -> np.ndarray:
+        return np.array([ax[k] for ax, k in zip(axes, np.unravel_index(i, shape))])
 
     def grid_argmin(t: float) -> tuple[int, float]:
         i0, s0 = 0, None
-        for start in range(0, len(pts), _BLOWUP_CHUNK):
-            G = _condition(spec, t, pts[start:start + _BLOWUP_CHUNK])
+        for start, columns in _grid_chunks(axes, _BLOWUP_CHUNK):
+            work["chunks"] += 1
+            G = _condition(spec, t, columns)
             i = int(np.argmin(G))
             if s0 is None or G[i] < s0:
                 i0, s0 = start + i, float(G[i])
@@ -285,20 +312,26 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 
     def refine(t: float, i0: int):
         def at(y: np.ndarray) -> float:
-            return float(_condition(spec, t, y[None, :])[0])
+            work["refine"] += 1
+            return float(_condition(spec, t, y[:, None])[0])
 
-        return _coordinate_golden(at, pts[i0], spacings, spec.box)
+        return _coordinate_golden(at, point(i0), spacings, spec.box)
+
+    def report(**fields) -> BlowupReport:
+        logger.debug("blow-up search: %d grid points, %d chunks, %d refine "
+                     "evaluations in %.3f s", math.prod(shape), work["chunks"],
+                     work["refine"], time.perf_counter() - started)
+        return BlowupReport(**fields)
 
     if not any(spec.velocity.time_dependent):
         i0, s0 = grid_argmin(1.0)
         if s0 >= 0:
-            return BlowupReport(t_star=math.inf, y_star=pts[i0],
-                                min_functional=s0, method="conway")
+            return report(t_star=math.inf, y_star=point(i0),
+                          min_functional=s0, method="conway")
         y_best, s_best = refine(1.0, i0)
         t_star = -1.0 / s_best
-        return BlowupReport(t_star=float(t_star), y_star=y_best,
-                            min_functional=float(t_star * s_best),
-                            method="conway")
+        return report(t_star=float(t_star), y_star=y_best,
+                      min_functional=float(t_star * s_best), method="conway")
 
     # time-dependent velocity: bisection on the grid infimum in t
     def functional_min(t: float):
@@ -311,9 +344,8 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
         t_lo = t_hi
         t_hi *= 2.0
         if t_hi > _BLOWUP_T_CAP:
-            return BlowupReport(t_star=math.inf, y_star=y_hi,
-                                min_functional=float(m_hi),
-                                method="lambda_grid")
+            return report(t_star=math.inf, y_star=y_hi,
+                          min_functional=float(m_hi), method="lambda_grid")
         y_hi, m_hi = functional_min(t_hi)
     while t_hi - t_lo > spec.tol.blowup_tol:
         mid = 0.5 * (t_lo + t_hi)
@@ -324,8 +356,8 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
             t_hi = mid
     t_star = 0.5 * (t_lo + t_hi)
     y_star, m_star = functional_min(t_star)
-    return BlowupReport(t_star=float(t_star), y_star=y_star,
-                        min_functional=float(m_star), method="lambda_grid")
+    return report(t_star=float(t_star), y_star=y_star,
+                  min_functional=float(m_star), method="lambda_grid")
 
 
 def invert_char_map(spec: ProblemSpec, t: float, x) -> np.ndarray:
@@ -359,7 +391,7 @@ def classical_fields(spec: ProblemSpec, t: float, x):
     """
     X, shape = _point_rows(x, spec.n)
     u = solve_implicit(spec, t, X)
-    y, _, _, det = _foot(spec, t, X, u)
+    y, _, _, _, det = _foot(spec, t, X, u)
     _refuse(SingularJacobian, det < _DET_FLOOR, X, t,
             "characteristic Jacobian determinant {:.3e}", det)
     a = np.stack(spec.velocity.a_values(t, u), axis=-1)

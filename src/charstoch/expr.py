@@ -2,10 +2,11 @@
 
 Problem data (velocity components, initial profiles) arrives as strings
 like ``"u"``, ``"sin(x1 - 2.0)"`` or ``"exp(-x1^2 - x2^2)"``.  This
-module turns them into small immutable trees, evaluates those trees on
-floats or numpy arrays, and differentiates them exactly: :func:`diff`
-returns the partial derivative as another tree, so no derivative the
-solvers use carries a truncation error.
+module turns them into small immutable trees, compiles trees into
+straight-line programs that evaluate them on floats or numpy arrays, and
+differentiates them exactly: :func:`diff` returns the partial derivative
+as another tree, so no derivative the solvers use carries a truncation
+error.
 
 Grammar, tightest first: ``^`` (right associative), unary minus,
 ``*`` ``/``, ``+`` ``-``.  So ``-x1^2`` is ``-(x1^2)`` and ``2^3^2``
@@ -17,10 +18,24 @@ Evaluation is plain IEEE double precision, but domain violations
 fractional powers of negatives) raise :class:`EvalDomainError` instead
 of silently producing NaN.  The derivatives of ``abs`` and ``sqrt`` divide
 by their argument, so evaluating them where they do not exist raises too.
+
+Every evaluation runs a :class:`Program` (:func:`compile_exprs`): one
+list of steps over the union of one or more trees, such as u0 and its
+gradient.  A subtree the trees share, like the ``exp`` of a Gaussian and
+of its derivatives, is computed once, and each intermediate is released
+after its last use.  Each step makes the NumPy call and the domain check
+of the recursive definition on the same operands, so a compiled value is
+bit for bit that of the tree.  The one exception is a power with a
+constant exponent, which leaves out the checks that exponent makes
+impossible: the NaN check needs a non-integral exponent, and the check
+for zero to a negative power a negative one.  :func:`eval_expr` compiles
+a lone tree for one call; the problem data keeps its programs, compiled
+once.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -46,6 +61,8 @@ __all__ = [
     "tokenize",
     "parse_expr",
     "parse",
+    "Program",
+    "compile_exprs",
     "eval_expr",
     "expr_to_str",
     "variables",
@@ -264,71 +281,178 @@ def parse(source: str, allowed_vars) -> Expr:
     return parse_expr(tokenize(source), allowed_vars)
 
 
-_FN_IMPL = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "abs": np.abs,
-}
+def _div(a, b):
+    if np.any(b == 0):
+        raise EvalDomainError("division by zero")
+    return a / b
 
 
-def eval_expr(e: Expr, bindings: dict):
-    """Evaluate a tree with variables bound to floats or numpy arrays.
-
-    Returns a float for all-scalar bindings and a numpy array otherwise.
-    """
-    result = _eval(e, bindings)
-    if isinstance(result, np.ndarray) and result.ndim == 0:
-        return float(result)
-    if not isinstance(result, np.ndarray):
-        return float(result)
-    return result
-
-
-def _eval(e: Expr, env: dict):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnknownVariable(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.child, env)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        # "^"
+def _power(nan_check: bool, zero_check: bool):
+    """a^b with the domain checks asked for: a NaN from non-NaN operands
+    (a fractional power of a negative base), and an infinity from zero
+    raised to a negative power."""
+    def power(a, b):
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.power(np.asarray(a, dtype=float), b)
-        if np.any(np.isnan(r)) and not (np.any(np.isnan(a)) or np.any(np.isnan(b))):
+        if nan_check and np.any(np.isnan(r)) \
+                and not (np.any(np.isnan(a)) or np.any(np.isnan(b))):
             raise EvalDomainError("fractional power of a negative base")
-        if np.any(np.isinf(r)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+        if zero_check and np.any(np.isinf(r)) and np.all(np.isfinite(a)) \
+                and np.all(np.isfinite(b)):
             if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
                 raise EvalDomainError("zero raised to a negative power")
         return r
-    # Call
-    v = _eval(e.arg, env)
-    if e.fn == "log":
-        if np.any(np.asarray(v) <= 0):
-            raise EvalDomainError("log of a nonpositive value")
-        return np.log(v)
-    if e.fn == "sqrt":
-        if np.any(np.asarray(v) < 0):
-            raise EvalDomainError("sqrt of a negative value")
-        return np.sqrt(v)
-    return _FN_IMPL[e.fn](v)
+    return power
+
+
+# keyed by (nan_check, zero_check)
+_POWER = {(n, z): _power(n, z) for n in (False, True) for z in (False, True)}
+
+
+def _log(v):
+    if np.any(np.asarray(v) <= 0):
+        raise EvalDomainError("log of a nonpositive value")
+    return np.log(v)
+
+
+def _sqrt(v):
+    if np.any(np.asarray(v) < 0):
+        raise EvalDomainError("sqrt of a negative value")
+    return np.sqrt(v)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "tanh": np.tanh, "abs": np.abs, "log": _log, "sqrt": _sqrt}
+
+
+def _power_step(exponent: Expr):
+    """The power function for this exponent: a constant one leaves out
+    the checks it makes impossible."""
+    c = _num(exponent)
+    if c is None:
+        return _POWER[True, True]
+    return _POWER[not float(c).is_integer(), c < 0]
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A straight-line program evaluating ``trees`` together.
+
+    Built by :func:`compile_exprs`.  Registers hold constants, bound
+    variables and the results of ``steps``; a step is (name, function,
+    argument registers, result register, registers released after it).
+    Each structurally equal subtree has one register, so it is computed
+    once however many trees hold it, and equal trees share their
+    result.  A unary step's second argument register is None.
+    """
+
+    trees: tuple[Expr, ...]
+    registers: tuple            # constants in place, None elsewhere
+    loads: tuple[tuple[str, int], ...]
+    steps: tuple[tuple, ...]
+    outputs: tuple[int, ...]
+
+    def run(self, env: dict) -> list:
+        """The raw value of each tree, with variables bound by ``env``.
+        An unbound variable raises before any step runs."""
+        regs = list(self.registers)
+        for name, r in self.loads:
+            try:
+                regs[r] = env[name]
+            except KeyError:
+                raise UnknownVariable(f"unbound variable {name!r}") from None
+        for _, fn, a, b, out, dead in self.steps:
+            regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+            for r in dead:
+                regs[r] = None
+        return [regs[r] for r in self.outputs]
+
+
+def compile_exprs(trees) -> Program:
+    """Compile trees into one straight-line :class:`Program`.
+
+    Steps run in the post-order of the recursive definition, left
+    operand first, and each makes the NumPy call and the domain check of
+    that definition on the same operands, so every value is bit for bit
+    the tree's.  Structurally equal subtrees are computed once (constants
+    compare by value), and a register is released after its last use
+    unless a tree returns it.  The one check left out is a power's where
+    its constant exponent makes it impossible: a NaN from finite
+    operands needs a non-integral exponent, and zero to a negative power
+    needs a negative one.
+    """
+    trees = tuple(trees)
+    registers: list = []
+    loads: list[tuple[str, int]] = []
+    steps: list[tuple] = []
+    seen: dict = {}
+
+    def reg(value=None) -> int:
+        registers.append(value)
+        return len(registers) - 1
+
+    def visit(e: Expr) -> int:
+        r = seen.get(e)
+        if r is not None:
+            return r
+        if isinstance(e, Const):
+            r = reg(e.value)
+        elif isinstance(e, Var):
+            r = reg()
+            loads.append((e.name, r))
+        elif isinstance(e, Neg):
+            a = visit(e.child)
+            r = reg()
+            steps.append(("neg", _UNARY["neg"], a, None, r))
+        elif isinstance(e, BinOp):
+            a, b = visit(e.left), visit(e.right)
+            fn = _power_step(e.right) if e.op == "^" else _BINARY[e.op]
+            r = reg()
+            steps.append((e.op, fn, a, b, r))
+        else:
+            a = visit(e.arg)
+            r = reg()
+            steps.append((e.fn, _UNARY[e.fn], a, None, r))
+        seen[e] = r
+        return r
+
+    outputs = tuple(visit(e) for e in trees)
+    last = {}
+    for i, (_, _, a, b, _) in enumerate(steps):
+        last[a] = i
+        if b is not None:
+            last[b] = i
+    keep = set(outputs)
+    dead = [[] for _ in steps]
+    for r, i in last.items():
+        if r not in keep and registers[r] is None:
+            dead[i].append(r)
+    return Program(trees, tuple(registers), tuple(loads),
+                   tuple((*step, tuple(d)) for step, d in zip(steps, dead)),
+                   outputs)
+
+
+def _result(value):
+    """A float for a scalar value, else the array itself; a float is
+    returned as it is."""
+    if isinstance(value, np.ndarray) and value.ndim > 0:
+        return value
+    return float(value)
+
+
+def eval_expr(e, bindings: dict):
+    """Evaluate a tree, or every tree of a compiled :class:`Program`,
+    with variables bound to floats or numpy arrays.
+
+    A tree gives a float for all-scalar bindings and a numpy array
+    otherwise; it is compiled for this one call.  A program gives a
+    tuple of such values, one per tree, in which equal trees share one
+    object where the value is an array or a constant.
+    """
+    if isinstance(e, Program):
+        return tuple(map(_result, e.run(bindings)))
+    return _result(compile_exprs((e,)).run(bindings)[0])
 
 
 # Printing precedence levels; higher binds tighter.

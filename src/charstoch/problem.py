@@ -21,6 +21,13 @@ Every derivative is exact: ``load_problem`` differentiates u0 and a once
 (:func:`charstoch.expr.diff`), and B = dA/du is the time integral of
 da/du by the same rule as A.  The config keys ``a_u`` and ``grad_u0`` are
 optional checks against the derived trees, never evaluated otherwise.
+
+``InitialData`` and ``VelocityField`` compile their trees once, into the
+programs of :mod:`charstoch.expr`; u0 and its gradient are one program.
+The pointwise API takes points of shape (..., n).  Bulk point sets, such
+as the tensor grids of :func:`tensor_columns` and the dense sample the
+load checks use, are one contiguous coordinate array per axis instead,
+which a program takes as x1..xn without strided copies.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
     "du_displacement_components",
     "space_axes",
     "tensor_points",
+    "tensor_columns",
 ]
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -80,7 +88,10 @@ class VelocityField:
     da_i/dt, derived from the components on load.  ``antiderivatives``
     are optional closed-form time antiderivatives A_i(t, u), validated on
     load and used in place of time quadrature.  ``time_dependent``
-    caches, per component, whether 't' occurs in a_i.
+    caches, per component, whether 't' occurs in a_i.  Each tuple of
+    trees is compiled once per field, on first use, into one program
+    (``a_program``, ``dt_program``, ``antiderivative_program``) or, for
+    the time integrals A and B = dA/du, into ``_TimeIntegrals``.
     """
 
     components: tuple[ex.Expr, ...]
@@ -93,38 +104,89 @@ class VelocityField:
     def n(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def a_program(self) -> ex.Program:
+        return ex.compile_exprs(self.components)
+
+    @cached_property
+    def dt_program(self) -> ex.Program:
+        return ex.compile_exprs(self.dt_components)
+
+    @cached_property
+    def antiderivative_program(self) -> ex.Program:
+        return ex.compile_exprs(self.antiderivatives)
+
+    @cached_property
+    def displacement(self) -> "_TimeIntegrals":
+        return _TimeIntegrals(self.components)
+
+    @cached_property
+    def du_displacement(self) -> "_TimeIntegrals":
+        return _TimeIntegrals(self.du_components)
+
     def a_values(self, t: float, u) -> list[np.ndarray]:
-        """Evaluate every component at time t on an array of u values."""
-        return _values(self.components, t, u)
+        """Evaluate every component at time t on an array of u values
+        (shared arrays, see ``_values``)."""
+        return _values(self.a_program, t, u)
 
     def dt_values(self, t: float, u) -> list[np.ndarray]:
         """Exact time partials da_i/dt at time t on an array of u values;
         exactly zero for components without t."""
-        return _values(self.dt_components, t, u)
+        return _values(self.dt_program, t, u)
 
 
 @dataclass(frozen=True)
 class InitialData:
     """Initial profile u0, characteristic density rho0, and the trees of
-    grad u0 derived from u0."""
+    grad u0 derived from u0.
+
+    Each is compiled once, on first use: ``u0_program``,
+    ``rho0_program`` and ``jet_program``, which computes u0 and then its
+    gradient in one program, so the subexpressions they share are
+    computed once.
+    """
 
     n: int
     u0: ex.Expr
     rho0: ex.Expr
     grad_u0: tuple[ex.Expr, ...]
 
-    def _at(self, trees, pts) -> list[np.ndarray]:
-        """Trees in x1..xn on points of shape (..., n), each with shape (...)."""
+    @cached_property
+    def u0_program(self) -> ex.Program:
+        return ex.compile_exprs((self.u0,))
+
+    @cached_property
+    def rho0_program(self) -> ex.Program:
+        return ex.compile_exprs((self.rho0,))
+
+    @cached_property
+    def jet_program(self) -> ex.Program:
+        return ex.compile_exprs((self.u0, *self.grad_u0))
+
+    def on_columns(self, program: ex.Program, columns) -> list[np.ndarray]:
+        """The trees of ``program`` in x1..xn at the points whose
+        coordinates are ``columns``, n arrays of one shape: one float
+        array of that shape per tree.  A tree whose value is a scalar or
+        one of the columns gets a new array."""
+        env = {f"x{i + 1}": c for i, c in enumerate(columns)}
+        return _arrays(ex.eval_expr(program, env), np.shape(columns[0]), columns)
+
+    def _at(self, program: ex.Program, pts) -> list[np.ndarray]:
+        """``on_columns`` on points of shape (..., n), each with shape (...)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = {f"x{i + 1}": pts[..., i] for i in range(self.n)}
-        return [_filled(ex.eval_expr(c, env), pts.shape[:-1]) for c in trees]
+        return self.on_columns(program, [pts[..., i] for i in range(self.n)])
 
     def u0_at(self, pts) -> np.ndarray:
         """u0 on points of shape (..., n), returned with shape (...)."""
-        return self._at([self.u0], pts)[0]
+        return self._at(self.u0_program, pts)[0]
 
     def rho0_at(self, pts) -> np.ndarray:
-        return self._at([self.rho0], pts)[0]
+        return self._at(self.rho0_program, pts)[0]
+
+    def jet_at(self, pts) -> list[np.ndarray]:
+        """u0 and then du0/dx_1..du0/dx_n on points of shape (..., n),
+        each with shape (...), from one program."""
+        return self._at(self.jet_program, pts)
 
     def grad_u0_at(self, pts) -> np.ndarray:
         """Exact gradient of u0 on points (..., n) -> (..., n).
@@ -132,7 +194,7 @@ class InitialData:
         Raises EvalDomainError at a point where u0 has no derivative,
         e.g. abs(x1) at x1 = 0.
         """
-        return np.stack(self._at(self.grad_u0, pts), axis=-1)
+        return np.stack(self.jet_at(pts)[1:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -181,18 +243,32 @@ class ProblemSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _filled(value, shape) -> np.ndarray:
-    """Broadcast a scalar-or-array evaluation result to a float array."""
-    out = np.empty(shape, dtype=float)
-    out[...] = value
+def _arrays(values, shape, inputs=()) -> list[np.ndarray]:
+    """Evaluation results as float arrays of ``shape``.  A float array
+    of that shape is kept as it is, unless it is one of ``inputs``;
+    anything else is broadcast into a new array, once per object, so
+    results that are one object stay one array."""
+    made: dict[int, np.ndarray] = {}
+    out = []
+    for v in values:
+        if isinstance(v, np.ndarray) and v.shape == shape and v.dtype == float \
+                and all(v is not c for c in inputs):
+            out.append(v)
+            continue
+        a = made.get(id(v))
+        if a is None:
+            a = made[id(v)] = np.empty(shape, dtype=float)
+            a[...] = v
+        out.append(a)
     return out
 
 
-def _values(trees, t: float, u) -> list[np.ndarray]:
-    """Trees in (t, u) evaluated at time t on an array of u values."""
+def _values(program: ex.Program, t: float, u) -> list[np.ndarray]:
+    """The trees of ``program`` in (t, u) at time t on an array of u
+    values.  Equal trees give one array, and a tree that is u gives the
+    u array itself, so callers must not write into the results."""
     u_arr = np.asarray(u, dtype=float)
-    env = {"t": t, "u": u_arr}
-    return [_filled(ex.eval_expr(c, env), u_arr.shape) for c in trees]
+    return _arrays(ex.eval_expr(program, {"t": t, "u": u_arr}), u_arr.shape)
 
 
 def _point_rows(x, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -225,10 +301,15 @@ def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
                  for (lo, hi), g in zip(spec.box, spec.space_grid))
 
 
+def tensor_columns(axes) -> tuple[np.ndarray, ...]:
+    """Tensor product of 1D axes as flattened points in C order, one
+    C-contiguous coordinate array (M,) per axis."""
+    return tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
+
+
 def tensor_points(axes) -> np.ndarray:
     """Tensor product of 1D axes as flattened points, shape (M, n), C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack(tensor_columns(axes), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +483,13 @@ def _parse_tolerances(src) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def _dense_sample(box, space_grid) -> np.ndarray:
-    """Tensor sample of the box used for range and sign checks."""
+def _dense_sample(box, space_grid) -> tuple[np.ndarray, ...]:
+    """Tensor sample of the box used for range and sign checks, one
+    coordinate array per axis."""
     n = len(box)
     per_axis = max(201, int(round(2e5 ** (1.0 / n))))
-    return tensor_points([np.linspace(lo, hi, max(per_axis, g))
-                          for (lo, hi), g in zip(box, space_grid)])
+    return tensor_columns([np.linspace(lo, hi, max(per_axis, g))
+                           for (lo, hi), g in zip(box, space_grid)])
 
 
 def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
@@ -422,16 +504,17 @@ def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
 
 def _validate_initial_data(init: InitialData, box, space_grid,
                            grad_u0) -> tuple[float, float]:
-    pts = _dense_sample(box, space_grid)
-    u0v, rho0v = init.u0_at(pts), init.rho0_at(pts)
+    cols = _dense_sample(box, space_grid)
+    u0v, = init.on_columns(init.u0_program, cols)
+    rho0v, = init.on_columns(init.rho0_program, cols)
     for key, v in (("u0", u0v), ("rho0", rho0v)):
         if not np.all(np.isfinite(v)):
             raise ValidationError(f"'{key}' is not finite everywhere on the box")
     if np.any(rho0v < 0):
         raise ValidationError("'rho0' takes negative values on the box")
     if grad_u0 is not None:
-        _check("grad_u0", init._at(grad_u0, pts), init._at(init.grad_u0, pts),
-               "d/dx{j} of 'u0'")
+        _check("grad_u0", init.on_columns(ex.compile_exprs(grad_u0), cols),
+               init.on_columns(init.jet_program, cols)[1:], "d/dx{j} of 'u0'")
     lo, hi = float(np.min(u0v)), float(np.max(u0v))
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.01 * max(1.0, abs(hi))
@@ -444,12 +527,14 @@ def _validate_velocity(vf: VelocityField, u_range, t_max: float, a_u) -> None:
     us = np.linspace(u_range[0], u_range[1], 20)
     tt, uu = np.meshgrid(np.linspace(0.0, t_max, 20), us, indexing="ij")
     if a_u is not None:
-        _check("a_u", _values(a_u, tt, uu), _values(vf.du_components, tt, uu),
+        _check("a_u", _values(ex.compile_exprs(a_u), tt, uu),
+               _values(ex.compile_exprs(vf.du_components), tt, uu),
                "d/du of 'a[{i}]'")
     if vf.antiderivatives is not None:
-        _check("A", _values([ex.diff(A, "t") for A in vf.antiderivatives], tt, uu),
-               vf.a_values(tt, uu), "time antiderivative of 'a[{i}]'")
-        _check("A", _values(vf.antiderivatives, 0.0, us), [0.0] * vf.n,
+        dt_A = ex.compile_exprs([ex.diff(A, "t") for A in vf.antiderivatives])
+        _check("A", _values(dt_A, tt, uu), vf.a_values(tt, uu),
+               "time antiderivative of 'a[{i}]'")
+        _check("A", _values(vf.antiderivative_program, 0.0, us), [0.0] * vf.n,
                "zero at t = 0", tol=1e-9)
 
 
@@ -459,11 +544,12 @@ def _validate_velocity(vf: VelocityField, u_range, t_max: float, a_u) -> None:
 
 def displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
     """A_i(t, u) for an array of u values, one array per component: the
-    closed form when supplied, otherwise ``_time_integrals`` of the a_i."""
+    closed form when supplied, otherwise the time integrals of the a_i.
+    Equal components give one array."""
     vf = spec.velocity
     if vf.antiderivatives is None or t == 0:
-        return _time_integrals(spec, vf.components, t, u)
-    return _values(vf.antiderivatives, float(t), u)
+        return vf.displacement(spec, t, u)
+    return _values(vf.antiderivative_program, float(t), u)
 
 
 def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
@@ -473,21 +559,44 @@ def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
 
 def du_displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
     """B_i(t, u) = d/du A_i(t, u): the time integral of the exact da_i/du."""
-    return _time_integrals(spec, spec.velocity.du_components, t, u)
+    return spec.velocity.du_displacement(spec, t, u)
 
 
-def _time_integrals(spec: ProblemSpec, trees, t: float, u) -> list[np.ndarray]:
-    """Integrals over [0, t] of trees in (t, u) on an array of u values:
-    exactly zero at t = 0, t times the value for a tree without t, and
-    adaptive quadrature otherwise."""
-    u_arr = np.asarray(u, dtype=float)
-    if t == 0:
-        return [np.zeros(u_arr.shape) for _ in trees]
-    out = []
-    for c in trees:
-        if "t" in ex.variables(c):
-            out.append(adaptive_time_integral(lambda tau, _c=c: _values([_c], tau, u_arr)[0],
-                                              0.0, float(t), spec.tol.quad_tol_time))
-        else:
-            out.append(float(t) * _values([c], t, u_arr)[0])
-    return out
+class _TimeIntegrals:
+    """Integrals over [0, t] of trees in (t, u), compiled once.
+
+    The trees without t share one program, and each integral is t times
+    the tree's value.  Each distinct tree with t has a program of its
+    own and is integrated by adaptive quadrature, elementwise on the u
+    values; a tree without u has a scalar value at each node, so its
+    integral is computed once and broadcast, where every element would
+    take the same arithmetic.  Integrals are exactly zero at t = 0, and
+    equal trees give one array.
+    """
+
+    def __init__(self, trees) -> None:
+        steady = [c for c in trees if "t" not in ex.variables(c)]
+        timed = list(dict.fromkeys(c for c in trees if "t" in ex.variables(c)))
+        self.size = len(trees)
+        self.steady = ex.compile_exprs(steady)
+        self.timed = [ex.compile_exprs((c,)) for c in timed]
+        # per tree: (timed?, its position among the steady or timed trees)
+        self.plan = [(True, timed.index(c)) if "t" in ex.variables(c)
+                     else (False, steady.index(c)) for c in trees]
+
+    def __call__(self, spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
+        u_arr = np.asarray(u, dtype=float)
+        if t == 0:
+            return [np.zeros(u_arr.shape) for _ in range(self.size)]
+        t = float(t)
+        values = ex.eval_expr(self.steady, {"t": t, "u": u_arr}) \
+            if self.steady.trees else ()
+        scaled: dict[int, object] = {}
+        for v in values:
+            if id(v) not in scaled:
+                scaled[id(v)] = t * v
+        timed = [adaptive_time_integral(
+            lambda tau, _p=p: ex.eval_expr(_p, {"t": tau, "u": u_arr})[0],
+            0.0, t, spec.tol.quad_tol_time) for p in self.timed]
+        return _arrays([timed[j] if is_timed else scaled[id(values[j])]
+                        for is_timed, j in self.plan], u_arr.shape)

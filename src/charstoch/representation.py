@@ -24,10 +24,12 @@ the same source measure, and both are one ``_Sources``: centers, one
 contiguous array per axis, weights, per-source columns and the
 kernel's var, cut and norm.  The table of a (problem, t) holds the
 displaced nodes, tensor weight * rho0, and the columns u0 and
-a_1..a_n, and is shared by every point; ``montecarlo`` builds one from
-the particles and their labels U.  A table holds one array per
-distinct velocity expression: an a_i that is u is the u0 column
-itself, and equal expressions share one array.  The one constructor,
+a_1..a_n, and is shared by every point; it is built from one node
+array per axis, never from rows (M, n), and each axis's centers are
+its nodes with the displacement added in place.  ``montecarlo``
+builds one from the particles and their labels U.  A table holds one
+array per distinct velocity expression: an a_i that is u is the u0
+column itself, and equal expressions share one array.  The one constructor,
 ``_sources``, sorts all of it once into cells one cutoff radius wide.
 The sources of the 3^n cells around a point are then 3^(n-1)
 contiguous slices, so ``_gaussian_pass``, the only kernel evaluation,
@@ -50,6 +52,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -58,9 +61,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport
-from . import expr as ex
-from .problem import (ProblemSpec, _batched, _point_rows, _refuse, _values,
-                      displacement_components, space_axes, tensor_points)
+from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
+                      displacement_components, space_axes, tensor_columns,
+                      tensor_points)
 from .quadrature import panel_count, panel_rule
 
 __all__ = [
@@ -102,13 +105,14 @@ class QuadratureGrid:
         """Flattened nodes, shape (M, n), C order."""
         return tensor_points(self.axis_nodes)
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """Flattened tensor weights, shape (M,)."""
-        mesh = np.meshgrid(*self.axis_weights, indexing="ij")
-        out = np.ones(mesh[0].shape)
-        for m in mesh:
-            out = out * m
+        """Flattened tensor weights, shape (M,): the axis weights
+        multiplied into ones in axis order.  A new array on each access,
+        which the caller may write."""
+        out = np.ones(tuple(len(w) for w in self.axis_weights))
+        for i, w in enumerate(self.axis_weights):
+            out *= w.reshape((-1,) + (1,) * (self.n - 1 - i))
         return out.ravel()
 
 
@@ -180,29 +184,36 @@ class _Sources:
                                       self.starts))
 
 
-def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
+def _sources(centers, weights: np.ndarray, columns, var: float,
              cutoff: float, norm: float) -> _Sources:
-    """Sort ``centers`` (M, n), ``weights`` (M,) and each of ``columns``
-    (M,) into cells for the Gaussian sum with this var, truncated
-    ``cutoff`` kernel widths sqrt(var) from each target.  The centers
-    come back as one contiguous array per axis.
+    """Sort ``centers``, one coordinate array (M,) per axis, ``weights``
+    (M,) and each of ``columns`` (M,) into cells for the Gaussian sum
+    with this var, truncated ``cutoff`` kernel widths sqrt(var) from each
+    target.  The centers come back as one contiguous array per axis.
 
     The one truncation rule of every kernel sum: a source counts while
     e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
     Cells are at least one cutoff radius wide (with a 1e-9 margin for
     rounding in e) and never more numerous than the finite sources, so
     a tiny bandwidth cannot allocate a huge ``starts``; wider cells only
-    add candidates.
+    add candidates.  The bounding box is a plain min and max per axis;
+    only when some center is not finite is it masked to the finite ones.
     """
     cut = min(0.5 * cutoff ** 2, _UNDERFLOW)
-    M, n = centers.shape
-    ok = np.all(np.isfinite(centers), axis=1)
-    count = int(np.count_nonzero(ok))
-    lo, extent = np.zeros(n), np.zeros(n)
-    if count:
-        lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers.T])
-        extent = np.array([np.max(c, where=ok, initial=-np.inf)
-                           for c in centers.T]) - lo
+    n, M = len(centers), len(weights)
+    lo = np.array([np.min(c, initial=np.inf) for c in centers])
+    hi = np.array([np.max(c, initial=-np.inf) for c in centers])
+    bad = None  # the non-finite centers, if there are any (or no centers)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        bad = ~np.isfinite(centers[0])
+        for c in centers[1:]:
+            bad |= ~np.isfinite(c)
+        ok = ~bad
+        lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers])
+        hi = np.array([np.max(c, where=ok, initial=-np.inf) for c in centers])
+        del ok
+    count = M if bad is None else M - int(np.count_nonzero(bad))
+    lo, extent = (lo, hi - lo) if count else (np.zeros(n), np.zeros(n))
     per_axis = max(1, int(count ** (1.0 / n)))
     # tiny keeps the width positive when the radius underflows to 0
     width = max(math.sqrt(2.0 * var * cut) * (1.0 + 1e-9),
@@ -211,25 +222,26 @@ def _sources(centers: np.ndarray, weights: np.ndarray, columns, var: float,
     cells = int(np.prod(shape))
     # flat keys in the narrowest type, which lets the stable sort use a
     # radix sort; non-finite centers get key ``cells``, after every cell
-    bad = ~ok
     key = np.zeros(M, dtype=np.min_scalar_type(cells))
-    for c, l, s in zip(centers.T, lo, shape):
+    for c, l, s in zip(centers, lo, shape):
         k = c - l
         k /= width
         np.floor(k, out=k)
         np.minimum(k, s - 1, out=k)
-        k[bad] = 0
+        if bad is not None:
+            k[bad] = 0
         key *= int(s)
         key += k.astype(key.dtype)
-    key[bad] = cells
+    if bad is not None:
+        key[bad] = cells
     starts = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
     order = np.argsort(key, kind="stable")[:count]
     # the permuted copies are allocated once the key temporaries are
     # freed; allocating them first measured higher peaks
-    del key, k, ok, bad
+    del key, k, bad
     axes = tuple(np.empty(count) for _ in range(n))
-    for c, ax in zip(centers.T, axes):
+    for c, ax in zip(centers, axes):
         np.take(c, order, out=ax)
     src = _Sources(axes=axes, weights=np.take(weights, order),
                    columns=tuple(np.take(c, order) for c in columns),
@@ -249,7 +261,11 @@ _TABLE_CACHE_MAX = 6
 def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     """The quadrature nodes of (spec, t) as kernel sources: weights
     tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
-    a columns evaluated in cell order (``_velocity_columns``)."""
+    a columns evaluated in cell order.
+
+    Nodes, weights and centers are one array per axis: each center
+    array is its node array with the displacement added in place.
+    """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"field tables need a finite time t >= 0, got t={t!r}")
     scale = spec.sigma * math.sqrt(t)
@@ -258,6 +274,7 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
             f"sigma^2 * t = {scale * scale:.3e} is below the representable "
             f"kernel width"
         )
+    started = time.perf_counter()
     per_axis_nodes = int(_NODE_BUDGET ** (1.0 / spec.n))
     cap = max(16, min(spec.tol.max_panels, per_axis_nodes // spec.tol.nodes_per_panel))
     widths = [hi - lo for lo, hi in spec.box]
@@ -269,11 +286,15 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel,
                            max_panels=cap)
-    u0v = spec.init.u0_at(grid.points)
-    wrho = grid.weights * spec.init.rho0_at(grid.points)
-    centers = grid.points + np.stack(displacement_components(spec, t, u0v),
-                                     axis=-1)
-    del grid  # and with it the cached tensor points and weights
+    centers = tensor_columns(grid.axis_nodes)
+    u0v, = spec.init.on_columns(spec.init.u0_program, centers)
+    nodes = len(u0v)
+    wrho = grid.weights
+    wrho *= spec.init.on_columns(spec.init.rho0_program, centers)[0]
+    del grid  # its axis arrays, before the peak in _sources
+    for c, d in zip(centers, displacement_components(spec, t, u0v)):
+        c += d
+    del d  # the last displacement array, so it stays out of the peak
     var = spec.sigma * spec.sigma * t
     table = _sources(centers, wrho, (u0v,), var, spec.tol.kernel_cutoff,
                      (2.0 * math.pi * var) ** (-spec.n / 2.0))
@@ -281,21 +302,12 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     # once the unsorted arrays are freed: that keeps it out of the peak
     del centers, wrho, u0v
     u0v = table.columns[0]
-    table = replace(table, columns=(u0v, *_velocity_columns(spec, t, u0v)))
-    logger.debug("kernel table at sigma=%g t=%g: %d distinct columns, %d bytes",
-                 spec.sigma, t, len(set(table.first_of)), table.nbytes)
+    table = replace(table, columns=(u0v, *spec.velocity.a_values(t, u0v)))
+    logger.debug("kernel table at sigma=%g t=%g: %d nodes, %d distinct columns, "
+                 "%d bytes, built in %.3f s", spec.sigma, t, nodes,
+                 len(set(table.first_of)), table.nbytes,
+                 time.perf_counter() - started)
     return table
-
-
-def _velocity_columns(spec: ProblemSpec, t: float, u0v: np.ndarray):
-    """a_1..a_n at (t, u0v), each distinct tree evaluated once: a
-    component whose tree is u is u0v itself, and equal trees share one
-    array."""
-    arrays = {ex.Var("u"): u0v}
-    for c in spec.velocity.components:
-        if c not in arrays:
-            arrays[c] = _values([c], t, u0v)[0]
-    return [arrays[c] for c in spec.velocity.components]
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Sources:

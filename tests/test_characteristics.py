@@ -160,6 +160,25 @@ def test_blowup_time_dependent_velocity():
     assert rep.t_star == pytest.approx(math.sqrt(2.0), abs=2e-3)
 
 
+def test_blowup_time_dependent_bump_is_unchanged():
+    """a = (t u, t u) on the bump, whose B = t^2/2 (1, 1) comes from
+    one scalar time integral: the search reports what it reported when
+    the integral ran on every element of the grid (values recorded from
+    that version, on a 41 x 41 search grid)."""
+    spec = load_problem(json.dumps({
+        "n": 2, "a": ["t*u", "t*u"], "u0": "exp(-x1^2-x2^2)", "rho0": "1",
+        "sigma": 0.1, "box": [[-3.0, 3.0], [-3.0, 3.0]], "space_grid": [11, 11],
+        "time_points": [0.3], "tolerances": {"blowup_grid": 41}}))
+    rep = blow_up_time(spec)
+    assert rep.method == "lambda_grid"
+    assert rep.t_star == 1.28369140625
+    assert rep.y_star.tolist() == [0.5002086488136223, 0.49992921131764817]
+    assert rep.min_functional == -0.9994797544684266
+    u = np.linspace(-0.5, 1.5, 7)
+    for B in du_displacement_components(spec, 0.9, u):
+        assert np.array_equal(B, np.full(u.shape, 0.405))
+
+
 def test_blowup_invariant_under_state_shift():
     """For a(u) = u the functional sees only u0'; a constant shift of u0
     must not move t*."""

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -266,3 +268,34 @@ def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
     assert err["kind"] == "ValueError"
     h, dt = (float(v) for v in res.split(":"))
     assert f"resolution ({h:g}, {dt:g})" in err["message"]
+
+
+def test_debug_log_times_table_builds_and_blowup_searches(tmp_path):
+    """CHARSTOCH_LOG=debug reports each table build (nodes, wall time)
+    and each blow-up search (grid points, chunks, refine evaluations,
+    wall time) on stderr; the artifacts keep their bytes."""
+    def run(args, out, log):
+        env = {k: v for k, v in os.environ.items() if k != "CHARSTOCH_LOG"}
+        if log:
+            env["CHARSTOCH_LOG"] = "debug"
+        proc = subprocess.run([sys.executable, "-m", "charstoch", args[0], "--config",
+                               str(BURGERS), "--out", str(out), *args[1:]],
+                              capture_output=True, text=True, cwd=ROOT, env=env)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        return proc.stderr, {o["path"]: o["sha256"] for o in manifest["outputs"]}
+
+    patterns = {
+        ("solve", "--method", "quadrature", "--t", "0.5"):
+            r"kernel table at sigma=0\.1 t=0\.5: \d+ nodes, 1 distinct columns, "
+            r"\d+ bytes, built in \d+\.\d{3} s",
+        ("blowup",):
+            r"blow-up search: 10000 grid points, 1 chunks, \d+ refine "
+            r"evaluations in \d+\.\d{3} s",
+    }
+    for i, (args, pattern) in enumerate(patterns.items()):
+        quiet_err, quiet = run(args, tmp_path / f"quiet{i}", log=False)
+        debug_err, debug = run(args, tmp_path / f"debug{i}", log=True)
+        assert re.search(pattern, debug_err), debug_err
+        assert not re.search(pattern, quiet_err)
+        assert debug == quiet and debug

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from charstoch import (
     parse,
     variables,
 )
-from charstoch.expr import BinOp, Call, Const, Neg, Var, tokenize
+from charstoch.expr import BinOp, Call, Const, Neg, Var, compile_exprs, tokenize
 
 XU = frozenset({"x1", "x2", "t", "u"})
 
@@ -262,3 +263,203 @@ def test_diff_of_random_trees_matches_central_difference():
         assert got == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-5)
         checked += 1
     assert checked > 250
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the recursive definition
+
+
+def reference_eval(e, env):
+    """The recursive tree evaluator the compiler replaced, kept here as
+    the oracle: compiled programs must give its values bit for bit and
+    raise where it raises."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -reference_eval(e.child, env)
+    if isinstance(e, BinOp):
+        a = reference_eval(e.left, env)
+        b = reference_eval(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if np.any(b == 0):
+                raise EvalDomainError("division by zero")
+            return a / b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.power(np.asarray(a, dtype=float), b)
+        if np.any(np.isnan(r)) and not (np.any(np.isnan(a)) or np.any(np.isnan(b))):
+            raise EvalDomainError("fractional power of a negative base")
+        if np.any(np.isinf(r)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+            if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
+                raise EvalDomainError("zero raised to a negative power")
+        return r
+    v = reference_eval(e.arg, env)
+    if e.fn == "log":
+        if np.any(np.asarray(v) <= 0):
+            raise EvalDomainError("log of a nonpositive value")
+        return np.log(v)
+    if e.fn == "sqrt":
+        if np.any(np.asarray(v) < 0):
+            raise EvalDomainError("sqrt of a negative value")
+        return np.sqrt(v)
+    return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+            "abs": np.abs}[e.fn](v)
+
+
+def reference_value(e, env):
+    """``reference_eval`` with eval_expr's result types."""
+    v = reference_eval(e, env)
+    return v if isinstance(v, np.ndarray) and v.ndim > 0 else float(v)
+
+
+def same_bits(got, want) -> bool:
+    """Same type, shape and bytes: == elementwise, NaNs and the sign of
+    zero included."""
+    return type(got) is type(want) and np.shape(got) == np.shape(want) \
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def assert_matches_reference(trees, env):
+    """Each tree alone and all of them in one program give the oracle's
+    value, or raise where it raises."""
+    try:
+        want = [reference_value(e, env) for e in trees]
+    except EvalDomainError:
+        with pytest.raises(EvalDomainError):
+            eval_expr(compile_exprs(trees), env)
+        return False
+    for e, w in zip(trees, want):
+        assert same_bits(eval_expr(e, env), w), expr_to_str(e)
+    for e, got, w in zip(trees, eval_expr(compile_exprs(trees), env), want):
+        assert same_bits(got, w), expr_to_str(e)
+    return True
+
+
+GRAMMAR_CASES = [
+    "x1 + x2", "x1 - x2", "x1 * x2", "x1 / x2", "x1 ^ x2", "-x1", "-(x1 - x2)",
+    "sin(x1)", "cos(x1)", "exp(x1)", "log(x2)", "tanh(x1)", "sqrt(x2)",
+    "abs(x1)", "2^3^2", "x2^x1^0.5", "-x1^2", "x1^-1", "x2^-1.5", "x1^2.5",
+    "x2^0", "(x1 - x2)^3", "x1 - x2 - u", "x1 / x2 / u", "2^-x1",
+    "exp(-x1^2 - x2^2) * (x1 + u)", "t*u + sin(t)", "abs(x1)^0.5",
+]
+
+
+@pytest.mark.parametrize("src", GRAMMAR_CASES)
+def test_compiled_grammar_matches_the_recursive_definition(src):
+    e = parse(src, XU)
+    scalar = {"x1": 0.7, "x2": 1.9, "t": 0.4, "u": -1.3}
+    rng = np.random.default_rng(5)
+    arrays = {"x1": rng.uniform(-2.0, 2.0, 50), "x2": rng.uniform(0.1, 3.0, 50),
+              "t": 0.4, "u": rng.uniform(-2.0, 2.0, 50)}
+    positive = {**arrays, "x1": rng.uniform(0.1, 3.0, 50)}
+    checked = [assert_matches_reference([e], env)
+               for env in (scalar, arrays, positive)]
+    assert checked[0] and checked[2], src
+
+
+def test_compiled_random_trees_match_the_recursive_definition():
+    """300 random trees, alone and 30 at a time in one program, on
+    scalar and array bindings."""
+    rng = np.random.default_rng(20261019)
+    trees = [_random_expr(rng, 5) for _ in range(300)]
+    arrays = {v: rng.uniform(-3.0, 3.0, 40) for v in ("x1", "x2", "u")}
+    checked = 0
+    for k in range(0, len(trees), 30):
+        group = trees[k:k + 30]
+        for _ in range(3):
+            env = {v: float(rng.uniform(-3.0, 3.0)) for v in ("x1", "x2", "t", "u")}
+            checked += assert_matches_reference(group, env)
+        checked += assert_matches_reference(group, {**arrays, "t": 0.6})
+        for e in group:  # one tree that fails must not hide the others
+            checked += assert_matches_reference([e], {**arrays, "t": 0.6})
+    assert checked > 250
+
+
+def test_joint_programs_share_subtrees_and_release_intermediates():
+    e = parse("exp(-x1^2 - x2^2)", XU)
+    program = compile_exprs([e, diff(e, "x1"), diff(e, "x2")])
+    ops = [step[0] for step in program.steps]
+    assert ops.count("exp") == 1 and ops.count("^") == 2
+    x = np.linspace(-1.0, 1.0, 7)
+    values = eval_expr(program, {"x1": x, "x2": x[::-1]})
+    for tree, got in zip(program.trees, values):
+        assert same_bits(got, reference_value(tree, {"x1": x, "x2": x[::-1]}))
+    # every step result but the outputs is released after its last use
+    released = {r for step in program.steps for r in step[-1]}
+    made = {step[4] for step in program.steps}
+    assert made - released == set(program.outputs)
+    # equal trees share one result object
+    u = parse("u", XU)
+    shared = eval_expr(compile_exprs([u, parse("u*1", XU), u]), {"u": x})
+    assert shared[0] is x and shared[2] is x and shared[1] is not x
+
+
+def test_programs_release_each_intermediate_after_its_last_use():
+    """A chain of twelve array steps holds at most two intermediates
+    at a time, not all twelve."""
+    program = compile_exprs([parse("-(" * 12 + "x1" + " + 1)" * 12, XU)])
+    x = np.ones(200_000)
+    tracemalloc.start()
+    try:
+        eval_expr(program, {"x1": x})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes
+
+
+@pytest.mark.parametrize("trees, env", [
+    (["sqrt(x1) + 1", "sqrt(x1) * 2"], {"x1": np.array([1.0, -1.0])}),
+    (["log(x1) - x2", "x2 * log(x1)"], {"x1": 0.0, "x2": 1.0}),
+    (["log(x1)", "log(x1)"], {"x1": np.array([2.0, -3.0])}),
+    (["x1^-1", "x1^-1 + x2"], {"x1": 0.0, "x2": 1.0}),
+    (["x1^-1", "2 * x1^-1"], {"x1": np.array([1.0, 0.0]), "x2": 1.0}),
+    (["x1^0.5", "x1^0.5 - x2"], {"x1": -2.0, "x2": 1.0}),
+    (["x1^2.5", "x2 + x1^2.5"], {"x1": np.array([1.0, -1.0, 2.0]), "x2": 1.0}),
+    (["x2 / (x1 - x1)", "x1 - x1"], {"x1": 1.0, "x2": 1.0}),
+])
+def test_domain_errors_raise_from_shared_subtrees(trees, env):
+    trees = [parse(s, XU) for s in trees]
+    for e in trees[:1]:
+        with pytest.raises(EvalDomainError):
+            reference_eval(e, env)
+        with pytest.raises(EvalDomainError):
+            eval_expr(e, env)
+    with pytest.raises(EvalDomainError):
+        eval_expr(compile_exprs(trees), env)
+
+
+def test_derivative_domain_errors_raise_in_the_joint_program():
+    e = parse("abs(x1) + sqrt(x2)", XU)
+    program = compile_exprs([e, diff(e, "x1"), diff(e, "x2")])
+    eval_expr(program, {"x1": 0.5, "x2": 0.5})
+    for env in ({"x1": 0.0, "x2": 0.5}, {"x1": 0.5, "x2": 0.0},
+                {"x1": np.array([1.0, 0.0]), "x2": np.array([1.0, 1.0])}):
+        with pytest.raises(EvalDomainError):
+            eval_expr(program, env)
+
+
+def test_constant_exponents_keep_only_the_checks_they_can_fail():
+    """A constant exponent leaves out only checks that cannot fire: the
+    values, NaN bases included, are the oracle's."""
+    nan = np.array([np.nan, 2.0])
+    for src in ("x1^2", "x1^-2", "x1^0.5", "x1^-0.5", "x1^x2"):
+        assert assert_matches_reference([parse(src, XU)], {"x1": nan, "x2": 2.0})
+    for src, base in (("x1^3", [-2.0, 0.0, 3.0]), ("x1^0", [-2.0, 0.0, 3.0]),
+                      ("x1^-3", [-2.0, 3.0]), ("x1^0.5", [0.0, 4.0]),
+                      ("x1^-0.5", [1.0, 4.0])):
+        assert assert_matches_reference([parse(src, XU)], {"x1": np.array(base)})
+
+
+def test_unbound_variables_are_refused():
+    with pytest.raises(UnknownVariable):
+        eval_expr(parse("x1 + u", XU), {"x1": 1.0})
+    with pytest.raises(UnknownVariable):
+        eval_expr(compile_exprs([parse("x1", XU), parse("u", XU)]), {"x1": 1.0})

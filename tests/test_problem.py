@@ -16,6 +16,7 @@ from charstoch import (
     flow_displacement,
     load_problem,
 )
+from charstoch.problem import tensor_columns, tensor_points
 from charstoch.quadrature import adaptive_time_integral
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -277,3 +278,32 @@ def test_time_integral_accepts_a_non_finite_element_where_it_shows():
     assert got[1] == np.inf
     ref = adaptive_time_integral(lambda tau: f(tau, bad=False), 0.0, 1.0, 1e-10)
     assert got[0] == ref[0] and got[2] == ref[1]
+
+
+@pytest.mark.parametrize("sizes", [(5,), (4, 3), (3, 2, 4)])
+def test_tensor_columns_are_contiguous_columns_of_the_points(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    axes = [np.sort(rng.uniform(-2.0, 2.0, k)) for k in sizes]
+    # the points as rows, C order, built independently of tensor_columns
+    rows = np.array([[ax[i] for ax, i in zip(axes, idx)]
+                     for idx in np.ndindex(*sizes)])
+    columns = tensor_columns(axes)
+    assert len(columns) == len(axes)
+    for i, c in enumerate(columns):
+        assert c.ndim == 1 and c.flags.c_contiguous
+        assert np.array_equal(c, rows[:, i])
+    assert np.array_equal(tensor_points(axes), rows)
+
+
+def test_time_integral_of_a_tree_without_u_is_one_scalar_integral():
+    """da/du = t for a = t*u is integrated once, as a scalar, and
+    broadcast: each element equals the elementwise integral of the
+    broadcast integrand bit for bit."""
+    spec = load_problem(make(a=["t*u"]))
+    u = np.linspace(-1.0, 1.0, 9)
+    for t in (0.3, 0.8, 2.5):
+        got = du_displacement_components(spec, t, u)[0]
+        want = adaptive_time_integral(lambda tau: np.full(u.shape, tau), 0.0, t,
+                                      spec.tol.quad_tol_time)
+        assert got.shape == u.shape and np.array_equal(got, want)
+        assert du_displacement_components(spec, t, 0.4)[0] == want[0]

@@ -22,7 +22,9 @@ from charstoch import (
     load_problem,
     sigma_sweep,
 )
-from charstoch.representation import (_gaussian_pass, _kernel_means,
+from charstoch import representation
+from charstoch.problem import displacement_components
+from charstoch.representation import (_build_table, _gaussian_pass, _kernel_means,
                                       _sources, _table_for, quadrature_grid)
 
 BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
@@ -206,7 +208,7 @@ def test_cell_pass_equals_dense_scan(n):
     # a unit lattice, so sources sit exactly one radius from lattice targets
     lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * n, indexing="ij"),
                        axis=-1).reshape(-1, n)
-    width = _sources(lattice, np.ones(len(lattice)), (), var, cutoff, 1.0).width
+    width = _sources(tuple(lattice.T), np.ones(len(lattice)), (), var, cutoff, 1.0).width
     assert width > 2.0
     faces = np.stack(np.meshgrid(*[np.arange(4) * width] * n, indexing="ij"),
                      axis=-1).reshape(-1, n)
@@ -214,7 +216,7 @@ def test_cell_pass_equals_dense_scan(n):
     centers[7] = np.nan
     weights = rng.random(len(centers))
     # an index column recovers the cell order of the sources
-    cells = _sources(centers, weights, (np.arange(len(centers), dtype=float),),
+    cells = _sources(tuple(centers.T), weights, (np.arange(len(centers), dtype=float),),
                      var, cutoff, 1.0)
     order = cells.columns[0].astype(np.intp)
     assert cells.cut == 2.0
@@ -269,6 +271,106 @@ def test_kernel_means_equal_dense_sums_over_table():
         for row, column in zip(rows, table.columns):
             np.testing.assert_array_equal(row, column[idx])
         assert eval_rho_sigma(spec, 0.3, x) == table.norm * den
+
+
+def sources_from_rows(centers, weights, columns, var, cutoff, norm):
+    """The kernel sources of centers given as rows (M, n), built the way
+    ``_sources`` built them from rows: the bounding box is always a
+    min and max masked to the finite centers.  Returns the fields of a
+    ``_Sources`` as a dict."""
+    cut = min(0.5 * cutoff ** 2, 745.0)
+    M, n = centers.shape
+    ok = np.all(np.isfinite(centers), axis=1)
+    count = int(np.count_nonzero(ok))
+    lo, extent = np.zeros(n), np.zeros(n)
+    if count:
+        lo = np.array([np.min(c, where=ok, initial=np.inf) for c in centers.T])
+        extent = np.array([np.max(c, where=ok, initial=-np.inf)
+                           for c in centers.T]) - lo
+    per_axis = max(1, int(count ** (1.0 / n)))
+    width = max(math.sqrt(2.0 * var * cut) * (1.0 + 1e-9),
+                float(np.max(extent)) / per_axis, np.finfo(float).tiny)
+    shape = np.minimum(np.floor(extent / width) + 1, per_axis).astype(np.int64)
+    cells = int(np.prod(shape))
+    key = np.zeros(M, dtype=np.min_scalar_type(cells))
+    for c, l, k_max in zip(centers.T, lo, shape):
+        k = np.minimum(np.floor((c - l) / width), k_max - 1)
+        k[~ok] = 0
+        key = key * int(k_max) + k.astype(key.dtype)
+    key[~ok] = cells
+    starts = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
+    order = np.argsort(key, kind="stable")[:count]
+    return {"axes": tuple(np.ascontiguousarray(centers[order, i]) for i in range(n)),
+            "weights": weights[order], "columns": tuple(c[order] for c in columns),
+            "var": var, "cut": cut, "norm": norm, "lo": lo, "width": width,
+            "shape": shape, "starts": starts}
+
+
+def assert_same_sources(got, want: dict):
+    for name, value in want.items():
+        mine = getattr(got, name)
+        if isinstance(value, tuple):
+            assert len(mine) == len(value), name
+            for a, b in zip(mine, value):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert np.array_equal(mine, value), name
+            assert np.asarray(mine).dtype == np.asarray(value).dtype, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sources_from_axes_equal_the_rows_form(n):
+    """Per-axis centers give the sources of the rows form field by field,
+    with a plain bounding box when every center is finite and a masked
+    one when some are NaN or infinite."""
+    rng = np.random.default_rng(30 + n)
+    centers = rng.normal(0.0, 2.0, (4000, n))
+    weights = rng.random(len(centers))
+    index = np.arange(len(centers), dtype=float)
+    masked = centers.copy()
+    masked[[3, 50, 900], 0] = [np.nan, np.inf, -np.inf]
+    masked[1234, n - 1] = np.nan
+    for rows in (centers, masked, centers[:0]):
+        for var, cutoff in ((0.04, 8.0), (1e-18, 8.0), (0.5, 40.0)):
+            got = _sources(tuple(rows.T), weights[:len(rows)], (index[:len(rows)],),
+                           var, cutoff, 1.5)
+            want = sources_from_rows(rows, weights[:len(rows)],
+                                     (index[:len(rows)],), var, cutoff, 1.5)
+            assert_same_sources(got, want)
+    assert len(_sources(tuple(masked.T), weights, (), 0.04, 8.0, 1.0).weights) \
+        == len(centers) - 4
+
+
+def test_bump_table_equals_the_rows_built_reference(monkeypatch):
+    """The t = 0.3 bump table, built from per-axis node, weight and
+    center arrays, equals one built from rows (M, n): tensor points, the
+    weights as meshgrid products, centers as points plus the stacked
+    displacement."""
+    spec = load_problem(BUMP2D.read_text())
+    grids = []
+
+    def recording(*args, **kwargs):
+        grids.append(quadrature_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(representation, "quadrature_grid", recording)
+    table = _build_table(spec, 0.3)
+    grid, = grids
+    points = np.stack([m.ravel() for m in np.meshgrid(*grid.axis_nodes,
+                                                        indexing="ij")], axis=-1)
+    weights = np.ones(points.shape[0])
+    for m in np.meshgrid(*grid.axis_weights, indexing="ij"):
+        weights = weights * m.ravel()
+    u0v = spec.init.u0_at(points)
+    centers = points + np.stack(displacement_components(spec, 0.3, u0v), axis=-1)
+    var = spec.sigma * spec.sigma * 0.3
+    want = sources_from_rows(centers, weights * spec.init.rho0_at(points), (u0v,),
+                             var, spec.tol.kernel_cutoff, (2.0 * math.pi * var) ** -1.0)
+    u0_sorted, = want["columns"]
+    want["columns"] = (u0_sorted, *spec.velocity.a_values(0.3, u0_sorted))
+    assert len(table.weights) == 774_400
+    assert_same_sources(table, want)
 
 
 def bump(a):
