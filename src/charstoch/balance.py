@@ -25,10 +25,13 @@ set share one pass: one kernel pass per point over the table of
 covariances and whose centers, gathered per axis, give the gradient.
 Each distinct column's deviation from its mean and its sum are formed
 once: where a_i is u, its column is the u0 column and I_a_i is I_u's
-sum.  The pair is kept with the masses and means of the same passes,
-as the kernel results of the last point set in ``representation``, so
-asking for both terms and then the fields at the same points, in any
-order, costs the passes once.  The signs above are the ones that close
+sum.  ``_i_terms`` is one loop over the points as Python floats that
+forms the deviations and the gradient factor in place, so a point
+costs its NumPy calls on the gathered sources and little besides.
+The pair is kept with the masses and means of the same passes, as the
+kernel results of the last point set in ``representation``, so asking
+for both terms and then the fields at the same points, in any order,
+costs the passes once.  The signs above are the ones that close
 the identities; with them the discrete residuals vanish at the order
 of the space-time stencil.  In the vanishing-noise limit the same
 system without diffusion and without I terms holds for the transported
@@ -45,7 +48,9 @@ at the probes, which their pass answers, and at the 2n offset points:
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +60,7 @@ from .errors import EmptyKernelSupport, NearBlowup
 from .problem import (ProblemSpec, _batched, _point_rows, _refuse, space_axes,
                       tensor_points)
 from .representation import (_KernelResults, _fields_sigma, _keep, _kept,
-                             _kernel_means, _noise_ladder, _point_key,
+                             _kernel_means, _noise_ladder, _point_key, _sum,
                              _support_reach, _table_for)
 
 __all__ = [
@@ -69,6 +74,8 @@ __all__ = [
     "attach_ratios",
     "i_term_persistence",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -97,53 +104,78 @@ def _i_term_table(spec: ProblemSpec, t: float):
     return _table_for(spec, t)
 
 
-def _i_term_passes(spec: ProblemSpec, t: float, table, X: np.ndarray):
-    """Per point xp of X (P, n): xp, its ``_kernel_means`` and the
-    sources' centers there, one gathered array per axis.  Raises
-    EmptyKernelSupport at the first point without kernel mass."""
-    floor = spec.tol.denom_floor
-    for xp in X:
-        idx, wk, den, rows, means = _kernel_means(table, xp, floor)
-        _refuse(EmptyKernelSupport, den < floor, xp[None], t, "no kernel mass")
-        yield xp, wk, den, rows, means, [ax.take(idx) for ax in table.axes]
-
-
 def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
-    point for both.  Each distinct column's deviation from its mean,
-    and its sum, is formed once: a column that repeats an earlier one
-    (an a_i column that is the u0 column when a_i is u) takes that
-    one's sum.  The pair is kept with the masses and means of the same
+    point for both, run as one loop over the points as Python floats.
+    Each distinct column's deviation from its mean, and its sum, is
+    formed once: a column that repeats an earlier one (an a_i column
+    that is the u0 column when a_i is u) takes that one's sum.  The
+    gradient factor is built in place from each axis's gathered
+    centers.  The pair is kept with the masses and means of the same
     passes, so the second of the two public calls at the same points,
     and the fields there, make no pass; callers must copy what they
-    return.  A batch refused part way keeps nothing."""
+    return.  Raises EmptyKernelSupport at the first point without
+    kernel mass, after its pass; a batch refused part way keeps
+    nothing.  With ``CHARSTOCH_LOG=debug``, logs the targets, the kept
+    sources and the wall time of the batch."""
     table = _i_term_table(spec, t)
     key = _point_key(spec, t, X)
     kept = _kept(key)
     if kept is not None and kept.i_terms is not None:
         return kept.i_terms
-    n, norm = spec.n, table.norm
+    started = time.perf_counter()
+    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
     s2t = spec.sigma * spec.sigma * t
+    first_of, axes = table.first_of, table.axes
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
-    den, means = np.empty(len(X)), np.empty((len(X), 1 + n))
-    iu, ia = np.empty(len(X)), np.empty((len(X), n))
-    for p, (xp, wk, mass, rows, mean, centers) in \
-            enumerate(_i_term_passes(spec, t, table, X)):
-        den[p], means[p] = mass, mean
-        # row - mean per column, u0 first, then a_1..a_n
-        dev = table.per_column(lambda i: rows[i] - mean[i])
-        # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node
+    den, means, iu, ia, sources, dt_sums = [], [], [], [], 0, []
+    for p, xp in enumerate(X.tolist()):
+        idx, wk, mass, rows, mean = _kernel_means(table, xp, floor)
+        if mass < floor:
+            _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
+        den.append(mass)
+        means.append(mean)
+        sources += idx.size
+        if dt_components:
+            # taken before the rows are written: da_i/dt may be u0 itself
+            dt_vals = spec.velocity.dt_values(t, rows[0])
+            dt_sums = [norm * _sum(wk * dt_vals[i]) for i in dt_components]
+        # row - mean per distinct column, u0 first, then a_1..a_n; the
+        # rows are this pass's own gathers, so they are written in place
+        for i, j in enumerate(first_of):
+            if j == i:
+                rows[i] -= mean[i]
+        dev = rows
+        # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node;
+        # (c - x_k) * dev equals dev * (c - x_k) bit for bit
         fac = np.zeros(len(wk))
         for k in range(n):
-            fac += dev[1 + k] * (centers[k] - xp[k])
+            c = axes[k].take(idx)
+            c -= xp[k]
+            c *= dev[1 + k]
+            fac += c
         fac /= s2t
-        sums = table.per_column(lambda i: norm * np.sum(wk * dev[i] * fac))
-        iu[p], ia[p] = sums[0], sums[1:]
-        if dt_components:
-            dt_vals = spec.velocity.dt_values(t, rows[0])
-            for i in dt_components:
-                ia[p, i] -= norm * np.sum(wk * dt_vals[i])
-    _keep(_KernelResults(key, den, means, (iu, ia)))
+        sums = []
+        for i, j in enumerate(first_of):
+            if j == i:
+                term = wk * dev[i]
+                term *= fac
+                sums.append(norm * _sum(term))
+            else:
+                sums.append(sums[j])
+        iu.append(sums[0])
+        for i, dt_sum in zip(dt_components, dt_sums):
+            sums[1 + i] -= dt_sum
+        ia.append(sums[1:])
+    P = len(X)
+    den, means = np.array(den, dtype=float), np.array(means, dtype=float)
+    iu = np.array(iu, dtype=float)
+    ia = np.array(ia, dtype=float).reshape(P, n)
+    _keep(_KernelResults(key, den, means.reshape(P, 1 + n), (iu, ia)))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("I terms at sigma=%g t=%g: %d targets, %d kept sources "
+                     "in %.3f s", spec.sigma, t, P, sources,
+                     time.perf_counter() - started)
     return iu, ia
 
 
@@ -178,14 +210,16 @@ def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
     """
     X, shape = _point_rows(x, spec.n)
     table = _i_term_table(spec, t)
-    n, norm = spec.n, table.norm
+    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
     s2t = spec.sigma * spec.sigma * t
     out = np.empty(len(X))
-    for p, (xp, wk, _, (u0v, *avals), (u, *a), centers) in \
-            enumerate(_i_term_passes(spec, t, table, X)):
+    for p, xp in enumerate(X.tolist()):
+        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
+        if den < floor:
+            _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
         total = 0.0
         for k in range(n):
-            gk = (centers[k] - xp[k]) / s2t
+            gk = (table.axes[k].take(idx) - xp[k]) / s2t
             m_one = norm * np.sum(wk * gk)
             m_u = norm * np.sum(wk * u0v * gk)
             m_a = norm * np.sum(wk * avals[k] * gk)

@@ -187,7 +187,7 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
-    src = _sources(tuple(ens.X.T), ens.w, (ens.U,), h * h, spec.tol.kernel_cutoff,
+    src = _sources(list(ens.X.T), ens.w, [ens.U], h * h, spec.tol.kernel_cutoff,
                    (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
     den, means = _kernel_moments(src, X, spec.tol.denom_floor)
     return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),

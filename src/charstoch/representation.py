@@ -31,25 +31,30 @@ builds one from the particles and their labels U.  A table holds one
 array per distinct velocity expression: an a_i that is u is the u0
 column itself, and equal expressions share one array.  The one constructor,
 ``_sources``, sorts all of it once into cells one cutoff radius wide.
-The sources of the 3^n cells around a point are then 3^(n-1)
+It takes the centers and columns as lists that it empties, permuting
+one array at a time, so the t = 0.3 bump table build peaks at 1.5
+times the table's bytes rather than with both copies of every array
+alive.  The sources of the 3^n cells around a point are then 3^(n-1)
 contiguous slices, so ``_gaussian_pass``, the only kernel evaluation,
-scans those slices rather than every source.  The fields here, the
+scans those slices rather than every source.  It finds the cells with
+Python scalars and forms the kept weights in place, so the cost of a
+pass is that of its NumPy calls on the slices.  The fields here, the
 covariance sources in ``balance`` and the particle estimates are all
 moments of that pass: ``_kernel_means`` gathers and averages each
 distinct column around one point once, and ``_kernel_moments`` runs
-it over a point set.  The kernel results of the last point set
-(masses, means, and the I terms when an I-term pass made them) are
-kept, so the three fields and the two I terms at the same points cost
-one pass per point; a field grid makes its pass once for all three
-fields.  Sums run in cell order, and equal a scan of all sources in
-that order bit for bit.  The node count still scales like sigma^(-n)
-(halving sigma doubles it per axis), which governs the table build
-and its memory, not the cost per point.
+it over a point set, one loop over the points as Python floats.  The
+kernel results of the last point set (masses, means, and the I terms
+when an I-term pass made them) are kept, so the three fields and the
+two I terms at the same points cost one pass per point; a field grid
+makes its pass once for all three fields.  Sums run in cell order,
+and equal a scan of all sources in that order bit for bit.  The node
+count still scales like sigma^(-n) (halving sigma doubles it per
+axis), which governs the table build and its memory, not the cost per
+point.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -87,6 +92,9 @@ _UNDERFLOW = 745.0
 
 # total quadrature nodes a table may hold, across all axes
 _NODE_BUDGET = 2_000_000
+
+# np.sum of a 1D array, without its argument handling
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -140,10 +148,10 @@ class _Sources:
     normalization ``norm``.  Columns may be the same array: a table's
     a_i column is its u0 column when a_i is u, and equal velocity
     expressions share one array; ``first_of`` names the first column
-    each one repeats, and ``per_column`` lets a pass gather and average
-    each distinct array once.  With e = |center - x|^2 / (2 var), a
-    source can satisfy e <= cut only within radius sqrt(2 var cut) of
-    x, so it lies in one of the 3^n square cells around x's cell.
+    each one repeats, so a pass gathers and averages each distinct
+    array once.  With e = |center - x|^2 / (2 var), a source can
+    satisfy e <= cut only within radius sqrt(2 var cut) of x, so it
+    lies in one of the 3^n square cells around x's cell.
     Every array is stably sorted by flat (C order) cell key, so the
     sources of cell k are positions ``starts[k]:starts[k + 1]``.
     Sources with a non-finite center are left out: they never carry
@@ -168,13 +176,14 @@ class _Sources:
         return tuple(next(j for j, d in enumerate(self.columns) if d is c)
                      for c in self.columns)
 
-    def per_column(self, f) -> list:
-        """[f(i) for each column i], calling f once per distinct array: a
-        column that repeats column j gets f(j)'s object."""
-        out = []
-        for i, j in enumerate(self.first_of):
-            out.append(out[j] if j != i else f(i))
-        return out
+    @cached_property
+    def cell_grid(self) -> tuple[list[float], list[int], list[int]]:
+        """``lo``, ``shape`` and the C-order strides of the flat cell key,
+        as Python scalars per axis: cell (k_1..k_n) has key
+        sum(k_i * strides_i)."""
+        shape = self.shape.tolist()
+        return (self.lo.tolist(), shape,
+                [math.prod(shape[i + 1:]) for i in range(len(shape))])
 
     @property
     def nbytes(self) -> int:
@@ -184,12 +193,20 @@ class _Sources:
                                       self.starts))
 
 
-def _sources(centers, weights: np.ndarray, columns, var: float,
+def _sources(centers: list, weights: np.ndarray, columns: list, var: float,
              cutoff: float, norm: float) -> _Sources:
-    """Sort ``centers``, one coordinate array (M,) per axis, ``weights``
-    (M,) and each of ``columns`` (M,) into cells for the Gaussian sum
-    with this var, truncated ``cutoff`` kernel widths sqrt(var) from each
-    target.  The centers come back as one contiguous array per axis.
+    """Sort ``centers``, a list of one coordinate array (M,) per axis,
+    ``weights`` (M,) and each of the list ``columns`` (M,) into cells
+    for the Gaussian sum with this var, truncated ``cutoff`` kernel
+    widths sqrt(var) from each target.  The centers come back as one
+    contiguous array per axis.
+
+    The two lists are emptied: the arrays are permuted one at a time,
+    and each unsorted one is dropped once its sorted copy exists, the
+    weights last.  A caller that hands over its only references to the
+    centers and columns therefore peaks at one array above the sorted
+    sources, plus the sort order, rather than with both copies of
+    every array alive.
 
     The one truncation rule of every kernel sum: a source counts while
     e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
@@ -232,19 +249,20 @@ def _sources(centers, weights: np.ndarray, columns, var: float,
             k[bad] = 0
         key *= int(s)
         key += k.astype(key.dtype)
+        del k  # before the next axis allocates its own
+    del c  # the last center, which the permutation below frees
     if bad is not None:
         key[bad] = cells
+    del bad
     starts = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
     order = np.argsort(key, kind="stable")[:count]
-    # the permuted copies are allocated once the key temporaries are
-    # freed; allocating them first measured higher peaks
-    del key, k, bad
-    axes = tuple(np.empty(count) for _ in range(n))
-    for c, ax in zip(centers, axes):
-        np.take(c, order, out=ax)
-    src = _Sources(axes=axes, weights=np.take(weights, order),
-                   columns=tuple(np.take(c, order) for c in columns),
+    del key
+    # one array at a time, each unsorted one released (unless its caller
+    # holds it) once its permuted copy exists; the weights go last
+    axes = tuple(centers.pop(0).take(order) for _ in range(n))
+    columns = tuple(columns.pop(0).take(order) for _ in range(len(columns)))
+    src = _Sources(axes=axes, weights=weights.take(order), columns=columns,
                    var=var, cut=cut, norm=norm, lo=lo, width=width,
                    shape=shape, starts=starts)
     logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "
@@ -286,7 +304,7 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel,
                            max_panels=cap)
-    centers = tensor_columns(grid.axis_nodes)
+    centers = list(tensor_columns(grid.axis_nodes))
     u0v, = spec.init.on_columns(spec.init.u0_program, centers)
     nodes = len(u0v)
     wrho = grid.weights
@@ -294,13 +312,19 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     del grid  # its axis arrays, before the peak in _sources
     for c, d in zip(centers, displacement_components(spec, t, u0v)):
         c += d
-    del d  # the last displacement array, so it stays out of the peak
+    # the last center and displacement arrays, so they stay out of the peak
+    del c, d
     var = spec.sigma * spec.sigma * t
-    table = _sources(centers, wrho, (u0v,), var, spec.tol.kernel_cutoff,
+    # _sources empties the lists, so it frees each unsorted array once
+    # it is permuted; the weights are permuted last, which keeps this
+    # reference to them out of the peak
+    columns = [u0v]
+    del u0v
+    table = _sources(centers, wrho, columns, var, spec.tol.kernel_cutoff,
                      (2.0 * math.pi * var) ** (-spec.n / 2.0))
     # a is elementwise in u0, so it is evaluated in cell order directly,
     # once the unsorted arrays are freed: that keeps it out of the peak
-    del centers, wrho, u0v
+    del wrho
     u0v = table.columns[0]
     table = replace(table, columns=(u0v, *spec.velocity.a_values(t, u0v)))
     logger.debug("kernel table at sigma=%g t=%g: %d nodes, %d distinct columns, "
@@ -333,30 +357,49 @@ def _gaussian_pass(src: _Sources, x):
     runs of consecutive keys, one per line along the last axis, so e is
     computed on that many contiguous slices, in ascending position
     order, from the per-axis ``axes``: idx, wk and every sum over them
-    equal those of a scan of all sources bit for bit.  A non-finite
-    target, or one with no cell within reach, has no sources.
+    equal those of a scan of all sources bit for bit.  The cells are
+    found with Python scalars (``cell_grid``), and the kept weights are
+    formed in place, so a pass makes no NumPy call on n-element arrays
+    and a pass over few sources costs little more than its slices.  A
+    target with a coordinate that is not finite, or with no cell within
+    reach, has no sources.
     """
-    k = np.floor((x - src.lo) / src.width)
-    if not np.all((k >= -1) & (k <= src.shape)):
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    lo = np.maximum(k - 1, 0).astype(np.int64)
-    hi = np.minimum(k + 1, src.shape - 1).astype(np.int64)
-    lead = itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])))
+    lo, shape, strides = src.cell_grid
+    cells = []
+    for xi, l, s in zip(x, lo, shape):
+        q = (xi - l) / src.width
+        # floor(q) lies in [-1, s] exactly when q does in [-1, s + 1);
+        # a NaN or infinite q fails too, before math.floor could raise
+        if not -1.0 <= q < s + 1:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        k = math.floor(q)
+        cells.append((max(k - 1, 0), min(k + 1, s - 1)))
+    # the flat key of the first cell of each run along the last axis,
+    # in ascending (C) order
+    heads = [0]
+    for (a, b), stride in zip(cells[:-1], strides[:-1]):
+        heads = [h + c * stride for h in heads for c in range(a, b + 1)]
+    a, b = cells[-1]
+    starts, two_var = src.starts, 2.0 * src.var
     idx, wk = [], []
-    for head in lead:
-        first = np.ravel_multi_index(head + (lo[-1],), src.shape)
-        start = src.starts[first]
-        stop = src.starts[first + hi[-1] - lo[-1] + 1]
+    for head in heads:
+        start, stop = starts[head + a], starts[head + b + 1]
         e = src.axes[0][start:stop] - x[0]
         e *= e
         for ax, xi in zip(src.axes[1:], x[1:]):
             d = ax[start:stop] - xi
             d *= d
             e += d
-        e /= 2.0 * src.var
-        keep = np.flatnonzero(e <= src.cut)
-        idx.append(keep + start)
-        wk.append(src.weights[start:stop].take(keep) * np.exp(-e.take(keep)))
+        e /= two_var
+        keep = (e <= src.cut).nonzero()[0]
+        ek = e.take(keep)
+        np.negative(ek, out=ek)
+        np.exp(ek, out=ek)
+        w = src.weights[start:stop].take(keep)
+        w *= ek
+        keep += start
+        idx.append(keep)
+        wk.append(w)
     if len(idx) == 1:
         return idx[0], wk[0]
     return np.concatenate(idx), np.concatenate(wk)
@@ -369,28 +412,44 @@ def _kernel_means(src: _Sources, x, floor: float):
     Returns (idx, wk, den, rows, means): the sources and weights of
     ``_gaussian_pass``, their raw mass den = sum(wk), each column's
     values at idx, and each column's mean sum(wk * row) / den.  Each
-    distinct column array is gathered and averaged once; a column that
-    repeats an earlier one gets that one's row and mean objects.  The
-    means are NaN unless den >= ``floor``, so a vanishing mass is never
-    divided through.
+    distinct column array is gathered and averaged once, in one loop
+    over ``first_of``; a column that repeats an earlier one gets that
+    one's row and mean objects.  The means are NaN unless den >=
+    ``floor``, so a vanishing mass is never divided through.
     """
     idx, wk = _gaussian_pass(src, x)
-    den = float(np.sum(wk))
-    rows = src.per_column(lambda i: src.columns[i].take(idx))
-    if den >= floor:
-        return idx, wk, den, rows, src.per_column(
-            lambda i: float(np.sum(wk * rows[i]) / den))
-    return idx, wk, den, rows, [math.nan] * len(rows)
+    den = float(_sum(wk))
+    rows, means = [], []
+    for i, j in enumerate(src.first_of):
+        if j == i:
+            rows.append(src.columns[i].take(idx))
+            means.append(float(_sum(wk * rows[i]) / den) if den >= floor
+                         else math.nan)
+        else:
+            rows.append(rows[j])
+            means.append(means[j])
+    return idx, wk, den, rows, means
 
 
 def _kernel_moments(src: _Sources, X: np.ndarray,
                     floor: float) -> tuple[np.ndarray, np.ndarray]:
     """``_kernel_means`` at each row of X (P, n): the raw masses (P,)
-    and the column means (P, len(src.columns))."""
-    den, means = np.empty(len(X)), np.empty((len(X), len(src.columns)))
-    for p, x in enumerate(X):
-        _, _, den[p], _, means[p] = _kernel_means(src, x, floor)
-    return den, means
+    and the column means (P, len(src.columns)).  The points are passed
+    as Python floats.  With ``CHARSTOCH_LOG=debug``, logs the targets,
+    the kept sources and the wall time of the batch."""
+    started = time.perf_counter()
+    den, means, kept = [], [], 0
+    for x in X.tolist():
+        idx, _, mass, _, mean = _kernel_means(src, x, floor)
+        den.append(mass)
+        means.append(mean)
+        kept += idx.size
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("kernel moments: %d targets, %d kept sources, %d columns "
+                     "in %.3f s", len(X), kept, len(src.columns),
+                     time.perf_counter() - started)
+    return (np.array(den, dtype=float),
+            np.array(means, dtype=float).reshape(len(X), len(src.columns)))
 
 
 @dataclass(frozen=True)

@@ -270,10 +270,10 @@ def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
     assert f"resolution ({h:g}, {dt:g})" in err["message"]
 
 
-def test_debug_log_times_table_builds_and_blowup_searches(tmp_path):
-    """CHARSTOCH_LOG=debug reports each table build (nodes, wall time)
-    and each blow-up search (grid points, chunks, refine evaluations,
-    wall time) on stderr; the artifacts keep their bytes."""
+def assert_debug_lines(tmp_path, patterns: dict):
+    """Each command ``args`` of ``patterns`` on burgers_sin prints a line
+    matching its pattern on stderr under CHARSTOCH_LOG=debug and none
+    without, and writes artifacts with the same bytes either way."""
     def run(args, out, log):
         env = {k: v for k, v in os.environ.items() if k != "CHARSTOCH_LOG"}
         if log:
@@ -285,17 +285,40 @@ def test_debug_log_times_table_builds_and_blowup_searches(tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         return proc.stderr, {o["path"]: o["sha256"] for o in manifest["outputs"]}
 
-    patterns = {
-        ("solve", "--method", "quadrature", "--t", "0.5"):
-            r"kernel table at sigma=0\.1 t=0\.5: \d+ nodes, 1 distinct columns, "
-            r"\d+ bytes, built in \d+\.\d{3} s",
-        ("blowup",):
-            r"blow-up search: 10000 grid points, 1 chunks, \d+ refine "
-            r"evaluations in \d+\.\d{3} s",
-    }
     for i, (args, pattern) in enumerate(patterns.items()):
         quiet_err, quiet = run(args, tmp_path / f"quiet{i}", log=False)
         debug_err, debug = run(args, tmp_path / f"debug{i}", log=True)
         assert re.search(pattern, debug_err), debug_err
         assert not re.search(pattern, quiet_err)
         assert debug == quiet and debug
+
+
+def test_debug_log_times_table_builds_and_blowup_searches(tmp_path):
+    """CHARSTOCH_LOG=debug reports each table build (nodes, wall time)
+    and each blow-up search (grid points, chunks, refine evaluations,
+    wall time) on stderr; the artifacts keep their bytes."""
+    assert_debug_lines(tmp_path, {
+        ("solve", "--method", "quadrature", "--t", "0.5"):
+            r"kernel table at sigma=0\.1 t=0\.5: \d+ nodes, 1 distinct columns, "
+            r"\d+ bytes, built in \d+\.\d{3} s",
+        ("blowup",):
+            r"blow-up search: 10000 grid points, 1 chunks, \d+ refine "
+            r"evaluations in \d+\.\d{3} s",
+    })
+
+
+def test_debug_log_reports_each_kernel_sum_batch(tmp_path):
+    """CHARSTOCH_LOG=debug reports each batch of kernel sums: the field
+    moments of a grid and the I terms of each sigma, with the targets,
+    the kept sources and the wall time; the artifacts keep their
+    bytes."""
+    assert_debug_lines(tmp_path, {
+        ("solve", "--method", "quadrature", "--t", "0.5"):
+            r"kernel moments: 41 targets, [1-9]\d* kept sources, 2 columns "
+            r"in \d+\.\d{3} s",
+        ("iterms", "--sigmas", "0.2,0.1", "--t", "0.5"):
+            r"I terms at sigma=0\.2 t=0\.5: 41 targets, [1-9]\d* kept sources "
+            r"in \d+\.\d{3} s(.|\n)*"
+            r"I terms at sigma=0\.1 t=0\.5: 41 targets, [1-9]\d* kept sources "
+            r"in \d+\.\d{3} s",
+    })

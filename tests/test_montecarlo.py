@@ -207,7 +207,7 @@ def assert_cell_order_sums(est, ens, spec, pts, h):
     """The estimates equal dense sums over the sources as the estimator
     builds them: in their cell order, recovered through an index column,
     and cut where their e exceeds that object's cut."""
-    src = _sources(tuple(ens.X.T), ens.w, (np.arange(len(ens), dtype=float),),
+    src = _sources(list(ens.X.T), ens.w, [np.arange(len(ens), dtype=float)],
                    h * h, spec.tol.kernel_cutoff, 1.0)
     order = src.columns[0].astype(np.intp)
     X, w, U = ens.X[order], ens.w[order], ens.U[order]
@@ -265,7 +265,7 @@ def test_large_kernel_cutoff_restores_underflow_cut():
     ens = evolve_exact(sample_initial(spec, 20_000), spec, 0.5)
     pts = np.vstack([np.linspace(-6.0, 6.0, 13)[:, None], [[12.0]]])
     est = estimate_fields(ens, spec, pts, bandwidth=h)
-    assert _sources(tuple(ens.X.T), ens.w, (), h * h, 40.0, 1.0).cut == 745.0
+    assert _sources(list(ens.X.T), ens.w, [], h * h, 40.0, 1.0).cut == 745.0
     assert_cell_order_sums(est, ens, spec, pts, h)
 
 
@@ -274,7 +274,7 @@ def test_tiny_bandwidth_cells_stay_bounded():
                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
                 time_points=[0.3])
     ens = evolve_exact(sample_initial(spec, 5_000), spec, 0.3)
-    cells = _sources(tuple(ens.X.T), ens.w, (ens.U,), 1e-18, spec.tol.kernel_cutoff,
+    cells = _sources(list(ens.X.T), ens.w, [ens.U], 1e-18, spec.tol.kernel_cutoff,
                      1.0)
     assert np.prod(cells.shape) <= len(ens)
     assert cells.starts.size == np.prod(cells.shape) + 1

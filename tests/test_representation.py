@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,38 @@ def dense_pass(centers, weights, x, var, cut):
     return idx, weights[idx] * np.exp(-e[idx])
 
 
+def edge_targets(cells) -> np.ndarray:
+    """Targets at the edges of the cell grid, one axis at a time, the
+    other coordinates at the middle of the bounding box: on that axis
+    the cell index is exactly -1 and exactly ``shape`` (at both ends of
+    each cell), one cell further out on either side, +-inf, NaN and
+    +-1e308."""
+    lo, width, shape = cells.lo.tolist(), cells.width, cells.shape.tolist()
+    out = []
+    for i, (l, s) in enumerate(zip(lo, shape)):
+        middle = [m + 0.5 * s * width for m in lo]
+
+        def last(k):
+            """The largest coordinate whose cell index is k (the index
+            is monotone in the coordinate)."""
+            v = l + (k + 1) * width
+            while math.floor((v - l) / width) > k:
+                v = math.nextafter(v, -math.inf)
+            return v
+
+        ends = []
+        for k in (-2, -1, s, s + 1):
+            first = math.nextafter(last(k - 1), math.inf)
+            assert math.floor((first - l) / width) == k
+            assert math.floor((last(k) - l) / width) == k
+            ends += [first, last(k)]
+        for v in (*ends, math.inf, -math.inf, math.nan, 1e308, -1e308):
+            x = list(middle)
+            x[i] = v
+            out.append(x)
+    return np.array(out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cell_pass_equals_dense_scan(n):
     rng = np.random.default_rng(10 + n)
@@ -208,7 +241,7 @@ def test_cell_pass_equals_dense_scan(n):
     # a unit lattice, so sources sit exactly one radius from lattice targets
     lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * n, indexing="ij"),
                        axis=-1).reshape(-1, n)
-    width = _sources(tuple(lattice.T), np.ones(len(lattice)), (), var, cutoff, 1.0).width
+    width = _sources(list(lattice.T), np.ones(len(lattice)), [], var, cutoff, 1.0).width
     assert width > 2.0
     faces = np.stack(np.meshgrid(*[np.arange(4) * width] * n, indexing="ij"),
                      axis=-1).reshape(-1, n)
@@ -216,7 +249,7 @@ def test_cell_pass_equals_dense_scan(n):
     centers[7] = np.nan
     weights = rng.random(len(centers))
     # an index column recovers the cell order of the sources
-    cells = _sources(tuple(centers.T), weights, (np.arange(len(centers), dtype=float),),
+    cells = _sources(list(centers.T), weights, [np.arange(len(centers), dtype=float)],
                      var, cutoff, 1.0)
     order = cells.columns[0].astype(np.intp)
     assert cells.cut == 2.0
@@ -237,9 +270,11 @@ def test_cell_pass_equals_dense_scan(n):
                          [-np.eye(n)[0], np.full(n, 9.0), far,
                           np.full(n, np.nan)]])
     # -e1 and (9, ..., 9) are outside the bounding box, within reach of it
+    targets = np.vstack([targets, edge_targets(cells)])
     for x in targets:
         idx, wk = _gaussian_pass(cells, x)
-        ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cells.cut)
+        with np.errstate(over="ignore"):  # the reference squares 1e308
+            ref_idx, ref_wk = dense_pass(ordered, ordered_w, x, var, cells.cut)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(wk, ref_wk)
         assert np.sum(wk) == np.sum(ref_wk)
@@ -333,12 +368,12 @@ def test_sources_from_axes_equal_the_rows_form(n):
     masked[1234, n - 1] = np.nan
     for rows in (centers, masked, centers[:0]):
         for var, cutoff in ((0.04, 8.0), (1e-18, 8.0), (0.5, 40.0)):
-            got = _sources(tuple(rows.T), weights[:len(rows)], (index[:len(rows)],),
+            got = _sources(list(rows.T), weights[:len(rows)], [index[:len(rows)]],
                            var, cutoff, 1.5)
             want = sources_from_rows(rows, weights[:len(rows)],
                                      (index[:len(rows)],), var, cutoff, 1.5)
             assert_same_sources(got, want)
-    assert len(_sources(tuple(masked.T), weights, (), 0.04, 8.0, 1.0).weights) \
+    assert len(_sources(list(masked.T), weights, [], 0.04, 8.0, 1.0).weights) \
         == len(centers) - 4
 
 
@@ -371,6 +406,21 @@ def test_bump_table_equals_the_rows_built_reference(monkeypatch):
     want["columns"] = (u0_sorted, *spec.velocity.a_values(0.3, u0_sorted))
     assert len(table.weights) == 774_400
     assert_same_sources(table, want)
+
+
+def test_bump_table_build_peak():
+    """The t = 0.3 bump table build peaks at 1.53 times the table's bytes
+    (measured with tracemalloc): _sources permutes one array at a time
+    and drops each unsorted one.  With every unsorted and sorted copy
+    alive together the peak was 2.28 times."""
+    spec = load_problem(BUMP2D.read_text())
+    tracemalloc.start()
+    try:
+        table = _build_table(spec, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * table.nbytes
 
 
 def bump(a):
