@@ -63,7 +63,18 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical knobs with safe defaults; all overridable per problem."""
+    """Numerical knobs with safe defaults; all overridable per problem.
+
+    ``nodes_per_panel`` names the reference rule of the quadrature
+    tables: that many Gauss-Legendre nodes on panels one kernel width
+    sigma*sqrt(t) wide.  A table uses 16 nodes per panel, on panels as
+    wide as its error model allows while erring no more than half the
+    reference rule at the table's stretch, and never denser than the
+    reference rule (see ``representation._build_table``), so the knob
+    sets the accuracy, not the node count.  ``integrate_rho0`` and ``integrate_rho_sigma``
+    still use nodes_per_panel nodes per panel directly.  ``max_panels``
+    caps the panels per axis of either kind of rule.
+    """
 
     quad_tol_time: float = 1e-10   # absolute tolerance of time quadrature
     kernel_cutoff: float = 8.0     # kernel cut at this many kernel widths:
@@ -74,7 +85,7 @@ class Tolerances:
     blowup_tol: float = 1e-3       # reported accuracy of the blow-up time
     near_blowup_margin: float = 1e-6  # gradient-denominator floor
     blowup_grid: int = 10_000      # blow-up search points per axis (capped)
-    nodes_per_panel: int = 8       # Gauss-Legendre nodes per spatial panel
+    nodes_per_panel: int = 8       # nodes per panel of the reference rule
     max_panels: int = 4096         # spatial panels per axis, hard cap
 
     _INT_FIELDS = ("max_iter", "blowup_grid", "nodes_per_panel", "max_panels")

@@ -13,10 +13,17 @@ y-integral against this density over the problem box:
     u_sigma(t, x)   = integral u0(y) p dy / rho_sigma    (profile)
     a_sigma(t, x)   = integral a(t, u0(y)) p dy / rho_sigma
 
-Integrals use tensor-product composite Gauss-Legendre rules whose panel
-width tracks the kernel width sigma*sqrt(t), truncated to the ball
-|A + y - x| <= kernel_cutoff * sigma * sqrt(t).  Every field takes
-points (..., n) and returns one value per point.  The particle KDE in
+Integrals use tensor-product composite Gauss-Legendre rules, truncated
+to the ball |A + y - x| <= kernel_cutoff * sigma * sqrt(t).  In y the
+kernel is squeezed by the characteristic map y -> y + A(t, u0(y)), by
+at most its stretch bound L, so each table's rule is matched to L: 16
+nodes per panel, on the widest panels whose error model
+(``quadrature.rule_error``) is no worse than half that of
+``nodes_per_panel`` nodes on panels one kernel width wide, nor below
+the kernel-cutoff tail.  The t = 0.3 bump table holds 200,704 nodes
+where 8 nodes on one-kernel-width panels took 774,400, and the 2D bump
+at sigma = 0.05 fits the node budget.  Every field takes points
+(..., n) and returns one value per point.  The particle KDE in
 ``montecarlo`` is cut by the same rule, ``kernel_cutoff`` bandwidths.
 
 A quadrature table and a particle ensemble are two discretizations of
@@ -60,16 +67,17 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateKernel, EmptyKernelSupport
-from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
-                      displacement_components, space_axes, tensor_columns,
-                      tensor_points)
-from .quadrature import panel_count, panel_rule
+from .errors import DegenerateKernel, EmptyKernelSupport, EvalDomainError
+from .problem import (InitialData, ProblemSpec, _batched, _point_rows, _refuse,
+                      displacement_components, du_displacement_components,
+                      space_axes, tensor_columns, tensor_points)
+from .quadrature import (TABLE_ORDER, matched_width, panel_count, panel_rule,
+                         rule_error)
 
 __all__ = [
     "QuadratureGrid",
@@ -92,6 +100,9 @@ _UNDERFLOW = 745.0
 
 # total quadrature nodes a table may hold, across all axes
 _NODE_BUDGET = 2_000_000
+
+# the fewest nodes per axis of a table, 8 panels of TABLE_ORDER
+_MIN_AXIS_NODES = 128
 
 # np.sum of a 1D array, without its argument handling
 _sum = np.add.reduce
@@ -125,11 +136,12 @@ class QuadratureGrid:
 
 
 def quadrature_grid(box, scale: float, *, nodes_per_panel: int = 8,
-                    max_panels: int = 4096) -> QuadratureGrid:
-    """Composite rule over ``box`` with panels at most ``scale`` wide."""
+                    min_panels: int = 16, max_panels: int = 4096) -> QuadratureGrid:
+    """Composite rule over ``box`` with panels at most ``scale`` wide,
+    ``min_panels`` to ``max_panels`` of them per axis."""
     nodes, weights = [], []
     for lo, hi in box:
-        p = panel_count(hi - lo, scale, 16, max_panels)
+        p = panel_count(hi - lo, scale, min_panels, max_panels)
         xs, ws = panel_rule(lo, hi, p, nodes_per_panel)
         nodes.append(xs)
         weights.append(ws)
@@ -145,8 +157,11 @@ class _Sources:
     array per axis, ``axes``, ``weights`` (tensor weight * rho0, or
     particle weights) and per-source ``columns`` (u0 and then a_1..a_n,
     or the labels U), with the kernel's ``var``, ``cut`` and
-    normalization ``norm``.  Columns may be the same array: a table's
-    a_i column is its u0 column when a_i is u, and equal velocity
+    normalization ``norm``.  ``fixed`` holds, per column, its value
+    where every source has that same value, else None; such a column's
+    mean is that value exactly, at no cost per pass.  Columns may be
+    the same array: a table's a_i column is its u0 column when a_i is
+    u, and equal velocity
     expressions share one array; ``first_of`` names the first column
     each one repeats, so a pass gathers and averages each distinct
     array once.  With e = |center - x|^2 / (2 var), a source can
@@ -168,6 +183,7 @@ class _Sources:
     width: float
     shape: np.ndarray    # (n,) cells per axis
     starts: np.ndarray   # (cells + 1,)
+    fixed: tuple[float | None, ...]  # per column: its one value, or None
 
     @cached_property
     def first_of(self) -> tuple[int, ...]:
@@ -264,7 +280,7 @@ def _sources(centers: list, weights: np.ndarray, columns: list, var: float,
     columns = tuple(columns.pop(0).take(order) for _ in range(len(columns)))
     src = _Sources(axes=axes, weights=weights.take(order), columns=columns,
                    var=var, cut=cut, norm=norm, lo=lo, width=width,
-                   shape=shape, starts=starts)
+                   shape=shape, starts=starts, fixed=(None,) * len(columns))
     logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "
                  "%d distinct columns, %d bytes",
                  M, "x".join(str(s) for s in shape), width,
@@ -276,13 +292,70 @@ _TABLE_CACHE: OrderedDict[tuple[str, float], _Sources] = OrderedDict()
 _TABLE_CACHE_MAX = 6
 
 
-def _build_table(spec: ProblemSpec, t: float) -> _Sources:
-    """The quadrature nodes of (spec, t) as kernel sources: weights
-    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
-    a columns evaluated in cell order.
+@lru_cache(maxsize=16)
+def _slope_bound(init: InitialData, box) -> float:
+    """max |grad u0| over a tensor sample of ``box``: the cell midpoints
+    of 4096 cells per axis in 1D, 256 in 2D (about 65536 points), taken
+    from the jet in chunks of about 4096 points so the sample stays small
+    beside a table.  Where the gradient is undefined at a sample point (a
+    kink of abs or sqrt), the bound is unknown: inf."""
+    n = init.n
+    q = min(4096, round(65536 ** (1.0 / n)))
+    axes = [lo + (np.arange(q) + 0.5) * ((hi - lo) / q) for lo, hi in box]
+    rows = max(1, 4096 // q ** (n - 1))
+    bound = 0.0
+    for s in range(0, q, rows):
+        try:
+            grad = init.on_columns(init.jet_program,
+                                   tensor_columns([axes[0][s:s + rows], *axes[1:]]))[1:]
+        except EvalDomainError:
+            return math.inf
+        bound = max(bound, math.sqrt(float(np.max(sum(g * g for g in grad)))))
+    return bound
 
-    Nodes, weights and centers are one array per axis: each center
-    array is its node array with the displacement added in place.
+
+@lru_cache(maxsize=16)
+def _u_sample(u_range) -> np.ndarray:
+    """201 values of u across ``u_range``, where the flow's reach and
+    stretch are sampled; shared, so callers must not write into it."""
+    return np.linspace(u_range[0], u_range[1], 201)
+
+
+def _stretch(spec: ProblemSpec, t: float) -> float:
+    """L = 1 + max_u |dA/du(t, u)| * max_y |grad u0(y)|.  The Jacobian
+    of the characteristic map y -> y + A(t, u0(y)) is the rank-one
+    update C = I + (dA/du) grad u0^T of I, so L bounds its norm: the
+    kernel, sigma*sqrt(t) wide in x, is at least sigma*sqrt(t) / L wide
+    in y.  dA/du is sampled on ``u_range``, and the slope once per
+    problem (``_slope_bound``).  A stretch above 64, or one that is not
+    finite, counts as 64: there the reference rule errs by more than 3,
+    and the tables are as dense as it is."""
+    b2 = sum(b * b for b in du_displacement_components(spec, t, _u_sample(spec.u_range)))
+    stretch = 1.0 + math.sqrt(float(np.max(b2))) * _slope_bound(spec.init, spec.box)
+    return stretch if stretch <= 64.0 else 64.0
+
+
+def _build_table(spec: ProblemSpec, t: float) -> _Sources:
+    """The kernel sources of (spec, t) (``_tabulate``) on a rule matched
+    to the stretch L of the characteristic map (``_stretch``).
+
+    In the foot points the kernel is at least sigma*sqrt(t) / L wide,
+    so the reference rule, ``nodes_per_panel`` nodes on panels one
+    kernel width wide, has the error E(nodes_per_panel, L) of
+    ``quadrature.rule_error``.  The table takes the widest
+    TABLE_ORDER-node panels (``quadrature.matched_width``) whose error
+    is at most target = max(E(nodes_per_panel, L) / 2,
+    exp(-kernel_cutoff^2 / 2)); accuracy below the kernel-cutoff tail
+    buys nothing.  The half is a margin: E models the kernel as a
+    Gaussian, while the tables integrate it as distorted by the
+    characteristic map and, for the I terms, times a cubic in y, and
+    matched on E alone rho and I_u came out up to 1.74 times the
+    reference rule's error on the shipped configs.  The panels are
+    never denser than the reference rule's, TABLE_ORDER / nodes_per_panel
+    kernel widths: that binds only where the reference rule errs by
+    more than about 1e-3 (L above 8 at 8 nodes), so that no table holds
+    more nodes than the reference rule would.  At least _MIN_AXIS_NODES
+    nodes per axis, and the node budget caps the panels per axis.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"field tables need a finite time t >= 0, got t={t!r}")
@@ -293,23 +366,48 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
             f"kernel width"
         )
     started = time.perf_counter()
+    # before any table array exists, so the sample stays out of the peak
+    stretch = _stretch(spec, t)
+    target = max(0.5 * float(rule_error(spec.tol.nodes_per_panel, stretch)),
+                 math.exp(-0.5 * spec.tol.kernel_cutoff ** 2))
+    # in kernel widths, and never denser than the reference rule
+    width = max(matched_width(target) / stretch,
+                TABLE_ORDER / spec.tol.nodes_per_panel)
+    panel = width * scale
+    least = -(-_MIN_AXIS_NODES // TABLE_ORDER)
     per_axis_nodes = int(_NODE_BUDGET ** (1.0 / spec.n))
-    cap = max(16, min(spec.tol.max_panels, per_axis_nodes // spec.tol.nodes_per_panel))
-    widths = [hi - lo for lo, hi in spec.box]
-    if any(math.ceil(w / scale) > cap for w in widths):
+    cap = max(least, min(spec.tol.max_panels, per_axis_nodes // TABLE_ORDER))
+    if any(math.ceil((hi - lo) / panel) > cap for lo, hi in spec.box):
         logger.warning(
             "quadrature panel cap %d binds at sigma=%g t=%g; "
             "field accuracy may degrade", cap, spec.sigma, t,
         )
-    grid = quadrature_grid(spec.box, scale,
-                           nodes_per_panel=spec.tol.nodes_per_panel,
-                           max_panels=cap)
+    grid = quadrature_grid(spec.box, panel, nodes_per_panel=TABLE_ORDER,
+                           min_panels=least, max_panels=cap)
+    per_axis = [len(x) for x in grid.axis_nodes]
+    table = _tabulate(spec, t, grid)
+    logger.debug("kernel table at sigma=%g t=%g: %d nodes, %d distinct columns, "
+                 "%d bytes, built in %.3f s; stretch %.4g, %d-node panels %.4g "
+                 "kernel widths wide, %s panels per axis, error target %.3g",
+                 spec.sigma, t, math.prod(per_axis), len(set(table.first_of)),
+                 table.nbytes, time.perf_counter() - started, stretch, TABLE_ORDER,
+                 width, "x".join(str(m // TABLE_ORDER) for m in per_axis), target)
+    return table
+
+
+def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
+    """The nodes of ``grid`` as the kernel sources of (spec, t): weights
+    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
+    a columns evaluated in cell order, and ``fixed`` marking the columns
+    with one value at every node.
+
+    Nodes, weights and centers are one array per axis: each center
+    array is its node array with the displacement added in place.
+    """
     centers = list(tensor_columns(grid.axis_nodes))
     u0v, = spec.init.on_columns(spec.init.u0_program, centers)
-    nodes = len(u0v)
     wrho = grid.weights
     wrho *= spec.init.on_columns(spec.init.rho0_program, centers)[0]
-    del grid  # its axis arrays, before the peak in _sources
     for c, d in zip(centers, displacement_components(spec, t, u0v)):
         c += d
     # the last center and displacement arrays, so they stay out of the peak
@@ -326,12 +424,9 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     # once the unsorted arrays are freed: that keeps it out of the peak
     del wrho
     u0v = table.columns[0]
-    table = replace(table, columns=(u0v, *spec.velocity.a_values(t, u0v)))
-    logger.debug("kernel table at sigma=%g t=%g: %d nodes, %d distinct columns, "
-                 "%d bytes, built in %.3f s", spec.sigma, t, nodes,
-                 len(set(table.first_of)), table.nbytes,
-                 time.perf_counter() - started)
-    return table
+    columns = (u0v, *spec.velocity.a_values(t, u0v))
+    fixed = tuple(float(c[0]) if c.size and np.ptp(c) == 0 else None for c in columns)
+    return replace(table, columns=columns, fixed=fixed)
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Sources:
@@ -414,7 +509,8 @@ def _kernel_means(src: _Sources, x, floor: float):
     values at idx, and each column's mean sum(wk * row) / den.  Each
     distinct column array is gathered and averaged once, in one loop
     over ``first_of``; a column that repeats an earlier one gets that
-    one's row and mean objects.  The means are NaN unless den >=
+    one's row and mean objects.  A column in ``fixed`` has its one
+    value as its mean, exactly.  The means are NaN unless den >=
     ``floor``, so a vanishing mass is never divided through.
     """
     idx, wk = _gaussian_pass(src, x)
@@ -423,8 +519,9 @@ def _kernel_means(src: _Sources, x, floor: float):
     for i, j in enumerate(src.first_of):
         if j == i:
             rows.append(src.columns[i].take(idx))
-            means.append(float(_sum(wk * rows[i]) / den) if den >= floor
-                         else math.nan)
+            c = src.fixed[i]
+            means.append(math.nan if den < floor else c if c is not None
+                         else float(_sum(wk * rows[i]) / den))
         else:
             rows.append(rows[j])
             means.append(means[j])
@@ -503,8 +600,7 @@ def _support_reach(spec: ProblemSpec, t: float) -> float:
     """Largest distance the transported kernel reaches from a foot point:
     the largest flow displacement over ``u_range`` plus the kernel cutoff
     radius."""
-    us = np.linspace(spec.u_range[0], spec.u_range[1], 201)
-    disp = displacement_components(spec, t, us)
+    disp = displacement_components(spec, t, _u_sample(spec.u_range))
     reach = max(float(np.max(np.abs(d))) for d in disp)
     return reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t)
 

@@ -103,6 +103,25 @@ def test_time_moment_of_explicitly_time_dependent_velocity():
     assert eval_I_u_sigma(spec, 0.5, x) == 0.0
 
 
+def test_constant_data_gives_exactly_zero_sources_2d():
+    """Constant u0 in 2D with a = (t u, u): every column of the table is
+    constant, so its mean is that constant and each deviation is exactly
+    zero.  I_u and the covariance part of I_a vanish exactly, and
+    I_a_1 is the time moment -c rho_sigma."""
+    c = 0.7
+    spec = make(n=2, a=["t*u", "u"], u0="0.7", rho0="exp(-x1^2-x2^2)", sigma=0.3,
+                box=[[-4.0, 4.0], [-4.0, 4.0]], space_grid=[9, 9], time_points=[0.5])
+    x = np.array([[0.3, -0.2], [1.0, 0.5], [-2.5, 2.0]])
+    iu = eval_I_u_sigma(spec, 0.5, x)
+    ia = eval_I_a_sigma(spec, 0.5, x)
+    rho = eval_rho_sigma(spec, 0.5, x)
+    np.testing.assert_array_equal(iu, 0.0)
+    np.testing.assert_array_equal(ia[:, 1], 0.0)
+    np.testing.assert_allclose(ia[:, 0], -c * rho, rtol=1e-9)
+    np.testing.assert_array_equal(eval_u_sigma(spec, 0.5, x), c)
+    np.testing.assert_array_equal(eval_a_sigma(spec, 0.5, x), [[0.5 * c, c]] * 3)
+
+
 def test_i_terms_require_positive_time(burgers):
     with pytest.raises(ValueError):
         eval_I_u_sigma(burgers, 0.0, np.array([0.0]))

@@ -294,13 +294,16 @@ def assert_debug_lines(tmp_path, patterns: dict):
 
 
 def test_debug_log_times_table_builds_and_blowup_searches(tmp_path):
-    """CHARSTOCH_LOG=debug reports each table build (nodes, wall time)
-    and each blow-up search (grid points, chunks, refine evaluations,
-    wall time) on stderr; the artifacts keep their bytes."""
+    """CHARSTOCH_LOG=debug reports each table build (nodes, wall time,
+    and its rule: the stretch L, the order, the panel width in kernel
+    widths, the panels per axis and the error target) and each blow-up
+    search (grid points, chunks, refine evaluations, wall time) on
+    stderr; the artifacts keep their bytes."""
     assert_debug_lines(tmp_path, {
         ("solve", "--method", "quadrature", "--t", "0.5"):
-            r"kernel table at sigma=0\.1 t=0\.5: \d+ nodes, 1 distinct columns, "
-            r"\d+ bytes, built in \d+\.\d{3} s",
+            r"kernel table at sigma=0\.1 t=0\.5: 784 nodes, 1 distinct columns, "
+            r"\d+ bytes, built in \d+\.\d{3} s; stretch 1\.5, 16-node panels "
+            r"3\.688 kernel widths wide, 49 panels per axis, error target 1\.35e-14",
         ("blowup",):
             r"blow-up search: 10000 grid points, 1 chunks, \d+ refine "
             r"evaluations in \d+\.\d{3} s",

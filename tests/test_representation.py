@@ -1,6 +1,7 @@
 """Smoothed-field quadrature: kernels, moments, grids, mass."""
 
 import json
+import logging
 import math
 import tracemalloc
 from pathlib import Path
@@ -23,13 +24,14 @@ from charstoch import (
     load_problem,
     sigma_sweep,
 )
-from charstoch import representation
-from charstoch.problem import displacement_components
-from charstoch.representation import (_build_table, _gaussian_pass, _kernel_means,
-                                      _sources, _table_for, quadrature_grid)
+from charstoch import balance, representation
+from charstoch.problem import displacement_components, space_axes, tensor_points
+from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass,
+                                      _keep, _kernel_means, _sources, _stretch,
+                                      _table_for, _tabulate, quadrature_grid)
 
-BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
-          / "gaussian_bump_2d.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUMP2D = CONFIGS / "gaussian_bump_2d.json"
 
 
 def make(**overrides):
@@ -404,7 +406,8 @@ def test_bump_table_equals_the_rows_built_reference(monkeypatch):
                              var, spec.tol.kernel_cutoff, (2.0 * math.pi * var) ** -1.0)
     u0_sorted, = want["columns"]
     want["columns"] = (u0_sorted, *spec.velocity.a_values(0.3, u0_sorted))
-    assert len(table.weights) == 774_400
+    # 8 nodes on panels one kernel width wide took 774,400 nodes
+    assert len(table.weights) == 200_704 <= 0.3 * 774_400
     assert_same_sources(table, want)
 
 
@@ -421,6 +424,89 @@ def test_bump_table_build_peak():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * table.nbytes
+
+
+def test_bump_at_sigma_0p05_fits_the_node_budget(caplog):
+    """The 2D bump at sigma = 0.05 needed 220 panels of 8 nodes per axis
+    under the old rule, past the 176 that the node budget allows: the
+    panel cap bound, with a warning.  The matched rule takes 55 panels
+    of 16, and the cap binds only when max_panels is below that."""
+    spec = load_problem(BUMP2D.read_text()).with_sigma(0.05)
+    with caplog.at_level(logging.WARNING, logger="charstoch.representation"):
+        table = _build_table(spec, 0.3)
+    assert len(table.weights) == 880 ** 2
+    assert not [r for r in caplog.records if "panel cap" in r.getMessage()]
+    tight = make(n=2, a=["u", "u"], u0="exp(-x1^2-x2^2)", sigma=0.1,
+                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
+                 time_points=[0.3], tolerances={"max_panels": 10})
+    with caplog.at_level(logging.WARNING, logger="charstoch.representation"):
+        table = _build_table(tight, 0.3)
+    assert len(table.weights) == 160 ** 2
+    assert [r for r in caplog.records if "panel cap 10 binds" in r.getMessage()]
+
+
+# (config, sigma, t): each shipped config at its time points and at the
+# times and noise levels the benchmark workloads ask of it
+ACCURACY_CASES = (
+    [("burgers_sin", 0.1, t) for t in (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.75, 1.5)]
+    + [("burgers_sin", s, t) for s in (0.2, 0.05) for t in (0.5, 1.5)]
+    + [("burgers_sin", 0.025, 0.5)]
+    + [("burgers_gaussian", 0.1, t) for t in (0.2, 0.25, 0.3, 0.4, 0.5)]
+    + [("burgers_tanh", 0.1, t) for t in (0.5, 0.6, 0.7, 1.0)]
+    + [("gaussian_identity", 1.0, 0.5)]
+    + [("gaussian_bump_2d", s, t) for s in (0.1, 0.2) for t in (0.3, 1.5)]
+)
+
+# relative errors below these are the kernel cutoff's own: a reference
+# table cut at 10 kernel widths in place of 8 moved rho, u and I_u by up
+# to 1.1e-14, 6.6e-15 and 5.9e-12 on these cases
+ACCURACY_FLOORS = {"rho": 2e-14, "u": 1e-14, "I_u": 1e-11}
+
+
+def old_rule_table(spec, t):
+    """The table of the rule before stretch matching: nodes_per_panel
+    nodes on panels one kernel width wide, at least 16 panels, capped
+    by the node budget."""
+    per_axis = int(_NODE_BUDGET ** (1.0 / spec.n))
+    cap = max(16, min(spec.tol.max_panels, per_axis // spec.tol.nodes_per_panel))
+    grid = quadrature_grid(spec.box, spec.sigma * math.sqrt(t),
+                           nodes_per_panel=spec.tol.nodes_per_panel, max_panels=cap)
+    return _tabulate(spec, t, grid)
+
+
+def reference_table(spec, t):
+    """16 nodes on panels 2.5 / L kernel widths wide: E(16, 2.5) < 1e-16."""
+    scale = spec.sigma * math.sqrt(t) * 2.5 / _stretch(spec, t)
+    return _tabulate(spec, t, quadrature_grid(spec.box, scale, nodes_per_panel=16,
+                                              min_panels=8, max_panels=10 ** 6))
+
+
+@pytest.mark.parametrize("name, sigma, t", ACCURACY_CASES)
+def test_stretch_matched_tables_are_no_less_accurate(monkeypatch, name, sigma, t):
+    """rho, u and I_u at the config's grid points, relative to their
+    largest magnitude against the reference rule, are no worse on the
+    stretch-matched table than on the old rule's, or below the floor."""
+    spec = load_problem((CONFIGS / f"{name}.json").read_text()).with_sigma(sigma)
+    X = tensor_points(space_axes(spec))
+
+    def fields(table):
+        monkeypatch.setattr(representation, "_table_for", lambda *_: table)
+        monkeypatch.setattr(balance, "_table_for", lambda *_: table)
+        _keep(None)
+        return {"rho": eval_rho_sigma(spec, t, X), "u": eval_u_sigma(spec, t, X),
+                "I_u": eval_I_u_sigma(spec, t, X)}
+
+    new = fields(_build_table(spec, t))
+    old = fields(old_rule_table(spec, t))
+    ref = fields(reference_table(spec, t))
+    _keep(None)
+    for q, floor in ACCURACY_FLOORS.items():
+        size = np.max(np.abs(ref[q]))
+        if size == 0:  # I_u of a constant velocity
+            assert np.all(new[q] == 0) and np.all(old[q] == 0)
+            continue
+        err_new, err_old = (np.max(np.abs(f[q] - ref[q])) / size for f in (new, old))
+        assert err_new <= max(err_old, floor), (q, err_new, err_old)
 
 
 def bump(a):
