@@ -30,8 +30,11 @@ t * da/du(u), so this reduces to the classical criterion
 
 infinite when the minimum is nonnegative; otherwise a bisection in t on
 the grid infimum of G(t, .) locates the crossing.  The grid is scanned
-in chunks, each one coordinate array per axis, and G takes u0 and its
-gradient from one program.
+in blocks of whole rows along the first axis, each bound as its axes
+(``InitialData.on_axes``), so a subtree of u0 or its gradient in one
+variable costs one axis of the block; G takes u0 and its gradient from
+one program.  The golden-section refinement evaluates G at one point
+with the coordinates bound as floats.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
 from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
-                      displacement_components, du_displacement_components,
-                      tensor_columns)
+                      displacement_components, du_displacement_components)
 
 __all__ = [
     "CharMap",
@@ -66,7 +69,7 @@ logger = logging.getLogger(__name__)
 
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
-_BLOWUP_CHUNK = 65_536  # blow-up grid points evaluated at once
+_BLOWUP_CHUNK = 65_536  # blow-up grid points per block of rows
 
 
 def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
@@ -217,16 +220,6 @@ def _blowup_grid(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.linspace(lo, hi, per_axis) for lo, hi in spec.box)
 
 
-def _grid_chunks(axes, size: int):
-    """The tensor grid of ``axes`` in C order, in chunks of whole lines
-    along the first axis and about ``size`` points each: (flat index of
-    the chunk's first point, one contiguous coordinate array per axis)."""
-    line = math.prod(len(ax) for ax in axes[1:])
-    step = max(1, size // line)
-    for i in range(0, len(axes[0]), step):
-        yield i * line, tensor_columns((axes[0][i:i + step], *axes[1:]))
-
-
 def _golden_min(f, a: float, b: float, xtol: float):
     """Golden-section minimum of a unimodal scalar function on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -269,12 +262,20 @@ def _coordinate_golden(f, y0: np.ndarray, spacings, box, sweeps: int = 3):
     return y, fy
 
 
-def _condition(spec: ProblemSpec, t: float, columns) -> np.ndarray:
-    """Blow-up condition functional G = B(t, u0) . grad u0 at foot points
-    given as one coordinate array per axis."""
-    u0v, *grads = spec.init.on_columns(spec.init.jet_program, columns)
+def _condition(spec: ProblemSpec, t: float, jet):
+    """Blow-up condition functional G = B(t, u0) . grad u0 from the
+    values of the jet program (u0, du0/dx_1..du0/dx_n) at the foot
+    points, in their shapes broadcast together."""
+    u0v, *grads = jet
     B = du_displacement_components(spec, t, u0v)
     return sum(B[i] * grads[i] for i in range(spec.n))
+
+
+def _condition_at(spec: ProblemSpec, t: float, y: np.ndarray) -> float:
+    """G at one foot point y (n,), with its coordinates bound as floats:
+    the IEEE operations of G at that point of a grid, on scalars."""
+    env = {f"x{i + 1}": v for i, v in enumerate(y.tolist())}
+    return float(_condition(spec, t, ex.eval_expr(spec.init.jet_program, env)))
 
 
 def blow_up_time(spec: ProblemSpec) -> BlowupReport:
@@ -288,13 +289,16 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     configured tolerance (method "lambda_grid"); this assumes the
     functional crosses -1 transversally.
     Grid ties break at the lowest flattened index.  The grid is never
-    formed whole: it is scanned in chunks of about ``_BLOWUP_CHUNK``
-    points, one coordinate array per axis, so memory stays bounded.
+    formed whole: it is scanned in blocks of whole rows along the first
+    axis, about ``_BLOWUP_CHUNK`` points each, bound as axes, so memory
+    stays bounded; a block's flat indices are in C order.
     """
     started = time.perf_counter()
     axes = _blowup_grid(spec)
     shape = tuple(len(ax) for ax in axes)
     spacings = [(hi - lo) / (len(ax) - 1) for (lo, hi), ax in zip(spec.box, axes)]
+    line = math.prod(shape[1:])
+    rows = max(1, _BLOWUP_CHUNK // line)
     work = {"chunks": 0, "refine": 0}
 
     def point(i: int) -> np.ndarray:
@@ -302,18 +306,21 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 
     def grid_argmin(t: float) -> tuple[int, float]:
         i0, s0 = 0, None
-        for start, columns in _grid_chunks(axes, _BLOWUP_CHUNK):
+        for r in range(0, shape[0], rows):
             work["chunks"] += 1
-            G = _condition(spec, t, columns)
+            block = (axes[0][r:r + rows], *axes[1:])
+            G = _condition(spec, t, spec.init.on_axes(spec.init.jet_program, block,
+                                                      expand=False))
+            G = np.broadcast_to(G, tuple(len(ax) for ax in block))
             i = int(np.argmin(G))
-            if s0 is None or G[i] < s0:
-                i0, s0 = start + i, float(G[i])
+            if s0 is None or G.flat[i] < s0:
+                i0, s0 = r * line + i, float(G.flat[i])
         return i0, s0
 
     def refine(t: float, i0: int):
         def at(y: np.ndarray) -> float:
             work["refine"] += 1
-            return float(_condition(spec, t, y[:, None])[0])
+            return _condition_at(spec, t, y)
 
         return _coordinate_golden(at, point(i0), spacings, spec.box)
 

@@ -24,10 +24,14 @@ optional checks against the derived trees, never evaluated otherwise.
 
 ``InitialData`` and ``VelocityField`` compile their trees once, into the
 programs of :mod:`charstoch.expr`; u0 and its gradient are one program.
-The pointwise API takes points of shape (..., n).  Bulk point sets, such
-as the tensor grids of :func:`tensor_columns` and the dense sample the
-load checks use, are one contiguous coordinate array per axis instead,
-which a program takes as x1..xn without strided copies.
+The pointwise API takes points of shape (..., n).  Tensor-product
+samples, such as a table's nodes, the blow-up grid and the sample of
+about 2e5 points on which ``load_problem`` checks u0 and rho0, are never
+formed as points: ``InitialData.on_axes`` binds axis i as a view of
+shape (1, .., m_i, .., 1), so a subtree in one variable costs one axis
+and only a subtree mixing variables costs the grid.  The load checks
+read the values so broadcast, which hold the same set of values as the
+grid, without expanding them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +62,10 @@ __all__ = [
     "space_axes",
     "tensor_points",
     "tensor_columns",
+    "axis_views",
 ]
+
+logger = logging.getLogger(__name__)
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -181,6 +190,23 @@ class InitialData:
         one of the columns gets a new array."""
         env = {f"x{i + 1}": c for i, c in enumerate(columns)}
         return _arrays(ex.eval_expr(program, env), np.shape(columns[0]), columns)
+
+    def on_axes(self, program: ex.Program, axes, *, expand: bool = True) -> list:
+        """The trees of ``program`` at the tensor product of the 1D
+        ``axes`` (x1..xn), bound as ``axis_views``: a subtree costs the
+        axes its variables span, and no point is formed.  Every element
+        gets the operations and domain checks it gets in
+        ``on_columns(program, tensor_columns(axes))``, so the values and
+        any EvalDomainError are the same.  With ``expand`` each value is
+        a C-contiguous float array of the grid shape, a new one where
+        the tree's value is smaller; without, each is as the program
+        made it, a float or an array broadcastable to the grid shape
+        that holds the same set of values."""
+        env = {f"x{i + 1}": v for i, v in enumerate(axis_views(axes))}
+        values = ex.eval_expr(program, env)
+        if not expand:
+            return list(values)
+        return _arrays(values, tuple(len(ax) for ax in axes), env.values())
 
     def _at(self, program: ex.Program, pts) -> list[np.ndarray]:
         """``on_columns`` on points of shape (..., n), each with shape (...)."""
@@ -312,9 +338,19 @@ def space_axes(spec: ProblemSpec) -> tuple[np.ndarray, ...]:
                  for (lo, hi), g in zip(spec.box, spec.space_grid))
 
 
+def axis_views(axes) -> list[np.ndarray]:
+    """Each 1D axis i of a tensor product as a float view of shape
+    (1, .., m_i, .., 1), so that the axes broadcast to the grid."""
+    n = len(axes)
+    return [np.asarray(ax, dtype=float).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, ax in enumerate(axes)]
+
+
 def tensor_columns(axes) -> tuple[np.ndarray, ...]:
     """Tensor product of 1D axes as flattened points in C order, one
-    C-contiguous coordinate array (M,) per axis."""
+    C-contiguous coordinate array (M,) per axis.  To evaluate initial
+    data on such a product, ``InitialData.on_axes`` takes the axes
+    themselves and forms none of these columns."""
     return tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 
 
@@ -494,15 +530,6 @@ def _parse_tolerances(src) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def _dense_sample(box, space_grid) -> tuple[np.ndarray, ...]:
-    """Tensor sample of the box used for range and sign checks, one
-    coordinate array per axis."""
-    n = len(box)
-    per_axis = max(201, int(round(2e5 ** (1.0 / n))))
-    return tensor_columns([np.linspace(lo, hi, max(per_axis, g))
-                           for (lo, hi), g in zip(box, space_grid)])
-
-
 def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
     """Refuse supplied values ``got[i]`` that differ from the exact
     ``want[i]`` by more than ``tol`` relative, naming ``key[i]``."""
@@ -515,20 +542,29 @@ def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
 
 def _validate_initial_data(init: InitialData, box, space_grid,
                            grad_u0) -> tuple[float, float]:
-    cols = _dense_sample(box, space_grid)
-    u0v, = init.on_columns(init.u0_program, cols)
-    rho0v, = init.on_columns(init.rho0_program, cols)
+    """Check u0 and rho0 on a tensor sample of the box, read unexpanded
+    from ``on_axes``, and return the u0 range inflated by 1%."""
+    started = time.perf_counter()
+    per_axis = max(201, int(round(2e5 ** (1.0 / len(box)))))
+    axes = [np.linspace(lo, hi, max(per_axis, g)) for (lo, hi), g in zip(box, space_grid)]
+    u0v, = init.on_axes(init.u0_program, axes, expand=False)
+    rho0v, = init.on_axes(init.rho0_program, axes, expand=False)
     for key, v in (("u0", u0v), ("rho0", rho0v)):
         if not np.all(np.isfinite(v)):
             raise ValidationError(f"'{key}' is not finite everywhere on the box")
     if np.any(rho0v < 0):
         raise ValidationError("'rho0' takes negative values on the box")
     if grad_u0 is not None:
-        _check("grad_u0", init.on_columns(ex.compile_exprs(grad_u0), cols),
-               init.on_columns(init.jet_program, cols)[1:], "d/dx{j} of 'u0'")
+        _check("grad_u0", init.on_axes(ex.compile_exprs(grad_u0), axes, expand=False),
+               init.on_axes(init.jet_program, axes, expand=False)[1:],
+               "d/dx{j} of 'u0'")
     lo, hi = float(np.min(u0v)), float(np.max(u0v))
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.01 * max(1.0, abs(hi))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("initial data checked on a %s tensor sample in %.3f s",
+                     "x".join(str(len(ax)) for ax in axes),
+                     time.perf_counter() - started)
     return (lo - pad, hi + pad)
 
 

@@ -31,23 +31,27 @@ the same source measure, and both are one ``_Sources``: centers, one
 contiguous array per axis, weights, per-source columns and the
 kernel's var, cut and norm.  The table of a (problem, t) holds the
 displaced nodes, tensor weight * rho0, and the columns u0 and
-a_1..a_n, and is shared by every point; it is built from one node
-array per axis, never from rows (M, n), and each axis's centers are
-its nodes with the displacement added in place.  ``montecarlo``
-builds one from the particles and their labels U.  A table holds one
-array per distinct velocity expression: an a_i that is u is the u0
-column itself, and equal expressions share one array.  The one constructor,
-``_sources``, sorts all of it once into cells one cutoff radius wide.
-It takes the centers and columns as lists that it empties, permuting
-one array at a time, so the t = 0.3 bump table build peaks at 1.5
-times the table's bytes rather than with both copies of every array
-alive.  The sources of the 3^n cells around a point are then 3^(n-1)
-contiguous slices, so ``_gaussian_pass``, the only kernel evaluation,
-scans those slices rather than every source.  It finds the cells with
-Python scalars and forms the kept weights in place, so the cost of a
-pass is that of its NumPy calls on the slices.  The fields here, the
-covariance sources in ``balance`` and the particle estimates are all
-moments of that pass: ``_kernel_means`` gathers and averages each
+a_1..a_n, and is shared by every point.  ``_tabulate`` takes u0 and
+rho0 on the node axes (``InitialData.on_axes``), never on the nodes'
+points, and each axis's centers are its node axis plus the
+displacement, in one pass.  ``montecarlo`` builds sources from the
+particles and their labels U.  A table holds one array per distinct
+velocity expression: an a_i that is u is the u0 column itself, and
+equal expressions share one array.
+The one constructor, ``_sources``, sorts all of it once into cells one
+cutoff radius wide.  It takes the centers and columns as lists that it
+empties, permuting one array at a time, and a table's weights are
+formed in cell order from the axis weights and rho0 (``_NodeWeights``),
+never in node order, so the t = 0.3 bump table build peaks at about
+1.3 times the table's bytes (1.4 in a process whose first
+Gauss-Legendre rule it computes) rather than with both copies of every
+array alive.  The sources of the 3^n cells around a point are then
+3^(n-1) contiguous slices, so ``_gaussian_pass``, the only kernel
+evaluation, scans those slices rather than every source.  It finds the
+cells with Python scalars and forms the kept weights in place, so the
+cost of a pass is that of its NumPy calls on the slices.  The fields
+here, the covariance sources in ``balance`` and the particle estimates
+are all moments of that pass: ``_kernel_means`` gathers and averages each
 distinct column around one point once, and ``_kernel_moments`` runs
 it over a point set, one loop over the points as Python floats.  The
 kernel results of the last point set (masses, means, and the I terms
@@ -74,8 +78,8 @@ import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport, EvalDomainError
 from .problem import (InitialData, ProblemSpec, _batched, _point_rows, _refuse,
-                      displacement_components, du_displacement_components,
-                      space_axes, tensor_columns, tensor_points)
+                      axis_views, displacement_components,
+                      du_displacement_components, space_axes, tensor_points)
 from .quadrature import (TABLE_ORDER, matched_width, panel_count, panel_rule,
                          rule_error)
 
@@ -209,10 +213,11 @@ class _Sources:
                                       self.starts))
 
 
-def _sources(centers: list, weights: np.ndarray, columns: list, var: float,
+def _sources(centers: list, weights, columns: list, var: float,
              cutoff: float, norm: float) -> _Sources:
     """Sort ``centers``, a list of one coordinate array (M,) per axis,
-    ``weights`` (M,) and each of the list ``columns`` (M,) into cells
+    ``weights`` (M,), an array or anything with ``take`` such as
+    ``_NodeWeights``, and each of the list ``columns`` (M,) into cells
     for the Gaussian sum with this var, truncated ``cutoff`` kernel
     widths sqrt(var) from each target.  The centers come back as one
     contiguous array per axis.
@@ -296,9 +301,10 @@ _TABLE_CACHE_MAX = 6
 def _slope_bound(init: InitialData, box) -> float:
     """max |grad u0| over a tensor sample of ``box``: the cell midpoints
     of 4096 cells per axis in 1D, 256 in 2D (about 65536 points), taken
-    from the jet in chunks of about 4096 points so the sample stays small
-    beside a table.  Where the gradient is undefined at a sample point (a
-    kink of abs or sqrt), the bound is unknown: inf."""
+    from the jet (``InitialData.on_axes``, unexpanded) in blocks of rows
+    of about 4096 points so the sample stays small beside a table.
+    Where the gradient is undefined at a sample point (a kink of abs or
+    sqrt), the bound is unknown: inf."""
     n = init.n
     q = min(4096, round(65536 ** (1.0 / n)))
     axes = [lo + (np.arange(q) + 0.5) * ((hi - lo) / q) for lo, hi in box]
@@ -306,8 +312,8 @@ def _slope_bound(init: InitialData, box) -> float:
     bound = 0.0
     for s in range(0, q, rows):
         try:
-            grad = init.on_columns(init.jet_program,
-                                   tensor_columns([axes[0][s:s + rows], *axes[1:]]))[1:]
+            grad = init.on_axes(init.jet_program, [axes[0][s:s + rows], *axes[1:]],
+                                expand=False)[1:]
         except EvalDomainError:
             return math.inf
         bound = max(bound, math.sqrt(float(np.max(sum(g * g for g in grad)))))
@@ -395,34 +401,68 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     return table
 
 
+@dataclass(frozen=True)
+class _NodeWeights:
+    """Tensor weight * rho0 at the nodes of ``grid``, formed only where
+    ``take`` reads them: at flat (C order) node positions, a chunk at a
+    time, from the axis weights and ``rho0`` (a float, or an array that
+    broadcasts to the grid).  Each weight is the product
+    ``grid.weights * rho0`` forms, in the same order, so a table's
+    weights come out in cell order without an array of every node's
+    weight in node order."""
+
+    grid: QuadratureGrid
+    rho0: float | np.ndarray
+
+    def __len__(self) -> int:
+        return math.prod(len(w) for w in self.grid.axis_weights)
+
+    def take(self, order: np.ndarray) -> np.ndarray:
+        axis_weights = self.grid.axis_weights
+        shape = tuple(len(w) for w in axis_weights)
+        rho0 = np.broadcast_to(self.rho0, shape)
+        out, step = np.empty(len(order)), 16_384
+        for s in range(0, len(order), step):
+            p, idx = order[s:s + step], []
+            for m in shape[:0:-1]:  # the node's index on each axis
+                p, i = np.divmod(p, m)
+                idx.insert(0, i)
+            idx.insert(0, p)
+            # the indices are in range, and "wrap" writes straight to out
+            w = axis_weights[0].take(p, out=out[s:s + step], mode="wrap")
+            for wi, i in zip(axis_weights[1:], idx[1:]):
+                w *= wi.take(i)
+            # a constant rho0 multiplies as it does broadcast
+            w *= self.rho0 if np.ndim(self.rho0) == 0 else rho0[tuple(idx)]
+        return out
+
+
 def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     """The nodes of ``grid`` as the kernel sources of (spec, t): weights
     tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
     a columns evaluated in cell order, and ``fixed`` marking the columns
     with one value at every node.
 
-    Nodes, weights and centers are one array per axis: each center
-    array is its node array with the displacement added in place.
+    u0 and rho0 are taken on the node axes (``InitialData.on_axes``),
+    each center array is its node axis plus the displacement, in one
+    pass, and the weights are formed in cell order (``_NodeWeights``),
+    so no array of node coordinates or of node-ordered weights is
+    formed.
     """
-    centers = list(tensor_columns(grid.axis_nodes))
-    u0v, = spec.init.on_columns(spec.init.u0_program, centers)
-    wrho = grid.weights
-    wrho *= spec.init.on_columns(spec.init.rho0_program, centers)[0]
-    for c, d in zip(centers, displacement_components(spec, t, u0v)):
-        c += d
-    # the last center and displacement arrays, so they stay out of the peak
-    del c, d
+    rho0, = spec.init.on_axes(spec.init.rho0_program, grid.axis_nodes, expand=False)
+    u0v, = spec.init.on_axes(spec.init.u0_program, grid.axis_nodes)
+    centers = [np.add(x, d).ravel() for x, d in zip(
+        axis_views(grid.axis_nodes), displacement_components(spec, t, u0v))]
+    u0v = u0v.ravel()
     var = spec.sigma * spec.sigma * t
     # _sources empties the lists, so it frees each unsorted array once
-    # it is permuted; the weights are permuted last, which keeps this
-    # reference to them out of the peak
+    # it is permuted
     columns = [u0v]
     del u0v
-    table = _sources(centers, wrho, columns, var, spec.tol.kernel_cutoff,
-                     (2.0 * math.pi * var) ** (-spec.n / 2.0))
+    table = _sources(centers, _NodeWeights(grid, rho0), columns, var,
+                     spec.tol.kernel_cutoff, (2.0 * math.pi * var) ** (-spec.n / 2.0))
     # a is elementwise in u0, so it is evaluated in cell order directly,
     # once the unsorted arrays are freed: that keeps it out of the peak
-    del wrho
     u0v = table.columns[0]
     columns = (u0v, *spec.velocity.a_values(t, u0v))
     fixed = tuple(float(c[0]) if c.size and np.ptp(c) == 0 else None for c in columns)
@@ -790,8 +830,9 @@ def integrate_rho0(spec: ProblemSpec) -> float:
     scale = min(hi - lo for lo, hi in spec.box) / 64.0
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel)
-    rho = spec.init.rho0_at(grid.points)
-    return float(np.sum(grid.weights * rho))
+    w = grid.weights.reshape(tuple(len(x) for x in grid.axis_nodes))
+    w *= spec.init.on_axes(spec.init.rho0_program, grid.axis_nodes, expand=False)[0]
+    return float(np.sum(w.ravel()))
 
 
 def integrate_rho_sigma(spec: ProblemSpec, t: float,

@@ -21,7 +21,7 @@ from charstoch import (
     load_problem,
     solve_implicit,
 )
-from charstoch.characteristics import classical_fields
+from charstoch.characteristics import _condition, _condition_at, classical_fields
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,6 +177,25 @@ def test_blowup_time_dependent_bump_is_unchanged():
     u = np.linspace(-0.5, 1.5, 7)
     for B in du_displacement_components(spec, 0.9, u):
         assert np.array_equal(B, np.full(u.shape, 0.405))
+
+
+@pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json"))
+                         + ["time_dependent"])
+def test_condition_at_one_point_equals_its_grid_value(case):
+    """The golden refinement evaluates G at one point with the
+    coordinates bound as floats; at random points of the box that value
+    equals G at the same point of a batch, one coordinate array per
+    axis, as the grid scan evaluated it, bit for bit."""
+    spec = make(a=["cos(t)*u^2/2"]) if case == "time_dependent" \
+        else load_problem((CONFIGS / f"{case}.json").read_text())
+    rng = np.random.default_rng(len(case))
+    lo, hi = np.array(spec.box).T
+    Y = rng.uniform(lo, hi, (200, spec.n))
+    for t in (1.0, 0.37):
+        grid = _condition(spec, t, spec.init.on_columns(spec.init.jet_program,
+                                                        list(Y.T.copy())))
+        for y, want in zip(Y, grid.tolist()):
+            assert _condition_at(spec, t, y) == want, (t, y)
 
 
 def test_blowup_invariant_under_state_shift():

@@ -273,7 +273,11 @@ def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
 def assert_debug_lines(tmp_path, patterns: dict):
     """Each command ``args`` of ``patterns`` on burgers_sin prints a line
     matching its pattern on stderr under CHARSTOCH_LOG=debug and none
-    without, and writes artifacts with the same bytes either way."""
+    without, and writes artifacts with the same bytes either way.  Each
+    also reports, once, the tensor sample its problem's initial data was
+    checked on and the wall time of the check."""
+    loaded = r"initial data checked on a 200000 tensor sample in \d+\.\d{3} s"
+
     def run(args, out, log):
         env = {k: v for k, v in os.environ.items() if k != "CHARSTOCH_LOG"}
         if log:
@@ -290,6 +294,8 @@ def assert_debug_lines(tmp_path, patterns: dict):
         debug_err, debug = run(args, tmp_path / f"debug{i}", log=True)
         assert re.search(pattern, debug_err), debug_err
         assert not re.search(pattern, quiet_err)
+        assert len(re.findall(loaded, debug_err)) == 1, debug_err
+        assert not re.search(loaded, quiet_err)
         assert debug == quiet and debug
 
 

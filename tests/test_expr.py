@@ -143,19 +143,22 @@ def test_printer_output_reparses_to_same_ast():
         assert parse(expr_to_str(e), XU) == e
 
 
-def _random_expr(rng, depth):
+def _random_expr(rng, depth, names=("x1", "x2", "t", "u")):
+    """A random tree of at most ``depth`` levels over the variables
+    ``names``."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
             return Const(float(rng.integers(1, 5)) + round(rng.random(), 3))
-        return Var(rng.choice(["x1", "x2", "t", "u"]))
+        return Var(rng.choice(list(names)))
     r = rng.random()
     if r < 0.15:
-        return Neg(_random_expr(rng, depth - 1))
+        return Neg(_random_expr(rng, depth - 1, names))
     if r < 0.35:
         fn = rng.choice(["sin", "cos", "exp", "tanh", "abs"])
-        return Call(fn, _random_expr(rng, depth - 1))
+        return Call(fn, _random_expr(rng, depth - 1, names))
     op = rng.choice(["+", "-", "*", "/"])
-    return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    return BinOp(op, _random_expr(rng, depth - 1, names),
+                 _random_expr(rng, depth - 1, names))
 
 
 def test_print_parse_round_trip_is_value_exact():

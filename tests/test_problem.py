@@ -16,8 +16,11 @@ from charstoch import (
     flow_displacement,
     load_problem,
 )
+from charstoch.errors import EvalDomainError
+from charstoch.expr import compile_exprs, expr_to_str, parse
 from charstoch.problem import tensor_columns, tensor_points
 from charstoch.quadrature import adaptive_time_integral
+from test_expr import _random_expr
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -307,3 +310,124 @@ def test_time_integral_of_a_tree_without_u_is_one_scalar_integral():
                                       spec.tol.quad_tol_time)
         assert got.shape == u.shape and np.array_equal(got, want)
         assert du_displacement_components(spec, t, 0.4)[0] == want[0]
+
+
+def on_axes_outcome(init, program, axes, expand=True):
+    """``on_axes`` as C-order flat arrays, or the class and message of
+    the EvalDomainError it raises."""
+    shape = tuple(len(ax) for ax in axes)
+    try:
+        values = init.on_axes(program, axes, expand=expand)
+    except EvalDomainError as e:
+        return type(e), str(e)
+    if expand:
+        for v in values:
+            assert v.shape == shape and v.dtype == float and v.flags.c_contiguous
+    return [np.broadcast_to(v, shape).ravel() for v in values]
+
+
+def columns_outcome(init, program, axes):
+    """``on_columns`` on the tensor columns of ``axes``, or the class and
+    message of the EvalDomainError it raises."""
+    try:
+        return init.on_columns(program, tensor_columns(axes))
+    except EvalDomainError as e:
+        return type(e), str(e)
+
+
+def assert_on_axes_matches_columns(init, program, axes):
+    """Expanded and unexpanded, ``on_axes`` gives the bytes of
+    ``on_columns`` on the points' columns, or raises as it does."""
+    with np.errstate(all="ignore"):
+        want = columns_outcome(init, program, axes)
+        for expand in (True, False):
+            got = on_axes_outcome(init, program, axes, expand)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert len(got) == len(want)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    return not isinstance(want, tuple)
+
+
+def load_sample_axes(spec):
+    """The axes of the sample ``load_problem`` checks u0 and rho0 on."""
+    per_axis = max(201, int(round(2e5 ** (1.0 / spec.n))))
+    return [np.linspace(lo, hi, max(per_axis, g))
+            for (lo, hi), g in zip(spec.box, spec.space_grid)]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_on_axes_matches_columns_on_shipped_programs(path):
+    """u0, rho0, the jet and the gradient a config would supply, on the
+    load-time sample and on a coarse grid of the box."""
+    spec = load_problem(path.read_text())
+    init = spec.init
+    x_vars = [f"x{i + 1}" for i in range(spec.n)]
+    supplied = compile_exprs([parse(expr_to_str(g), x_vars) for g in init.grad_u0])
+    coarse = [np.linspace(lo, hi, 7 + i) for i, (lo, hi) in enumerate(spec.box)]
+    for axes in (load_sample_axes(spec), coarse):
+        for program in (init.u0_program, init.rho0_program, init.jet_program, supplied):
+            assert assert_on_axes_matches_columns(init, program, axes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_on_axes_matches_columns_on_random_trees(n):
+    """100 random trees per dimension, alone and ten to a program."""
+    rng = np.random.default_rng(20261019 + n)
+    names = [f"x{i + 1}" for i in range(n)]
+    init = load_problem(make(n=n, a=["u"] * n, u0="+".join(names),
+                             box=[[-1.0, 1.0]] * n, space_grid=[2] * n)).init
+    trees = [_random_expr(rng, 5, names) for _ in range(100)]
+    axes = [rng.uniform(-3.0, 3.0, k) for k in (5, 4, 3)[:n]]
+    checked = sum(assert_on_axes_matches_columns(init, compile_exprs([e]), axes)
+                  for e in trees)
+    for k in range(0, len(trees), 10):
+        assert_on_axes_matches_columns(init, compile_exprs(trees[k:k + 10]), axes)
+    assert checked > 80
+
+
+def test_on_axes_expands_trees_in_one_variable_and_constants():
+    """Trees in fewer variables than the grid, and constant trees, come
+    back as new full C-contiguous arrays, never as the axes."""
+    init = load_problem(make(n=3, a=["u"] * 3, u0="x1", box=[[-1.0, 1.0]] * 3,
+                             space_grid=[2] * 3)).init
+    axes = [np.linspace(-1.0, 1.0, k) for k in (3, 4, 5)]
+    srcs = ["x1", "x2", "x3", "sin(x2)", "-x3", "2.5", "exp(-x1^2)", "x1*x3", "x2"]
+    program = compile_exprs([parse(src, ["x1", "x2", "x3"]) for src in srcs])
+    assert assert_on_axes_matches_columns(init, program, axes)
+    values = init.on_axes(program, axes)
+    assert all(not np.shares_memory(v, ax) for v in values for ax in axes)
+    assert values[1] is values[-1]  # equal trees stay one array
+
+
+def test_on_axes_matches_columns_on_nan_and_inf():
+    init = load_problem(make(n=2, a=["u", "u"], u0="x1", box=[[-1.0, 1.0]] * 2,
+                             space_grid=[2, 2])).init
+    axes = [np.array([-np.inf, -1.0, 0.5, np.nan, np.inf]),
+            np.array([np.nan, -2.0, 0.25, np.inf, -np.inf])]
+    srcs = ["x1 + x2", "x1 * x2", "exp(x1) - x2", "sin(x1) * cos(x2)",
+            "tanh(x1 - x2)", "abs(x1) * x2", "x1^2 + x2^3", "x1 / x2"]
+    for src in srcs:
+        assert assert_on_axes_matches_columns(
+            init, compile_exprs([parse(src, ["x1", "x2"])]), axes), src
+
+
+@pytest.mark.parametrize("src, message", [
+    ("log(x1 - x2)", "log of a nonpositive value"),
+    ("sqrt(x1 * x2)", "sqrt of a negative value"),
+    ("x1 / (x2 - 1)", "division by zero"),
+    ("(x1 - x2)^0.5", "fractional power of a negative base"),
+    ("(x1 * x2)^-2", "zero raised to a negative power"),
+    ("x1^x2", "fractional power of a negative base"),
+    ("(x1 + 1)^(x2 - 1)", "zero raised to a negative power"),
+])
+def test_on_axes_raises_as_columns_do(src, message):
+    """Each domain check raises the same class and message on both
+    paths, expanded or not."""
+    init = load_problem(make(n=2, a=["u", "u"], u0="x1", box=[[-1.0, 1.0]] * 2,
+                             space_grid=[2, 2])).init
+    axes = [np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0, 3.0, -0.5])]
+    program = compile_exprs([parse(src, ["x1", "x2"])])
+    assert not assert_on_axes_matches_columns(init, program, axes)
+    assert columns_outcome(init, program, axes) == (EvalDomainError, message)

@@ -28,7 +28,8 @@ from charstoch import balance, representation
 from charstoch.problem import displacement_components, space_axes, tensor_points
 from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass,
                                       _keep, _kernel_means, _sources, _stretch,
-                                      _table_for, _tabulate, quadrature_grid)
+                                      _NodeWeights, _table_for, _tabulate,
+                                      quadrature_grid)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUMP2D = CONFIGS / "gaussian_bump_2d.json"
@@ -379,12 +380,10 @@ def test_sources_from_axes_equal_the_rows_form(n):
         == len(centers) - 4
 
 
-def test_bump_table_equals_the_rows_built_reference(monkeypatch):
-    """The t = 0.3 bump table, built from per-axis node, weight and
-    center arrays, equals one built from rows (M, n): tensor points, the
-    weights as meshgrid products, centers as points plus the stacked
-    displacement."""
-    spec = load_problem(BUMP2D.read_text())
+def rows_built_table(spec, t, monkeypatch):
+    """The table of (spec, t) and the sources built for it from rows
+    (M, n): tensor points, the weights as meshgrid products times rho0
+    at the points, centers as points plus the stacked displacement."""
     grids = []
 
     def recording(*args, **kwargs):
@@ -392,7 +391,7 @@ def test_bump_table_equals_the_rows_built_reference(monkeypatch):
         return grids[-1]
 
     monkeypatch.setattr(representation, "quadrature_grid", recording)
-    table = _build_table(spec, 0.3)
+    table = _build_table(spec, t)
     grid, = grids
     points = np.stack([m.ravel() for m in np.meshgrid(*grid.axis_nodes,
                                                         indexing="ij")], axis=-1)
@@ -400,15 +399,57 @@ def test_bump_table_equals_the_rows_built_reference(monkeypatch):
     for m in np.meshgrid(*grid.axis_weights, indexing="ij"):
         weights = weights * m.ravel()
     u0v = spec.init.u0_at(points)
-    centers = points + np.stack(displacement_components(spec, 0.3, u0v), axis=-1)
-    var = spec.sigma * spec.sigma * 0.3
+    centers = points + np.stack(displacement_components(spec, t, u0v), axis=-1)
+    var = spec.sigma * spec.sigma * t
     want = sources_from_rows(centers, weights * spec.init.rho0_at(points), (u0v,),
-                             var, spec.tol.kernel_cutoff, (2.0 * math.pi * var) ** -1.0)
+                             var, spec.tol.kernel_cutoff,
+                             (2.0 * math.pi * var) ** (-spec.n / 2.0))
     u0_sorted, = want["columns"]
-    want["columns"] = (u0_sorted, *spec.velocity.a_values(0.3, u0_sorted))
+    want["columns"] = (u0_sorted, *spec.velocity.a_values(t, u0_sorted))
+    return table, want
+
+
+def test_bump_table_equals_the_rows_built_reference(monkeypatch):
+    """The t = 0.3 bump table, built from per-axis node, weight and
+    center arrays, equals one built from rows (M, n): tensor points, the
+    weights as meshgrid products, centers as points plus the stacked
+    displacement."""
+    table, want = rows_built_table(load_problem(BUMP2D.read_text()), 0.3, monkeypatch)
     # 8 nodes on panels one kernel width wide took 774,400 nodes
     assert len(table.weights) == 200_704 <= 0.3 * 774_400
     assert_same_sources(table, want)
+
+
+@pytest.mark.parametrize("n, rho0", [
+    (1, "2 + sin(x1)"), (2, "exp(-x1^2/4)"), (2, "exp(-x2^2/4)"),
+    (2, "2 + sin(x1*x2)")])
+def test_table_weights_with_rho0_equal_the_rows_built_reference(n, rho0, monkeypatch):
+    """With rho0 in one variable or in several, weights formed in cell
+    order from the axis weights and rho0 equal the node-ordered products
+    sorted."""
+    xs = [f"x{i + 1}" for i in range(n)]
+    spec = make(n=n, a=[f"u/{i + 1}" for i in range(n)], u0="exp(-(" + "+".join(
+        f"{x}^2" for x in xs) + "))", rho0=rho0, sigma=0.4, box=[[-2.0, 2.0]] * n,
+        space_grid=[3] * n, time_points=[0.3])
+    assert_same_sources(*rows_built_table(spec, 0.3, monkeypatch))
+
+
+@pytest.mark.parametrize("rho0", [1.0, "x1", "x3", "x1x2", "x1x2x3"])
+def test_node_weights_are_the_tensor_products_at_any_positions(rho0):
+    """``_NodeWeights.take`` at a permutation of a 3D grid's nodes, and
+    at a repeated subset, equals taking from grid.weights * rho0."""
+    rng = np.random.default_rng(7)
+    grid = quadrature_grid([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)], 0.5,
+                           nodes_per_panel=3, min_panels=2)
+    shape = tuple(len(w) for w in grid.axis_weights)
+    if not isinstance(rho0, float):
+        rho0 = rng.random(tuple(m if f"x{i + 1}" in rho0 else 1
+                                for i, m in enumerate(shape)))
+    want = (grid.weights.reshape(shape) * rho0).ravel()
+    for order in (rng.permutation(want.size), rng.integers(0, want.size, 50_000)):
+        got = _NodeWeights(grid, rho0).take(order)
+        assert got.tobytes() == want.take(order).tobytes()
+    assert len(_NodeWeights(grid, rho0)) == want.size
 
 
 def test_bump_table_build_peak():
