@@ -265,9 +265,10 @@ def _coordinate_golden(f, y0: np.ndarray, spacings, box, sweeps: int = 3):
 def _condition(spec: ProblemSpec, t: float, jet):
     """Blow-up condition functional G = B(t, u0) . grad u0 from the
     values of the jet program (u0, du0/dx_1..du0/dx_n) at the foot
-    points, in their shapes broadcast together."""
+    points, in their shapes broadcast together.  A B_i without u is a
+    scalar, which multiplies as it does broadcast."""
     u0v, *grads = jet
-    B = du_displacement_components(spec, t, u0v)
+    B = spec.velocity.du_displacement(spec, t, u0v, expand=False)
     return sum(B[i] * grads[i] for i in range(spec.n))
 
 

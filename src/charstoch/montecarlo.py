@@ -19,11 +19,20 @@ and runs ``representation._kernel_moments`` on it.  The kernel is truncated by t
 kernel widths from the target, the width being the bandwidth h.  Each
 target then scans only the particles of the 3^n cells, 8 h wide by
 default, around it, and its sums run in cell order, not particle order.
+
+With a constant rho0 every particle has one weight, held as a
+read-only stride-0 view of one float, in the ensemble and in the
+sources alike, so the route holds per particle only y, U and X, and in
+``_sources`` the sort order and the sorted X and U: its peak in 1D is
+6 arrays of N floats, not 8.  Every weight and every sum is the one
+the per-particle arrays gave, bit for bit.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -31,7 +40,7 @@ import numpy as np
 
 from .errors import ZeroMass
 from .problem import ProblemSpec, _point_rows, displacement_components
-from .representation import _kernel_moments, _sources, integrate_rho0
+from .representation import _held_bytes, _kernel_moments, _sources, integrate_rho0
 
 __all__ = [
     "ParticleEnsemble",
@@ -42,6 +51,8 @@ __all__ = [
     "estimate_fields",
     "dump_ensemble",
 ]
+
+logger = logging.getLogger(__name__)
 
 _KEY_INIT = 0x1D17
 _KEY_EXACT = 0xE4AC7
@@ -64,7 +75,10 @@ class ParticleEnsemble:
     characteristic labels, ``X`` the current positions and ``w`` the
     importance weights, which sum to the initial mass of rho0 over the
     box and stay fixed under evolution.  At t = 0, ``X`` is ``y`` (the
-    same array); nothing writes an ensemble's arrays in place.
+    same array); nothing writes an ensemble's arrays in place.  Where
+    rho0 is constant every weight is one value, and ``w`` is a
+    read-only (N,) view of that one float (stride 0), which holds 8
+    bytes rather than 8 N.
     """
 
     y: np.ndarray  # (N, n)
@@ -76,6 +90,20 @@ class ParticleEnsemble:
 
     def __len__(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the ensemble's arrays, each distinct one once
+        and a one-value ``w`` as one float."""
+        distinct = {id(a): a for a in (self.y, self.U, self.X, self.w)}.values()
+        return sum(map(_held_bytes, distinct))
+
+    def _log(self, what: str, started: float) -> None:
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("particles %s: %d, %s weights, %d bytes in %.3f s",
+                         what, len(self), "one-value" if self.w.strides == (0,)
+                         else "per-particle", self.nbytes,
+                         time.perf_counter() - started)
 
 
 class FieldEstimate(NamedTuple):
@@ -92,25 +120,40 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
     Weights are rescaled so their sum matches the quadrature mass of
     rho0 exactly; the estimator is then self-normalizing and mass
     comparisons against the smoothed density are apples to apples.
+
+    rho0 is evaluated unexpanded.  A constant rho0 gives one weight,
+    formed by the IEEE operations each particle's weight would take,
+    summed as a stride-0 view (the sum of N copies, in the same
+    order) and kept as a read-only view; otherwise the sampled
+    densities are dropped once the weights are formed from them, and
+    rescaled in place.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be at least 1")
+    started = time.perf_counter()
     rng = _stream(spec.rng_seed, _KEY_INIT)
     lo = np.array([b[0] for b in spec.box])
     hi = np.array([b[1] for b in spec.box])
     y = lo + (hi - lo) * rng.random((n_particles, spec.n))
     U = spec.init.u0_at(y)
-    rho = spec.init.rho0_at(y)
-    w_raw = rho * (spec.box_volume / n_particles)
-    total = float(np.sum(w_raw))
+    rho, = spec.init.on_columns(spec.init.rho0_program, list(y.T), expand=False)
+    one_value = np.ndim(rho) == 0
+    w = (float(rho) if one_value else rho) * (spec.box_volume / n_particles)
+    del rho
+    total = float(np.sum(np.broadcast_to(w, n_particles)))
     mass = integrate_rho0(spec)
     if mass <= 0 or total <= 0:
         raise ZeroMass(
             f"initial density carries no mass over the box "
             f"(quadrature {mass:.3e}, sample {total:.3e})"
         )
-    w = w_raw * (mass / total)
-    return ParticleEnsemble(y=y, U=U, X=y, w=w, t=0.0, seed=spec.rng_seed)
+    if one_value:
+        w = np.broadcast_to(w * (mass / total), n_particles)
+    else:
+        w *= mass / total
+    ens = ParticleEnsemble(y=y, U=U, X=y, w=w, t=0.0, seed=spec.rng_seed)
+    ens._log("sampled", started)
+    return ens
 
 
 def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> ParticleEnsemble:
@@ -122,16 +165,17 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    n = spec.n
-    drift = np.zeros((len(ens), n))
-    for i, comp in enumerate(displacement_components(spec, t, ens.U)):
-        drift[:, i] = comp
-    z = _stream(ens.seed, _KEY_EXACT).standard_normal((len(ens), n))
+    started = time.perf_counter()
+    # the components are gone before the noise is drawn
+    drift = np.stack(displacement_components(spec, t, ens.U), axis=-1)
+    z = _stream(ens.seed, _KEY_EXACT).standard_normal((len(ens), spec.n))
     # y + drift + sigma sqrt(t) z, without temporaries
     drift += ens.y
     z *= spec.sigma * math.sqrt(t)
     drift += z
-    return replace(ens, X=drift, t=float(t))
+    moved = replace(ens, X=drift, t=float(t))
+    moved._log(f"evolved to t={t:g}", started)
+    return moved
 
 
 def evolve_em(ens: ParticleEnsemble, spec: ProblemSpec, t: float,
@@ -149,7 +193,7 @@ def evolve_em(ens: ParticleEnsemble, spec: ProblemSpec, t: float,
         raise ValueError("steps must be at least 1")
     rng = _stream(ens.seed, _KEY_EM)
     dt = t / steps
-    x = ens.y.astype(float).copy()
+    x = ens.y.astype(float)
     root_dt = math.sqrt(dt)
     for m in range(steps):
         tau = m * dt

@@ -183,13 +183,20 @@ class InitialData:
     def jet_program(self) -> ex.Program:
         return ex.compile_exprs((self.u0, *self.grad_u0))
 
-    def on_columns(self, program: ex.Program, columns) -> list[np.ndarray]:
+    def on_columns(self, program: ex.Program, columns, *,
+                   expand: bool = True) -> list:
         """The trees of ``program`` in x1..xn at the points whose
-        coordinates are ``columns``, n arrays of one shape: one float
-        array of that shape per tree.  A tree whose value is a scalar or
-        one of the columns gets a new array."""
+        coordinates are ``columns``, n arrays of one shape.  With
+        ``expand``, one float array of that shape per tree, a new one
+        where the tree's value is a scalar or one of the columns;
+        without, each value as the program made it: a float for a
+        constant tree, else an array that may be one of the columns,
+        so callers must not write into it."""
         env = {f"x{i + 1}": c for i, c in enumerate(columns)}
-        return _arrays(ex.eval_expr(program, env), np.shape(columns[0]), columns)
+        values = ex.eval_expr(program, env)
+        if not expand:
+            return list(values)
+        return _arrays(values, np.shape(columns[0]), columns)
 
     def on_axes(self, program: ex.Program, axes, *, expand: bool = True) -> list:
         """The trees of ``program`` at the tensor product of the 1D
@@ -618,7 +625,9 @@ class _TimeIntegrals:
     values; a tree without u has a scalar value at each node, so its
     integral is computed once and broadcast, where every element would
     take the same arithmetic.  Integrals are exactly zero at t = 0, and
-    equal trees give one array.
+    equal trees give one array.  Called with ``expand=False``, each
+    integral is returned as computed: a scalar for a tree without u, an
+    array of u's shape otherwise, never one callers may write into.
     """
 
     def __init__(self, trees) -> None:
@@ -631,10 +640,12 @@ class _TimeIntegrals:
         self.plan = [(True, timed.index(c)) if "t" in ex.variables(c)
                      else (False, steady.index(c)) for c in trees]
 
-    def __call__(self, spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
+    def __call__(self, spec: ProblemSpec, t: float, u, *,
+                 expand: bool = True) -> list:
         u_arr = np.asarray(u, dtype=float)
         if t == 0:
-            return [np.zeros(u_arr.shape) for _ in range(self.size)]
+            return [np.zeros(u_arr.shape) if expand else 0.0
+                    for _ in range(self.size)]
         t = float(t)
         values = ex.eval_expr(self.steady, {"t": t, "u": u_arr}) \
             if self.steady.trees else ()
@@ -645,5 +656,6 @@ class _TimeIntegrals:
         timed = [adaptive_time_integral(
             lambda tau, _p=p: ex.eval_expr(_p, {"t": tau, "u": u_arr})[0],
             0.0, t, spec.tol.quad_tol_time) for p in self.timed]
-        return _arrays([timed[j] if is_timed else scaled[id(values[j])]
-                        for is_timed, j in self.plan], u_arr.shape)
+        values = [timed[j] if is_timed else scaled[id(values[j])]
+                  for is_timed, j in self.plan]
+        return _arrays(values, u_arr.shape) if expand else values

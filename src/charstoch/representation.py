@@ -35,9 +35,10 @@ a_1..a_n, and is shared by every point.  ``_tabulate`` takes u0 and
 rho0 on the node axes (``InitialData.on_axes``), never on the nodes'
 points, and each axis's centers are its node axis plus the
 displacement, in one pass.  ``montecarlo`` builds sources from the
-particles and their labels U.  A table holds one array per distinct
-velocity expression: an a_i that is u is the u0 column itself, and
-equal expressions share one array.
+particles and their labels U, and one-value particle weights (a
+stride-0 view) stay one value there rather than being permuted.  A
+table holds one array per distinct velocity expression: an a_i that
+is u is the u0 column itself, and equal expressions share one array.
 The one constructor, ``_sources``, sorts all of it once into cells one
 cutoff radius wide.  It takes the centers and columns as lists that it
 empties, permuting one array at a time, and a table's weights are
@@ -207,10 +208,17 @@ class _Sources:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the sources' arrays, each distinct one once."""
+        """Bytes held by the sources' arrays, each distinct one once and
+        one-value weights as one float."""
         distinct = {id(c): c for c in self.columns}.values()
-        return sum(a.nbytes for a in (*self.axes, self.weights, *distinct,
-                                      self.starts))
+        return sum(map(_held_bytes, (*self.axes, self.weights, *distinct,
+                                     self.starts)))
+
+
+def _held_bytes(a: np.ndarray) -> int:
+    """The bytes behind ``a``: one item for a one-value view of stride 0,
+    where ``nbytes`` counts every position."""
+    return a.itemsize if a.strides == (0,) else a.nbytes
 
 
 def _sources(centers: list, weights, columns: list, var: float,
@@ -227,7 +235,10 @@ def _sources(centers: list, weights, columns: list, var: float,
     weights last.  A caller that hands over its only references to the
     centers and columns therefore peaks at one array above the sorted
     sources, plus the sort order, rather than with both copies of
-    every array alive.
+    every array alive.  Weights that are one value, a stride-0 view
+    such as ``sample_initial`` makes, read the same in any order: they
+    are kept as a view of their first ``count`` positions, not
+    permuted.
 
     The one truncation rule of every kernel sum: a source counts while
     e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
@@ -283,7 +294,11 @@ def _sources(centers: list, weights, columns: list, var: float,
     # holds it) once its permuted copy exists; the weights go last
     axes = tuple(centers.pop(0).take(order) for _ in range(n))
     columns = tuple(columns.pop(0).take(order) for _ in range(len(columns)))
-    src = _Sources(axes=axes, weights=weights.take(order), columns=columns,
+    if isinstance(weights, np.ndarray) and weights.strides == (0,):
+        weights = weights[:count]
+    else:
+        weights = weights.take(order)
+    src = _Sources(axes=axes, weights=weights, columns=columns,
                    var=var, cut=cut, norm=norm, lo=lo, width=width,
                    shape=shape, starts=starts, fixed=(None,) * len(columns))
     logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "

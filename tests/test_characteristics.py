@@ -180,6 +180,31 @@ def test_blowup_time_dependent_bump_is_unchanged():
 
 
 @pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json"))
+                         + ["time_dependent", "t_times_u"])
+def test_condition_equals_the_product_of_full_arrays(case):
+    """G with the B_i that have no u as floats, on unexpanded jet values
+    over a block of the blow-up grid, equals sum(B_i * du0/dx_i) formed
+    from full arrays, the public ``du_displacement_components`` and the
+    expanded jet, bit for bit."""
+    spec = {"time_dependent": lambda: make(a=["cos(t)*u^2/2"]),
+            "t_times_u": lambda: make(n=2, a=["t*u", "t*u"],
+                                      u0="exp(-x1^2-x2^2)",
+                                      box=[[-3.0, 3.0], [-3.0, 3.0]],
+                                      space_grid=[11, 11])
+            }.get(case, lambda: load_problem((CONFIGS / f"{case}.json").read_text()))()
+    axes = [np.linspace(lo, hi, 23 + 4 * i) for i, (lo, hi) in enumerate(spec.box)]
+    shape = tuple(len(ax) for ax in axes)
+    program = spec.init.jet_program
+    for t in (0.0, 1.0, 0.37):
+        got = _condition(spec, t, spec.init.on_axes(program, axes, expand=False))
+        u0v, *grads = spec.init.on_axes(program, axes)
+        B = du_displacement_components(spec, t, u0v)
+        want = sum(B[i] * grads[i] for i in range(spec.n))
+        assert want.shape == shape
+        assert np.array_equal(np.broadcast_to(got, shape), want), (case, t)
+
+
+@pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json"))
                          + ["time_dependent"])
 def test_condition_at_one_point_equals_its_grid_value(case):
     """The golden refinement evaluates G at one point with the

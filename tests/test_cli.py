@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, artifacts, determinism."""
 
 import json
+import logging
 import math
 import os
 import re
@@ -331,3 +332,32 @@ def test_debug_log_reports_each_kernel_sum_batch(tmp_path):
             r"I terms at sigma=0\.1 t=0\.5: 41 targets, [1-9]\d* kept sources "
             r"in \d+\.\d{3} s",
     })
+
+
+def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
+    """Under debug, sample_initial and each evolve_exact log the particle
+    count, whether the weights are one value, the bytes the ensemble
+    holds (y, U and X of 8 N bytes each, X being y at t = 0, and one
+    float of weight) and the wall time; the artifacts keep their
+    bytes."""
+    count = 3_000
+    args = ["solve", "--config", str(BURGERS), "--method", "montecarlo",
+            "--particles", str(count), "--seed", "5", "--dump-particles"]
+
+    def hashes(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        return {o["path"]: o["sha256"] for o in manifest["outputs"]}
+
+    assert main([*args, "--out", str(tmp_path / "quiet")]) == 0
+    assert not [r for r in caplog.records if r.name == "charstoch.montecarlo"]
+    with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
+        assert main([*args, "--out", str(tmp_path / "debug")]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "charstoch.montecarlo"]
+    held = [16 * count + 8] + [24 * count + 8] * 3
+    whats = ["sampled"] + [f"evolved to t={t}" for t in (0.25, 0.5, 0.75)]
+    assert len(lines) == len(whats)
+    for line, what, nbytes in zip(lines, whats, held):
+        assert re.fullmatch(rf"particles {what}: {count}, one-value weights, "
+                            rf"{nbytes} bytes in \d+\.\d{{3}} s", line), line
+    assert hashes(tmp_path / "debug") == hashes(tmp_path / "quiet")
+    assert len(hashes(tmp_path / "quiet")) == 9

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,8 @@ from charstoch import (
 from charstoch.problem import space_axes, tensor_points
 from charstoch.representation import _sources
 
-BUMP2D = (Path(__file__).resolve().parent.parent / "configs"
-          / "gaussian_bump_2d.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUMP2D = CONFIGS / "gaussian_bump_2d.json"
 
 
 def make(**overrides):
@@ -389,3 +392,121 @@ def test_dump_ensemble_bytes_equal_row_writer(tmp_path, burgers):
     dump_rows(empty, tmp_path / "rows.csv")
     assert (tmp_path / "fast.csv").read_bytes() == b"y1,y2,U,X1,X2,w\r\n"
     assert (tmp_path / "rows.csv").read_bytes() == b"y1,y2,U,X1,X2,w\r\n"
+
+
+def bump(**overrides):
+    return make(n=2, a=["u", "0.5*u"], u0="exp(-x1^2-x2^2)",
+                box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[5, 5],
+                time_points=[0.3], **overrides)
+
+
+def weights_as_arrays(spec, y):
+    """The weights formed per particle, as full arrays: rho0 at y times
+    the box volume over N, rescaled to the quadrature mass."""
+    w_raw = spec.init.rho0_at(y) * (spec.box_volume / len(y))
+    return w_raw * (integrate_rho0(spec) / float(np.sum(w_raw)))
+
+
+@pytest.mark.parametrize("count", [1, 7, 4_096, 100_003])
+def test_constant_rho0_gives_one_value_weights(burgers, count):
+    """A constant rho0 gives every particle the one weight it would get
+    as a full array: a read-only (N,) view of one float, summing to
+    exactly the sum of N copies of it, held as 8 bytes."""
+    ens = sample_initial(burgers, count)
+    assert ens.w.shape == (count,) and ens.w.strides == (0,)
+    assert not ens.w.flags.writeable
+    assert np.array_equal(ens.w, weights_as_arrays(burgers, ens.y))
+    assert np.sum(ens.w) == np.sum(np.full(count, ens.w[0]))
+    assert ens.nbytes == ens.y.nbytes + ens.U.nbytes + 8
+    moved = evolve_exact(ens, burgers, 0.5)
+    assert moved.w is ens.w
+    assert moved.nbytes == ens.nbytes + moved.X.nbytes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_value_weights_estimate_as_a_full_array(burgers, dim):
+    """The KDE of an ensemble with one-value weights equals, under ==,
+    that of the same ensemble with the weights copied to a full array."""
+    spec, count, t, h, pts = (
+        (burgers, 20_000, 0.5, 0.06, np.linspace(-6.0, 6.0, 13)[:, None]),
+        (bump(), 4_000, 0.3, 0.2, np.array([[0.0, 0.0], [1.0, -0.5]])))[dim - 1]
+    pts = np.vstack([pts, np.full((1, dim), 50.0)])
+    ens = evolve_exact(sample_initial(spec, count), spec, t)
+    full = dataclasses.replace(ens, w=np.array(ens.w))
+    assert ens.w.strides == (0,) and full.w.strides == (8,)
+    got = estimate_fields(ens, spec, pts, bandwidth=h)
+    want = estimate_fields(full, spec, pts, bandwidth=h)
+    assert np.array_equal(got.rho_hat, want.rho_hat)
+    assert np.array_equal(got.u_hat, want.u_hat, equal_nan=True)
+    assert np.array_equal(got.valid, want.valid) and not got.valid[-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_varying_rho0_keeps_per_particle_weights(burgers, dim, caplog):
+    """A rho0 that varies gives a full, writable weight array, formed
+    as before bit for bit, and the KDE on it equals dense sums in cell
+    order; the debug line names the weights per-particle."""
+    spec, h, pts = (
+        (make(rho0="1 + 0.5*cos(x1)"), 0.06, np.linspace(-6.0, 6.0, 13)[:, None]),
+        (bump(rho0="1 + 0.5*cos(x2)"), 0.2, np.array([[0.0, 0.0], [1.0, -0.5]])),
+    )[dim - 1]
+    with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
+        ens = sample_initial(spec, 5_000)
+    assert ens.w.strides == (8,) and ens.w.flags.writeable
+    assert np.array_equal(ens.w, weights_as_arrays(spec, ens.y))
+    assert re.fullmatch(rf"particles sampled: 5000, per-particle weights, "
+                        rf"{ens.nbytes} bytes in \d+\.\d{{3}} s",
+                        caplog.records[-1].getMessage())
+    ens = evolve_exact(ens, spec, 0.3)
+    assert_cell_order_sums(estimate_fields(ens, spec, pts, bandwidth=h),
+                           ens, spec, pts, h)
+
+
+def test_sources_hold_one_value_weights_as_one_float(burgers, caplog):
+    """_sources keeps one-value weights as a view of one float, counted
+    as 8 bytes in ``nbytes`` (the view's own ``nbytes`` is 8 N), and the
+    kernel-sources debug line reports that figure."""
+    ens = evolve_exact(sample_initial(burgers, 10_000), burgers, 0.5)
+    h, cutoff = 0.05, burgers.tol.kernel_cutoff
+    src = _sources(list(ens.X.T), ens.w, [ens.U], h * h, cutoff, 1.0)
+    assert src.weights.shape == (len(ens),) and src.weights.strides == (0,)
+    assert src.nbytes == (src.axes[0].nbytes + src.columns[0].nbytes + 8
+                          + src.starts.nbytes)
+    full = _sources(list(ens.X.T), np.array(ens.w), [ens.U], h * h, cutoff, 1.0)
+    assert np.array_equal(full.weights, src.weights)
+    assert full.nbytes == src.nbytes - 8 + 8 * len(ens)
+    with caplog.at_level(logging.DEBUG, logger="charstoch.representation"):
+        estimate_fields(ens, burgers, np.zeros((1, 1)), bandwidth=h)
+    logged = [re.search(r"kernel sources: .*, (\d+) bytes$", r.getMessage())
+              for r in caplog.records]
+    assert [int(m.group(1)) for m in logged if m] == [src.nbytes]
+
+
+def test_particle_route_peak():
+    """On burgers_sin, sample_initial -> evolve_exact -> estimate_fields
+    at 200,000 particles peaks at 6.00 times 8 N bytes under
+    tracemalloc (measured 6.004): the ensemble's y, U and X, and in
+    _sources the sort order and the sorted X and U.  With the one weight
+    copied to every particle, in the ensemble and sorted, it was 8.00."""
+    spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
+    pts = tensor_points(space_axes(spec))
+    count = 200_000
+    # the programs and rules the route compiles are built outside the window
+    estimate_fields(evolve_exact(sample_initial(spec, 1_000), spec, 0.5),
+                    spec, pts, bandwidth=0.02)
+    tracemalloc.start()
+    try:
+        ens = evolve_exact(sample_initial(spec, count), spec, 0.5)
+        estimate_fields(ens, spec, pts, bandwidth=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.1 * 8 * count
+
+
+def test_em_copies_the_positions_once(burgers):
+    ens = sample_initial(burgers, 100)
+    y = ens.y.copy()
+    moved = evolve_em(ens, burgers, 0.5, steps=2)
+    assert not np.shares_memory(moved.X, ens.y)
+    assert np.array_equal(ens.y, y)

@@ -312,6 +312,27 @@ def test_time_integral_of_a_tree_without_u_is_one_scalar_integral():
         assert du_displacement_components(spec, t, 0.4)[0] == want[0]
 
 
+def test_time_integrals_unexpanded_are_scalars_without_u():
+    """``expand=False`` returns each B_i as computed: a scalar where the
+    tree has no u (t for t*u, by quadrature; t for u, in closed form),
+    an array where it has u, each equal to the public arrays bit for
+    bit; at t = 0 each is 0.0.  The public arrays are unchanged."""
+    spec = load_problem(make(n=3, a=["t*u", "u", "u^2/2"],
+                             u0="sin(x1)", box=[[-1.0, 1.0]] * 3,
+                             space_grid=[5, 5, 5]))
+    u = np.linspace(-1.0, 1.0, 9)
+    for t in (0.0, 0.3, 2.5):
+        raw = spec.velocity.du_displacement(spec, t, u, expand=False)
+        full = du_displacement_components(spec, t, u)
+        assert all(isinstance(b, np.ndarray) and b.shape == u.shape for b in full)
+        if t == 0:
+            assert raw == [0.0, 0.0, 0.0]
+        else:
+            assert [np.ndim(b) for b in raw] == [0, 0, 1]
+        for b, f in zip(raw, full):
+            assert np.array_equal(np.broadcast_to(b, u.shape), f)
+
+
 def on_axes_outcome(init, program, axes, expand=True):
     """``on_axes`` as C-order flat arrays, or the class and message of
     the EvalDomainError it raises."""
