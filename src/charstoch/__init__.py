@@ -42,20 +42,16 @@ from .problem import (
 )
 from .representation import (
     FieldGrid,
-    SweepEntry,
     eval_a_sigma,
     eval_field_grid,
     eval_rho_sigma,
     eval_u_sigma,
     integrate_rho0,
     integrate_rho_sigma,
-    sigma_sweep,
 )
 from .characteristics import (
     BlowupReport,
-    CharMap,
     blow_up_time,
-    char_map,
     eval_a_bar,
     eval_rho_bar,
     gradient_exact,
@@ -68,7 +64,6 @@ from .montecarlo import (
     default_bandwidth,
     dump_ensemble,
     estimate_fields,
-    evolve_em,
     evolve_exact,
     sample_initial,
 )
@@ -78,7 +73,6 @@ from .balance import (
     attach_ratios,
     eval_I_a_sigma,
     eval_I_u_sigma,
-    eval_I_u_sigma_assembled,
     i_term_persistence,
     residual_pressureless,
     residual_sigma_system,
@@ -101,17 +95,16 @@ __all__ = [
     "load_problem", "flow_displacement", "displacement_components",
     "du_displacement_components",
     # smoothed representation
-    "FieldGrid", "SweepEntry", "eval_rho_sigma", "eval_u_sigma",
-    "eval_a_sigma", "eval_field_grid", "sigma_sweep",
-    "integrate_rho0", "integrate_rho_sigma",
+    "FieldGrid", "eval_rho_sigma", "eval_u_sigma", "eval_a_sigma",
+    "eval_field_grid", "integrate_rho0", "integrate_rho_sigma",
     # characteristics
-    "CharMap", "char_map", "BlowupReport", "blow_up_time", "solve_implicit",
-    "gradient_exact", "invert_char_map", "eval_rho_bar", "eval_a_bar",
+    "BlowupReport", "blow_up_time", "solve_implicit", "gradient_exact",
+    "invert_char_map", "eval_rho_bar", "eval_a_bar",
     # particles
     "ParticleEnsemble", "FieldEstimate", "sample_initial", "evolve_exact",
-    "evolve_em", "estimate_fields", "default_bandwidth", "dump_ensemble",
+    "estimate_fields", "default_bandwidth", "dump_ensemble",
     # balance laws
     "ResidualReport", "ItermRow", "eval_I_u_sigma", "eval_I_a_sigma",
-    "eval_I_u_sigma_assembled", "residual_sigma_system",
-    "residual_pressureless", "attach_ratios", "i_term_persistence",
+    "residual_sigma_system", "residual_pressureless", "attach_ratios",
+    "i_term_persistence",
 ]

@@ -68,7 +68,6 @@ __all__ = [
     "ItermRow",
     "eval_I_u_sigma",
     "eval_I_a_sigma",
-    "eval_I_u_sigma_assembled",
     "residual_sigma_system",
     "residual_pressureless",
     "attach_ratios",
@@ -97,13 +96,6 @@ class ItermRow:
     i_a_sup: np.ndarray  # per component
 
 
-def _i_term_table(spec: ProblemSpec, t: float):
-    """The kernel sources of (spec, t) for the I terms, which need t > 0."""
-    if t <= 0:
-        raise ValueError("I-term evaluation requires t > 0")
-    return _table_for(spec, t)
-
-
 def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
     point for both, run as one loop over the points as Python floats.
@@ -118,7 +110,9 @@ def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
     kernel mass, after its pass; a batch refused part way keeps
     nothing.  With ``CHARSTOCH_LOG=debug``, logs the targets, the kept
     sources and the wall time of the batch."""
-    table = _i_term_table(spec, t)
+    if t <= 0:
+        raise ValueError("I-term evaluation requires t > 0")
+    table = _table_for(spec, t)
     key = _point_key(spec, t, X)
     kept = _kept(key)
     if kept is not None and kept.i_terms is not None:
@@ -202,33 +196,6 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
     return _batched(_i_terms(spec, t, X)[1].copy(), shape)
 
 
-def eval_I_u_sigma_assembled(spec: ProblemSpec, t: float, x):
-    """I_u rebuilt from raw gradient moments of 1, u, a_k and u a_k.
-
-    Algebraically identical to :func:`eval_I_u_sigma`; kept as an
-    independent assembly for cross-checks, with its own kernel passes.
-    """
-    X, shape = _point_rows(x, spec.n)
-    table = _i_term_table(spec, t)
-    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
-    s2t = spec.sigma * spec.sigma * t
-    out = np.empty(len(X))
-    for p, xp in enumerate(X.tolist()):
-        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
-        if den < floor:
-            _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
-        total = 0.0
-        for k in range(n):
-            gk = (table.axes[k].take(idx) - xp[k]) / s2t
-            m_one = norm * np.sum(wk * gk)
-            m_u = norm * np.sum(wk * u0v * gk)
-            m_a = norm * np.sum(wk * avals[k] * gk)
-            m_ua = norm * np.sum(wk * u0v * avals[k] * gk)
-            total += m_ua - u * m_a - a[k] * m_u + u * a[k] * m_one
-        out[p] = total
-    return _batched(out, shape)
-
-
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:
     """Box grid points at least ``inset`` away from every box face."""
     kept = [ax[(ax - inset >= lo) & (ax + inset <= hi)]
@@ -249,8 +216,8 @@ def _ddt(f: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _residual_core(spec: ProblemSpec, t_window, resolution, smoothed: bool,
-                   _source_offset: float = 0.0) -> list["ResidualReport"]:
+def _residual_core(spec: ProblemSpec, t_window, resolution,
+                   smoothed: bool) -> list["ResidualReport"]:
     """Residuals of the smoothed system (``smoothed``: sigma fields,
     diffusion and I terms) or of the limit system (classical fields)."""
     t0, t1 = float(t_window[0]), float(t_window[1])
@@ -323,31 +290,29 @@ def _residual_core(spec: ProblemSpec, t_window, resolution, smoothed: bool,
         if smoothed:
             R -= half_s2 * lap
         R += s_e
-        R += _source_offset
         out.append(ResidualReport(equation=name, h=h, dt=dt_eff,
                                   max_residual=float(np.max(np.abs(R))),
                                   l1_residual=float(np.mean(np.abs(R)))))
     return out
 
 
-def residual_sigma_system(spec: ProblemSpec, t_window, resolution,
-                          _source_offset: float = 0.0) -> list[ResidualReport]:
+def residual_sigma_system(spec: ProblemSpec, t_window,
+                          resolution) -> list[ResidualReport]:
     """Discrete residuals of the smoothed balance system on a window.
 
     ``t_window`` is (t0, t1) with t0 > 0; ``resolution`` is (h, dt).
     Halving both should shrink the max residuals by about 4 while the
     window stays inside the smooth regime of the quadrature fields.
-    ``_source_offset`` shifts every assembled residual by a constant and
-    exists for stencil self-tests only.
+    Returns one report per equation: mass, then the u moment, then the
+    n velocity moments.
     """
     if not t_window[0] > 0:
         raise ValueError("sigma-system window requires t0 > 0")
-    return _residual_core(spec, t_window, resolution, smoothed=True,
-                          _source_offset=_source_offset)
+    return _residual_core(spec, t_window, resolution, smoothed=True)
 
 
-def residual_pressureless(spec: ProblemSpec, t_window, resolution,
-                          _source_offset: float = 0.0) -> list[ResidualReport]:
+def residual_pressureless(spec: ProblemSpec, t_window,
+                          resolution) -> list[ResidualReport]:
     """Discrete residuals of the limit system on the transported fields.
 
     Requires the window to sit inside [0, 0.9 t*]; beyond that the
@@ -358,8 +323,7 @@ def residual_pressureless(spec: ProblemSpec, t_window, resolution,
         raise NearBlowup(
             f"window end {t_window[1]:g} exceeds 0.9 * t_star = {0.9 * t_star:g}"
         )
-    return _residual_core(spec, t_window, resolution, smoothed=False,
-                          _source_offset=_source_offset)
+    return _residual_core(spec, t_window, resolution, smoothed=False)
 
 
 def attach_ratios(coarse: list[ResidualReport],

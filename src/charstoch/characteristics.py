@@ -53,9 +53,7 @@ from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
                       displacement_components, du_displacement_components)
 
 __all__ = [
-    "CharMap",
     "BlowupReport",
-    "char_map",
     "solve_implicit",
     "gradient_exact",
     "blow_up_time",
@@ -90,39 +88,6 @@ def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
     B = np.stack(du_displacement_components(spec, t, u), axis=-1)
     # a stacked matmul rounds g . B as the 1-D dot of one point does
     return y, u0y, g, B, 1.0 + (g[:, None, :] @ B[:, :, None])[:, 0, 0]
-
-
-@dataclass(frozen=True)
-class CharMap:
-    """The characteristic map y -> y + A(t, u0(y)) at a fixed time."""
-
-    spec: ProblemSpec
-    t: float
-
-    def forward(self, y) -> np.ndarray:
-        Y, shape = _point_rows(y, self.spec.n)
-        A = displacement_components(self.spec, self.t, self.spec.init.u0_at(Y))
-        return _batched(Y + np.stack(A, axis=-1), shape)
-
-    def _foot_at(self, y):
-        """Batch shape of y and ``_foot`` of forward(y) on the
-        characteristics carrying u0(y), whose foot points are y."""
-        Y, shape = _point_rows(y, self.spec.n)
-        return shape, _foot(self.spec, self.t, self.forward(Y), self.spec.init.u0_at(Y))
-
-    def jacobian(self, y) -> np.ndarray:
-        """C = I + B(t, u0(y)) outer grad u0(y), shape (..., n, n)."""
-        shape, (_, _, g, B, _) = self._foot_at(y)
-        return _batched(np.eye(self.spec.n) + B[:, :, None] * g[:, None, :], shape)
-
-    def det(self, y):
-        """det C via the rank-1 identity det = 1 + grad(u0) . B."""
-        shape, foot = self._foot_at(y)
-        return _batched(foot[4], shape)
-
-
-def char_map(spec: ProblemSpec, t: float) -> CharMap:
-    return CharMap(spec=spec, t=float(t))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@
 Particles carry their initial position y, the frozen label U = u0(y),
 and an importance weight; pushing them forward never touches y, U or w.
 The exact update samples the time-t marginal law of a characteristic in
-one step (the drift is deterministic given U, so no path discretization
-is needed); the Euler-Maruyama update exists to measure what a naive
-path scheme loses.
+one step: the drift is deterministic given U, so no path discretization
+is needed.
 
 All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
@@ -47,7 +46,6 @@ __all__ = [
     "FieldEstimate",
     "sample_initial",
     "evolve_exact",
-    "evolve_em",
     "estimate_fields",
     "dump_ensemble",
 ]
@@ -56,7 +54,6 @@ logger = logging.getLogger(__name__)
 
 _KEY_INIT = 0x1D17
 _KEY_EXACT = 0xE4AC7
-_KEY_EM = 0xE0777
 
 # particle rows formatted per write in dump_ensemble
 _DUMP_ROWS = 4096
@@ -176,31 +173,6 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     moved = replace(ens, X=drift, t=float(t))
     moved._log(f"evolved to t={t:g}", started)
     return moved
-
-
-def evolve_em(ens: ParticleEnsemble, spec: ProblemSpec, t: float,
-              steps: int) -> ParticleEnsemble:
-    """Euler-Maruyama path discretization with left-endpoint drift.
-
-    The drift along a characteristic depends only on (tau, U), so the
-    scheme's error is pure time-quadrature error of A; for velocities
-    with no explicit t dependence one step already matches the exact
-    update in distribution.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    rng = _stream(ens.seed, _KEY_EM)
-    dt = t / steps
-    x = ens.y.astype(float)
-    root_dt = math.sqrt(dt)
-    for m in range(steps):
-        tau = m * dt
-        drift = np.stack(spec.velocity.a_values(tau, ens.U), axis=-1)
-        z = rng.standard_normal((len(ens), spec.n))
-        x += drift * dt + spec.sigma * root_dt * z
-    return replace(ens, X=x, t=float(t))
 
 
 def default_bandwidth(spec: ProblemSpec, t: float) -> float:

@@ -73,7 +73,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,13 +86,11 @@ from .quadrature import (TABLE_ORDER, matched_width, panel_count, panel_rule,
 __all__ = [
     "QuadratureGrid",
     "FieldGrid",
-    "SweepEntry",
     "quadrature_grid",
     "eval_rho_sigma",
     "eval_u_sigma",
     "eval_a_sigma",
     "eval_field_grid",
-    "sigma_sweep",
     "integrate_rho0",
     "integrate_rho_sigma",
 ]
@@ -111,6 +108,9 @@ _MIN_AXIS_NODES = 128
 
 # np.sum of a 1D array, without its argument handling
 _sum = np.add.reduce
+
+# field-grid rows formatted per write in FieldGrid.to_csv
+_CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -735,30 +735,20 @@ class FieldGrid:
         """Write rows in C order: t, coordinates, components, valid.
 
         All reals use the %.12e format so identical runs produce
-        identical bytes.
+        identical bytes; rows are formatted ``_CSV_ROWS`` per ``%`` call.
         """
-        shape = tuple(len(ax) for ax in self.axes)
+        size = self.valid.size
         ncomp = self.values.shape[-1] if self.is_vector else 1
-        if ncomp == 1:
-            val_cols = ["value"]
-        else:
-            val_cols = [f"value{i + 1}" for i in range(ncomp)]
-        header = ",".join(
-            ["t"] + [f"x{i + 1}" for i in range(self.n)] + val_cols + ["valid"]
-        )
+        val_cols = ["value"] if ncomp == 1 else [f"value{i + 1}" for i in range(ncomp)]
+        header = ["t"] + [f"x{i + 1}" for i in range(self.n)] + val_cols + ["valid"]
+        row = ",".join(["%.12e"] * (len(header) - 1)) + ",%d\n"
+        block = np.column_stack([np.full(size, self.t), tensor_points(self.axes),
+                                 self.values.reshape(size, ncomp), self.valid.reshape(size)])
         with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for idx in np.ndindex(shape):
-                coords = [self.axes[i][idx[i]] for i in range(self.n)]
-                if self.is_vector:
-                    vals = [self.values[idx + (c,)] for c in range(ncomp)]
-                else:
-                    vals = [self.values[idx]]
-                cells = [f"{self.t:.12e}"]
-                cells += [f"{c:.12e}" for c in coords]
-                cells += [f"{v:.12e}" for v in vals]
-                cells.append(str(int(self.valid[idx])))
-                fh.write(",".join(cells) + "\n")
+            fh.write(",".join(header) + "\n")
+            for a in range(0, size, _CSV_ROWS):
+                rows = block[a:a + _CSV_ROWS]
+                fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
@@ -802,13 +792,6 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
                      valid=valid.reshape(shape))
 
 
-class SweepEntry(NamedTuple):
-    sigma: float
-    u: float
-    a: np.ndarray
-    rho: float
-
-
 def _noise_ladder(sigmas) -> list[float]:
     """``sigmas`` as floats, checked to be positive and strictly
     decreasing; raises ValueError otherwise."""
@@ -818,26 +801,6 @@ def _noise_ladder(sigmas) -> list[float]:
     if not all(b < a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     return sig
-
-
-def sigma_sweep(spec: ProblemSpec, t: float, x, sigmas) -> list[SweepEntry]:
-    """Evaluate (u, a, rho) at one point for a decreasing noise ladder.
-
-    ``sigmas`` must be strictly decreasing and positive; t must be
-    positive.  Kernel windows and panel widths adapt per sigma.
-    """
-    sig = _noise_ladder(sigmas)
-    if t <= 0:
-        raise ValueError("sigma_sweep requires t > 0")
-    out = []
-    for s in sig:
-        sp = spec.with_sigma(s)
-        try:
-            rho, u, a = _fields_sigma(sp, t, x)
-        except EmptyKernelSupport as e:
-            raise EmptyKernelSupport(f"sigma={s:g}: {e}") from e
-        out.append(SweepEntry(sigma=s, u=u, a=a, rho=rho))
-    return out
 
 
 def integrate_rho0(spec: ProblemSpec) -> float:

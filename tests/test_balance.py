@@ -17,7 +17,6 @@ from charstoch import (
     eval_field_grid,
     eval_I_a_sigma,
     eval_I_u_sigma,
-    eval_I_u_sigma_assembled,
     eval_rho_bar,
     eval_rho_sigma,
     eval_u_sigma,
@@ -30,6 +29,8 @@ from charstoch import (
 from charstoch import balance, representation
 from charstoch.balance import _fields_sigma
 from charstoch.characteristics import classical_fields
+from charstoch.problem import _batched, _point_rows, _refuse
+from charstoch.representation import _kernel_means, _table_for
 
 BUMP_2D = Path(__file__).resolve().parent.parent / "configs" / "gaussian_bump_2d.json"
 
@@ -80,6 +81,35 @@ def test_burgers_sources_coincide(burgers):
         iu = eval_I_u_sigma(burgers, 0.5, np.array([x]))
         ia = eval_I_a_sigma(burgers, 0.5, np.array([x]))
         assert ia[0] == iu
+
+
+def eval_I_u_sigma_assembled(spec, t, x):
+    """I_u rebuilt from raw gradient moments of 1, u, a_k and u a_k.
+
+    Algebraically identical to eval_I_u_sigma; a reference assembly for
+    cross-checks, with kernel passes of its own.
+    """
+    if t <= 0:
+        raise ValueError("I-term evaluation requires t > 0")
+    X, shape = _point_rows(x, spec.n)
+    table = _table_for(spec, t)
+    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
+    s2t = spec.sigma * spec.sigma * t
+    out = np.empty(len(X))
+    for p, xp in enumerate(X.tolist()):
+        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
+        if den < floor:
+            _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
+        total = 0.0
+        for k in range(n):
+            gk = (table.axes[k].take(idx) - xp[k]) / s2t
+            m_one = norm * np.sum(wk * gk)
+            m_u = norm * np.sum(wk * u0v * gk)
+            m_a = norm * np.sum(wk * avals[k] * gk)
+            m_ua = norm * np.sum(wk * u0v * avals[k] * gk)
+            total += m_ua - u * m_a - a[k] * m_u + u * a[k] * m_one
+        out[p] = total
+    return _batched(out, shape)
 
 
 def test_assembled_moments_agree_with_direct(burgers):
@@ -134,21 +164,28 @@ def test_constant_data_residuals_vanish():
         assert row.max_residual <= 1e-10
 
 
-def test_source_offset_shifts_every_residual():
+def test_source_terms_shift_their_residuals(monkeypatch):
+    """Constant data make every residual vanish, so I terms replaced by
+    constants come out as the residuals of the u and velocity moments
+    at every probe and time; the mass balance has no source and stays
+    at 0."""
     line = make(a=["1"], u0="2", rho0="1", sigma=0.3,
                 box=[[-10.0, 10.0]], space_grid=[21], time_points=[0.5])
     plane = make(n=2, a=["1", "0.5"], u0="2", rho0="1", sigma=0.5,
                  box=[[-5.0, 5.0], [-5.0, 5.0]], space_grid=[11, 11],
                  time_points=[0.5])
+    monkeypatch.setattr(balance, "eval_I_u_sigma",
+                        lambda spec, t, x: np.full(len(x), 0.125))
+    monkeypatch.setattr(balance, "eval_I_a_sigma",
+                        lambda spec, t, x: np.full((len(x), spec.n), 0.25))
     for spec in (line, plane):
-        rows = residual_sigma_system(spec, (0.3, 0.5), (0.2, 0.1),
-                                     _source_offset=0.125)
+        rows = residual_sigma_system(spec, (0.3, 0.5), (0.2, 0.1))
         assert [r.equation for r in rows] == \
             ["mass_sigma", "momentum_u_sigma"] \
             + [f"momentum_a_sigma_{i + 1}" for i in range(spec.n)]
-        for row in rows:
-            assert row.max_residual == pytest.approx(0.125, abs=1e-9)
-            assert row.l1_residual == pytest.approx(0.125, abs=1e-9)
+        for row, c in zip(rows, [0.0, 0.125] + [0.25] * spec.n):
+            assert row.max_residual == pytest.approx(c, abs=1e-9)
+            assert row.l1_residual == pytest.approx(c, abs=1e-9)
 
 
 def test_sigma_system_second_order_refinement(burgers):

@@ -11,7 +11,7 @@ from charstoch import (
     NearBlowup,
     OutOfBracket,
     blow_up_time,
-    char_map,
+    displacement_components,
     du_displacement_components,
     eval_a_bar,
     eval_rho_bar,
@@ -21,7 +21,8 @@ from charstoch import (
     load_problem,
     solve_implicit,
 )
-from charstoch.characteristics import _condition, _condition_at, classical_fields
+from charstoch.characteristics import (_condition, _condition_at, _foot,
+                                      classical_fields)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -240,6 +241,19 @@ def test_blowup_report_json(burgers):
     assert inf_doc["t_star"] == "inf"
 
 
+def char_map(spec, t, y):
+    """The characteristic map y -> y + A(t, u0(y)) on rows y (P, n)."""
+    return y + np.stack(displacement_components(spec, t, spec.init.u0_at(y)), axis=-1)
+
+
+def char_jacobian(spec, t, y):
+    """(g, B, det) at rows y (P, n): the factors of the characteristic
+    Jacobian C = I + B outer g and its rank-1 determinant, from ``_foot``
+    of the characteristics that start at y."""
+    _, _, g, B, det = _foot(spec, t, char_map(spec, t, y), spec.init.u0_at(y))
+    return g, B, det
+
+
 def test_char_map_det_equals_full_jacobian_determinant():
     cfg = {
         "n": 2, "a": ["u", "2*u"], "u0": "exp(-x1^2-x2^2)", "rho0": "1",
@@ -247,22 +261,23 @@ def test_char_map_det_equals_full_jacobian_determinant():
         "space_grid": [9, 9], "time_points": [0.2],
     }
     spec = load_problem(json.dumps(cfg))
-    cm = char_map(spec, 0.2)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        y = rng.uniform(-1.5, 1.5, size=2)
-        assert cm.det(y) == pytest.approx(np.linalg.det(cm.jacobian(y)),
-                                          rel=1e-12)
+    y = np.random.default_rng(3).uniform(-1.5, 1.5, size=(10, 2))
+    g, B, det = char_jacobian(spec, 0.2, y)
+    C = np.eye(2) + B[:, :, None] * g[:, None, :]
+    np.testing.assert_allclose(det, np.linalg.det(C), rtol=1e-12)
+    # C is the Jacobian of the map: central differences of its columns
+    h = 1e-6
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = h
+        column = (char_map(spec, 0.2, y + step) - char_map(spec, 0.2, y - step)) / (2 * h)
+        np.testing.assert_allclose(column, C[:, :, k], atol=1e-8)
 
 
 def test_char_map_round_trip(burgers):
-    cm = char_map(burgers, 0.5)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        y = np.array([rng.uniform(-5.5, 5.5)])
-        x = cm.forward(y)
-        back = invert_char_map(burgers, 0.5, x)
-        np.testing.assert_allclose(back, y, atol=1e-9)
+    y = np.random.default_rng(11).uniform(-5.5, 5.5, size=(100, 1))
+    back = invert_char_map(burgers, 0.5, char_map(burgers, 0.5, y))
+    np.testing.assert_allclose(back, y, atol=1e-9)
 
 
 def test_foot_point_value_agrees_with_implicit_solve(burgers):
@@ -312,21 +327,15 @@ def test_transported_velocity_constant_along_characteristics(burgers):
 
 
 def test_transported_density_compensates_volume_change(burgers):
-    cm = char_map(burgers, 0.5)
-    for y in np.linspace(-5.0, 5.0, 11):
-        yv = np.array([y])
-        x = cm.forward(yv)
-        rho = eval_rho_bar(burgers, 0.5, x)
-        # rho0 = 1, so rho_bar * det must return to 1
-        assert rho * cm.det(yv) == pytest.approx(1.0, abs=1e-9)
+    y = np.linspace(-5.0, 5.0, 11)[:, None]
+    rho = eval_rho_bar(burgers, 0.5, char_map(burgers, 0.5, y))
+    # rho0 = 1, so rho_bar * det must return to 1
+    np.testing.assert_allclose(rho * char_jacobian(burgers, 0.5, y)[2], 1.0, atol=1e-9)
 
 
 def test_min_det_decreases_toward_blowup(burgers):
     ys = np.linspace(-2 * math.pi, 2 * math.pi, 201)[:, None]
-    mins = []
-    for t in (0.25, 0.5, 0.75):
-        cm = char_map(burgers, t)
-        mins.append(min(cm.det(y) for y in ys))
+    mins = [float(np.min(char_jacobian(burgers, t, ys)[2])) for t in (0.25, 0.5, 0.75)]
     assert mins[0] > mins[1] > mins[2] > 0.0
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, artifacts, determinism."""
 
+import itertools
 import json
 import logging
 import math
@@ -157,13 +158,20 @@ def test_converge_table_decreases(tmp_path):
     assert rows[1][1] < rows[0][1]
 
 
-def test_converge_rejects_bad_noise_ladder(tmp_path):
-    for sigmas in ("-0.1,0.05", "0.05,0.1", "nan"):
-        proc = run_cli("converge", "--config", str(BURGERS),
-                       "--out", str(tmp_path / "o"),
-                       f"--sigmas={sigmas}", "--t", "0.5")
-        assert proc.returncode == 2
-        assert error_payload(proc)["kind"] == "ValueError"
+def test_converge_rejects_bad_noise_ladder(tmp_path, capsys):
+    """Negative, increasing, NaN and empty ladders exit 2 on both
+    subcommands that run a noise ladder, and so do I terms at t = 0."""
+    for command, sigmas in itertools.product(("converge", "iterms"),
+                                             ("-0.1,0.05", "0.05,0.1", "nan", ",")):
+        code, err = run_main(capsys, command, "--config", str(BURGERS),
+                             "--out", str(tmp_path / "o"),
+                             f"--sigmas={sigmas}", "--t", "0.5")
+        assert code == 2, (command, sigmas)
+        assert err["kind"] == ("ConfigError" if sigmas == "," else "ValueError")
+    code, err = run_main(capsys, "iterms", "--config", str(BURGERS),
+                         "--out", str(tmp_path / "o"), "--sigmas", "0.2,0.1", "--t", "0")
+    assert code == 2
+    assert err["message"] == "i_term_persistence requires t > 0"
 
 
 def test_residuals_table_with_ratios(tmp_path):

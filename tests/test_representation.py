@@ -14,7 +14,6 @@ from charstoch import (
     EmptyKernelSupport,
     eval_I_a_sigma,
     eval_I_u_sigma,
-    eval_I_u_sigma_assembled,
     eval_a_sigma,
     eval_field_grid,
     eval_rho_sigma,
@@ -22,7 +21,6 @@ from charstoch import (
     integrate_rho0,
     integrate_rho_sigma,
     load_problem,
-    sigma_sweep,
 )
 from charstoch import balance, representation
 from charstoch.problem import displacement_components, space_axes, tensor_points
@@ -30,6 +28,7 @@ from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass
                                       _keep, _kernel_means, _sources, _stretch,
                                       _NodeWeights, _table_for, _tabulate,
                                       quadrature_grid)
+from test_balance import eval_I_u_sigma_assembled
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUMP2D = CONFIGS / "gaussian_bump_2d.json"
@@ -634,6 +633,14 @@ def test_field_grid_csv_scalar(tmp_path, burgers):
     assert cells[3] == "1"
     # every numeric cell in scientific notation with 12 digits
     assert all("e" in c for c in cells[:3])
+    # the spellings of NaN at an invalid point, -0.0 and inf
+    grid.values[[0, 20, 40]] = [math.nan, -0.0, math.inf]
+    grid.valid[0] = False
+    grid.to_csv(out)
+    lines = out.read_text().splitlines()
+    assert lines[1] == "2.500000000000e-01,-6.283185307180e+00,nan,0"
+    assert lines[21] == "2.500000000000e-01,0.000000000000e+00,-0.000000000000e+00,1"
+    assert lines[41] == "2.500000000000e-01,6.283185307180e+00,inf,1"
 
 
 def test_field_grid_csv_vector_2d(tmp_path):
@@ -649,31 +656,29 @@ def test_field_grid_csv_vector_2d(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x1,x2,value1,value2,valid"
     assert len(lines) == 1 + 25
+    # rows in C order; NaN at an invalid point, -0.0 and +-inf
+    grid.values[0, 0] = math.nan
+    grid.valid[0, 0] = False
+    grid.values[2, 2] = [-0.0, -math.inf]
+    grid.values[4, 3, 0] = math.inf
+    grid.to_csv(out)
+    lines = out.read_text().splitlines()
+    assert lines[1] == "2.000000000000e-01,-2.000000000000e+00,-2.000000000000e+00,nan,nan,0"
+    assert lines[13] == ("2.000000000000e-01,0.000000000000e+00,0.000000000000e+00,"
+                         "-0.000000000000e+00,-inf,1")
+    assert lines[24].startswith("2.000000000000e-01,2.000000000000e+00,1.000000000000e+00,"
+                                "inf,")
+    assert lines[24].endswith(",1")
 
 
 def test_sigma_sweep_validates_ladder(burgers):
-    x = np.array([0.5])
-    with pytest.raises(ValueError):
-        sigma_sweep(burgers, 0.5, x, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        sigma_sweep(burgers, 0.5, x, [0.1, -0.05])
-    with pytest.raises(ValueError):
-        sigma_sweep(burgers, 0.0, x, [0.2, 0.1])
-    with pytest.raises(ValueError):
-        sigma_sweep(burgers, 0.5, x, [])
-
-
-def test_sigma_sweep_matches_direct_eval(burgers):
-    x = np.array([0.5])
-    entries = sigma_sweep(burgers, 0.5, x, [0.2, 0.1])
-    assert [e.sigma for e in entries] == [0.2, 0.1]
-    direct = eval_u_sigma(burgers.with_sigma(0.2), 0.5, x)
-    assert entries[0].u == direct
-    assert entries[1].u == eval_u_sigma(burgers, 0.5, x)
-
-
-def test_sweep_reports_sigma_on_empty_support():
-    spec = make(rho0="exp(-400*x1^2)", box=[[-8.0, 8.0]], time_points=[0.1])
-    with pytest.raises(EmptyKernelSupport) as ei:
-        sigma_sweep(spec, 0.1, np.array([6.0]), [0.05])
-    assert "sigma=0.05" in str(ei.value)
+    """A noise ladder must be non-empty, positive and strictly decreasing,
+    and the I-term sweep over it needs t > 0."""
+    for bad in ([0.1, 0.2], [0.1, -0.05], [0.1, 0.1], [math.nan], []):
+        with pytest.raises(ValueError):
+            representation._noise_ladder(bad)
+        with pytest.raises(ValueError):
+            balance.i_term_persistence(burgers, bad, 0.5)
+    assert representation._noise_ladder([0.2, 0.1]) == [0.2, 0.1]
+    with pytest.raises(ValueError, match="t > 0"):
+        balance.i_term_persistence(burgers, [0.2, 0.1], 0.0)
