@@ -18,24 +18,20 @@ The kernel gradient is available in closed form,
     dP/dx_k ~ (A_k(t, u0(y)) + y_k - x_k) / (sigma^2 t) * kernel,
 
 so the I terms are plain quadratures; no finite differencing of P is
-ever involved.  They take points (..., n), and I_u and I_a of a point
-set share one pass: one kernel pass per point over the table of
-(problem, t), the kernel sources of the smoothed fields
-(``representation._kernel_means``), whose rows of u0 and a give the
-covariances and whose centers, gathered per axis, give the gradient.
-Each distinct column's deviation from its mean and its sum are formed
-once: where a_i is u, its column is the u0 column and I_a_i is I_u's
-sum.  ``_i_terms`` is one loop over the points as Python floats that
-forms the deviations and the gradient factor in place, so a point
-costs its NumPy calls on the gathered sources and little besides.
-The pair is kept with the masses and means of the same passes, as the
-kernel results of the last point set in ``representation``, so asking
-for both terms and then the fields at the same points, in any order,
-costs the passes once.  The signs above are the ones that close
-the identities; with them the discrete residuals vanish at the order
-of the space-time stencil.  In the vanishing-noise limit the same
-system without diffusion and without I terms holds for the transported
-fields while the solution stays classical.
+ever involved.  They take points (..., n).  Both are moments of the
+kernel pass of the smoothed fields, over the table of (problem, t):
+``representation._moments(..., iterms=True)`` adds a step to each
+point's pass whose rows of u0 and a give the covariances and whose
+centers, gathered per axis, give the gradient.  Each distinct column's
+deviation from its mean and its sum are formed once: where a_i is u,
+its column is the u0 column and I_a_i is I_u's sum.  The pair is kept
+with the masses and means of the same passes, so asking for both terms
+and then the fields at the same points, in any order, costs the passes
+once.  The signs above are the ones that close the identities; with
+them the discrete residuals vanish at the order of the space-time
+stencil.  In the vanishing-noise limit the same system without
+diffusion and without I terms holds for the transported fields while
+the solution stays classical.
 
 These are one law, d/dt q + div(q a) = (sigma^2/2) Lap q - S, for
 q = rho, rho u, rho a_i with S = 0, I_u, I_a_i; ``_residual_core``
@@ -48,20 +44,17 @@ at the probes, which their pass answers, and at the 2n offset points:
 
 from __future__ import annotations
 
-import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristics import blow_up_time, classical_fields
-from .errors import EmptyKernelSupport, NearBlowup
-from .problem import (ProblemSpec, _batched, _point_rows, _refuse, space_axes,
+from .errors import NearBlowup
+from .problem import (ProblemSpec, _batched, _point_rows, space_axes,
                       tensor_points)
-from .representation import (_KernelResults, _fields_sigma, _keep, _kept,
-                             _kernel_means, _noise_ladder, _point_key, _sum,
-                             _support_reach, _table_for)
+from .representation import (_fields_sigma, _moments, _noise_ladder,
+                             _support_reach)
 
 __all__ = [
     "ResidualReport",
@@ -73,8 +66,6 @@ __all__ = [
     "attach_ratios",
     "i_term_persistence",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -96,89 +87,12 @@ class ItermRow:
     i_a_sup: np.ndarray  # per component
 
 
-def _i_terms(spec: ProblemSpec, t: float, X: np.ndarray):
-    """(I_u (P,), I_a (P, n)) at the points X (P, n), one kernel pass per
-    point for both, run as one loop over the points as Python floats.
-    Each distinct column's deviation from its mean, and its sum, is
-    formed once: a column that repeats an earlier one (an a_i column
-    that is the u0 column when a_i is u) takes that one's sum.  The
-    gradient factor is built in place from each axis's gathered
-    centers.  The pair is kept with the masses and means of the same
-    passes, so the second of the two public calls at the same points,
-    and the fields there, make no pass; callers must copy what they
-    return.  Raises EmptyKernelSupport at the first point without
-    kernel mass, after its pass; a batch refused part way keeps
-    nothing.  With ``CHARSTOCH_LOG=debug``, logs the targets, the kept
-    sources and the wall time of the batch."""
-    if t <= 0:
-        raise ValueError("I-term evaluation requires t > 0")
-    table = _table_for(spec, t)
-    key = _point_key(spec, t, X)
-    kept = _kept(key)
-    if kept is not None and kept.i_terms is not None:
-        return kept.i_terms
-    started = time.perf_counter()
-    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
-    s2t = spec.sigma * spec.sigma * t
-    first_of, axes = table.first_of, table.axes
-    dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
-    den, means, iu, ia, sources, dt_sums = [], [], [], [], 0, []
-    for p, xp in enumerate(X.tolist()):
-        idx, wk, mass, rows, mean = _kernel_means(table, xp, floor)
-        if mass < floor:
-            _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
-        den.append(mass)
-        means.append(mean)
-        sources += idx.size
-        if dt_components:
-            # taken before the rows are written: da_i/dt may be u0 itself
-            dt_vals = spec.velocity.dt_values(t, rows[0])
-            dt_sums = [norm * _sum(wk * dt_vals[i]) for i in dt_components]
-        # row - mean per distinct column, u0 first, then a_1..a_n; the
-        # rows are this pass's own gathers, so they are written in place
-        for i, j in enumerate(first_of):
-            if j == i:
-                rows[i] -= mean[i]
-        dev = rows
-        # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node;
-        # (c - x_k) * dev equals dev * (c - x_k) bit for bit
-        fac = np.zeros(len(wk))
-        for k in range(n):
-            c = axes[k].take(idx)
-            c -= xp[k]
-            c *= dev[1 + k]
-            fac += c
-        fac /= s2t
-        sums = []
-        for i, j in enumerate(first_of):
-            if j == i:
-                term = wk * dev[i]
-                term *= fac
-                sums.append(norm * _sum(term))
-            else:
-                sums.append(sums[j])
-        iu.append(sums[0])
-        for i, dt_sum in zip(dt_components, dt_sums):
-            sums[1 + i] -= dt_sum
-        ia.append(sums[1:])
-    P = len(X)
-    den, means = np.array(den, dtype=float), np.array(means, dtype=float)
-    iu = np.array(iu, dtype=float)
-    ia = np.array(ia, dtype=float).reshape(P, n)
-    _keep(_KernelResults(key, den, means.reshape(P, 1 + n), (iu, ia)))
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("I terms at sigma=%g t=%g: %d targets, %d kept sources "
-                     "in %.3f s", spec.sigma, t, P, sources,
-                     time.perf_counter() - started)
-    return iu, ia
-
-
 def eval_I_u_sigma(spec: ProblemSpec, t: float, x):
     """Covariance source of the u-moment balance at points x (..., n),
     by direct quadrature.  Raises EmptyKernelSupport at the first point
     without kernel mass."""
     X, shape = _point_rows(x, spec.n)
-    return _batched(_i_terms(spec, t, X)[0].copy(), shape)
+    return _batched(_moments(spec, t, X, iterms=True)[3][0].copy(), shape)
 
 
 def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
@@ -193,7 +107,7 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
     of the same passes, so calling both costs one pass per point.
     """
     X, shape = _point_rows(x, spec.n)
-    return _batched(_i_terms(spec, t, X)[1].copy(), shape)
+    return _batched(_moments(spec, t, X, iterms=True)[3][1].copy(), shape)
 
 
 def _probe_points(spec: ProblemSpec, inset: float) -> np.ndarray:

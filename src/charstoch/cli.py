@@ -117,18 +117,22 @@ def _load_spec(args):
 
 
 class _Outputs:
-    """Collects written artifacts and finalizes the run manifest."""
+    """Collects written artifacts and finalizes the run manifest.  The
+    output directory is made on the first ``path`` or
+    ``write_manifest`` call, so a subcommand that refuses its arguments
+    before writing leaves none behind."""
 
     def __init__(self, out_dir: str) -> None:
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.names: list[str] = []
 
     def path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
         self.names.append(name)
         return self.dir / name
 
     def write_manifest(self, args, spec, started: float) -> None:
+        self.dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         for name in sorted(self.names):
             digest = hashlib.sha256((self.dir / name).read_bytes()).hexdigest()

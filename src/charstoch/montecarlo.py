@@ -205,7 +205,7 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
         raise ValueError("bandwidth must be finite and positive")
     src = _sources(list(ens.X.T), ens.w, [ens.U], h * h, spec.tol.kernel_cutoff,
                    (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
-    den, means = _kernel_moments(src, X, spec.tol.denom_floor)
+    den, means, _ = _kernel_moments(src, X, spec.tol.denom_floor)
     return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),
                          u_hat=means[:, 0].reshape(shape),
                          valid=(den >= spec.tol.denom_floor).reshape(shape),

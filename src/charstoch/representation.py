@@ -51,18 +51,21 @@ array alive.  The sources of the 3^n cells around a point are then
 evaluation, scans those slices rather than every source.  It finds the
 cells with Python scalars and forms the kept weights in place, so the
 cost of a pass is that of its NumPy calls on the slices.  The fields
-here, the covariance sources in ``balance`` and the particle estimates
-are all moments of that pass: ``_kernel_means`` gathers and averages each
-distinct column around one point once, and ``_kernel_moments`` runs
-it over a point set, one loop over the points as Python floats.  The
-kernel results of the last point set (masses, means, and the I terms
-when an I-term pass made them) are kept, so the three fields and the
-two I terms at the same points cost one pass per point; a field grid
-makes its pass once for all three fields.  Sums run in cell order,
-and equal a scan of all sources in that order bit for bit.  The node
-count still scales like sigma^(-n) (halving sigma doubles it per
-axis), which governs the table build and its memory, not the cost per
-point.
+here, the covariance sources I_u and I_a of ``balance`` and the
+particle estimates are all moments of that pass: ``_kernel_means``
+gathers and averages each distinct column around one point once, and
+``_kernel_moments`` runs it over a point set, one loop over the points
+as Python floats, with the I terms as an optional per-point step
+(``_i_term_step``) on the same gathers.  ``_moments`` is the one call
+for a table's moments at a point set: the masses, the means and, when
+asked, the I terms.  It keeps the results of the last point set, and
+is the only code that reads or writes them, so the three fields and
+the two I terms at the same points cost one pass per point, in any
+order of the public calls; a field grid makes its pass once for all
+three fields.  Sums run in cell order, and equal a scan of all sources
+in that order bit for bit.  The node count still scales like
+sigma^(-n) (halving sigma doubles it per axis), which governs the
+table build and its memory, not the cost per point.
 """
 
 from __future__ import annotations
@@ -583,72 +586,119 @@ def _kernel_means(src: _Sources, x, floor: float):
     return idx, wk, den, rows, means
 
 
-def _kernel_moments(src: _Sources, X: np.ndarray,
-                    floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_kernel_means`` at each row of X (P, n): the raw masses (P,)
-    and the column means (P, len(src.columns)).  The points are passed
-    as Python floats.  With ``CHARSTOCH_LOG=debug``, logs the targets,
-    the kept sources and the wall time of the batch."""
+def _kernel_moments(src: _Sources, X: np.ndarray, floor: float,
+                    step=None, label: str = ""):
+    """``_kernel_means`` at each row of X (P, n): the raw masses (P,),
+    the column means (P, len(src.columns)) and, with a ``step``, what
+    ``step(x, idx, wk, den, rows, means)`` returns after each point's
+    pass, one value per column, as (P, len(src.columns)); else None.
+    The points are passed as Python floats.  With
+    ``CHARSTOCH_LOG=debug``, logs one line per batch: the targets, the
+    kept sources and the wall time, after ``label`` if there is a step
+    and after "kernel moments" and with the column count if not."""
     started = time.perf_counter()
-    den, means, kept = [], [], 0
+    den, means, steps, kept = [], [], [], 0
     for x in X.tolist():
-        idx, _, mass, _, mean = _kernel_means(src, x, floor)
+        idx, wk, mass, rows, mean = _kernel_means(src, x, floor)
+        if step is not None:
+            steps.append(step(x, idx, wk, mass, rows, mean))
         den.append(mass)
         means.append(mean)
         kept += idx.size
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("kernel moments: %d targets, %d kept sources, %d columns "
-                     "in %.3f s", len(X), kept, len(src.columns),
-                     time.perf_counter() - started)
-    return (np.array(den, dtype=float),
-            np.array(means, dtype=float).reshape(len(X), len(src.columns)))
+        elapsed = time.perf_counter() - started
+        if step is None:
+            logger.debug("kernel moments: %d targets, %d kept sources, %d columns "
+                         "in %.3f s", len(X), kept, len(src.columns), elapsed)
+        else:
+            logger.debug("%s: %d targets, %d kept sources in %.3f s",
+                         label, len(X), kept, elapsed)
+    shape = (len(X), len(src.columns))
+    return (np.array(den, dtype=float), np.array(means, dtype=float).reshape(shape),
+            None if step is None else np.array(steps, dtype=float).reshape(shape))
 
 
-@dataclass(frozen=True)
-class _KernelResults:
-    """The kernel results of one point set X (P, n) at one (problem, t):
-    the raw masses ``den`` (P,), the table's column means ``means``
-    (P, 1 + n), and (I_u (P,), I_a (P, n)) when an I-term pass made
-    them.  ``key`` is ``_point_key`` of that point set."""
+def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
+    """The I terms of one pass of ``table`` at a point as a step of
+    ``_kernel_moments``, [I_u, I_a_1..I_a_n] (``balance``'s module
+    docstring), and the batch's log label.  The step raises
+    EmptyKernelSupport at a point without kernel mass.  Each distinct
+    column's deviation from its mean, and its sum, is formed once, in
+    place in the pass's own gathered rows: a column that repeats an
+    earlier one (an a_i column that is the u0 column when a_i is u)
+    takes that one's sum.  The gradient factor is built in place from
+    each axis's gathered centers."""
+    n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
+    s2t = spec.sigma * spec.sigma * t
+    first_of, axes = table.first_of, table.axes
+    dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
 
-    key: tuple
-    den: np.ndarray
-    means: np.ndarray
-    i_terms: tuple[np.ndarray, np.ndarray] | None = None
+    def step(x, idx, wk, mass, rows, mean):
+        if mass < floor:
+            _refuse(EmptyKernelSupport, True, np.array([x]), t, "no kernel mass")
+        dt_sums = []
+        if dt_components:
+            # taken before the rows are written: da_i/dt may be u0 itself
+            dt_vals = spec.velocity.dt_values(t, rows[0])
+            dt_sums = [norm * _sum(wk * dt_vals[i]) for i in dt_components]
+        # row - mean per distinct column, u0 first, then a_1..a_n
+        for i, j in enumerate(first_of):
+            if j == i:
+                rows[i] -= mean[i]
+        # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node;
+        # (c - x_k) * dev equals dev * (c - x_k) bit for bit
+        fac = np.zeros(len(wk))
+        for k in range(n):
+            c = axes[k].take(idx)
+            c -= x[k]
+            c *= rows[1 + k]
+            fac += c
+        fac /= s2t
+        sums = []
+        for i, j in enumerate(first_of):
+            if j == i:
+                term = wk * rows[i]
+                term *= fac
+                sums.append(norm * _sum(term))
+            else:
+                sums.append(sums[j])
+        for i, dt_sum in zip(dt_components, dt_sums):
+            sums[1 + i] -= dt_sum
+        return sums
+
+    return step, f"I terms at sigma={spec.sigma:g} t={t:g}"
 
 
-# the kernel results of the last point set, so that the fields and the
-# I terms asked for at the same points share one pass per point
-_last_results: _KernelResults | None = None
+# the kernel moments of the last point set, (key, den, means, I terms or
+# None), so that the fields and the I terms asked for at the same points
+# share one pass per point; ``_moments`` alone reads and writes it
+_last_results = None
 
 
-def _point_key(spec: ProblemSpec, t: float, X: np.ndarray) -> tuple:
-    return (spec.digest, float(t), X.shape, X.tobytes())
+def _moments(spec: ProblemSpec, t: float, X: np.ndarray, *, iterms: bool = False):
+    """The kernel moments of the table of (spec, t) at the points X
+    (P, n): (norm, den (P,), means (P, 1 + n), i_terms), i_terms being
+    (I_u (P,), I_a (P, n)) with ``iterms`` and None otherwise.
 
-
-def _kept(key: tuple) -> _KernelResults | None:
-    """The kept kernel results if they are those of ``key``, else None."""
-    last = _last_results  # read once, so the key and values come together
-    return last if last is not None and last.key == key else None
-
-
-def _keep(results: _KernelResults | None) -> None:
+    The results of the last point set are kept, and answer a call at
+    the same (problem, t, X) that asks for no more than they hold; any
+    other call makes one pass per point and is kept in their place.
+    An I-term call needs t > 0, and raises EmptyKernelSupport at the
+    first point without kernel mass, after its pass, keeping nothing.
+    The arrays may be the kept ones, so callers must not write into
+    them."""
     global _last_results
-    _last_results = results
-
-
-def _moments_at(spec: ProblemSpec, t: float, X: np.ndarray):
-    """(table, den (P,), means (P, 1 + n)) of the table of (spec, t) at
-    the points X (P, n): the kept results of X if there are some, else
-    one pass per point, kept.  The arrays may be the kept ones, so
-    callers must not write into them."""
+    if iterms and t <= 0:
+        raise ValueError("I-term evaluation requires t > 0")
     table = _table_for(spec, t)
-    key = _point_key(spec, t, X)
-    kept = _kept(key)
-    if kept is None:
-        kept = _KernelResults(key, *_kernel_moments(table, X, spec.tol.denom_floor))
-        _keep(kept)
-    return table, kept.den, kept.means
+    key = (spec.digest, float(t), X.shape, X.tobytes())
+    last = _last_results  # read once, so the key and values come together
+    if last is None or last[0] != key or (iterms and last[3] is None):
+        step = _i_term_step(spec, t, table) if iterms else ()
+        den, means, sums = _kernel_moments(table, X, spec.tol.denom_floor, *step)
+        last = _last_results = (key, den, means,
+                                None if sums is None else (sums[:, 0], sums[:, 1:]))
+    return table.norm, last[1], last[2], last[3] if iterms else None
 
 
 def _support_reach(spec: ProblemSpec, t: float) -> float:
@@ -666,14 +716,8 @@ def eval_rho_sigma(spec: ProblemSpec, t: float, x):
     X, shape = _point_rows(x, spec.n)
     if t == 0:
         return _batched(spec.init.rho0_at(X), shape)
-    table = _table_for(spec, t)
-    kept = _kept(_point_key(spec, t, X))
-    if kept is None:
-        # a miss takes no column means: the masses alone are cheaper
-        den, _ = _kernel_moments(replace(table, columns=()), X, spec.tol.denom_floor)
-    else:
-        den = kept.den
-    return _batched(table.norm * den, shape)
+    norm, den, _, _ = _moments(spec, t, X)
+    return _batched(norm * den, shape)
 
 
 def eval_u_sigma(spec: ProblemSpec, t: float, x):
@@ -701,10 +745,10 @@ def _fields_sigma(spec: ProblemSpec, t: float, x):
         u = spec.init.u0_at(X)
         rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
     else:
-        table, den, means = _moments_at(spec, t, X)
+        norm, den, means, _ = _moments(spec, t, X)
         _refuse(EmptyKernelSupport, den < spec.tol.denom_floor, X, t, "no kernel mass")
         means = means.copy()  # u and a are views, and callers get copies
-        rho, u, a = table.norm * den, means[:, 0], means[:, 1:]
+        rho, u, a = norm * den, means[:, 0], means[:, 1:]
     return _batched(rho, shape), _batched(u, shape), _batched(a, shape)
 
 
@@ -756,12 +800,15 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
 
     ``t`` may be any time >= 0, not only one of the problem's output
     times: tables are built per (problem, t).  One kernel pass per grid
-    point gives the masses and means of all three fields; it is kept,
-    so the grids of the other two fields at this t make no pass.  The
-    grid values are then those of one call of the field's public
-    evaluator, which the kept pass answers, so a grid entry and a
+    point (``_moments``) gives the masses and means of all three
+    fields; it is kept, so the grids of the other two fields at this t
+    make no pass.  The grid values are those of one call of the field's
+    public evaluator, which the kept pass answers, so a grid entry and a
     direct call agree bit for bit.  Points whose kernel carries no mass
-    are flagged invalid rather than failing the grid.
+    are flagged invalid rather than failing the grid: u and a refuse
+    such points, so a grid that has some reads its values off its own
+    pass, NaN where invalid.  Each pass is one point's alone, so those
+    values equal, elementwise, the evaluator's at the valid points.
     """
     # looked up per call, so that a rebound evaluator is the one called
     evaluate = {"rho": eval_rho_sigma, "u": eval_u_sigma,
@@ -770,22 +817,14 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
         raise ValueError(f"unknown field {which!r}")
     axes = space_axes(spec)
     pts = tensor_points(axes)
-    values = np.full((len(pts), spec.n) if which == "a" else len(pts), np.nan)
     valid = np.ones(len(pts), dtype=bool)
-    if t != 0:
-        _, den, means = _moments_at(spec, t, pts)
-        if which != "rho":  # the density is defined without kernel mass
-            valid = den >= spec.tol.denom_floor
-    if valid.all():
-        values[...] = evaluate(spec, t, pts)
-    else:
-        # u and a refuse points without kernel mass, so the evaluator is
-        # asked for the others only, from the kept pass cut down to them;
-        # the whole grid's pass is kept again afterwards
-        grid_results, inside = _last_results, pts[valid]
-        _keep(_KernelResults(_point_key(spec, t, inside), den[valid], means[valid]))
-        values[valid] = evaluate(spec, t, inside)
-        _keep(grid_results)
+    if t != 0 and which != "rho":  # the density is defined without kernel mass
+        _, den, means, _ = _moments(spec, t, pts)
+        valid = den >= spec.tol.denom_floor
+    # u and a refuse points without kernel mass, so such a grid reads
+    # them off its own pass, whose means are NaN there
+    values = evaluate(spec, t, pts) if valid.all() \
+        else (means[:, 1:] if which == "a" else means[:, 0]).copy()
     shape = tuple(len(ax) for ax in axes)
     return FieldGrid(name=which, t=float(t), axes=axes,
                      values=values.reshape(shape + values.shape[1:]),

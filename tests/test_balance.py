@@ -349,13 +349,13 @@ def test_kept_fields_are_copies_and_recomputed_for_new_sigma_time_or_points(
     X = np.linspace(-2.0, 2.0, 5)[:, None]
     passes = count_passes(monkeypatch)
     fields = [f(burgers, 0.5, X) for f in (eval_rho_sigma, eval_u_sigma, eval_a_sigma)]
-    assert len(passes) == 2 * len(X)  # rho alone, then u and a together
+    assert len(passes) == len(X)  # rho's pass answers u and a
     for f in (eval_rho_sigma, eval_u_sigma, eval_a_sigma):
         f(burgers, 0.5, X).fill(0.0)
     rho, u, a = _fields_sigma(burgers, 0.5, X)
     u.fill(0.0)
     a.fill(0.0)
-    assert len(passes) == 2 * len(X)
+    assert len(passes) == len(X)
     for f, kept in zip((eval_rho_sigma, eval_u_sigma, eval_a_sigma), fields):
         np.testing.assert_array_equal(f(burgers, 0.5, X), kept)
     for spec, t, pts in ((burgers.with_sigma(0.05), 0.5, X), (burgers, 0.4, X),
@@ -387,7 +387,7 @@ def test_sigma_residuals_reuse_the_i_term_pass_at_probes(monkeypatch, burgers):
     assert len(passes) == (J + 1) * (2 * n + 1) * P
 
     def cold(spec, t, x):
-        representation._keep(None)
+        monkeypatch.setattr(representation, "_last_results", None)
         return _fields_sigma(spec, t, x)
 
     monkeypatch.setattr(balance, "_fields_sigma", cold)

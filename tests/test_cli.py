@@ -265,6 +265,27 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("iterms", "--sigmas", "0.2,0.1", "--t", "0"),
+    ("converge", "--sigmas=,", "--t", "0.5"),
+    ("residuals", "--system", "sigma", "--window", "0.3", "0.5",
+     "--resolutions", "0.1"),
+    ("residuals", "--system", "sigma", "--window", "0.5", "0.3",
+     "--resolutions", "0.08:0.032"),
+    ("solve", "--method", "montecarlo", "--particles", "0"),
+    ("solve", "--method", "montecarlo", "--particles", "1000", "--bandwidth", "-1"),
+], ids=["iterms-t0", "converge-empty-sigmas", "residuals-no-dt",
+        "residuals-reversed-window", "solve-no-particles", "solve-negative-bandwidth"])
+def test_refused_arguments_leave_no_output_directory(tmp_path, capsys, args):
+    """A subcommand that refuses its arguments exits 2 and leaves no
+    output directory behind, however far in it finds them bad."""
+    out = tmp_path / "o"
+    code, _ = run_main(capsys, args[0], "--config", str(BURGERS), "--out", str(out),
+                       *args[1:])
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("res", ["0.08:1e-300", "0.08:nan", "0.08:inf",
                                  "nan:0.01", "inf:0.01"])
 def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):

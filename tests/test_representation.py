@@ -25,7 +25,7 @@ from charstoch import (
 from charstoch import balance, representation
 from charstoch.problem import displacement_components, space_axes, tensor_points
 from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass,
-                                      _keep, _kernel_means, _sources, _stretch,
+                                      _kernel_means, _sources, _stretch,
                                       _NodeWeights, _table_for, _tabulate,
                                       quadrature_grid)
 from test_balance import eval_I_u_sigma_assembled
@@ -531,15 +531,13 @@ def test_stretch_matched_tables_are_no_less_accurate(monkeypatch, name, sigma, t
 
     def fields(table):
         monkeypatch.setattr(representation, "_table_for", lambda *_: table)
-        monkeypatch.setattr(balance, "_table_for", lambda *_: table)
-        _keep(None)
+        monkeypatch.setattr(representation, "_last_results", None)
         return {"rho": eval_rho_sigma(spec, t, X), "u": eval_u_sigma(spec, t, X),
                 "I_u": eval_I_u_sigma(spec, t, X)}
 
     new = fields(_build_table(spec, t))
     old = fields(old_rule_table(spec, t))
     ref = fields(reference_table(spec, t))
-    _keep(None)
     for q, floor in ACCURACY_FLOORS.items():
         size = np.max(np.abs(ref[q]))
         if size == 0:  # I_u of a constant velocity
