@@ -1,14 +1,19 @@
 """Particle sampling of the stochastic characteristic flow.
 
-Particles carry their initial position y, the frozen label U = u0(y),
-and an importance weight; pushing them forward never touches y, U or w.
-The exact update samples the time-t marginal law of a characteristic in
-one step: the drift is deterministic given U, so no path discretization
-is needed.
+Particles carry the frozen label U = u0(y) of their initial position
+y and an importance weight; pushing them forward never touches y, U or
+w.  The exact update samples the time-t marginal law of a characteristic
+in one step: the drift is deterministic given U, so no path
+discretization is needed.
 
 All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
 bit for bit from the problem seed alone, independent of call order.
+That makes y a function of (seed, box, N): an ensemble does not store
+it, and every reader (``sample_initial``, ``evolve_exact``,
+``dump_ensemble`` and the ``y`` property) draws it again from the
+(seed, init) stream, ``_BLOCK_ROWS`` rows at a time; blocks read the
+stream in order, so they are the rows of one draw bit for bit.
 
 Field estimates are kernel moments of the quadrature fields' kind:
 each ``estimate_fields`` call makes the particles one kernel-source
@@ -21,10 +26,10 @@ default, around it, and its sums run in cell order, not particle order.
 
 With a constant rho0 every particle has one weight, held as a
 read-only stride-0 view of one float, in the ensemble and in the
-sources alike, so the route holds per particle only y, U and X, and in
+sources alike, so the route holds per particle only U and X, and in
 ``_sources`` the sort order and the sorted X and U: its peak in 1D is
-6 arrays of N floats, not 8.  Every weight and every sum is the one
-the per-particle arrays gave, bit for bit.
+5 arrays of N floats.  Every weight and every sum is the one the
+per-particle arrays gave, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,42 +63,85 @@ _KEY_EXACT = 0xE4AC7
 # particle rows formatted per write in dump_ensemble
 _DUMP_ROWS = 4096
 
+# particle rows drawn and evolved per block
+_BLOCK_ROWS = 1 << 16
+
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
     key = np.array([seed, purpose], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _initial_positions(seed: int, box, count: int, rows: int):
+    """The initial positions y of ``count`` particles, uniform on
+    ``box``, as (start, stop, block) for each ``rows`` rows in order.
+
+    Each block is drawn from the (seed, init) stream where the last one
+    stopped, so the blocks are the rows of one (count, n) draw bit for
+    bit, whatever ``rows`` is.  Once the last block is taken, one debug
+    line reports the count and the seconds spent drawing.
+    """
+    rng = _stream(seed, _KEY_INIT)
+    lo = np.array([b[0] for b in box])
+    width = np.array([b[1] for b in box]) - lo
+    spent = 0.0
+    for a in range(0, count, rows):
+        started = time.perf_counter()
+        y = rng.random((min(rows, count - a), len(box)))
+        # lo + (hi - lo) * draw, in place
+        y *= width
+        y += lo
+        spent += time.perf_counter() - started
+        yield a, a + len(y), y
+    logger.debug("particle positions y drawn: %d in %.3f s", count, spent)
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """Weighted particles at a single time.
 
-    ``y`` are the sampled initial positions, ``U = u0(y)`` the frozen
-    characteristic labels, ``X`` the current positions and ``w`` the
-    importance weights, which sum to the initial mass of rho0 over the
-    box and stay fixed under evolution.  At t = 0, ``X`` is ``y`` (the
-    same array); nothing writes an ensemble's arrays in place.  Where
-    rho0 is constant every weight is one value, and ``w`` is a
-    read-only (N,) view of that one float (stride 0), which holds 8
-    bytes rather than 8 N.
+    ``U = u0(y)`` are the frozen characteristic labels of the initial
+    positions y, ``w`` the importance weights, which sum to the initial
+    mass of rho0 over the box and stay fixed under evolution, and
+    ``positions`` the positions at time t, or None at t = 0.  y is not
+    held: the ``y`` property draws it again from (``seed``, ``box``,
+    N), and ``X`` is ``positions``, or that same draw at t = 0.
+    Nothing writes an ensemble's arrays in place.  Where rho0 is
+    constant every weight is one value, and ``w`` is a read-only (N,)
+    view of that one float (stride 0), which holds 8 bytes rather than
+    8 N.
     """
 
-    y: np.ndarray  # (N, n)
     U: np.ndarray  # (N,)
-    X: np.ndarray  # (N, n)
     w: np.ndarray  # (N,)
     t: float
     seed: int
+    box: tuple[tuple[float, float], ...]  # the box y was drawn on
+    positions: np.ndarray | None = None  # (N, n) at t, None at t = 0
 
     def __len__(self) -> int:
-        return self.y.shape[0]
+        return self.U.shape[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        """The initial positions (N, n), drawn again on each read."""
+        y = np.empty((len(self), len(self.box)))
+        for a, b, block in _initial_positions(self.seed, self.box, len(self),
+                                              _BLOCK_ROWS):
+            y[a:b] = block
+        return y
+
+    @property
+    def X(self) -> np.ndarray:
+        """The positions (N, n) at time t: ``y`` at t = 0."""
+        return self.y if self.positions is None else self.positions
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the ensemble's arrays, each distinct one once
-        and a one-value ``w`` as one float."""
-        distinct = {id(a): a for a in (self.y, self.U, self.X, self.w)}.values()
-        return sum(map(_held_bytes, distinct))
+        """Bytes held by the ensemble's arrays, a one-value ``w`` as one
+        float; y, and X at t = 0, are drawn when read and count none."""
+        held = (a for a in (self.U, self.w, self.positions) if a is not None)
+        return sum(map(_held_bytes, held))
 
     def _log(self, what: str, started: float) -> None:
         if logger.isEnabledFor(logging.DEBUG):
@@ -118,25 +166,31 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
     rho0 exactly; the estimator is then self-normalizing and mass
     comparisons against the smoothed density are apples to apples.
 
-    rho0 is evaluated unexpanded.  A constant rho0 gives one weight,
-    formed by the IEEE operations each particle's weight would take,
-    summed as a stride-0 view (the sum of N copies, in the same
-    order) and kept as a read-only view; otherwise the sampled
-    densities are dropped once the weights are formed from them, and
-    rescaled in place.
+    The positions are drawn, and U and the weights formed from them,
+    ``_BLOCK_ROWS`` rows at a time, each as the whole arrays would give
+    it.  rho0 is evaluated unexpanded.  A constant rho0 gives one
+    weight, formed by the IEEE operations each particle's weight would
+    take, summed as a stride-0 view (the sum of N copies, in the same
+    order) and kept as a read-only view; otherwise the weights are
+    formed per block from the sampled densities, and rescaled in place.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be at least 1")
     started = time.perf_counter()
-    rng = _stream(spec.rng_seed, _KEY_INIT)
-    lo = np.array([b[0] for b in spec.box])
-    hi = np.array([b[1] for b in spec.box])
-    y = lo + (hi - lo) * rng.random((n_particles, spec.n))
-    U = spec.init.u0_at(y)
-    rho, = spec.init.on_columns(spec.init.rho0_program, list(y.T), expand=False)
-    one_value = np.ndim(rho) == 0
-    w = (float(rho) if one_value else rho) * (spec.box_volume / n_particles)
-    del rho
+    cell = spec.box_volume / n_particles
+    U, w = np.empty(n_particles), None
+    for a, b, y in _initial_positions(spec.rng_seed, spec.box, n_particles,
+                                      _BLOCK_ROWS):
+        U[a:b] = spec.init.u0_at(y)
+        rho, = spec.init.on_columns(spec.init.rho0_program, list(y.T),
+                                    expand=False)
+        if np.ndim(rho) == 0:
+            w = float(rho) * cell
+        else:
+            if w is None:
+                w = np.empty(n_particles)
+            np.multiply(rho, cell, out=w[a:b])
+    one_value = np.ndim(w) == 0
     total = float(np.sum(np.broadcast_to(w, n_particles)))
     mass = integrate_rho0(spec)
     if mass <= 0 or total <= 0:
@@ -148,7 +202,7 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
         w = np.broadcast_to(w * (mass / total), n_particles)
     else:
         w *= mass / total
-    ens = ParticleEnsemble(y=y, U=U, X=y, w=w, t=0.0, seed=spec.rng_seed)
+    ens = ParticleEnsemble(U=U, w=w, t=0.0, seed=spec.rng_seed, box=spec.box)
     ens._log("sampled", started)
     return ens
 
@@ -159,18 +213,24 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     X = y + A(t, U) + sigma * sqrt(t) * Z reproduces the distribution of
     the characteristic at time t exactly; intermediate times from the
     same ensemble are not a path coupling, only matching marginals.
+    X is formed ``_BLOCK_ROWS`` rows at a time, drawing y and Z per
+    block, each as the whole arrays would give it.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     started = time.perf_counter()
-    # the components are gone before the noise is drawn
-    drift = np.stack(displacement_components(spec, t, ens.U), axis=-1)
-    z = _stream(ens.seed, _KEY_EXACT).standard_normal((len(ens), spec.n))
-    # y + drift + sigma sqrt(t) z, without temporaries
-    drift += ens.y
-    z *= spec.sigma * math.sqrt(t)
-    drift += z
-    moved = replace(ens, X=drift, t=float(t))
+    X = np.empty((len(ens), len(ens.box)))
+    noise = _stream(ens.seed, _KEY_EXACT)
+    scale = spec.sigma * math.sqrt(t)
+    for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK_ROWS):
+        # drift + y + sigma sqrt(t) z, formed in place in X's rows
+        drift = np.stack(displacement_components(spec, t, ens.U[a:b]), axis=-1,
+                         out=X[a:b])
+        drift += y
+        z = noise.standard_normal(y.shape)
+        z *= scale
+        drift += z
+    moved = replace(ens, positions=X, t=float(t))
     moved._log(f"evolved to t={t:g}", started)
     return moved
 
@@ -216,16 +276,17 @@ def dump_ensemble(ens: ParticleEnsemble, path) -> None:
     """Write particles as CSV: y1..yn, U, X1..Xn, w in %.12e.
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends, no
-    quoting), formatted ``_DUMP_ROWS`` rows per ``%`` call.
+    quoting), formatted ``_DUMP_ROWS`` rows per ``%`` call, with y drawn
+    again per block of rows.
     """
-    n = ens.y.shape[1]
+    n = len(ens.box)
     header = [f"y{i + 1}" for i in range(n)] + ["U"] \
         + [f"X{i + 1}" for i in range(n)] + ["w"]
     row = ",".join(["%.12e"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for a in range(0, len(ens), _DUMP_ROWS):
-            b = min(a + _DUMP_ROWS, len(ens))
-            block = np.column_stack([ens.y[a:b], ens.U[a:b], ens.X[a:b],
-                                     ens.w[a:b]])
+        for a, b, y in _initial_positions(ens.seed, ens.box, len(ens),
+                                          _DUMP_ROWS):
+            X = y if ens.positions is None else ens.positions[a:b]
+            block = np.column_stack([y, ens.U[a:b], X, ens.w[a:b]])
             fh.write((row * (b - a)) % tuple(block.ravel().tolist()))

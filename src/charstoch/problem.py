@@ -191,7 +191,9 @@ class InitialData:
         where the tree's value is a scalar or one of the columns;
         without, each value as the program made it: a float for a
         constant tree, else an array that may be one of the columns,
-        so callers must not write into it."""
+        so callers must not write into it.  Without ``expand`` the
+        columns may also be arrays that broadcast to the points' shape,
+        as ``on_axes`` binds its axes."""
         env = {f"x{i + 1}": c for i, c in enumerate(columns)}
         values = ex.eval_expr(program, env)
         if not expand:

@@ -115,6 +115,9 @@ _sum = np.add.reduce
 # field-grid rows formatted per write in FieldGrid.to_csv
 _CSV_ROWS = 4096
 
+# node weights formed per block in integrate_rho0
+_MASS_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -843,13 +846,44 @@ def _noise_ladder(sigmas) -> list[float]:
 
 
 def integrate_rho0(spec: ProblemSpec) -> float:
-    """Quadrature mass of rho0 over the box (kernel-independent rule)."""
+    """Quadrature mass of rho0 over the box (kernel-independent rule).
+
+    The float is ``np.sum`` of the tensor weights times rho0 in node (C)
+    order, but no array of every node's weight is formed: the node
+    range is split by NumPy's own pairwise rule down to blocks of at
+    most ``_MASS_BLOCK`` weights, and each block is cut from the whole
+    rows along the last axis that hold it, formed as
+    ``QuadratureGrid.weights * rho0`` forms them, and summed by
+    ``np.add.reduce``.
+    """
     scale = min(hi - lo for lo, hi in spec.box) / 64.0
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel)
-    w = grid.weights.reshape(tuple(len(x) for x in grid.axis_nodes))
-    w *= spec.init.on_axes(spec.init.rho0_program, grid.axis_nodes, expand=False)[0]
-    return float(np.sum(w.ravel()))
+    *lead_x, last_x = grid.axis_nodes
+    *lead_w, last_w = grid.axis_weights
+    lead_shape, m = tuple(len(w) for w in lead_w), len(last_w)
+
+    def block(a: int, b: int) -> np.ndarray:
+        r0, r1 = a // m, -(-b // m)
+        idx = np.unravel_index(np.arange(r0, r1), lead_shape) if lead_shape else ()
+        w = np.ones(r1 - r0)
+        for wi, i in zip(lead_w, idx):
+            w *= wi[i]
+        w = np.multiply.outer(w, last_w)
+        # rho0 at the rows' nodes, its columns broadcasting to (rows, m)
+        w *= spec.init.on_columns(spec.init.rho0_program,
+                                  [x[i][:, None] for x, i in zip(lead_x, idx)]
+                                  + [last_x], expand=False)[0]
+        return w.ravel()[a - r0 * m:b - r0 * m]
+
+    def total(a: int, b: int) -> float:
+        if b - a <= _MASS_BLOCK:
+            return _sum(block(a, b))
+        half = (b - a) // 2
+        half -= half % 8
+        return total(a, a + half) + total(a + half, b)
+
+    return float(total(0, math.prod(lead_shape) * m))
 
 
 def integrate_rho_sigma(spec: ProblemSpec, t: float,

@@ -366,9 +366,10 @@ def test_debug_log_reports_each_kernel_sum_batch(tmp_path):
 def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
     """Under debug, sample_initial and each evolve_exact log the particle
     count, whether the weights are one value, the bytes the ensemble
-    holds (y, U and X of 8 N bytes each, X being y at t = 0, and one
-    float of weight) and the wall time; the artifacts keep their
-    bytes."""
+    holds (U, and X once evolved, of 8 N bytes each, and one float of
+    weight) and the wall time; every draw of the initial positions y,
+    by sample_initial, each evolve_exact and each particle dump, logs
+    its count and seconds; the artifacts keep their bytes."""
     count = 3_000
     args = ["solve", "--config", str(BURGERS), "--method", "montecarlo",
             "--particles", str(count), "--seed", "5", "--dump-particles"]
@@ -382,7 +383,13 @@ def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
         assert main([*args, "--out", str(tmp_path / "debug")]) == 0
     lines = [r.getMessage() for r in caplog.records if r.name == "charstoch.montecarlo"]
-    held = [16 * count + 8] + [24 * count + 8] * 3
+    draws = [line for line in lines if line.startswith("particle positions")]
+    lines = [line for line in lines if line not in draws]
+    assert len(draws) == 1 + 2 * 3
+    for line in draws:
+        assert re.fullmatch(rf"particle positions y drawn: {count} in "
+                            rf"\d+\.\d{{3}} s", line), line
+    held = [8 * count + 8] + [16 * count + 8] * 3
     whats = ["sampled"] + [f"evolved to t={t}" for t in (0.25, 0.5, 0.75)]
     assert len(lines) == len(whats)
     for line, what, nbytes in zip(lines, whats, held):

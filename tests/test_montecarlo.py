@@ -24,8 +24,8 @@ from charstoch import (
     load_problem,
     sample_initial,
 )
-from charstoch.montecarlo import _stream
-from charstoch.problem import space_axes, tensor_points
+from charstoch.montecarlo import _BLOCK_ROWS, _KEY_EXACT, _KEY_INIT, _stream
+from charstoch.problem import displacement_components, space_axes, tensor_points
 from charstoch.representation import _sources
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -114,7 +114,7 @@ def evolve_em(ens, spec, t, steps):
         drift = np.stack(spec.velocity.a_values(m * dt, ens.U), axis=-1)
         z = rng.standard_normal((len(ens), spec.n))
         x += drift * dt + spec.sigma * math.sqrt(dt) * z
-    return dataclasses.replace(ens, X=x, t=float(t))
+    return dataclasses.replace(ens, positions=x, t=float(t))
 
 
 def test_single_euler_step_equals_exact_for_time_independent_drift():
@@ -147,9 +147,9 @@ def test_evolve_exact_refuses_negative_time(burgers):
 
 
 def test_kde_single_particle_peak(burgers):
-    ens = ParticleEnsemble(y=np.zeros((1, 1)), U=np.array([0.25]),
-                           X=np.zeros((1, 1)), w=np.array([1.0]),
-                           t=0.5, seed=0)
+    ens = ParticleEnsemble(U=np.array([0.25]), w=np.array([1.0]), t=0.5,
+                           seed=0, box=((0.0, 0.0),),
+                           positions=np.zeros((1, 1)))
     est = estimate_fields(ens, burgers, np.zeros((1, 1)), bandwidth=1.0)
     assert est.rho_hat[0] == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
     assert est.u_hat[0] == 0.25
@@ -157,9 +157,9 @@ def test_kde_single_particle_peak(burgers):
 
 
 def test_kde_far_point_is_invalid(burgers):
-    ens = ParticleEnsemble(y=np.zeros((1, 1)), U=np.array([0.25]),
-                           X=np.zeros((1, 1)), w=np.array([1.0]),
-                           t=0.5, seed=0)
+    ens = ParticleEnsemble(U=np.array([0.25]), w=np.array([1.0]), t=0.5,
+                           seed=0, box=((0.0, 0.0),),
+                           positions=np.zeros((1, 1)))
     # 500 is past where exp underflows; 0.1 is ten bandwidths away, past
     # the cutoff of kernel_cutoff = 8 bandwidths, so its mass is cut to 0
     est = estimate_fields(ens, burgers, np.array([[500.0], [0.1]]),
@@ -246,8 +246,8 @@ def assert_cell_order_sums(est, ens, spec, pts, h):
 def unit_particle_fields(spec, X, x, h, U=0.25):
     """Estimates at the targets x of unit-weight particles at X (1D)."""
     X = np.asarray(X, dtype=float)[:, None]
-    ens = ParticleEnsemble(y=X, U=np.full(len(X), U), X=X,
-                           w=np.ones(len(X)), t=0.5, seed=0)
+    ens = ParticleEnsemble(U=np.full(len(X), U), w=np.ones(len(X)), t=0.5,
+                           seed=0, box=spec.box, positions=X)
     return estimate_fields(ens, spec, np.asarray(x, dtype=float)[:, None],
                            bandwidth=h)
 
@@ -370,15 +370,16 @@ def test_dump_ensemble_csv(tmp_path, burgers):
 
 def dump_rows(ens, path):
     """Reference dump: one ``csv.writer`` row per particle."""
-    n = ens.y.shape[1]
+    y, X = ens.y, ens.X  # y is drawn on each read
+    n = y.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"y{i + 1}" for i in range(n)] + ["U"]
                         + [f"X{i + 1}" for i in range(n)] + ["w"])
         for j in range(len(ens)):
-            writer.writerow([f"{v:.12e}" for v in ens.y[j]]
+            writer.writerow([f"{v:.12e}" for v in y[j]]
                             + [f"{ens.U[j]:.12e}"]
-                            + [f"{v:.12e}" for v in ens.X[j]]
+                            + [f"{v:.12e}" for v in X[j]]
                             + [f"{ens.w[j]:.12e}"])
 
 
@@ -392,13 +393,13 @@ def test_dump_ensemble_bytes_equal_row_writer(tmp_path, burgers):
         ens = evolve_exact(sample_initial(spec, 9_000), spec, 0.3)
         X = ens.X.copy()
         X[0, 0], X[1, -1], X[2, 0] = -0.0, np.nan, -np.inf
-        ens = dataclasses.replace(ens, X=X)
+        ens = dataclasses.replace(ens, positions=X)
         dump_ensemble(ens, tmp_path / "fast.csv")
         dump_rows(ens, tmp_path / "rows.csv")
         got = (tmp_path / "fast.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
         assert got.count(b"\r\n") == len(ens) + 1
-    empty = dataclasses.replace(ens, y=ens.y[:0], U=ens.U[:0], X=ens.X[:0],
+    empty = dataclasses.replace(ens, U=ens.U[:0], positions=ens.X[:0],
                                 w=ens.w[:0])
     dump_ensemble(empty, tmp_path / "fast.csv")
     dump_rows(empty, tmp_path / "rows.csv")
@@ -423,13 +424,14 @@ def weights_as_arrays(spec, y):
 def test_constant_rho0_gives_one_value_weights(burgers, count):
     """A constant rho0 gives every particle the one weight it would get
     as a full array: a read-only (N,) view of one float, summing to
-    exactly the sum of N copies of it, held as 8 bytes."""
+    exactly the sum of N copies of it, held as 8 bytes.  The ensemble
+    holds U, and X once evolved; y is drawn when read."""
     ens = sample_initial(burgers, count)
     assert ens.w.shape == (count,) and ens.w.strides == (0,)
     assert not ens.w.flags.writeable
     assert np.array_equal(ens.w, weights_as_arrays(burgers, ens.y))
     assert np.sum(ens.w) == np.sum(np.full(count, ens.w[0]))
-    assert ens.nbytes == ens.y.nbytes + ens.U.nbytes + 8
+    assert ens.nbytes == ens.U.nbytes + 8
     moved = evolve_exact(ens, burgers, 0.5)
     assert moved.w is ens.w
     assert moved.nbytes == ens.nbytes + moved.X.nbytes
@@ -494,23 +496,89 @@ def test_sources_hold_one_value_weights_as_one_float(burgers, caplog):
     assert [int(m.group(1)) for m in logged if m] == [src.nbytes]
 
 
-def test_particle_route_peak():
-    """On burgers_sin, sample_initial -> evolve_exact -> estimate_fields
-    at 200,000 particles peaks at 6.00 times 8 N bytes under
-    tracemalloc (measured 6.004): the ensemble's y, U and X, and in
-    _sources the sort order and the sorted X and U.  With the one weight
-    copied to every particle, in the ensemble and sorted, it was 8.00."""
-    spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
+def route_peak(spec, t, h, count):
+    """tracemalloc peak of sample_initial -> evolve_exact ->
+    estimate_fields at ``count`` particles on ``spec``'s output grid."""
     pts = tensor_points(space_axes(spec))
-    count = 200_000
     # the programs and rules the route compiles are built outside the window
-    estimate_fields(evolve_exact(sample_initial(spec, 1_000), spec, 0.5),
-                    spec, pts, bandwidth=0.02)
+    estimate_fields(evolve_exact(sample_initial(spec, 1_000), spec, t),
+                    spec, pts, bandwidth=h)
     tracemalloc.start()
     try:
-        ens = evolve_exact(sample_initial(spec, count), spec, 0.5)
-        estimate_fields(ens, spec, pts, bandwidth=0.02)
-        peak = tracemalloc.get_traced_memory()[1]
+        ens = evolve_exact(sample_initial(spec, count), spec, t)
+        estimate_fields(ens, spec, pts, bandwidth=h)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.1 * 8 * count
+
+
+def test_particle_route_peak():
+    """On burgers_sin, sample_initial -> evolve_exact -> estimate_fields
+    at 200,000 particles peaks at 5.01 times 8 N bytes under
+    tracemalloc: the ensemble's U and X, and in _sources the sort order
+    and the sorted X and U.  Holding y as well, it was 6.00; with the
+    one weight copied to every particle, in the ensemble and sorted, it
+    was 8.00."""
+    spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
+    count = 200_000
+    assert route_peak(spec, 0.5, 0.02, count) < 5.1 * 8 * count
+
+
+def test_particle_route_peak_2d():
+    """On the 2D bump at t = 0.3, the same route at 200,000 particles
+    peaks at 7.02 times 8 N bytes: U, X of two floats per particle, and
+    in _sources the sort order and the sorted X and U.  Holding y as
+    well, it was 9.00."""
+    spec = load_problem(BUMP2D.read_text())
+    count = 200_000
+    assert route_peak(spec, 0.3, 0.05, count) < 7.1 * 8 * count
+
+
+def one_draw(spec, count, t):
+    """Reference: y, U, X at t and w as one (N, n) draw of each stream
+    gives them, with the arithmetic of whole arrays."""
+    lo = np.array([b[0] for b in spec.box])
+    hi = np.array([b[1] for b in spec.box])
+    y = lo + (hi - lo) * _stream(spec.rng_seed, _KEY_INIT).random((count, spec.n))
+    U = spec.init.u0_at(y)
+    drift = np.stack(displacement_components(spec, t, U), axis=-1)
+    z = _stream(spec.rng_seed, _KEY_EXACT).standard_normal((count, spec.n))
+    X = drift + y + spec.sigma * math.sqrt(t) * z
+    w = np.broadcast_to(weights_as_arrays(spec, y), count)
+    return y, U, X, w
+
+
+@pytest.mark.parametrize("case", ["1d", "1d-varying-rho0", "2d", "3d-varying-rho0"])
+@pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 100_003])
+def test_positions_redrawn_in_blocks_equal_one_draw(tmp_path, case, count):
+    """y is drawn again wherever it is read, a block of rows at a time:
+    y, U, w, X at t = 0 and at t > 0, and the dumps at both, equal those
+    of one draw of every position, bit for bit."""
+    spec, t = {
+        "1d": (make(), 0.5),
+        "1d-varying-rho0": (make(rho0="1 + 0.5*cos(x1)"), 0.5),
+        "2d": (bump(), 0.3),
+        "3d-varying-rho0": (make(n=3, a=["u", "t*u", "0.5*u"],
+                                 u0="exp(-x1^2-x2^2-x3^2)",
+                                 rho0="1 + x3^2*exp(-x1^2)",
+                                 box=[[-3.0, 3.0], [-2.0, 2.0], [-1.0, 1.5]],
+                                 space_grid=[3, 3, 3], time_points=[0.3],
+                                 tolerances={"nodes_per_panel": 2}), 0.3),
+    }[case]
+    y, U, X, w = one_draw(spec, count, t)
+    ens = sample_initial(spec, count)
+    moved = evolve_exact(ens, spec, t)
+    for got in (ens, moved):
+        assert np.array_equal(got.y, y) and np.array_equal(got.U, U)
+        assert np.array_equal(got.w, w)
+    assert np.array_equal(ens.X, y) and np.array_equal(moved.X, X)
+    # the one draw's arrays as dump_ensemble formats them, in one call
+    # (test_dump_ensemble_bytes_equal_row_writer ties that to csv.writer)
+    names = [f"y{i + 1}" for i in range(spec.n)] + ["U"] \
+        + [f"X{i + 1}" for i in range(spec.n)] + ["w"]
+    row = ",".join(["%.12e"] * len(names)) + "\r\n"
+    for got, at_t in ((ens, y), (moved, X)):
+        want = (",".join(names) + "\r\n" + (row * count) % tuple(
+            np.column_stack([y, U, at_t, w]).ravel().tolist())).encode()
+        dump_ensemble(got, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == want
