@@ -225,16 +225,18 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
 
         ens0 = sample_initial(spec, args.particles)
         for j, t in enumerate(times):
-            ens = evolve_exact(ens0, spec, t) if t > 0 else ens0
-            est = estimate_fields(ens, spec, pts, bandwidth=args.bandwidth)
+            # the evolved ensemble is not bound here: estimate_fields gets
+            # its only reference and frees X once X is sorted
+            moved = [evolve_exact(ens0, spec, t) if t > 0 else ens0]
+            if args.dump_particles:
+                dump_ensemble(moved[0], out.path(f"particles_t{j}.csv"))
+            est = estimate_fields(moved.pop(), spec, pts, bandwidth=args.bandwidth)
             FieldGrid("rho_hat", float(t), axes, est.rho_hat.reshape(shape),
                       np.ones(shape, dtype=bool)
                       ).to_csv(out.path(f"fields_mc_t{j}_rho.csv"))
             FieldGrid("u_hat", float(t), axes, est.u_hat.reshape(shape),
                       est.valid.reshape(shape)
                       ).to_csv(out.path(f"fields_mc_t{j}_u.csv"))
-            if args.dump_particles:
-                dump_ensemble(ens, out.path(f"particles_t{j}.csv"))
 
 
 def cmd_blowup(args, spec, out: _Outputs) -> None:

@@ -26,10 +26,11 @@ default, around it, and its sums run in cell order, not particle order.
 
 With a constant rho0 every particle has one weight, held as a
 read-only stride-0 view of one float, in the ensemble and in the
-sources alike, so the route holds per particle only U and X, and in
-``_sources`` the sort order and the sorted X and U: its peak in 1D is
-5 arrays of N floats.  Every weight and every sum is the one the
-per-particle arrays gave, bit for bit.
+sources alike, so the route holds per particle only U and X.  The CLI
+hands the evolved ensemble over to ``estimate_fields``, which lets
+``_sources`` free X once it is sorted: the peak in 1D is 4 arrays of N
+floats, the sort order, U and the sorted X and U.  Every weight and
+every sum is the one the per-particle arrays gave, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -103,9 +105,10 @@ class ParticleEnsemble:
     ``U = u0(y)`` are the frozen characteristic labels of the initial
     positions y, ``w`` the importance weights, which sum to the initial
     mass of rho0 over the box and stay fixed under evolution, and
-    ``positions`` the positions at time t, or None at t = 0.  y is not
-    held: the ``y`` property draws it again from (``seed``, ``box``,
-    N), and ``X`` is ``positions``, or that same draw at t = 0.
+    ``positions`` the positions at time t, or None at t = 0, in Fortran
+    order so that each axis ``X[:, k]`` is contiguous.  y is not held:
+    the ``y`` property draws it again from (``seed``, ``box``, N), and
+    ``X`` is ``positions``, or that same draw at t = 0.
     Nothing writes an ensemble's arrays in place.  Where rho0 is
     constant every weight is one value, and ``w`` is a read-only (N,)
     view of that one float (stride 0), which holds 8 bytes rather than
@@ -219,17 +222,22 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     if t < 0:
         raise ValueError("t must be nonnegative")
     started = time.perf_counter()
-    X = np.empty((len(ens), len(ens.box)))
+    # Fortran order: each axis X[:, k] is one contiguous array
+    X = np.empty((len(ens), len(ens.box)), order="F")
     noise = _stream(ens.seed, _KEY_EXACT)
     scale = spec.sigma * math.sqrt(t)
     for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK_ROWS):
-        # drift + y + sigma sqrt(t) z, formed in place in X's rows
-        drift = np.stack(displacement_components(spec, t, ens.U[a:b]), axis=-1,
-                         out=X[a:b])
-        drift += y
+        # drift + y + sigma sqrt(t) z, formed in place in each axis' rows;
+        # each block's drift, then z, is dropped before the next is formed
+        rows = X[a:b].T
+        for x, drift, yk in zip(rows, displacement_components(spec, t, ens.U[a:b]),
+                                y.T):
+            np.add(drift, yk, out=x)
+        del drift
         z = noise.standard_normal(y.shape)
         z *= scale
-        drift += z
+        rows += z.T
+        del z
     moved = replace(ens, positions=X, t=float(t))
     moved._log(f"evolved to t={t:g}", started)
     return moved
@@ -255,6 +263,14 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     with u_hat = NaN rather than divided through.  Points are (..., n),
     and the estimates take their batch shape.  The bandwidth must be
     finite and positive.
+
+    The ensemble may be handed over: a caller that passes its only
+    reference, as ``evolve_exact(...)`` written in the call, lets the
+    sort free X, U and per-particle weights as their sorted copies are
+    made, and the route then peaks one array of N floats lower.  A
+    caller that holds the ensemble gets the same estimate, and its
+    arrays are left as they are.  Under debug, one line says which of
+    the two it was.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (spec.n,):
@@ -263,8 +279,18 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
-    src = _sources(list(ens.X.T), ens.w, [ens.U], h * h, spec.tol.kernel_cutoff,
-                   (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
+    # hand the arrays over: _sources empties the lists and gets the only
+    # reference to the weights, so once the ensemble is gone each array
+    # is freed as its sorted copy is made
+    centers, weights, columns = list(ens.X.T), [ens.w], [ens.U]
+    held = weakref.ref(ens)
+    del ens
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("particle ensemble %s when sorting began",
+                     "still held by the caller" if held() is not None
+                     else "released")
+    src = _sources(centers, weights.pop(), columns, h * h,
+                   spec.tol.kernel_cutoff, (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
     den, means, _ = _kernel_moments(src, X, spec.tol.denom_floor)
     return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),
                          u_hat=means[:, 0].reshape(shape),

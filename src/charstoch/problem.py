@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import ExprError, SchemaError, ValidationError
+from .errors import EvalDomainError, ExprError, SchemaError, ValidationError
 from .quadrature import adaptive_time_integral
 
 __all__ = [
@@ -539,35 +540,85 @@ def _parse_tolerances(src) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def _check(key: str, got, want, what: str, tol: float = 1e-6) -> None:
-    """Refuse supplied values ``got[i]`` that differ from the exact
-    ``want[i]`` by more than ``tol`` relative, naming ``key[i]``."""
-    for i, (g, w) in enumerate(zip(got, want)):
-        err = np.max(np.abs(w - g) / (1.0 + np.abs(w)))
+def _max_errors(got, want) -> list:
+    """The max relative error of each supplied ``got[i]`` against the
+    exact ``want[i]``: NaN where either holds a NaN."""
+    return [np.max(np.abs(w - g) / (1.0 + np.abs(w))) for g, w in zip(got, want)]
+
+
+def _check(key: str, errors, what: str, tol: float = 1e-6) -> None:
+    """Refuse the first supplied ``key[i]`` whose max relative error
+    ``errors[i]`` (see ``_max_errors``) exceeds ``tol``."""
+    for i, err in enumerate(errors):
         if not err <= tol:
             raise ValidationError(f"'{key}[{i}]' disagrees with "
                                   f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
 
 
+# sample points per block of the initial-data check
+_CHECK_BLOCK = 1 << 16
+
+
+def _axis_blocks(axes, size: int):
+    """The tensor product of ``axes`` as tensor products of sub-axes, in
+    C order, each of at most ``size`` points, and of whole rows along
+    the last axis where one row fits."""
+    inner = math.prod(len(ax) for ax in axes[1:])
+    if inner > size and len(axes) > 1:
+        for i in range(len(axes[0])):
+            for rest in _axis_blocks(axes[1:], size):
+                yield [axes[0][i:i + 1], *rest]
+        return
+    step = max(1, size // inner)
+    for a in range(0, len(axes[0]), step):
+        yield [axes[0][a:a + step], *axes[1:]]
+
+
 def _validate_initial_data(init: InitialData, box, space_grid,
                            grad_u0) -> tuple[float, float]:
     """Check u0 and rho0 on a tensor sample of the box, read unexpanded
-    from ``on_axes``, and return the u0 range inflated by 1%."""
+    from ``on_axes``, and return the u0 range inflated by 1%.
+
+    The sample is read in ``_axis_blocks`` of ``_CHECK_BLOCK`` points,
+    each tree over every block before the next, and the verdicts are
+    those of the whole sample: finiteness, sign, the u0 range and the
+    max relative error of a supplied grad_u0.  An EvalDomainError of the
+    supplied grad_u0 anywhere comes before one of the exact gradient.
+    """
     started = time.perf_counter()
     per_axis = max(201, int(round(2e5 ** (1.0 / len(box)))))
     axes = [np.linspace(lo, hi, max(per_axis, g)) for (lo, hi), g in zip(box, space_grid)]
-    u0v, = init.on_axes(init.u0_program, axes, expand=False)
-    rho0v, = init.on_axes(init.rho0_program, axes, expand=False)
-    for key, v in (("u0", u0v), ("rho0", rho0v)):
-        if not np.all(np.isfinite(v)):
+    blocks = list(_axis_blocks(axes, _CHECK_BLOCK))
+    finite = {"u0": True, "rho0": True}
+    lo, hi, negative = math.inf, -math.inf, False
+    for block in blocks:
+        v, = init.on_axes(init.u0_program, block, expand=False)
+        finite["u0"] &= bool(np.all(np.isfinite(v)))
+        lo, hi = min(lo, float(np.min(v))), max(hi, float(np.max(v)))
+    for block in blocks:
+        v, = init.on_axes(init.rho0_program, block, expand=False)
+        finite["rho0"] &= bool(np.all(np.isfinite(v)))
+        negative |= bool(np.any(v < 0))
+    for key, ok in finite.items():
+        if not ok:
             raise ValidationError(f"'{key}' is not finite everywhere on the box")
-    if np.any(rho0v < 0):
+    if negative:
         raise ValidationError("'rho0' takes negative values on the box")
     if grad_u0 is not None:
-        _check("grad_u0", init.on_axes(ex.compile_exprs(grad_u0), axes, expand=False),
-               init.on_axes(init.jet_program, axes, expand=False)[1:],
-               "d/dx{j} of 'u0'")
-    lo, hi = float(np.min(u0v)), float(np.max(u0v))
+        supplied, errors, exact_error = ex.compile_exprs(grad_u0), [], None
+        for block in blocks:
+            got = init.on_axes(supplied, block, expand=False)
+            if exact_error is None:
+                try:
+                    want = init.on_axes(init.jet_program, block, expand=False)[1:]
+                except EvalDomainError as e:
+                    exact_error = e
+                else:
+                    errors.append(_max_errors(got, want))
+        if exact_error is not None:
+            raise exact_error
+        # NumPy's max, so a NaN in any block gives NaN, as in one pass
+        _check("grad_u0", np.max(errors, axis=0), "d/dx{j} of 'u0'")
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.01 * max(1.0, abs(hi))
     if logger.isEnabledFor(logging.DEBUG):
@@ -583,15 +634,15 @@ def _validate_velocity(vf: VelocityField, u_range, t_max: float, a_u) -> None:
     us = np.linspace(u_range[0], u_range[1], 20)
     tt, uu = np.meshgrid(np.linspace(0.0, t_max, 20), us, indexing="ij")
     if a_u is not None:
-        _check("a_u", _values(ex.compile_exprs(a_u), tt, uu),
-               _values(ex.compile_exprs(vf.du_components), tt, uu),
+        _check("a_u", _max_errors(_values(ex.compile_exprs(a_u), tt, uu),
+                                  _values(ex.compile_exprs(vf.du_components), tt, uu)),
                "d/du of 'a[{i}]'")
     if vf.antiderivatives is not None:
         dt_A = ex.compile_exprs([ex.diff(A, "t") for A in vf.antiderivatives])
-        _check("A", _values(dt_A, tt, uu), vf.a_values(tt, uu),
+        _check("A", _max_errors(_values(dt_A, tt, uu), vf.a_values(tt, uu)),
                "time antiderivative of 'a[{i}]'")
-        _check("A", _values(vf.antiderivative_program, 0.0, us), [0.0] * vf.n,
-               "zero at t = 0", tol=1e-9)
+        _check("A", _max_errors(_values(vf.antiderivative_program, 0.0, us),
+                                [0.0] * vf.n), "zero at t = 0", tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,23 @@ def test_debug_log_reports_each_kernel_sum_batch(tmp_path):
     })
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_solve_hands_the_evolved_ensemble_over(tmp_path, caplog, dump):
+    """solve --method montecarlo binds no evolved ensemble across its
+    estimate, with or without a particle dump, so estimate_fields holds
+    the only reference and X is freed once sorted; the t = 0 ensemble
+    is the sampled one, which later times still need."""
+    args = ["solve", "--config", str(BURGERS), "--out", str(tmp_path),
+            "--method", "montecarlo", "--particles", "2000",
+            "--t", "0", "--t", "0.5"] + ["--dump-particles"] * dump
+    with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
+        assert main(args) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("particle ensemble")] == [
+        "particle ensemble still held by the caller when sorting began",
+        "particle ensemble released when sorting began"]
+
+
 def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
     """Under debug, sample_initial and each evolve_exact log the particle
     count, whether the weights are one value, the bytes the ensemble
@@ -384,8 +401,10 @@ def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
         assert main([*args, "--out", str(tmp_path / "debug")]) == 0
     lines = [r.getMessage() for r in caplog.records if r.name == "charstoch.montecarlo"]
     draws = [line for line in lines if line.startswith("particle positions")]
-    lines = [line for line in lines if line not in draws]
+    handed = [line for line in lines if line.startswith("particle ensemble")]
+    lines = [line for line in lines if line not in draws + handed]
     assert len(draws) == 1 + 2 * 3
+    assert handed == ["particle ensemble released when sorting began"] * 3
     for line in draws:
         assert re.fullmatch(rf"particle positions y drawn: {count} in "
                             rf"\d+\.\d{{3}} s", line), line

@@ -498,15 +498,17 @@ def test_sources_hold_one_value_weights_as_one_float(burgers, caplog):
 
 def route_peak(spec, t, h, count):
     """tracemalloc peak of sample_initial -> evolve_exact ->
-    estimate_fields at ``count`` particles on ``spec``'s output grid."""
+    estimate_fields at ``count`` particles on ``spec``'s output grid,
+    the evolved ensemble handed over to estimate_fields as
+    ``solve --method montecarlo`` hands it."""
     pts = tensor_points(space_axes(spec))
     # the programs and rules the route compiles are built outside the window
     estimate_fields(evolve_exact(sample_initial(spec, 1_000), spec, t),
                     spec, pts, bandwidth=h)
     tracemalloc.start()
     try:
-        ens = evolve_exact(sample_initial(spec, count), spec, t)
-        estimate_fields(ens, spec, pts, bandwidth=h)
+        estimate_fields(evolve_exact(sample_initial(spec, count), spec, t),
+                        spec, pts, bandwidth=h)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,24 +516,60 @@ def route_peak(spec, t, h, count):
 
 def test_particle_route_peak():
     """On burgers_sin, sample_initial -> evolve_exact -> estimate_fields
-    at 200,000 particles peaks at 5.01 times 8 N bytes under
-    tracemalloc: the ensemble's U and X, and in _sources the sort order
-    and the sorted X and U.  Holding y as well, it was 6.00; with the
-    one weight copied to every particle, in the ensemble and sorted, it
-    was 8.00."""
+    at 200,000 particles peaks at 4.01 times 8 N bytes under
+    tracemalloc: in _sources the sort order, U, and the sorted X and U,
+    X being freed once sorted.  With the ensemble held through the
+    estimate it was 5.01; holding y as well, 6.00; with the one weight
+    copied to every particle, in the ensemble and sorted, 8.00."""
     spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
     count = 200_000
-    assert route_peak(spec, 0.5, 0.02, count) < 5.1 * 8 * count
+    assert route_peak(spec, 0.5, 0.02, count) < 4.1 * 8 * count
 
 
 def test_particle_route_peak_2d():
     """On the 2D bump at t = 0.3, the same route at 200,000 particles
-    peaks at 7.02 times 8 N bytes: U, X of two floats per particle, and
-    in _sources the sort order and the sorted X and U.  Holding y as
-    well, it was 9.00."""
+    peaks at 6.02 times 8 N bytes: U, X of two floats per particle, and
+    in _sources the sort order and the sorted X and U.  With the
+    ensemble held through the estimate and X in C order, so that
+    sorting an axis first copied it, it was 7.02; holding y as well,
+    9.00."""
     spec = load_problem(BUMP2D.read_text())
     count = 200_000
-    assert route_peak(spec, 0.3, 0.05, count) < 7.1 * 8 * count
+    assert route_peak(spec, 0.3, 0.05, count) < 6.1 * 8 * count
+
+
+@pytest.mark.parametrize("case", ["1d", "1d-varying-rho0", "2d"])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_estimate_from_held_ensemble_equals_handed_over(case, t):
+    """A caller that keeps the ensemble gets the estimate of one that
+    hands it over, and its U, w and X are left as they were."""
+    spec = {"1d": make(), "1d-varying-rho0": make(rho0="1 + 0.5*cos(x1)"),
+            "2d": bump()}[case]
+    pts = tensor_points(space_axes(spec))
+
+    def ensemble():
+        ens = sample_initial(spec, 20_000)
+        return evolve_exact(ens, spec, t) if t > 0 else ens
+
+    ens = ensemble()
+    U, w, X = ens.U.copy(), ens.w.copy(), ens.X.copy()
+    held = estimate_fields(ens, spec, pts, bandwidth=0.1)
+    handed = estimate_fields(ensemble(), spec, pts, bandwidth=0.1)
+    assert np.all(held.rho_hat == handed.rho_hat)
+    assert np.all(held.valid == handed.valid)
+    assert np.array_equal(held.u_hat, handed.u_hat, equal_nan=True)
+    assert held.bandwidth == handed.bandwidth
+    assert np.all(ens.U == U) and np.all(ens.w == w) and np.all(ens.X == X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evolved_positions_are_contiguous_per_axis(n):
+    """evolve_exact holds X in Fortran order, so each axis X[:, k], which
+    _sources sorts, is one contiguous array."""
+    spec = make(n=n, a=["u"] * n, u0="exp(-x1^2)", box=[[-3.0, 3.0]] * n,
+                space_grid=[3] * n, time_points=[0.3])
+    moved = evolve_exact(sample_initial(spec, 1_000), spec, 0.3)
+    assert all(x.flags.c_contiguous for x in moved.X.T)
 
 
 def one_draw(spec, count, t):

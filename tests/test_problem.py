@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,10 @@ from charstoch import (
     flow_displacement,
     load_problem,
 )
+from charstoch import problem
 from charstoch.errors import EvalDomainError
 from charstoch.expr import compile_exprs, expr_to_str, parse
-from charstoch.problem import tensor_columns, tensor_points
+from charstoch.problem import _CHECK_BLOCK, _axis_blocks, tensor_columns, tensor_points
 from charstoch.quadrature import adaptive_time_integral
 from test_expr import _random_expr
 
@@ -452,3 +455,121 @@ def test_on_axes_raises_as_columns_do(src, message):
     program = compile_exprs([parse(src, ["x1", "x2"])])
     assert not assert_on_axes_matches_columns(init, program, axes)
     assert columns_outcome(init, program, axes) == (EvalDomainError, message)
+
+
+@pytest.mark.parametrize("sizes, size", [
+    ((10,), 3), ((10,), 100), ((4, 5), 10), ((4, 5), 7), ((4, 5), 3),
+    ((3, 4, 5), 20), ((3, 4, 5), 6), ((3, 4, 5), 2), ((2, 3, 4, 5), 30),
+])
+def test_check_blocks_tile_the_sample_in_c_order(sizes, size):
+    """The load check's blocks, flattened and joined in order, are the
+    whole tensor sample in C order; each has at most ``size`` points,
+    and whole rows of the last axis where one row fits."""
+    axes = [np.arange(m) + 10.0 * i for i, m in enumerate(sizes)]
+    blocks = list(_axis_blocks(axes, size))
+    joined = [np.concatenate(c) for c in zip(*(tensor_columns(b) for b in blocks))]
+    for got, want in zip(joined, tensor_columns(axes)):
+        assert np.array_equal(got, want)
+    for b in blocks:
+        assert math.prod(map(len, b)) <= size
+        assert len(b[-1]) == sizes[-1] or sizes[-1] > size
+
+
+def recorded_blocks(monkeypatch) -> list:
+    """Each load's list of check blocks, recorded as it is read."""
+    calls, original = [], _axis_blocks
+
+    def record(axes, size):
+        calls.append(list(original(axes, size)))
+        return iter(calls[-1])
+
+    monkeypatch.setattr(problem, "_axis_blocks", record)
+    return calls
+
+
+def test_shipped_configs_check_in_at_most_four_blocks(monkeypatch):
+    """The 1D and 2D samples, of at most 200,000 points, take at most 4
+    blocks of at most _CHECK_BLOCK points: a config loaded once per
+    step pays little for the blocks."""
+    calls = recorded_blocks(monkeypatch)
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_problem(path.read_text())
+        blocks = calls.pop()
+        assert 1 < len(blocks) <= 4, path.name
+        assert all(math.prod(map(len, b)) <= _CHECK_BLOCK for b in blocks)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key, src, where, message", [
+    ("u0", "exp(1e5*(x1 - 2.99))*0", -1, "'u0' is not finite everywhere on the box"),
+    ("u0", "exp(-1e5*(x1 + 2.99))*0", 0, "'u0' is not finite everywhere on the box"),
+    ("rho0", "2.995 - x1", -1, "'rho0' takes negative values on the box"),
+    ("rho0", "x1 + 2.995", 0, "'rho0' takes negative values on the box"),
+])
+def test_load_check_reads_every_block(monkeypatch, key, src, where, message):
+    """A non-finite u0 or a negative rho0 only in the first or only in
+    the last block of the sample is refused as on the whole sample."""
+    calls = recorded_blocks(monkeypatch)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_problem(make(box=[[-3.0, 3.0]], **{key: src}))
+    blocks = calls.pop()
+    init = load_problem(make()).init
+    v = [init.on_axes(compile_exprs([parse(src, ["x1"])]), b)[0] for b in blocks]
+    faults = [bool(np.any(~np.isfinite(x) if key == "u0" else x < 0)) for x in v]
+    assert faults.index(True) == where % len(blocks) and sum(faults) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    # a max relative error of 5.025e-3 at the box's last point
+    {"grad_u0": ["cos(x1) + 0.01*exp(1000*(x1 - 3))"]},
+    # NaN in the last block only: the max is NaN, as on the whole sample
+    {"grad_u0": ["cos(x1) + exp(1e5*(x1 - 2.99))*0"]},
+    # the second component wrong, in the last rows only
+    {"n": 2, "a": ["u", "u"], "u0": "exp(-x1^2-x2^2)", "space_grid": [5, 5],
+     "grad_u0": ["-2*x1*exp(-x1^2-x2^2)",
+                 "-2*x2*exp(-x1^2-x2^2) + 0.01*exp(1000*(x1 - 3))"]},
+])
+def test_load_check_grad_message_is_the_whole_sample_one(monkeypatch, overrides):
+    """A supplied grad_u0 that is wrong near the end of the box is
+    refused with the message of one pass over the whole sample,
+    including its max relative error."""
+    n = overrides.get("n", 1)
+    cfg = make(box=[[-3.0, 3.0]] * n, **overrides)
+    calls = recorded_blocks(monkeypatch)
+    with pytest.raises(ValidationError) as blocked:
+        load_problem(cfg)
+    assert len(calls.pop()) > 1
+    monkeypatch.setattr(problem, "_CHECK_BLOCK", 1 << 40)
+    with pytest.raises(ValidationError) as whole:
+        load_problem(cfg)
+    assert len(calls.pop()) == 1
+    assert str(blocked.value) == str(whole.value)
+    assert f"'grad_u0[{n - 1}]' disagrees" in str(whole.value)
+
+
+def test_load_check_domain_error_of_supplied_grad_comes_first():
+    """A supplied grad_u0 whose only domain error lies in the last block
+    is refused with that error, as the whole sample refused it, not with
+    the exact gradient's error in the first block; a supplied grad_u0
+    without one gets the exact gradient's."""
+    for grad, message in (("log(3 - x1)", "log of a nonpositive value"),
+                          ("1", "division by zero")):
+        with pytest.raises(EvalDomainError, match=f"^{message}$"):
+            load_problem(make(u0="sqrt(x1 + 3)", box=[[-3.0, 3.0]], grad_u0=[grad]))
+
+
+def test_load_check_peak_3d():
+    """On the 3D bump (a = (u, u, u), u0 = exp(-|x|^2), [-3, 3]^3), whose
+    check reads 201^3 points, load_problem peaks at 0.99 MiB under
+    tracemalloc; read in one pass, the sample peaked at 123.9 MiB."""
+    cfg = make(n=3, a=["u"] * 3, u0="exp(-x1^2-x2^2-x3^2)",
+               box=[[-3.0, 3.0]] * 3, space_grid=[5] * 3, time_points=[0.3])
+    load_problem(cfg)
+    tracemalloc.start()
+    try:
+        load_problem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
