@@ -30,11 +30,11 @@ t * da/du(u), so this reduces to the classical criterion
 
 infinite when the minimum is nonnegative; otherwise a bisection in t on
 the grid infimum of G(t, .) locates the crossing.  The grid is scanned
-in blocks of whole rows along the first axis, each bound as its axes
-(``InitialData.on_axes``), so a subtree of u0 or its gradient in one
-variable costs one axis of the block; G takes u0 and its gradient from
-one program.  The golden-section refinement evaluates G at one point
-with the coordinates bound as floats.
+in ``problem._axis_blocks``, each bound as its ``axis_views``, so a
+subtree of u0 or its gradient in one variable costs one axis of the
+block; G takes u0 and its gradient from one program.  The
+golden-section refinement evaluates G at one point with the
+coordinates bound as floats.
 """
 
 from __future__ import annotations
@@ -49,25 +49,24 @@ import numpy as np
 
 from . import expr as ex
 from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
-from .problem import (ProblemSpec, _batched, _point_rows, _refuse,
-                      displacement_components, du_displacement_components)
+from .problem import (_BLOCK, ProblemSpec, _axis_blocks, _batched, _point_rows,
+                      _refuse, axis_views, displacement_components,
+                      du_displacement_components)
 
 __all__ = [
     "BlowupReport",
+    "blow_up_time",
     "solve_implicit",
     "gradient_exact",
-    "blow_up_time",
     "invert_char_map",
     "eval_rho_bar",
     "eval_a_bar",
-    "classical_fields",
 ]
 
 logger = logging.getLogger(__name__)
 
 _DET_FLOOR = 1e-10
 _BLOWUP_T_CAP = 2.0 ** 30
-_BLOWUP_CHUNK = 65_536  # blow-up grid points per block of rows
 
 
 def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
@@ -233,7 +232,7 @@ def _condition(spec: ProblemSpec, t: float, jet):
     points, in their shapes broadcast together.  A B_i without u is a
     scalar, which multiplies as it does broadcast."""
     u0v, *grads = jet
-    B = spec.velocity.du_displacement(spec, t, u0v, expand=False)
+    B = spec.velocity.du_displacement(spec, t, u0v)
     return sum(B[i] * grads[i] for i in range(spec.n))
 
 
@@ -255,32 +254,30 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     configured tolerance (method "lambda_grid"); this assumes the
     functional crosses -1 transversally.
     Grid ties break at the lowest flattened index.  The grid is never
-    formed whole: it is scanned in blocks of whole rows along the first
-    axis, about ``_BLOWUP_CHUNK`` points each, bound as axes, so memory
-    stays bounded; a block's flat indices are in C order.
+    formed whole: it is scanned in ``_axis_blocks`` of at most
+    ``_BLOCK`` points, bound as axes, so memory stays bounded; the
+    blocks are runs of flat indices in C order.
     """
     started = time.perf_counter()
     axes = _blowup_grid(spec)
     shape = tuple(len(ax) for ax in axes)
     spacings = [(hi - lo) / (len(ax) - 1) for (lo, hi), ax in zip(spec.box, axes)]
-    line = math.prod(shape[1:])
-    rows = max(1, _BLOWUP_CHUNK // line)
     work = {"chunks": 0, "refine": 0}
 
     def point(i: int) -> np.ndarray:
         return np.array([ax[k] for ax, k in zip(axes, np.unravel_index(i, shape))])
 
     def grid_argmin(t: float) -> tuple[int, float]:
-        i0, s0 = 0, None
-        for r in range(0, shape[0], rows):
+        i0, s0, offset = 0, None, 0
+        for block in _axis_blocks(axes, _BLOCK):
             work["chunks"] += 1
-            block = (axes[0][r:r + rows], *axes[1:])
-            G = _condition(spec, t, spec.init.on_axes(spec.init.jet_program, block,
-                                                      expand=False))
-            G = np.broadcast_to(G, tuple(len(ax) for ax in block))
+            G = _condition(spec, t, spec.init.on_columns(spec.init.jet_program,
+                                                         axis_views(block)))
+            G = np.broadcast_to(G, tuple(map(len, block)))
             i = int(np.argmin(G))
             if s0 is None or G.flat[i] < s0:
-                i0, s0 = r * line + i, float(G.flat[i])
+                i0, s0 = offset + i, float(G.flat[i])
+            offset += G.size
         return i0, s0
 
     def refine(t: float, i0: int):

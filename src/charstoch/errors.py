@@ -9,6 +9,14 @@ to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "CharstochError", "ConfigError", "SchemaError", "ValidationError",
+    "ExprError", "IllegalCharacter", "ExprSyntaxError", "UnknownVariable",
+    "UnknownFunction", "ArityMismatch", "NumericalError", "EvalDomainError",
+    "DegenerateKernel", "EmptyKernelSupport", "NoConvergence", "OutOfBracket",
+    "NearBlowup", "SingularJacobian", "ZeroMass",
+]
+
 
 class CharstochError(Exception):
     """Base class for every error raised by this package."""

@@ -50,25 +50,7 @@ from .errors import (
     UnknownVariable,
 )
 
-__all__ = [
-    "Token",
-    "Const",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "FUNCTIONS",
-    "tokenize",
-    "parse_expr",
-    "parse",
-    "Program",
-    "compile_exprs",
-    "eval_expr",
-    "expr_to_str",
-    "variables",
-    "diff",
-    "numeric_partial",
-]
+__all__ = ["parse", "eval_expr", "expr_to_str", "variables", "diff", "numeric_partial"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt", "abs")
 

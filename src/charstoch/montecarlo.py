@@ -12,7 +12,7 @@ bit for bit from the problem seed alone, independent of call order.
 That makes y a function of (seed, box, N): an ensemble does not store
 it, and every reader (``sample_initial``, ``evolve_exact``,
 ``dump_ensemble`` and the ``y`` property) draws it again from the
-(seed, init) stream, ``_BLOCK_ROWS`` rows at a time; blocks read the
+(seed, init) stream, ``problem._BLOCK`` rows at a time; blocks read the
 stream in order, so they are the rows of one draw bit for bit.
 
 Field estimates are kernel moments of the quadrature fields' kind:
@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroMass
-from .problem import ProblemSpec, _point_rows, displacement_components
+from .errors import DegenerateKernel, ZeroMass
+from .problem import _BLOCK, ProblemSpec, _point_rows, displacement_components
 from .representation import _held_bytes, _kernel_moments, _sources, integrate_rho0
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "sample_initial",
     "evolve_exact",
     "estimate_fields",
+    "default_bandwidth",
     "dump_ensemble",
 ]
 
@@ -64,9 +65,6 @@ _KEY_EXACT = 0xE4AC7
 
 # particle rows formatted per write in dump_ensemble
 _DUMP_ROWS = 4096
-
-# particle rows drawn and evolved per block
-_BLOCK_ROWS = 1 << 16
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
@@ -129,8 +127,7 @@ class ParticleEnsemble:
     def y(self) -> np.ndarray:
         """The initial positions (N, n), drawn again on each read."""
         y = np.empty((len(self), len(self.box)))
-        for a, b, block in _initial_positions(self.seed, self.box, len(self),
-                                              _BLOCK_ROWS):
+        for a, b, block in _initial_positions(self.seed, self.box, len(self), _BLOCK):
             y[a:b] = block
         return y
 
@@ -170,8 +167,8 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
     comparisons against the smoothed density are apples to apples.
 
     The positions are drawn, and U and the weights formed from them,
-    ``_BLOCK_ROWS`` rows at a time, each as the whole arrays would give
-    it.  rho0 is evaluated unexpanded.  A constant rho0 gives one
+    ``_BLOCK`` rows at a time, each as the whole arrays would give it.
+    rho0 is taken as ``on_columns`` makes it.  A constant rho0 gives one
     weight, formed by the IEEE operations each particle's weight would
     take, summed as a stride-0 view (the sum of N copies, in the same
     order) and kept as a read-only view; otherwise the weights are
@@ -182,11 +179,9 @@ def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
     started = time.perf_counter()
     cell = spec.box_volume / n_particles
     U, w = np.empty(n_particles), None
-    for a, b, y in _initial_positions(spec.rng_seed, spec.box, n_particles,
-                                      _BLOCK_ROWS):
+    for a, b, y in _initial_positions(spec.rng_seed, spec.box, n_particles, _BLOCK):
         U[a:b] = spec.init.u0_at(y)
-        rho, = spec.init.on_columns(spec.init.rho0_program, list(y.T),
-                                    expand=False)
+        rho, = spec.init.on_columns(spec.init.rho0_program, list(y.T))
         if np.ndim(rho) == 0:
             w = float(rho) * cell
         else:
@@ -216,8 +211,8 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     X = y + A(t, U) + sigma * sqrt(t) * Z reproduces the distribution of
     the characteristic at time t exactly; intermediate times from the
     same ensemble are not a path coupling, only matching marginals.
-    X is formed ``_BLOCK_ROWS`` rows at a time, drawing y and Z per
-    block, each as the whole arrays would give it.
+    X is formed ``_BLOCK`` rows at a time, drawing y and Z per block,
+    each as the whole arrays would give it.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -226,7 +221,7 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     X = np.empty((len(ens), len(ens.box)), order="F")
     noise = _stream(ens.seed, _KEY_EXACT)
     scale = spec.sigma * math.sqrt(t)
-    for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK_ROWS):
+    for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK):
         # drift + y + sigma sqrt(t) z, formed in place in each axis' rows;
         # each block's drift, then z, is dropped before the next is formed
         rows = X[a:b].T
@@ -262,7 +257,8 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     points more than the cutoff from every particle, are flagged invalid
     with u_hat = NaN rather than divided through.  Points are (..., n),
     and the estimates take their batch shape.  The bandwidth must be
-    finite and positive.
+    finite and positive (ValueError), and its square no smaller than
+    1e-300, as for a table's sigma^2 t (DegenerateKernel).
 
     The ensemble may be handed over: a caller that passes its only
     reference, as ``evolve_exact(...)`` written in the call, lets the
@@ -279,6 +275,9 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     h = default_bandwidth(spec, ens.t) if bandwidth is None else float(bandwidth)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("bandwidth must be finite and positive")
+    if h * h < 1e-300:
+        raise DegenerateKernel(
+            f"bandwidth^2 = {h * h:.3e} is below the representable kernel width")
     # hand the arrays over: _sources empties the lists and gets the only
     # reference to the weights, so once the ensemble is gone each array
     # is freed as its sorted copy is made

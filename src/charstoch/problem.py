@@ -24,14 +24,18 @@ optional checks against the derived trees, never evaluated otherwise.
 
 ``InitialData`` and ``VelocityField`` compile their trees once, into the
 programs of :mod:`charstoch.expr`; u0 and its gradient are one program.
-The pointwise API takes points of shape (..., n).  Tensor-product
-samples, such as a table's nodes, the blow-up grid and the sample of
-about 2e5 points on which ``load_problem`` checks u0 and rho0, are never
-formed as points: ``InitialData.on_axes`` binds axis i as a view of
-shape (1, .., m_i, .., 1), so a subtree in one variable costs one axis
-and only a subtree mixing variables costs the grid.  The load checks
-read the values so broadcast, which hold the same set of values as the
-grid, without expanding them.
+The pointwise API takes points of shape (..., n).  The one evaluator of
+initial data, ``InitialData.on_columns``, takes any columns that
+broadcast together and returns each value as the program made it.
+Tensor-product samples, such as a table's nodes, the blow-up grid and
+the sample of about 2e5 points on which ``load_problem`` checks u0 and
+rho0, are never formed as points: their columns are the
+``axis_views``, axis i as a view of shape (1, .., m_i, .., 1), so a
+subtree in one variable costs one axis and only a subtree mixing
+variables costs the grid.  Every scan of such a sample walks it in
+``_axis_blocks`` of at most ``_BLOCK`` points, the one block size of
+the package's blocked scans, and reads the values so broadcast, without
+expanding them.
 """
 
 from __future__ import annotations
@@ -52,23 +56,23 @@ from .errors import EvalDomainError, ExprError, SchemaError, ValidationError
 from .quadrature import adaptive_time_integral
 
 __all__ = [
-    "Tolerances",
+    "ProblemSpec",
     "VelocityField",
     "InitialData",
-    "ProblemSpec",
+    "Tolerances",
     "load_problem",
     "flow_displacement",
     "displacement_components",
     "du_displacement_components",
-    "space_axes",
-    "tensor_points",
-    "tensor_columns",
-    "axis_views",
 ]
 
 logger = logging.getLogger(__name__)
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+# points per block of every blocked scan: a tensor sample
+# (``_axis_blocks``), the rho0 mass rule and the particle rows
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -184,44 +188,27 @@ class InitialData:
     def jet_program(self) -> ex.Program:
         return ex.compile_exprs((self.u0, *self.grad_u0))
 
-    def on_columns(self, program: ex.Program, columns, *,
-                   expand: bool = True) -> list:
+    def on_columns(self, program: ex.Program, columns) -> list:
         """The trees of ``program`` in x1..xn at the points whose
-        coordinates are ``columns``, n arrays of one shape.  With
-        ``expand``, one float array of that shape per tree, a new one
-        where the tree's value is a scalar or one of the columns;
-        without, each value as the program made it: a float for a
-        constant tree, else an array that may be one of the columns,
-        so callers must not write into it.  Without ``expand`` the
-        columns may also be arrays that broadcast to the points' shape,
-        as ``on_axes`` binds its axes."""
-        env = {f"x{i + 1}": c for i, c in enumerate(columns)}
-        values = ex.eval_expr(program, env)
-        if not expand:
-            return list(values)
-        return _arrays(values, np.shape(columns[0]), columns)
+        coordinates are ``columns``, arrays that broadcast to the points'
+        shape, each value as the program made it: a float for a constant
+        tree, else an array that may be one of the columns, so callers
+        must not write into it.
 
-    def on_axes(self, program: ex.Program, axes, *, expand: bool = True) -> list:
-        """The trees of ``program`` at the tensor product of the 1D
-        ``axes`` (x1..xn), bound as ``axis_views``: a subtree costs the
-        axes its variables span, and no point is formed.  Every element
-        gets the operations and domain checks it gets in
-        ``on_columns(program, tensor_columns(axes))``, so the values and
-        any EvalDomainError are the same.  With ``expand`` each value is
-        a C-contiguous float array of the grid shape, a new one where
-        the tree's value is smaller; without, each is as the program
-        made it, a float or an array broadcastable to the grid shape
-        that holds the same set of values."""
-        env = {f"x{i + 1}": v for i, v in enumerate(axis_views(axes))}
-        values = ex.eval_expr(program, env)
-        if not expand:
-            return list(values)
-        return _arrays(values, tuple(len(ax) for ax in axes), env.values())
+        The columns may be those of the points or, for a tensor product,
+        its ``axis_views``: then a subtree costs the axes its variables
+        span, no point is formed, and every element gets the operations
+        and domain checks it gets on ``tensor_columns``, so the values,
+        broadcast, and any EvalDomainError are the same."""
+        env = {f"x{i + 1}": c for i, c in enumerate(columns)}
+        return list(ex.eval_expr(program, env))
 
     def _at(self, program: ex.Program, pts) -> list[np.ndarray]:
-        """``on_columns`` on points of shape (..., n), each with shape (...)."""
+        """``on_columns`` on points of shape (..., n), as one new or
+        computed float array of shape (...) per tree."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.on_columns(program, [pts[..., i] for i in range(self.n)])
+        columns = [pts[..., i] for i in range(self.n)]
+        return _arrays(self.on_columns(program, columns), pts.shape[:-1], columns)
 
     def u0_at(self, pts) -> np.ndarray:
         """u0 on points of shape (..., n), returned with shape (...)."""
@@ -359,8 +346,8 @@ def axis_views(axes) -> list[np.ndarray]:
 def tensor_columns(axes) -> tuple[np.ndarray, ...]:
     """Tensor product of 1D axes as flattened points in C order, one
     C-contiguous coordinate array (M,) per axis.  To evaluate initial
-    data on such a product, ``InitialData.on_axes`` takes the axes
-    themselves and forms none of these columns."""
+    data on such a product, ``InitialData.on_columns`` takes its
+    ``axis_views`` and forms none of these columns."""
     return tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 
 
@@ -555,10 +542,6 @@ def _check(key: str, errors, what: str, tol: float = 1e-6) -> None:
                                   f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
 
 
-# sample points per block of the initial-data check
-_CHECK_BLOCK = 1 << 16
-
-
 def _axis_blocks(axes, size: int):
     """The tensor product of ``axes`` as tensor products of sub-axes, in
     C order, each of at most ``size`` points, and of whole rows along
@@ -577,9 +560,9 @@ def _axis_blocks(axes, size: int):
 def _validate_initial_data(init: InitialData, box, space_grid,
                            grad_u0) -> tuple[float, float]:
     """Check u0 and rho0 on a tensor sample of the box, read unexpanded
-    from ``on_axes``, and return the u0 range inflated by 1%.
+    on ``axis_views``, and return the u0 range inflated by 1%.
 
-    The sample is read in ``_axis_blocks`` of ``_CHECK_BLOCK`` points,
+    The sample is read in ``_axis_blocks`` of ``_BLOCK`` points,
     each tree over every block before the next, and the verdicts are
     those of the whole sample: finiteness, sign, the u0 range and the
     max relative error of a supplied grad_u0.  An EvalDomainError of the
@@ -588,15 +571,15 @@ def _validate_initial_data(init: InitialData, box, space_grid,
     started = time.perf_counter()
     per_axis = max(201, int(round(2e5 ** (1.0 / len(box)))))
     axes = [np.linspace(lo, hi, max(per_axis, g)) for (lo, hi), g in zip(box, space_grid)]
-    blocks = list(_axis_blocks(axes, _CHECK_BLOCK))
+    blocks = [axis_views(b) for b in _axis_blocks(axes, _BLOCK)]
     finite = {"u0": True, "rho0": True}
     lo, hi, negative = math.inf, -math.inf, False
     for block in blocks:
-        v, = init.on_axes(init.u0_program, block, expand=False)
+        v, = init.on_columns(init.u0_program, block)
         finite["u0"] &= bool(np.all(np.isfinite(v)))
         lo, hi = min(lo, float(np.min(v))), max(hi, float(np.max(v)))
     for block in blocks:
-        v, = init.on_axes(init.rho0_program, block, expand=False)
+        v, = init.on_columns(init.rho0_program, block)
         finite["rho0"] &= bool(np.all(np.isfinite(v)))
         negative |= bool(np.any(v < 0))
     for key, ok in finite.items():
@@ -607,10 +590,10 @@ def _validate_initial_data(init: InitialData, box, space_grid,
     if grad_u0 is not None:
         supplied, errors, exact_error = ex.compile_exprs(grad_u0), [], None
         for block in blocks:
-            got = init.on_axes(supplied, block, expand=False)
+            got = init.on_columns(supplied, block)
             if exact_error is None:
                 try:
-                    want = init.on_axes(init.jet_program, block, expand=False)[1:]
+                    want = init.on_columns(init.jet_program, block)[1:]
                 except EvalDomainError as e:
                     exact_error = e
                 else:
@@ -655,7 +638,7 @@ def displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
     Equal components give one array."""
     vf = spec.velocity
     if vf.antiderivatives is None or t == 0:
-        return vf.displacement(spec, t, u)
+        return _arrays(vf.displacement(spec, t, u), np.shape(u))
     return _values(vf.antiderivative_program, float(t), u)
 
 
@@ -665,8 +648,9 @@ def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
 
 
 def du_displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
-    """B_i(t, u) = d/du A_i(t, u): the time integral of the exact da_i/du."""
-    return spec.velocity.du_displacement(spec, t, u)
+    """B_i(t, u) = d/du A_i(t, u): the time integral of the exact da_i/du,
+    one array of u's shape per component; equal components give one."""
+    return _arrays(spec.velocity.du_displacement(spec, t, u), np.shape(u))
 
 
 class _TimeIntegrals:
@@ -677,10 +661,11 @@ class _TimeIntegrals:
     own and is integrated by adaptive quadrature, elementwise on the u
     values; a tree without u has a scalar value at each node, so its
     integral is computed once and broadcast, where every element would
-    take the same arithmetic.  Integrals are exactly zero at t = 0, and
-    equal trees give one array.  Called with ``expand=False``, each
-    integral is returned as computed: a scalar for a tree without u, an
-    array of u's shape otherwise, never one callers may write into.
+    take the same arithmetic.  Each integral is returned as computed:
+    exactly 0.0 at t = 0, else a scalar for a tree without u and an
+    array of u's shape for a tree with u, never one callers may write
+    into; equal trees give one value.  ``displacement_components`` and
+    ``du_displacement_components`` expand them to arrays.
     """
 
     def __init__(self, trees) -> None:
@@ -693,12 +678,10 @@ class _TimeIntegrals:
         self.plan = [(True, timed.index(c)) if "t" in ex.variables(c)
                      else (False, steady.index(c)) for c in trees]
 
-    def __call__(self, spec: ProblemSpec, t: float, u, *,
-                 expand: bool = True) -> list:
-        u_arr = np.asarray(u, dtype=float)
+    def __call__(self, spec: ProblemSpec, t: float, u) -> list:
         if t == 0:
-            return [np.zeros(u_arr.shape) if expand else 0.0
-                    for _ in range(self.size)]
+            return [0.0] * self.size
+        u_arr = np.asarray(u, dtype=float)
         t = float(t)
         values = ex.eval_expr(self.steady, {"t": t, "u": u_arr}) \
             if self.steady.trees else ()
@@ -709,6 +692,5 @@ class _TimeIntegrals:
         timed = [adaptive_time_integral(
             lambda tau, _p=p: ex.eval_expr(_p, {"t": tau, "u": u_arr})[0],
             0.0, t, spec.tol.quad_tol_time) for p in self.timed]
-        values = [timed[j] if is_timed else scaled[id(values[j])]
-                  for is_timed, j in self.plan]
-        return _arrays(values, u_arr.shape) if expand else values
+        return [timed[j] if is_timed else scaled[id(values[j])]
+                for is_timed, j in self.plan]

@@ -32,13 +32,14 @@ contiguous array per axis, weights, per-source columns and the
 kernel's var, cut and norm.  The table of a (problem, t) holds the
 displaced nodes, tensor weight * rho0, and the columns u0 and
 a_1..a_n, and is shared by every point.  ``_tabulate`` takes u0 and
-rho0 on the node axes (``InitialData.on_axes``), never on the nodes'
-points, and each axis's centers are its node axis plus the
-displacement, in one pass.  ``montecarlo`` builds sources from the
-particles and their labels U, and one-value particle weights (a
-stride-0 view) stay one value there rather than being permuted.  A
-table holds one array per distinct velocity expression: an a_i that
-is u is the u0 column itself, and equal expressions share one array.
+rho0 on the node axes (``InitialData.on_columns`` on their
+``axis_views``), never on the nodes' points, and each axis's centers
+are its node axis plus the displacement, in one pass.  ``montecarlo``
+builds sources from the particles and their labels U, and one-value
+particle weights (a stride-0 view) stay one value there rather than
+being permuted.  A table holds one array per distinct velocity
+expression: an a_i that is u is the u0 column itself, and equal
+expressions share one array.
 The one constructor, ``_sources``, sorts all of it once into cells one
 cutoff radius wide.  It takes the centers and columns as lists that it
 empties, permuting one array at a time, and a table's weights are
@@ -80,16 +81,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport, EvalDomainError
-from .problem import (InitialData, ProblemSpec, _batched, _point_rows, _refuse,
-                      axis_views, displacement_components,
-                      du_displacement_components, space_axes, tensor_points)
+from .problem import (_BLOCK, InitialData, ProblemSpec, _arrays, _axis_blocks,
+                      _batched, _point_rows, _refuse, axis_views,
+                      displacement_components, du_displacement_components,
+                      space_axes, tensor_points)
 from .quadrature import (TABLE_ORDER, matched_width, panel_count, panel_rule,
                          rule_error)
 
 __all__ = [
-    "QuadratureGrid",
     "FieldGrid",
-    "quadrature_grid",
     "eval_rho_sigma",
     "eval_u_sigma",
     "eval_a_sigma",
@@ -114,9 +114,6 @@ _sum = np.add.reduce
 
 # field-grid rows formatted per write in FieldGrid.to_csv
 _CSV_ROWS = 4096
-
-# node weights formed per block in integrate_rho0
-_MASS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -321,23 +318,23 @@ _TABLE_CACHE_MAX = 6
 @lru_cache(maxsize=16)
 def _slope_bound(init: InitialData, box) -> float:
     """max |grad u0| over a tensor sample of ``box``: the cell midpoints
-    of 4096 cells per axis in 1D, 256 in 2D (about 65536 points), taken
-    from the jet (``InitialData.on_axes``, unexpanded) in blocks of rows
-    of about 4096 points so the sample stays small beside a table.
-    Where the gradient is undefined at a sample point (a kink of abs or
-    sqrt), the bound is unknown: inf."""
-    n = init.n
-    q = min(4096, round(65536 ** (1.0 / n)))
+    of 4096 cells in 1D, 256 per axis in 2D (65536 points), about 65536
+    points in more, taken from the jet unexpanded on the ``axis_views``
+    of its ``_axis_blocks``.  Where the gradient is undefined at a
+    sample point (a kink of abs or sqrt, or a NaN), the bound is
+    unknown: inf."""
+    q = min(4096, round(65536 ** (1.0 / init.n)))
     axes = [lo + (np.arange(q) + 0.5) * ((hi - lo) / q) for lo, hi in box]
-    rows = max(1, 4096 // q ** (n - 1))
     bound = 0.0
-    for s in range(0, q, rows):
+    for block in _axis_blocks(axes, _BLOCK):
         try:
-            grad = init.on_axes(init.jet_program, [axes[0][s:s + rows], *axes[1:]],
-                                expand=False)[1:]
+            grad = init.on_columns(init.jet_program, axis_views(block))[1:]
         except EvalDomainError:
             return math.inf
-        bound = max(bound, math.sqrt(float(np.max(sum(g * g for g in grad)))))
+        top = math.sqrt(float(np.max(sum(g * g for g in grad))))
+        if math.isnan(top):
+            return math.inf
+        bound = max(bound, top)
     return bound
 
 
@@ -464,16 +461,18 @@ def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     a columns evaluated in cell order, and ``fixed`` marking the columns
     with one value at every node.
 
-    u0 and rho0 are taken on the node axes (``InitialData.on_axes``),
-    each center array is its node axis plus the displacement, in one
-    pass, and the weights are formed in cell order (``_NodeWeights``),
-    so no array of node coordinates or of node-ordered weights is
-    formed.
+    u0 and rho0 are taken on the ``axis_views`` of the node axes, u0 as
+    one array of the grid's shape, each center array is its node axis
+    plus the displacement, in one pass, and the weights are formed in
+    cell order (``_NodeWeights``), so no array of node coordinates or of
+    node-ordered weights is formed.
     """
-    rho0, = spec.init.on_axes(spec.init.rho0_program, grid.axis_nodes, expand=False)
-    u0v, = spec.init.on_axes(spec.init.u0_program, grid.axis_nodes)
-    centers = [np.add(x, d).ravel() for x, d in zip(
-        axis_views(grid.axis_nodes), displacement_components(spec, t, u0v))]
+    views = axis_views(grid.axis_nodes)
+    rho0, = spec.init.on_columns(spec.init.rho0_program, views)
+    u0v, = _arrays(spec.init.on_columns(spec.init.u0_program, views),
+                   tuple(map(len, grid.axis_nodes)), views)
+    centers = [np.add(x, d).ravel()
+               for x, d in zip(views, displacement_components(spec, t, u0v))]
     u0v = u0v.ravel()
     var = spec.sigma * spec.sigma * t
     # _sources empties the lists, so it frees each unsorted array once
@@ -835,11 +834,11 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
 
 
 def _noise_ladder(sigmas) -> list[float]:
-    """``sigmas`` as floats, checked to be positive and strictly
+    """``sigmas`` as floats, checked to be positive, finite and strictly
     decreasing; raises ValueError otherwise."""
     sig = [float(s) for s in sigmas]
-    if not sig or not all(s > 0 for s in sig):
-        raise ValueError("sigmas must be positive")
+    if not sig or not all(0 < s < math.inf for s in sig):
+        raise ValueError("sigmas must be positive and finite")
     if not all(b < a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     return sig
@@ -851,7 +850,7 @@ def integrate_rho0(spec: ProblemSpec) -> float:
     The float is ``np.sum`` of the tensor weights times rho0 in node (C)
     order, but no array of every node's weight is formed: the node
     range is split by NumPy's own pairwise rule down to blocks of at
-    most ``_MASS_BLOCK`` weights, and each block is cut from the whole
+    most ``_BLOCK`` weights, and each block is cut from the whole
     rows along the last axis that hold it, formed as
     ``QuadratureGrid.weights * rho0`` forms them, and summed by
     ``np.add.reduce``.
@@ -873,11 +872,11 @@ def integrate_rho0(spec: ProblemSpec) -> float:
         # rho0 at the rows' nodes, its columns broadcasting to (rows, m)
         w *= spec.init.on_columns(spec.init.rho0_program,
                                   [x[i][:, None] for x, i in zip(lead_x, idx)]
-                                  + [last_x], expand=False)[0]
+                                  + [last_x])[0]
         return w.ravel()[a - r0 * m:b - r0 * m]
 
     def total(a: int, b: int) -> float:
-        if b - a <= _MASS_BLOCK:
+        if b - a <= _BLOCK:
             return _sum(block(a, b))
         half = (b - a) // 2
         half -= half % 8

@@ -21,8 +21,10 @@ from charstoch import (
     load_problem,
     solve_implicit,
 )
+from charstoch import characteristics, representation
 from charstoch.characteristics import (_condition, _condition_at, _foot,
                                       classical_fields)
+from charstoch.problem import _arrays, _axis_blocks, axis_views
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -186,7 +188,7 @@ def test_condition_equals_the_product_of_full_arrays(case):
     """G with the B_i that have no u as floats, on unexpanded jet values
     over a block of the blow-up grid, equals sum(B_i * du0/dx_i) formed
     from full arrays, the public ``du_displacement_components`` and the
-    expanded jet, bit for bit."""
+    jet expanded by ``_arrays``, bit for bit."""
     spec = {"time_dependent": lambda: make(a=["cos(t)*u^2/2"]),
             "t_times_u": lambda: make(n=2, a=["t*u", "t*u"],
                                       u0="exp(-x1^2-x2^2)",
@@ -195,10 +197,10 @@ def test_condition_equals_the_product_of_full_arrays(case):
             }.get(case, lambda: load_problem((CONFIGS / f"{case}.json").read_text()))()
     axes = [np.linspace(lo, hi, 23 + 4 * i) for i, (lo, hi) in enumerate(spec.box)]
     shape = tuple(len(ax) for ax in axes)
-    program = spec.init.jet_program
+    program, views = spec.init.jet_program, axis_views(axes)
     for t in (0.0, 1.0, 0.37):
-        got = _condition(spec, t, spec.init.on_axes(program, axes, expand=False))
-        u0v, *grads = spec.init.on_axes(program, axes)
+        got = _condition(spec, t, spec.init.on_columns(program, views))
+        u0v, *grads = _arrays(spec.init.on_columns(program, views), shape, views)
         B = du_displacement_components(spec, t, u0v)
         want = sum(B[i] * grads[i] for i in range(spec.n))
         assert want.shape == shape
@@ -222,6 +224,41 @@ def test_condition_at_one_point_equals_its_grid_value(case):
                                                         list(Y.T.copy())))
         for y, want in zip(Y, grid.tolist()):
             assert _condition_at(spec, t, y) == want, (t, y)
+
+
+@pytest.mark.parametrize("case", ["bump_2d", "time_dependent"])
+def test_scans_do_not_depend_on_the_block_size(monkeypatch, case):
+    """The blow-up grid scan (t*, y*, the minimum) and the slope sample
+    (its bound) come out equal at blocks of 7 points, under one row of
+    the 40-point axes, so that ``_axis_blocks`` splits the rows, and at
+    the default block size."""
+    bump = {"n": 2, "u0": "exp(-x1^2-x2^2)", "box": [[-3.0, 3.0], [-3.0, 3.0]],
+            "space_grid": [11, 11]}
+    # the time-dependent case takes the bisection in t (lambda_grid)
+    spec = make(tolerances={"blowup_grid": 40}, **{
+        "bump_2d": dict(bump, a=["u", "u"]),
+        "time_dependent": {"a": ["t*u"]},
+    }[case])
+
+    def scans():
+        representation._slope_bound.cache_clear()
+        rep = blow_up_time(spec)
+        bound = representation._slope_bound(spec.init, spec.box)
+        return rep.t_star, rep.y_star.tolist(), rep.min_functional, bound
+
+    want, sizes = scans(), []
+
+    def recorded(axes, size):
+        blocks = list(_axis_blocks(axes, size))
+        sizes.extend(math.prod(map(len, b)) for b in blocks)
+        return iter(blocks)
+
+    for module in (characteristics, representation):
+        monkeypatch.setattr(module, "_BLOCK", 7)
+        monkeypatch.setattr(module, "_axis_blocks", recorded)
+    assert scans() == want
+    # both scans took the small blocks
+    assert max(sizes) == 7 and math.isfinite(want[0]) and want[3] > 0
 
 
 def test_blowup_invariant_under_state_shift():

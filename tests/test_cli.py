@@ -274,8 +274,11 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
      "--resolutions", "0.08:0.032"),
     ("solve", "--method", "montecarlo", "--particles", "0"),
     ("solve", "--method", "montecarlo", "--particles", "1000", "--bandwidth", "-1"),
+    ("converge", "--sigmas", "inf,0.1", "--t", "0.5"),
+    ("iterms", "--sigmas", "inf", "--t", "0.5"),
 ], ids=["iterms-t0", "converge-empty-sigmas", "residuals-no-dt",
-        "residuals-reversed-window", "solve-no-particles", "solve-negative-bandwidth"])
+        "residuals-reversed-window", "solve-no-particles", "solve-negative-bandwidth",
+        "converge-inf-sigma", "iterms-inf-sigma"])
 def test_refused_arguments_leave_no_output_directory(tmp_path, capsys, args):
     """A subcommand that refuses its arguments exits 2 and leaves no
     output directory behind, however far in it finds them bad."""
@@ -284,6 +287,17 @@ def test_refused_arguments_leave_no_output_directory(tmp_path, capsys, args):
                        *args[1:])
     assert code == 2
     assert not out.exists()
+
+
+def test_bandwidth_whose_square_underflows_exits_3(tmp_path, capsys):
+    """--bandwidth 1e-200 squares to 0.0: a degenerate kernel, exit 3
+    with the JSON error line, not a ZeroDivisionError traceback."""
+    code, err = run_main(capsys, "solve", "--config", str(BURGERS), "--out",
+                         str(tmp_path / "o"), "--method", "montecarlo",
+                         "--particles", "1000", "--bandwidth", "1e-200", "--t", "0.5")
+    assert code == 3
+    assert err["kind"] == "DegenerateKernel"
+    assert err["message"] == "bandwidth^2 = 0.000e+00 is below the representable kernel width"
 
 
 @pytest.mark.parametrize("res", ["0.08:1e-300", "0.08:nan", "0.08:inf",

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from charstoch import (
+    DegenerateKernel,
     ParticleEnsemble,
     ZeroMass,
     estimate_fields,
@@ -24,8 +25,8 @@ from charstoch import (
     load_problem,
     sample_initial,
 )
-from charstoch.montecarlo import _BLOCK_ROWS, _KEY_EXACT, _KEY_INIT, _stream
-from charstoch.problem import displacement_components, space_axes, tensor_points
+from charstoch.montecarlo import _KEY_EXACT, _KEY_INIT, _stream
+from charstoch.problem import _BLOCK, displacement_components, space_axes, tensor_points
 from charstoch.representation import _sources
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -349,6 +350,20 @@ def test_estimate_validates_inputs(burgers):
         np.testing.assert_array_equal(got.reshape(6), want)
 
 
+def test_bandwidth_whose_square_underflows_is_degenerate(burgers):
+    """A bandwidth whose square is below 1e-300 is refused as a
+    degenerate kernel, the rule a table applies to sigma^2 t: 1e-200
+    squares to 0.0, by which the kernel norm cannot divide, and 1e-155
+    to a subnormal.  1e-150 still estimates."""
+    ens = evolve_exact(sample_initial(burgers, 1_000), burgers, 0.5)
+    pts = np.array([[0.0], [40.0]])
+    for h in (1e-200, 1e-155):
+        with pytest.raises(DegenerateKernel, match=r"^bandwidth\^2 = .* kernel width$"):
+            estimate_fields(ens, burgers, pts, bandwidth=h)
+    est = estimate_fields(ens, burgers, pts, bandwidth=1e-150)
+    assert np.array_equal(est.rho_hat, [0.0, 0.0]) and not est.valid.any()
+
+
 def test_zero_density_raises():
     spec = make(rho0="0")
     with pytest.raises(ZeroMass):
@@ -587,7 +602,7 @@ def one_draw(spec, count, t):
 
 
 @pytest.mark.parametrize("case", ["1d", "1d-varying-rho0", "2d", "3d-varying-rho0"])
-@pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 100_003])
+@pytest.mark.parametrize("count", [1, _BLOCK, _BLOCK + 1, 100_003])
 def test_positions_redrawn_in_blocks_equal_one_draw(tmp_path, case, count):
     """y is drawn again wherever it is read, a block of rows at a time:
     y, U, w, X at t = 0 and at t > 0, and the dumps at both, equal those

@@ -21,7 +21,8 @@ from charstoch import (
 from charstoch import problem
 from charstoch.errors import EvalDomainError
 from charstoch.expr import compile_exprs, expr_to_str, parse
-from charstoch.problem import _CHECK_BLOCK, _axis_blocks, tensor_columns, tensor_points
+from charstoch.problem import (_BLOCK, _arrays, _axis_blocks, axis_views,
+                               tensor_columns, tensor_points)
 from charstoch.quadrature import adaptive_time_integral
 from test_expr import _random_expr
 
@@ -316,16 +317,16 @@ def test_time_integral_of_a_tree_without_u_is_one_scalar_integral():
 
 
 def test_time_integrals_unexpanded_are_scalars_without_u():
-    """``expand=False`` returns each B_i as computed: a scalar where the
-    tree has no u (t for t*u, by quadrature; t for u, in closed form),
-    an array where it has u, each equal to the public arrays bit for
-    bit; at t = 0 each is 0.0.  The public arrays are unchanged."""
+    """The time integrals return each B_i as computed: a scalar where
+    the tree has no u (t for t*u, by quadrature; t for u, in closed
+    form), an array where it has u, each equal to the public arrays bit
+    for bit; at t = 0 each is 0.0.  The public arrays are unchanged."""
     spec = load_problem(make(n=3, a=["t*u", "u", "u^2/2"],
                              u0="sin(x1)", box=[[-1.0, 1.0]] * 3,
                              space_grid=[5, 5, 5]))
     u = np.linspace(-1.0, 1.0, 9)
     for t in (0.0, 0.3, 2.5):
-        raw = spec.velocity.du_displacement(spec, t, u, expand=False)
+        raw = spec.velocity.du_displacement(spec, t, u)
         full = du_displacement_components(spec, t, u)
         assert all(isinstance(b, np.ndarray) and b.shape == u.shape for b in full)
         if t == 0:
@@ -337,31 +338,36 @@ def test_time_integrals_unexpanded_are_scalars_without_u():
 
 
 def on_axes_outcome(init, program, axes, expand=True):
-    """``on_axes`` as C-order flat arrays, or the class and message of
-    the EvalDomainError it raises."""
-    shape = tuple(len(ax) for ax in axes)
+    """``on_columns`` on the ``axis_views`` of ``axes``, expanded by
+    ``_arrays`` or as computed, as C-order flat arrays, or the class and
+    message of the EvalDomainError it raises."""
+    shape, views = tuple(len(ax) for ax in axes), axis_views(axes)
     try:
-        values = init.on_axes(program, axes, expand=expand)
+        values = init.on_columns(program, views)
     except EvalDomainError as e:
         return type(e), str(e)
     if expand:
+        values = _arrays(values, shape, views)
         for v in values:
             assert v.shape == shape and v.dtype == float and v.flags.c_contiguous
     return [np.broadcast_to(v, shape).ravel() for v in values]
 
 
 def columns_outcome(init, program, axes):
-    """``on_columns`` on the tensor columns of ``axes``, or the class and
-    message of the EvalDomainError it raises."""
+    """``on_columns`` on the tensor columns of ``axes``, expanded by
+    ``_arrays``, or the class and message of the EvalDomainError it
+    raises."""
+    columns = tensor_columns(axes)
     try:
-        return init.on_columns(program, tensor_columns(axes))
+        return _arrays(init.on_columns(program, columns), columns[0].shape, columns)
     except EvalDomainError as e:
         return type(e), str(e)
 
 
 def assert_on_axes_matches_columns(init, program, axes):
-    """Expanded and unexpanded, ``on_axes`` gives the bytes of
-    ``on_columns`` on the points' columns, or raises as it does."""
+    """Expanded and unexpanded, ``on_columns`` on the ``axis_views``
+    gives the bytes it gives on the points' columns, or raises as it
+    does."""
     with np.errstate(all="ignore"):
         want = columns_outcome(init, program, axes)
         for expand in (True, False):
@@ -412,15 +418,17 @@ def test_on_axes_matches_columns_on_random_trees(n):
 
 
 def test_on_axes_expands_trees_in_one_variable_and_constants():
-    """Trees in fewer variables than the grid, and constant trees, come
-    back as new full C-contiguous arrays, never as the axes."""
+    """Trees in fewer variables than the grid, and constant trees, on
+    the ``axis_views`` and expanded by ``_arrays``, come back as new full
+    C-contiguous arrays, never as the axes."""
     init = load_problem(make(n=3, a=["u"] * 3, u0="x1", box=[[-1.0, 1.0]] * 3,
                              space_grid=[2] * 3)).init
     axes = [np.linspace(-1.0, 1.0, k) for k in (3, 4, 5)]
     srcs = ["x1", "x2", "x3", "sin(x2)", "-x3", "2.5", "exp(-x1^2)", "x1*x3", "x2"]
     program = compile_exprs([parse(src, ["x1", "x2", "x3"]) for src in srcs])
     assert assert_on_axes_matches_columns(init, program, axes)
-    values = init.on_axes(program, axes)
+    views = axis_views(axes)
+    values = _arrays(init.on_columns(program, views), (3, 4, 5), views)
     assert all(not np.shares_memory(v, ax) for v in values for ax in axes)
     assert values[1] is values[-1]  # equal trees stay one array
 
@@ -489,14 +497,14 @@ def recorded_blocks(monkeypatch) -> list:
 
 def test_shipped_configs_check_in_at_most_four_blocks(monkeypatch):
     """The 1D and 2D samples, of at most 200,000 points, take at most 4
-    blocks of at most _CHECK_BLOCK points: a config loaded once per
+    blocks of at most _BLOCK points: a config loaded once per
     step pays little for the blocks."""
     calls = recorded_blocks(monkeypatch)
     for path in sorted(CONFIGS.glob("*.json")):
         load_problem(path.read_text())
         blocks = calls.pop()
         assert 1 < len(blocks) <= 4, path.name
-        assert all(math.prod(map(len, b)) <= _CHECK_BLOCK for b in blocks)
+        assert all(math.prod(map(len, b)) <= _BLOCK for b in blocks)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -514,7 +522,8 @@ def test_load_check_reads_every_block(monkeypatch, key, src, where, message):
         load_problem(make(box=[[-3.0, 3.0]], **{key: src}))
     blocks = calls.pop()
     init = load_problem(make()).init
-    v = [init.on_axes(compile_exprs([parse(src, ["x1"])]), b)[0] for b in blocks]
+    program = compile_exprs([parse(src, ["x1"])])
+    v = [init.on_columns(program, axis_views(b))[0] for b in blocks]
     faults = [bool(np.any(~np.isfinite(x) if key == "u0" else x < 0)) for x in v]
     assert faults.index(True) == where % len(blocks) and sum(faults) == 1
 
@@ -540,7 +549,7 @@ def test_load_check_grad_message_is_the_whole_sample_one(monkeypatch, overrides)
     with pytest.raises(ValidationError) as blocked:
         load_problem(cfg)
     assert len(calls.pop()) > 1
-    monkeypatch.setattr(problem, "_CHECK_BLOCK", 1 << 40)
+    monkeypatch.setattr(problem, "_BLOCK", 1 << 40)
     with pytest.raises(ValidationError) as whole:
         load_problem(cfg)
     assert len(calls.pop()) == 1

@@ -30,6 +30,41 @@ def test_star_import_binds_every_exported_name():
     assert set(charstoch.__all__) <= set(namespace)
 
 
+# the package's names, one line per module in import order
+PACKAGE_NAMES = [
+    "__version__",
+    "CharstochError", "ConfigError", "SchemaError", "ValidationError",
+    "ExprError", "IllegalCharacter", "ExprSyntaxError", "UnknownVariable",
+    "UnknownFunction", "ArityMismatch", "NumericalError", "EvalDomainError",
+    "DegenerateKernel", "EmptyKernelSupport", "NoConvergence", "OutOfBracket",
+    "NearBlowup", "SingularJacobian", "ZeroMass",
+    "parse", "eval_expr", "expr_to_str", "variables", "diff", "numeric_partial",
+    "ProblemSpec", "VelocityField", "InitialData", "Tolerances", "load_problem",
+    "flow_displacement", "displacement_components", "du_displacement_components",
+    "FieldGrid", "eval_rho_sigma", "eval_u_sigma", "eval_a_sigma",
+    "eval_field_grid", "integrate_rho0", "integrate_rho_sigma",
+    "BlowupReport", "blow_up_time", "solve_implicit", "gradient_exact",
+    "invert_char_map", "eval_rho_bar", "eval_a_bar",
+    "ParticleEnsemble", "FieldEstimate", "sample_initial", "evolve_exact",
+    "estimate_fields", "default_bandwidth", "dump_ensemble",
+    "ResidualReport", "ItermRow", "eval_I_u_sigma", "eval_I_a_sigma",
+    "residual_sigma_system", "residual_pressureless", "attach_ratios",
+    "i_term_persistence",
+]
+
+
+def test_package_surface_is_the_module_lists():
+    """The package exports its 63 names, and its ``__all__`` is
+    ``__version__`` and then each re-exported module's ``__all__``, in
+    import order, so a module's list is the one place a name is added."""
+    modules = ["errors", "expr", "problem", "representation", "characteristics",
+               "montecarlo", "balance"]
+    joined = ["__version__"] + [
+        name for m in modules for name in importlib.import_module(f"charstoch.{m}").__all__]
+    assert charstoch.__all__ == joined
+    assert charstoch.__all__ == PACKAGE_NAMES and len(PACKAGE_NAMES) == 63
+
+
 def test_no_global_statement_outside_the_moments_memo():
     """Module state is written by ``representation._moments`` alone: it
     owns the one-entry memo of kernel moments, and no other function of

@@ -23,7 +23,8 @@ from charstoch import (
     load_problem,
 )
 from charstoch import balance, representation
-from charstoch.problem import displacement_components, space_axes, tensor_points
+from charstoch.problem import (axis_views, displacement_components, space_axes,
+                               tensor_points)
 from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass,
                                       _kernel_means, _sources, _stretch,
                                       _NodeWeights, _table_for, _tabulate,
@@ -121,7 +122,7 @@ def dense_rho0_mass(spec):
     grid = quadrature_grid(spec.box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel)
     w = grid.weights.reshape(tuple(len(x) for x in grid.axis_nodes))
-    w *= spec.init.on_axes(spec.init.rho0_program, grid.axis_nodes, expand=False)[0]
+    w *= spec.init.on_columns(spec.init.rho0_program, axis_views(grid.axis_nodes))[0]
     return float(np.sum(w.ravel()))
 
 
@@ -597,6 +598,19 @@ def test_stretch_matched_tables_are_no_less_accurate(monkeypatch, name, sigma, t
             continue
         err_new, err_old = (np.max(np.abs(f[q] - ref[q])) / size for f in (new, old))
         assert err_new <= max(err_old, floor), (q, err_new, err_old)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_slope_bound_of_a_nan_gradient_is_unknown(n):
+    """Past x1 = 7.09, exp(100*x1) overflows: u0 = exp(-exp(100*x1)) is
+    0.0 there, but its gradient is -inf * 0.0 = NaN, so the slope bound
+    is unknown, inf, whatever block holds the NaN; Python's max would
+    drop the NaN and with it the rest of its block."""
+    spec = make(n=n, a=["u"] * n, u0="exp(-exp(100*x1))",
+                box=[[-3.0, 8.0]] + [[-1.0, 1.0]] * (n - 1), space_grid=[5] * n)
+    representation._slope_bound.cache_clear()
+    assert representation._slope_bound(spec.init, spec.box) == math.inf
 
 
 def bump(a):
