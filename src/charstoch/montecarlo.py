@@ -28,9 +28,10 @@ With a constant rho0 every particle has one weight, held as a
 read-only stride-0 view of one float, in the ensemble and in the
 sources alike, so the route holds per particle only U and X.  The CLI
 hands the evolved ensemble over to ``estimate_fields``, which lets
-``_sources`` free X once it is sorted: the peak in 1D is 4 arrays of N
-floats, the sort order, U and the sorted X and U.  Every weight and
-every sum is the one the per-particle arrays gave, bit for bit.
+``_sources`` free X once it is sorted: the peak in 1D is 3.5 arrays of
+N floats, U, X and its sorted copy and the sort order, whose indices
+are 4 bytes each.  Every weight and every sum is the one the
+per-particle arrays gave, bit for bit.
 """
 
 from __future__ import annotations
@@ -263,7 +264,8 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     The ensemble may be handed over: a caller that passes its only
     reference, as ``evolve_exact(...)`` written in the call, lets the
     sort free X, U and per-particle weights as their sorted copies are
-    made, and the route then peaks one array of N floats lower.  A
+    made, and the route then peaks one array of N floats lower.  The
+    sort order itself holds 4 bytes per particle, half an array.  A
     caller that holds the ensemble gets the same estimate, and its
     arrays are left as they are.  Under debug, one line says which of
     the two it was.

@@ -41,14 +41,16 @@ being permuted.  A table holds one array per distinct velocity
 expression: an a_i that is u is the u0 column itself, and equal
 expressions share one array.
 The one constructor, ``_sources``, sorts all of it once into cells one
-cutoff radius wide.  It takes the centers and columns as lists that it
-empties, permuting one array at a time, and a table's weights are
-formed in cell order from the axis weights and rho0 (``_NodeWeights``),
-never in node order, so the t = 0.3 bump table build peaks at about
-1.3 times the table's bytes (1.4 in a process whose first
-Gauss-Legendre rule it computes) rather than with both copies of every
-array alive.  The sources of the 3^n cells around a point are then
-3^(n-1) contiguous slices, so ``_gaussian_pass``, the only kernel
+cutoff radius wide.  Its cell order is a stable counting sort built
+``_SORT_BLOCK`` keys at a time (``_cell_order``), 4 bytes per source.
+It takes the centers and columns as lists that it empties, gathering
+one array at a time through that order a block at a time, and a
+table's weights are formed in cell order from the axis weights and
+rho0 (``_NodeWeights``), never in node order, so the t = 0.3 bump
+table build peaks at about 1.19 times the table's bytes (1.30 in a
+process whose first Gauss-Legendre rule it computes) rather than with
+both copies of every array alive.  The sources of the 3^n cells
+around a point are then 3^(n-1) contiguous slices, so ``_gaussian_pass``, the only kernel
 evaluation, scans those slices rather than every source.  It finds the
 cells with Python scalars and forms the kept weights in place, so the
 cost of a pass is that of its NumPy calls on the slices.  The fields
@@ -114,6 +116,9 @@ _sum = np.add.reduce
 
 # field-grid rows formatted per write in FieldGrid.to_csv
 _CSV_ROWS = 4096
+
+# rows per block of the cell sort, and indices per block of its gathers
+_SORT_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,16 @@ def _sources(centers: list, weights, columns: list, var: float,
 
     The two lists are emptied: the arrays are permuted one at a time,
     and each unsorted one is dropped once its sorted copy exists, the
-    weights last.  A caller that hands over its only references to the
-    centers and columns therefore peaks at one array above the sorted
-    sources, plus the sort order, rather than with both copies of
-    every array alive.  Weights that are one value, a stride-0 view
-    such as ``sample_initial`` makes, read the same in any order: they
-    are kept as a view of their first ``count`` positions, not
-    permuted.
+    weights last.  The permutation is the stable argsort of the cell
+    keys, built by ``_cell_order`` as 4-byte indices (8 past 2^31 - 1
+    sources) and read ``_SORT_BLOCK`` indices at a time, so no array of
+    one intp per source exists.  A caller that hands over its only
+    references to the centers and columns therefore peaks at one array
+    above the sorted sources, plus that half-width order, rather than
+    with both copies of every array alive.  Weights that are one value,
+    a stride-0 view such as ``sample_initial`` makes, read the same in
+    any order: they are kept as a view of their first ``count``
+    positions, not permuted.
 
     The one truncation rule of every kernel sum: a source counts while
     e <= cut = min(cutoff^2 / 2, the exponent where exp underflows).
@@ -251,6 +259,7 @@ def _sources(centers: list, weights, columns: list, var: float,
     add candidates.  The bounding box is a plain min and max per axis;
     only when some center is not finite is it masked to the finite ones.
     """
+    started = time.perf_counter()
     cut = min(0.5 * cutoff ** 2, _UNDERFLOW)
     n, M = len(centers), len(weights)
     lo = np.array([np.min(c, initial=np.inf) for c in centers])
@@ -289,26 +298,85 @@ def _sources(centers: list, weights, columns: list, var: float,
     if bad is not None:
         key[bad] = cells
     del bad
-    starts = np.zeros(cells + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=cells + 1)[:cells], out=starts[1:])
-    order = np.argsort(key, kind="stable")[:count]
+    order, starts = _cell_order(key, cells)
+    order = order[:count]
     del key
     # one array at a time, each unsorted one released (unless its caller
     # holds it) once its permuted copy exists; the weights go last
-    axes = tuple(centers.pop(0).take(order) for _ in range(n))
-    columns = tuple(columns.pop(0).take(order) for _ in range(len(columns)))
+    axes = tuple(_gather(centers.pop(0), order) for _ in range(n))
+    columns = tuple(_gather(columns.pop(0), order) for _ in range(len(columns)))
     if isinstance(weights, np.ndarray) and weights.strides == (0,):
         weights = weights[:count]
+    elif isinstance(weights, np.ndarray):
+        weights = _gather(weights, order)
     else:
         weights = weights.take(order)
     src = _Sources(axes=axes, weights=weights, columns=columns,
                    var=var, cut=cut, norm=norm, lo=lo, width=width,
                    shape=shape, starts=starts, fixed=(None,) * len(columns))
     logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "
-                 "%d distinct columns, %d bytes",
+                 "%d distinct columns, sorted in %.3f s, %d bytes",
                  M, "x".join(str(s) for s in shape), width,
-                 len(set(src.first_of)), src.nbytes)
+                 len(set(src.first_of)), time.perf_counter() - started,
+                 src.nbytes)
     return src
+
+
+def _cell_order(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of ``key`` (M,), whose values are 0..cells, as
+    int32 (int64 past 2^31 - 1 keys), and ``starts`` (cells + 1,), the
+    first position of each key's run in it; the last run, of key
+    ``cells``, starts at ``starts[cells]``.
+
+    A counting sort, ``_SORT_BLOCK`` rows at a time.  The keys are
+    counted a block at a time (``np.bincount`` would copy them all to
+    intp).  Then each block is stable-argsorted on its own keys, and
+    its runs of one key go, in index order, to the next free slots of
+    their cells.  Blocks are taken in index order, so ties keep their
+    index order as in the global stable sort.  The work per block is
+    that of its own rows, whatever the number of cells, and no array
+    of M intp exists."""
+    M = len(key)
+    starts = np.zeros(cells + 2, dtype=np.int64)
+    for s in range(0, M, _SORT_BLOCK):
+        np.add.at(starts[1:], key[s:s + _SORT_BLOCK], 1)
+    starts = np.cumsum(starts, out=starts)[:-1]  # the keys below each key
+    itype = np.int32 if M <= np.iinfo(np.int32).max else np.int64
+    order = np.empty(M, dtype=itype)
+    free = starts.astype(itype)  # the next free slot of each cell
+    rank = np.arange(_SORT_BLOCK)
+    new = np.empty(_SORT_BLOCK + 1, dtype=bool)  # where a run of one key begins
+    new[0] = True
+    for s in range(0, M, _SORT_BLOCK):
+        kb = key[s:s + _SORT_BLOCK]
+        b = len(kb)
+        by = np.argsort(kb, kind="stable")
+        kb = kb.take(by)
+        np.not_equal(kb[1:], kb[:-1], out=new[1:b])
+        new[b] = True
+        edge = np.flatnonzero(new[:b + 1])  # the runs' first positions, then b
+        first = edge[:-1]
+        cell, size = kb.take(first), edge[1:] - first
+        slot = free.take(cell)
+        # the run from block position f fills slots slot..: the row at
+        # position j goes to slot + j - f
+        dest = np.repeat(slot - first, size)
+        dest += rank[:b]
+        by = by.astype(itype)  # values of order's type scatter faster
+        by += s
+        order[dest] = by
+        free[cell] = slot + size
+    return order, starts
+
+
+def _gather(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``a.take(order)``, ``_SORT_BLOCK`` indices at a time, so that a
+    narrow ``order`` is widened to intp one block at a time."""
+    out = np.empty(len(order), dtype=a.dtype)
+    for s in range(0, len(order), _SORT_BLOCK):
+        # the indices are in range, and "wrap" writes straight to out
+        a.take(order[s:s + _SORT_BLOCK], out=out[s:s + _SORT_BLOCK], mode="wrap")
+    return out
 
 
 _TABLE_CACHE: OrderedDict[tuple[str, float], _Sources] = OrderedDict()
@@ -439,7 +507,7 @@ class _NodeWeights:
         axis_weights = self.grid.axis_weights
         shape = tuple(len(w) for w in axis_weights)
         rho0 = np.broadcast_to(self.rho0, shape)
-        out, step = np.empty(len(order)), 16_384
+        out, step = np.empty(len(order)), _SORT_BLOCK
         for s in range(0, len(order), step):
             p, idx = order[s:s + step], []
             for m in shape[:0:-1]:  # the node's index on each axis

@@ -494,7 +494,8 @@ def test_varying_rho0_keeps_per_particle_weights(burgers, dim, caplog):
 def test_sources_hold_one_value_weights_as_one_float(burgers, caplog):
     """_sources keeps one-value weights as a view of one float, counted
     as 8 bytes in ``nbytes`` (the view's own ``nbytes`` is 8 N), and the
-    kernel-sources debug line reports that figure."""
+    kernel-sources debug line reports that figure after the time the
+    sort took."""
     ens = evolve_exact(sample_initial(burgers, 10_000), burgers, 0.5)
     h, cutoff = 0.05, burgers.tol.kernel_cutoff
     src = _sources(list(ens.X.T), ens.w, [ens.U], h * h, cutoff, 1.0)
@@ -506,7 +507,8 @@ def test_sources_hold_one_value_weights_as_one_float(burgers, caplog):
     assert full.nbytes == src.nbytes - 8 + 8 * len(ens)
     with caplog.at_level(logging.DEBUG, logger="charstoch.representation"):
         estimate_fields(ens, burgers, np.zeros((1, 1)), bandwidth=h)
-    logged = [re.search(r"kernel sources: .*, (\d+) bytes$", r.getMessage())
+    logged = [re.search(r"kernel sources: .*, sorted in \d+\.\d{3} s, (\d+) bytes$",
+                        r.getMessage())
               for r in caplog.records]
     assert [int(m.group(1)) for m in logged if m] == [src.nbytes]
 
@@ -551,6 +553,25 @@ def test_particle_route_peak_2d():
     spec = load_problem(BUMP2D.read_text())
     count = 200_000
     assert route_peak(spec, 0.3, 0.05, count) < 6.1 * 8 * count
+
+
+def test_particle_route_peak_at_a_million():
+    """On burgers_sin the route at 10^6 particles peaks at 3.52 times
+    8 N bytes under tracemalloc: U, X, the sorted X and a cell order of
+    4 bytes per particle, built and read a block at a time.  With an
+    int64 order from one global argsort it was 4.00."""
+    spec = load_problem((CONFIGS / "burgers_sin.json").read_text())
+    count = 1_000_000
+    assert route_peak(spec, 0.5, 0.02, count) < 3.55 * 8 * count
+
+
+def test_particle_route_peak_2d_at_a_million():
+    """On the 2D bump at t = 0.3 the route at 10^6 particles peaks at
+    5.52 times 8 N bytes: U, X of two floats per particle, the sorted X
+    and U and the 4-byte cell order.  With an int64 order it was 6.00."""
+    spec = load_problem(BUMP2D.read_text())
+    count = 1_000_000
+    assert route_peak(spec, 0.3, 0.05, count) < 5.55 * 8 * count
 
 
 @pytest.mark.parametrize("case", ["1d", "1d-varying-rho0", "2d"])
