@@ -69,6 +69,13 @@ three fields.  Sums run in cell order, and equal a scan of all sources
 in that order bit for bit.  The node count still scales like
 sigma^(-n) (halving sigma doubles it per axis), which governs the
 table build and its memory, not the cost per point.
+
+One table is held at a time (``_table_for``): every caller asks for
+each (problem, t) in one run of consecutive calls, so the slot is
+emptied, and the kept moments of its (problem, t) with it, before the
+next table is built.  The 3D sigma-residual run of the README then
+holds one 80 MiB table where it held five, and peaks at 133-145 MiB
+RSS where it reached 452 MiB.
 """
 
 from __future__ import annotations
@@ -76,7 +83,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -379,8 +385,8 @@ def _gather(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-_TABLE_CACHE: OrderedDict[tuple[str, float], _Sources] = OrderedDict()
-_TABLE_CACHE_MAX = 6
+# the one table held, keyed by (problem digest, sigma, t); at most one entry
+_slot: dict[tuple[str, float, float], _Sources] = {}
 
 
 @lru_cache(maxsize=16)
@@ -558,15 +564,23 @@ def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
 
 
 def _table_for(spec: ProblemSpec, t: float) -> _Sources:
-    key = (spec.digest, float(t))
-    table = _TABLE_CACHE.get(key)
+    """The table of (spec, t), from the one-table slot ``_slot``.
+
+    The slot holds the table of the (problem, t) last asked for.  Every
+    caller asks for each (problem, t) in one run of consecutive calls,
+    so another table would only be read again if the process came back
+    to an earlier (problem, t), which costs one rebuild.  On a miss the
+    slot is emptied before the build, so the old table is freed (unless
+    a caller still holds it) before the new one allocates anything."""
+    key = (spec.digest, spec.sigma, float(t))
+    table = _slot.get(key)
     if table is None:
-        table = _build_table(spec, t)
-        _TABLE_CACHE[key] = table
-        while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-            _TABLE_CACHE.popitem(last=False)
-    else:
-        _TABLE_CACHE.move_to_end(key)
+        if _slot:
+            (_, sigma, t_old), old = _slot.popitem()
+            logger.debug("kernel table at sigma=%g t=%g dropped, %d bytes",
+                         sigma, t_old, old.nbytes)
+            del old  # before the build allocates
+        table = _slot[key] = _build_table(spec, t)
     return table
 
 
@@ -741,7 +755,8 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
 
 # the kernel moments of the last point set, (key, den, means, I terms or
 # None), so that the fields and the I terms asked for at the same points
-# share one pass per point; ``_moments`` alone reads and writes it
+# share one pass per point; ``_moments`` alone reads and writes it, and
+# empties it when it moves on to another (problem, t), with its table
 _last_results = None
 
 
@@ -753,6 +768,9 @@ def _moments(spec: ProblemSpec, t: float, X: np.ndarray, *, iterms: bool = False
     The results of the last point set are kept, and answer a call at
     the same (problem, t, X) that asks for no more than they hold; any
     other call makes one pass per point and is kept in their place.
+    Kept results of another (problem, t) are dropped before the call
+    asks for its table, so they are freed with the table that the slot
+    then drops.
     An I-term call needs t > 0, and raises EmptyKernelSupport at the
     first point without kernel mass, after its pass, keeping nothing.
     The arrays may be the kept ones, so callers must not write into
@@ -760,8 +778,11 @@ def _moments(spec: ProblemSpec, t: float, X: np.ndarray, *, iterms: bool = False
     global _last_results
     if iterms and t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    table = _table_for(spec, t)
     key = (spec.digest, float(t), X.shape, X.tobytes())
+    if _last_results is not None and _last_results[0][:2] != key[:2]:
+        # kept on the table that the slot drops next: freed before the build
+        _last_results = None
+    table = _table_for(spec, t)
     last = _last_results  # read once, so the key and values come together
     if last is None or last[0] != key or (iterms and last[3] is None):
         step = _i_term_step(spec, t, table) if iterms else ()

@@ -624,6 +624,141 @@ def test_bump_at_sigma_0p05_fits_the_node_budget(caplog):
     assert [r for r in caplog.records if "panel cap 10 binds" in r.getMessage()]
 
 
+def counted_builds(monkeypatch) -> list[int]:
+    """Wrap ``_build_table`` so that each build appends its table's bytes
+    to the list returned, which holds no table."""
+    built, build = [], representation._build_table
+
+    def counting(spec, t):
+        table = build(spec, t)
+        built.append(table.nbytes)
+        return table
+
+    monkeypatch.setattr(representation, "_build_table", counting)
+    return built
+
+
+def test_field_grids_at_one_time_build_one_table(monkeypatch):
+    spec = load_problem(BUMP2D.read_text())
+    built = counted_builds(monkeypatch)
+    for which in ("rho", "u", "a"):
+        eval_field_grid(spec, 0.3, which)
+    assert len(built) == 1
+
+
+def test_calls_at_one_time_on_other_points_build_one_table(monkeypatch, burgers):
+    built = counted_builds(monkeypatch)
+    eval_u_sigma(burgers, 0.5, np.array([[0.1], [0.2]]))
+    eval_I_u_sigma(burgers, 0.5, np.array([[1.0], [-1.0], [2.5]]))
+    assert len(built) == 1
+
+
+def test_noise_ladder_builds_one_table_per_sigma(monkeypatch, burgers):
+    built = counted_builds(monkeypatch)
+    balance.i_term_persistence(burgers, [0.2, 0.1, 0.05], 0.5)
+    assert len(built) == 3
+
+
+def test_sigma_residual_run_holds_one_table(monkeypatch):
+    """The 2D bump's sigma residuals over (0.2, 0.3) at dt = 0.025 build
+    one table per time, five, and peak under tracemalloc at 1.18 times
+    the largest one's bytes (34.6 MiB, 4.61 times, while the last six
+    tables were kept): the build of the t = 0.2 table, the others
+    freed."""
+    spec = load_problem(BUMP2D.read_text())
+    _build_table(spec, 0.3)  # the first rules and the slope bound
+    built = counted_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        balance.residual_sigma_system(spec, (0.2, 0.3), (0.2, 0.025))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 5
+    assert peak < 1.2 * max(built)
+
+
+def test_noise_ladder_past_its_first_table_holds_one(monkeypatch):
+    """The I terms of the 2D bump at t = 0.3 on the ladder (0.2, 0.1)
+    peak under tracemalloc at 1.19 times the sigma = 0.1 table's bytes
+    (1.44 while the sigma = 0.2 table was kept through its build)."""
+    spec = load_problem(BUMP2D.read_text())
+    _build_table(spec, 0.3)
+    built = counted_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        balance.i_term_persistence(spec, [0.2, 0.1], 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 2
+    assert peak < 1.21 * max(built)
+
+
+def test_a_held_table_outlives_the_slot():
+    """The slot drops its reference only: a table that a caller holds
+    keeps its arrays and its sums after the slot moves on, and the
+    rebuilt table of the same (problem, t) equals it."""
+    spec = load_problem(BUMP2D.read_text())
+    X = np.array([[0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-0.4, 0.6]])
+
+    def arrays(table):
+        return [a.copy() for a in (*table.axes, table.weights, *table.columns,
+                                   table.starts)]
+
+    def sums(table):
+        step = representation._i_term_step(spec, 0.3, table)
+        return representation._kernel_moments(table, X, spec.tol.denom_floor, *step)
+
+    table = _table_for(spec, 0.3)
+    held, before = arrays(table), sums(table)
+    eval_u_sigma(spec, 1.5, X)  # the slot moves on to t = 1.5
+    assert _table_for(spec, 1.5) is not table
+    after = sums(table)
+    for got, want in zip(arrays(table), held):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in zip(after, before):
+        assert got.tobytes() == want.tobytes()
+    rebuilt = _table_for(spec, 0.3)
+    assert rebuilt is not table
+    for got, want in zip(arrays(rebuilt), held):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kept_moments_are_dropped_before_the_next_build(monkeypatch, burgers):
+    """The kept moments of one (problem, t) are freed before the table of
+    the next is built, and a call at the same (problem, t) still reads
+    them without a pass."""
+    X = np.array([[0.1], [0.2], [0.3]])
+    eval_u_sigma(burgers, 0.5, X)
+    kept = representation._last_results
+    eval_a_sigma(burgers, 0.5, X)
+    assert representation._last_results is kept
+    seen, build = [], representation._build_table
+
+    def build_seeing_the_kept_moments(spec, t):
+        seen.append(representation._last_results)
+        return build(spec, t)
+
+    monkeypatch.setattr(representation, "_build_table", build_seeing_the_kept_moments)
+    eval_u_sigma(burgers, 0.75, X)
+    assert seen == [None]
+    assert representation._last_results[0][:2] == (burgers.digest, 0.75)
+
+
+def test_debug_log_reports_each_dropped_table(caplog):
+    spec = load_problem(BUMP2D.read_text())
+    wide = spec.with_sigma(0.2)
+    with caplog.at_level("DEBUG", logger="charstoch.representation"):
+        nbytes = _table_for(spec, 0.3).nbytes
+        wide_bytes = _table_for(wide, 0.3).nbytes
+        _table_for(wide, 0.3)  # the table held: nothing dropped
+        _table_for(spec, 1.5)
+    drops = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    assert drops == [f"kernel table at sigma=0.1 t=0.3 dropped, {nbytes} bytes",
+                     f"kernel table at sigma=0.2 t=0.3 dropped, {wide_bytes} bytes"]
+
+
 # (config, sigma, t): each shipped config at its time points and at the
 # times and noise levels the benchmark workloads ask of it
 ACCURACY_CASES = (
