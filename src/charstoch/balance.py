@@ -232,6 +232,9 @@ def residual_pressureless(spec: ProblemSpec, t_window,
     Requires the window to sit inside [0, 0.9 t*]; beyond that the
     classical fields are about to fold and the check is meaningless.
     """
+    if not 0 <= t_window[0] < math.inf:
+        raise ValueError(f"pressureless window must start at a finite t0 >= 0, "
+                         f"got {t_window[0]:g}")
     t_star = blow_up_time(spec).t_star
     if t_window[1] > 0.9 * t_star:
         raise NearBlowup(

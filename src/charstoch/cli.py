@@ -24,8 +24,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from .balance import (attach_ratios, i_term_persistence, residual_pressureless,
+                      residual_sigma_system)
+from .characteristics import blow_up_time, classical_fields
 from .errors import ConfigError, NearBlowup, NumericalError
+from .montecarlo import dump_ensemble, estimate_fields, evolve_exact, sample_initial
+from .problem import load_problem, space_axes, tensor_points
+from .representation import FieldGrid, _fields_sigma, _noise_ladder, eval_field_grid
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +110,6 @@ def _setup_logging() -> None:
 
 
 def _load_spec(args):
-    from .problem import load_problem
-
     try:
         text = Path(args.config).read_text()
     except OSError as e:
@@ -188,25 +194,16 @@ def _parse_resolutions(items: list[str]) -> list[tuple[float, float]]:
 
 
 def cmd_solve(args, spec, out: _Outputs) -> None:
-    import numpy as np
-
-    from .problem import space_axes, tensor_points
-    from .representation import FieldGrid
-
     times = args.t if args.t else list(spec.time_points)
     axes = space_axes(spec)
     pts = tensor_points(axes)
     shape = tuple(len(ax) for ax in axes)
     if args.method == "quadrature":
-        from .representation import eval_field_grid
-
         for j, t in enumerate(times):
             for which in ("rho", "u", "a"):
                 grid = eval_field_grid(spec, t, which)
                 grid.to_csv(out.path(f"fields_sigma_t{j}_{which}.csv"))
     elif args.method == "characteristics":
-        from .characteristics import blow_up_time, classical_fields
-
         t_star = blow_up_time(spec).t_star
         for t in times:
             if t >= t_star:
@@ -220,9 +217,6 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
                 FieldGrid(f"{which}_bar", float(t), axes, values, valid
                           ).to_csv(out.path(f"fields_char_t{j}_{which}.csv"))
     else:
-        from .montecarlo import (dump_ensemble, estimate_fields, evolve_exact,
-                                 sample_initial)
-
         ens0 = sample_initial(spec, args.particles)
         for j, t in enumerate(times):
             # the evolved ensemble is not bound here: estimate_fields gets
@@ -240,8 +234,6 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
 
 
 def cmd_blowup(args, spec, out: _Outputs) -> None:
-    from .characteristics import blow_up_time
-
     report = blow_up_time(spec)
     with open(out.path("blowup.json"), "w") as fh:
         fh.write(report.to_json())
@@ -249,12 +241,6 @@ def cmd_blowup(args, spec, out: _Outputs) -> None:
 
 
 def cmd_converge(args, spec, out: _Outputs) -> None:
-    import numpy as np
-
-    from .characteristics import blow_up_time, classical_fields
-    from .problem import space_axes, tensor_points
-    from .representation import _fields_sigma, _noise_ladder
-
     sigmas = _noise_ladder(_parse_sigmas(args.sigmas))
     t = args.t
     t_star = blow_up_time(spec).t_star
@@ -272,9 +258,6 @@ def cmd_converge(args, spec, out: _Outputs) -> None:
 
 
 def cmd_residuals(args, spec, out: _Outputs) -> None:
-    from .balance import attach_ratios, residual_pressureless, \
-        residual_sigma_system
-
     window = (args.window[0], args.window[1])
     resolutions = _parse_resolutions(args.resolutions)
     runner = residual_sigma_system if args.system == "sigma" \
@@ -292,8 +275,6 @@ def cmd_residuals(args, spec, out: _Outputs) -> None:
 
 
 def cmd_iterms(args, spec, out: _Outputs) -> None:
-    from .balance import i_term_persistence
-
     sigmas = _parse_sigmas(args.sigmas)
     rows = i_term_persistence(spec, sigmas, args.t)
     header = "sigma,I_u_sup," + ",".join(

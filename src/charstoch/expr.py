@@ -50,7 +50,7 @@ from .errors import (
     UnknownVariable,
 )
 
-__all__ = ["parse", "eval_expr", "expr_to_str", "variables", "diff", "numeric_partial"]
+__all__ = ["parse", "eval_expr", "variables", "diff", "numeric_partial"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt", "abs")
 
@@ -249,18 +249,13 @@ class _Parser:
         return Call(name.text, args[0])
 
 
-def parse_expr(tokens: list[Token], allowed_vars) -> Expr:
-    """Parse a token list into an expression tree.
+def parse(source: str, allowed_vars) -> Expr:
+    """Tokenize and parse source text into an expression tree.
 
     ``allowed_vars`` is the variable alphabet for this context, e.g.
     {"t", "u"} for velocity components or {"x1", "x2"} for initial data.
     """
-    return _Parser(tokens, frozenset(allowed_vars)).parse()
-
-
-def parse(source: str, allowed_vars) -> Expr:
-    """Tokenize and parse in one step."""
-    return parse_expr(tokenize(source), allowed_vars)
+    return _Parser(tokenize(source), frozenset(allowed_vars)).parse()
 
 
 def _div(a, b):
@@ -437,54 +432,6 @@ def eval_expr(e, bindings: dict):
     return _result(compile_exprs((e,)).run(bindings)[0])
 
 
-# Printing precedence levels; higher binds tighter.
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return _PREC_ADD
-        if e.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def expr_to_str(e: Expr) -> str:
-    """Render a tree to source text that parses back to the same tree."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = expr_to_str(e.child)
-        if _prec(e.child) <= _PREC_MUL:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.fn}({expr_to_str(e.arg)})"
-    left, right = expr_to_str(e.left), expr_to_str(e.right)
-    if e.op in "+-":
-        if _prec(e.left) < _PREC_ADD:
-            left = f"({left})"
-        if _prec(e.right) <= _PREC_ADD:
-            right = f"({right})"
-    elif e.op in "*/":
-        if _prec(e.left) < _PREC_MUL:
-            left = f"({left})"
-        if _prec(e.right) <= _PREC_MUL:
-            right = f"({right})"
-    else:  # "^" binds tighter than unary minus and associates right
-        if _prec(e.left) <= _PREC_POW:
-            left = f"({left})"
-        if _prec(e.right) < _PREC_NEG:
-            right = f"({right})"
-    return f"{left} {e.op} {right}" if e.op in "+-" else f"{left}{e.op}{right}"
-
-
 def variables(e: Expr) -> frozenset[str]:
     """The set of variable names appearing in a tree."""
     if isinstance(e, Var):
@@ -514,7 +461,8 @@ def _neg(a: Expr) -> Expr:
 
 def _op(op: str, a: Expr, b: Expr) -> Expr:
     """BinOp(op, a, b) with 0 and 1 folded and constant + - * combined; a
-    negative constant is Neg(Const), the tree its printed form parses to."""
+    negative constant is Neg(Const), the tree the parser makes of a
+    negative literal."""
     x, y = _num(a), _num(b)
     if x is not None and y is not None and op in "+-*":
         v = x + y if op == "+" else x - y if op == "-" else x * y

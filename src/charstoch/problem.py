@@ -255,14 +255,19 @@ class ProblemSpec:
 
     @cached_property
     def digest(self) -> str:
-        """Content hash of the resolved problem (semantic fields only)."""
+        """Content hash of the resolved problem (semantic fields only).
+
+        Expressions enter as the ``repr`` of their parsed trees, which are
+        frozen dataclasses printing each constant as its shortest
+        round-trip float, so two problems share a digest exactly when
+        their trees are equal, however their sources were spelled."""
         payload = {
             "n": self.n,
-            "a": [ex.expr_to_str(c) for c in self.velocity.components],
+            "a": [repr(c) for c in self.velocity.components],
             "A": None if self.velocity.antiderivatives is None
-            else [ex.expr_to_str(c) for c in self.velocity.antiderivatives],
-            "u0": ex.expr_to_str(self.init.u0),
-            "rho0": ex.expr_to_str(self.init.rho0),
+            else [repr(c) for c in self.velocity.antiderivatives],
+            "u0": repr(self.init.u0),
+            "rho0": repr(self.init.rho0),
             "sigma": repr(self.sigma),
             "box": [[repr(lo), repr(hi)] for lo, hi in self.box],
             "space_grid": list(self.space_grid),

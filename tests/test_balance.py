@@ -476,6 +476,8 @@ def test_window_validation(burgers):
             residual_sigma_system(burgers, (0.3, end), (0.08, 0.032))
         with pytest.raises(ValueError, match="finite"):
             residual_pressureless(burgers, (end, 0.5), (0.08, 0.032))
+    with pytest.raises(ValueError, match="finite"):
+        residual_pressureless(burgers, (-0.5, 0.2), (0.1, 0.05))
 
 
 def test_persistence_rows_and_validation(burgers):

@@ -272,12 +272,15 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
      "--resolutions", "0.1"),
     ("residuals", "--system", "sigma", "--window", "0.5", "0.3",
      "--resolutions", "0.08:0.032"),
+    ("residuals", "--system", "pressureless", "--window", "-0.5", "0.2",
+     "--resolutions", "0.1:0.05"),
     ("solve", "--method", "montecarlo", "--particles", "0"),
     ("solve", "--method", "montecarlo", "--particles", "1000", "--bandwidth", "-1"),
     ("converge", "--sigmas", "inf,0.1", "--t", "0.5"),
     ("iterms", "--sigmas", "inf", "--t", "0.5"),
 ], ids=["iterms-t0", "converge-empty-sigmas", "residuals-no-dt",
-        "residuals-reversed-window", "solve-no-particles", "solve-negative-bandwidth",
+        "residuals-reversed-window", "residuals-pressureless-negative-t0",
+        "solve-no-particles", "solve-negative-bandwidth",
         "converge-inf-sigma", "iterms-inf-sigma"])
 def test_refused_arguments_leave_no_output_directory(tmp_path, capsys, args):
     """A subcommand that refuses its arguments exits 2 and leaves no

@@ -1,4 +1,4 @@
-"""Expression engine: tokenizer, parser, evaluator, printer, derivatives."""
+"""Expression engine: tokenizer, parser, evaluator, derivatives."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from charstoch import (
     UnknownVariable,
     diff,
     eval_expr,
-    expr_to_str,
     load_problem,
     numeric_partial,
     parse,
@@ -135,14 +134,6 @@ def test_variables_reports_free_names():
     assert variables(parse("1+2", XU)) == frozenset()
 
 
-def test_printer_output_reparses_to_same_ast():
-    cases = ["-x1^2", "2^3^2", "1-(2-3)", "x1*(x2+1)", "-(x1+1)",
-             "sin(x1)^2+cos(x1)^2", "2^-x1", "(x1/x2)/t", "x1-x2-t"]
-    for src in cases:
-        e = parse(src, XU)
-        assert parse(expr_to_str(e), XU) == e
-
-
 def _random_expr(rng, depth, names=("x1", "x2", "t", "u")):
     """A random tree of at most ``depth`` levels over the variables
     ``names``."""
@@ -159,22 +150,6 @@ def _random_expr(rng, depth, names=("x1", "x2", "t", "u")):
     op = rng.choice(["+", "-", "*", "/"])
     return BinOp(op, _random_expr(rng, depth - 1, names),
                  _random_expr(rng, depth - 1, names))
-
-
-def test_print_parse_round_trip_is_value_exact():
-    """1000 random trees: the printed form evaluates identically."""
-    rng = np.random.default_rng(20240811)
-    for _ in range(1000):
-        e = _random_expr(rng, 4)
-        back = parse(expr_to_str(e), XU)
-        for _ in range(10):
-            env = {v: float(rng.uniform(0.1, 3.0)) for v in ("x1", "x2", "t", "u")}
-            try:
-                want = eval_expr(e, env)
-            except EvalDomainError:
-                continue
-            got = eval_expr(back, env)
-            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_numeric_partial_matches_analytic():
@@ -221,12 +196,6 @@ def test_diff_matches_closed_form(src, want):
         assert got == pytest.approx(want(u, 1.3), rel=1e-14, abs=0), (src, u)
 
 
-@pytest.mark.parametrize("src", [c[0] for c in DIFF_CASES])
-def test_printed_derivative_parses_back_to_the_same_tree(src):
-    d = diff(parse(src, XU), "u")
-    assert parse(expr_to_str(d), XU) == d
-
-
 def test_diff_folds_zero_and_one():
     assert diff(parse("t*u", XU), "u") == Var("t")
     assert diff(parse("u", XU), "u") == Const(1.0)
@@ -247,14 +216,13 @@ def test_derivative_refused_where_it_does_not_exist():
 
 
 def test_diff_of_random_trees_matches_central_difference():
-    """300 random trees: the derivative prints and parses back to itself
-    and agrees with a central difference to its truncation error."""
+    """300 random trees: the derivative agrees with a central difference
+    to its truncation error."""
     rng = np.random.default_rng(20261018)
     checked = 0
     for _ in range(300):
         e = _random_expr(rng, 4)
         d = diff(e, "u")
-        assert parse(expr_to_str(d), XU) == d
         env = {v: float(rng.uniform(0.1, 3.0)) for v in ("x1", "x2", "t", "u")}
         h = 1e-5
         try:
@@ -339,9 +307,9 @@ def assert_matches_reference(trees, env):
             eval_expr(compile_exprs(trees), env)
         return False
     for e, w in zip(trees, want):
-        assert same_bits(eval_expr(e, env), w), expr_to_str(e)
+        assert same_bits(eval_expr(e, env), w), e
     for e, got, w in zip(trees, eval_expr(compile_exprs(trees), env), want):
-        assert same_bits(got, w), expr_to_str(e)
+        assert same_bits(got, w), e
     return True
 
 

@@ -20,7 +20,7 @@ from charstoch import (
 )
 from charstoch import problem
 from charstoch.errors import EvalDomainError
-from charstoch.expr import compile_exprs, expr_to_str, parse
+from charstoch.expr import compile_exprs, parse
 from charstoch.problem import (_BLOCK, _arrays, _axis_blocks, axis_views,
                                tensor_columns, tensor_points)
 from charstoch.quadrature import adaptive_time_integral
@@ -196,6 +196,13 @@ def test_digest_distinguishes_content():
     assert base.digest != load_problem(make(sigma=0.2)).digest
     assert base.digest != load_problem(make(u0="cos(x1)")).digest
     assert base.digest == load_problem(make()).digest
+    # the digest hashes the parsed trees, not their spelling
+    gauss = load_problem(make(u0="exp(-x1^2)")).digest
+    assert gauss == load_problem(make(u0="exp(-(x1^2))")).digest
+    assert gauss == load_problem(make(u0=" exp( - x1 ^ 2 ) ")).digest
+    # a constant one bit apart is another problem
+    assert load_problem(make(u0="0.5*x1")).digest \
+        != load_problem(make(u0=f"{math.nextafter(0.5, 1.0)!r}*x1")).digest
 
 
 def test_with_sigma_returns_new_spec_and_digest():
@@ -393,8 +400,7 @@ def test_on_axes_matches_columns_on_shipped_programs(path):
     load-time sample and on a coarse grid of the box."""
     spec = load_problem(path.read_text())
     init = spec.init
-    x_vars = [f"x{i + 1}" for i in range(spec.n)]
-    supplied = compile_exprs([parse(expr_to_str(g), x_vars) for g in init.grad_u0])
+    supplied = compile_exprs(init.grad_u0)
     coarse = [np.linspace(lo, hi, 7 + i) for i, (lo, hi) in enumerate(spec.box)]
     for axes in (load_sample_axes(spec), coarse):
         for program in (init.u0_program, init.rho0_program, init.jet_program, supplied):
