@@ -32,7 +32,7 @@ from .balance import (attach_ratios, i_term_persistence, residual_pressureless,
 from .characteristics import blow_up_time, classical_fields
 from .errors import ConfigError, NearBlowup, NumericalError
 from .montecarlo import dump_ensemble, estimate_fields, evolve_exact, sample_initial
-from .problem import load_problem, space_axes, tensor_points
+from .problem import _write_csv, load_problem, space_axes, tensor_points
 from .representation import FieldGrid, _fields_sigma, _noise_ladder, eval_field_grid
 
 logger = logging.getLogger(__name__)
@@ -198,39 +198,36 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
     axes = space_axes(spec)
     pts = tensor_points(axes)
     shape = tuple(len(ax) for ax in axes)
-    if args.method == "quadrature":
-        for j, t in enumerate(times):
-            for which in ("rho", "u", "a"):
-                grid = eval_field_grid(spec, t, which)
-                grid.to_csv(out.path(f"fields_sigma_t{j}_{which}.csv"))
-    elif args.method == "characteristics":
+    if args.method == "characteristics":
         t_star = blow_up_time(spec).t_star
         for t in times:
             if t >= t_star:
-                raise NearBlowup(
-                    f"requested t={t:g} is not below t_star={t_star:g}"
-                )
-        for j, t in enumerate(times):
+                raise NearBlowup(f"requested t={t:g} is not below t_star={t_star:g}")
+    elif args.method == "montecarlo":
+        ens0 = sample_initial(spec, args.particles)
+    prefix = {"quadrature": "sigma", "characteristics": "char",
+              "montecarlo": "mc"}[args.method]
+    for j, t in enumerate(times):
+        if args.method == "quadrature":
+            grids = {which: eval_field_grid(spec, t, which) for which in ("rho", "u", "a")}
+        elif args.method == "characteristics":
             fields = classical_fields(spec, t, pts.reshape(shape + (spec.n,)))
             valid = np.ones(shape, dtype=bool)
-            for which, values in zip(("rho", "u", "a"), fields):
-                FieldGrid(f"{which}_bar", float(t), axes, values, valid
-                          ).to_csv(out.path(f"fields_char_t{j}_{which}.csv"))
-    else:
-        ens0 = sample_initial(spec, args.particles)
-        for j, t in enumerate(times):
+            grids = {which: FieldGrid(float(t), axes, values, valid)
+                     for which, values in zip(("rho", "u", "a"), fields)}
+        else:
             # the evolved ensemble is not bound here: estimate_fields gets
             # its only reference and frees X once X is sorted
             moved = [evolve_exact(ens0, spec, t) if t > 0 else ens0]
             if args.dump_particles:
                 dump_ensemble(moved[0], out.path(f"particles_t{j}.csv"))
             est = estimate_fields(moved.pop(), spec, pts, bandwidth=args.bandwidth)
-            FieldGrid("rho_hat", float(t), axes, est.rho_hat.reshape(shape),
-                      np.ones(shape, dtype=bool)
-                      ).to_csv(out.path(f"fields_mc_t{j}_rho.csv"))
-            FieldGrid("u_hat", float(t), axes, est.u_hat.reshape(shape),
-                      est.valid.reshape(shape)
-                      ).to_csv(out.path(f"fields_mc_t{j}_u.csv"))
+            grids = {"rho": FieldGrid(float(t), axes, est.rho_hat.reshape(shape),
+                                      np.ones(shape, dtype=bool)),
+                     "u": FieldGrid(float(t), axes, est.u_hat.reshape(shape),
+                                    est.valid.reshape(shape))}
+        for which, grid in grids.items():
+            grid.to_csv(out.path(f"fields_{prefix}_t{j}_{which}.csv"))
 
 
 def cmd_blowup(args, spec, out: _Outputs) -> None:
@@ -248,13 +245,13 @@ def cmd_converge(args, spec, out: _Outputs) -> None:
         raise NearBlowup(f"requested t={t:g} is not below t_star={t_star:g}")
     pts = tensor_points(space_axes(spec))
     ref = classical_fields(spec, t, pts)
-    with open(out.path("convergence.csv"), "w", newline="\n") as fh:
-        fh.write("sigma,max_err_u,max_err_a,max_err_rho\n")
-        for s in sigmas:
-            rho_s, u_s, a_s = _fields_sigma(spec.with_sigma(s), t, pts)
-            er, eu, ea = (float(np.max(np.abs(v - r), initial=0.0))
-                          for v, r in zip((rho_s, u_s, a_s), ref))
-            fh.write(f"{s:.12e},{eu:.12e},{ea:.12e},{er:.12e}\n")
+    rows = []
+    for s in sigmas:
+        er, eu, ea = (float(np.max(np.abs(v - r), initial=0.0))
+                      for v, r in zip(_fields_sigma(spec.with_sigma(s), t, pts), ref))
+        rows.append((s, eu, ea, er))
+    _write_csv(out.path("convergence.csv"),
+               ["sigma", "max_err_u", "max_err_a", "max_err_rho"], [rows])
 
 
 def cmd_residuals(args, spec, out: _Outputs) -> None:
@@ -265,26 +262,20 @@ def cmd_residuals(args, spec, out: _Outputs) -> None:
     batches = [runner(spec, window, res) for res in resolutions]
     for coarse, fine in zip(batches, batches[1:]):
         attach_ratios(coarse, fine)
-    with open(out.path("residuals.csv"), "w", newline="\n") as fh:
-        fh.write("equation,h,dt,max_residual,l1_residual,ratio\n")
-        for batch in batches:
-            for r in batch:
-                ratio = "" if r.ratio is None else f"{r.ratio:.12e}"
-                fh.write(f"{r.equation},{r.h:.12e},{r.dt:.12e},"
-                         f"{r.max_residual:.12e},{r.l1_residual:.12e},{ratio}\n")
+    rows = [(r.equation, r.h, r.dt, r.max_residual, r.l1_residual,
+             "" if r.ratio is None else f"{r.ratio:.12e}")
+            for batch in batches for r in batch]
+    _write_csv(out.path("residuals.csv"),
+               ["equation", "h", "dt", "max_residual", "l1_residual", "ratio"], [rows],
+               row="%s,%.12e,%.12e,%.12e,%.12e,%s")
 
 
 def cmd_iterms(args, spec, out: _Outputs) -> None:
     sigmas = _parse_sigmas(args.sigmas)
     rows = i_term_persistence(spec, sigmas, args.t)
-    header = "sigma,I_u_sup," + ",".join(
-        f"I_a_sup_{i + 1}" for i in range(spec.n))
-    with open(out.path("iterms.csv"), "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            cells = [f"{row.sigma:.12e}", f"{row.i_u_sup:.12e}"]
-            cells += [f"{v:.12e}" for v in row.i_a_sup]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(out.path("iterms.csv"),
+               ["sigma", "I_u_sup"] + [f"I_a_sup_{i + 1}" for i in range(spec.n)],
+               [[(r.sigma, r.i_u_sup, *r.i_a_sup) for r in rows]])
 
 
 _COMMANDS = {

@@ -25,12 +25,10 @@ gradient.  A subtree the trees share, like the ``exp`` of a Gaussian and
 of its derivatives, is computed once, and each intermediate is released
 after its last use.  Each step makes the NumPy call and the domain check
 of the recursive definition on the same operands, so a compiled value is
-bit for bit that of the tree.  The one exception is a power with a
-constant exponent, which leaves out the checks that exponent makes
-impossible: the NaN check needs a non-integral exponent, and the check
-for zero to a negative power a negative one.  :func:`eval_expr` compiles
-a lone tree for one call; the problem data keeps its programs, compiled
-once.
+bit for bit that of the tree, and it raises where the tree does; every
+``^`` runs both power checks, whatever its exponent.  :func:`eval_expr`
+compiles a lone tree for one call; the problem data keeps its programs,
+compiled once.
 """
 
 from __future__ import annotations
@@ -264,26 +262,18 @@ def _div(a, b):
     return a / b
 
 
-def _power(nan_check: bool, zero_check: bool):
-    """a^b with the domain checks asked for: a NaN from non-NaN operands
-    (a fractional power of a negative base), and an infinity from zero
-    raised to a negative power."""
-    def power(a, b):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.power(np.asarray(a, dtype=float), b)
-        if nan_check and np.any(np.isnan(r)) \
-                and not (np.any(np.isnan(a)) or np.any(np.isnan(b))):
-            raise EvalDomainError("fractional power of a negative base")
-        if zero_check and np.any(np.isinf(r)) and np.all(np.isfinite(a)) \
-                and np.all(np.isfinite(b)):
-            if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
-                raise EvalDomainError("zero raised to a negative power")
-        return r
-    return power
-
-
-# keyed by (nan_check, zero_check)
-_POWER = {(n, z): _power(n, z) for n in (False, True) for z in (False, True)}
+def _power(a, b):
+    """a^b, raising where an operand is fine and the result is not: a NaN
+    from non-NaN operands (a fractional power of a negative base), and
+    an infinity from zero raised to a negative power."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.power(np.asarray(a, dtype=float), b)
+    if np.any(np.isnan(r)) and not (np.any(np.isnan(a)) or np.any(np.isnan(b))):
+        raise EvalDomainError("fractional power of a negative base")
+    if np.any(np.isinf(r)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+        if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
+            raise EvalDomainError("zero raised to a negative power")
+    return r
 
 
 def _log(v):
@@ -298,18 +288,10 @@ def _sqrt(v):
     return np.sqrt(v)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+           "^": _power}
 _UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "tanh": np.tanh, "abs": np.abs, "log": _log, "sqrt": _sqrt}
-
-
-def _power_step(exponent: Expr):
-    """The power function for this exponent: a constant one leaves out
-    the checks it makes impossible."""
-    c = _num(exponent)
-    if c is None:
-        return _POWER[True, True]
-    return _POWER[not float(c).is_integer(), c < 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,12 +334,9 @@ def compile_exprs(trees) -> Program:
     Steps run in the post-order of the recursive definition, left
     operand first, and each makes the NumPy call and the domain check of
     that definition on the same operands, so every value is bit for bit
-    the tree's.  Structurally equal subtrees are computed once (constants
-    compare by value), and a register is released after its last use
-    unless a tree returns it.  The one check left out is a power's where
-    its constant exponent makes it impossible: a NaN from finite
-    operands needs a non-integral exponent, and zero to a negative power
-    needs a negative one.
+    the tree's, and every domain violation raises.  Structurally equal
+    subtrees are computed once (constants compare by value), and a
+    register is released after its last use unless a tree returns it.
     """
     trees = tuple(trees)
     registers: list = []
@@ -384,9 +363,8 @@ def compile_exprs(trees) -> Program:
             steps.append(("neg", _UNARY["neg"], a, None, r))
         elif isinstance(e, BinOp):
             a, b = visit(e.left), visit(e.right)
-            fn = _power_step(e.right) if e.op == "^" else _BINARY[e.op]
             r = reg()
-            steps.append((e.op, fn, a, b, r))
+            steps.append((e.op, _BINARY[e.op], a, b, r))
         else:
             a = visit(e.arg)
             r = reg()

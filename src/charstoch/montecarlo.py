@@ -12,8 +12,9 @@ bit for bit from the problem seed alone, independent of call order.
 That makes y a function of (seed, box, N): an ensemble does not store
 it, and every reader (``sample_initial``, ``evolve_exact``,
 ``dump_ensemble`` and the ``y`` property) draws it again from the
-(seed, init) stream, ``problem._BLOCK`` rows at a time; blocks read the
-stream in order, so they are the rows of one draw bit for bit.
+(seed, init) stream, ``problem._BLOCK`` rows at a time (the dump, one
+CSV block of ``problem._CSV_ROWS`` rows at a time); blocks read
+the stream in order, so they are the rows of one draw bit for bit.
 
 Field estimates are kernel moments of the quadrature fields' kind:
 each ``estimate_fields`` call makes the particles one kernel-source
@@ -46,7 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateKernel, ZeroMass
-from .problem import _BLOCK, ProblemSpec, _point_rows, displacement_components
+from .problem import (_BLOCK, _CSV_ROWS, ProblemSpec, _point_rows, _write_csv,
+                      displacement_components)
 from .representation import _held_bytes, _kernel_moments, _sources, integrate_rho0
 
 __all__ = [
@@ -63,9 +65,6 @@ logger = logging.getLogger(__name__)
 
 _KEY_INIT = 0x1D17
 _KEY_EXACT = 0xE4AC7
-
-# particle rows formatted per write in dump_ensemble
-_DUMP_ROWS = 4096
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
@@ -303,17 +302,14 @@ def dump_ensemble(ens: ParticleEnsemble, path) -> None:
     """Write particles as CSV: y1..yn, U, X1..Xn, w in %.12e.
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends, no
-    quoting), formatted ``_DUMP_ROWS`` rows per ``%`` call, with y drawn
-    again per block of rows.
+    quoting).  ``_write_csv`` formats ``_CSV_ROWS`` rows per ``%`` call,
+    and y is drawn again per block of rows.
     """
     n = len(ens.box)
     header = [f"y{i + 1}" for i in range(n)] + ["U"] \
         + [f"X{i + 1}" for i in range(n)] + ["w"]
-    row = ",".join(["%.12e"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for a, b, y in _initial_positions(ens.seed, ens.box, len(ens),
-                                          _DUMP_ROWS):
-            X = y if ens.positions is None else ens.positions[a:b]
-            block = np.column_stack([y, ens.U[a:b], X, ens.w[a:b]])
-            fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
+    blocks = (np.column_stack([y, ens.U[a:b],
+                               y if ens.positions is None else ens.positions[a:b],
+                               ens.w[a:b]])
+              for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _CSV_ROWS))
+    _write_csv(path, header, blocks, eol="\r\n")

@@ -36,6 +36,10 @@ variables costs the grid.  Every scan of such a sample walks it in
 ``_axis_blocks`` of at most ``_BLOCK`` points, the one block size of
 the package's blocked scans, and reads the values so broadcast, without
 expanding them.
+
+The module also holds the package's one CSV writer, ``_write_csv``, and
+its block size ``_CSV_ROWS``: field grids, particle dumps and the CLI's
+tables all go through it.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # points per block of every blocked scan: a tensor sample
 # (``_axis_blocks``), the rho0 mass rule and the particle rows
 _BLOCK = 1 << 16
+
+# rows per block of a large CSV table (a field grid, a particle dump),
+# each block formatted by one ``%`` call in ``_write_csv``
+_CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -545,6 +553,21 @@ def _check(key: str, errors, what: str, tol: float = 1e-6) -> None:
         if not err <= tol:
             raise ValidationError(f"'{key}[{i}]' disagrees with "
                                   f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
+
+
+def _write_csv(path, header, blocks, row=None, eol="\n") -> None:
+    """Write a CSV table: the ``header`` names, then each block of rows
+    with one ``%`` call.  A block is a 2D array or a list of row tuples,
+    and every cell is ``%.12e`` unless ``row`` gives the row's format.
+    ``eol`` ends every line and is written as it is.  Every CSV file the
+    package writes is written here."""
+    line = (",".join(["%.12e"] * len(header)) if row is None else row) + eol
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + eol)
+        for block in blocks:
+            cells = block.ravel().tolist() if isinstance(block, np.ndarray) \
+                else [cell for r in block for cell in r]
+            fh.write((line * len(block)) % tuple(cells))
 
 
 def _axis_blocks(axes, size: int):

@@ -89,10 +89,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateKernel, EmptyKernelSupport, EvalDomainError
-from .problem import (_BLOCK, InitialData, ProblemSpec, _arrays, _axis_blocks,
-                      _batched, _point_rows, _refuse, axis_views,
-                      displacement_components, du_displacement_components,
-                      space_axes, tensor_points)
+from .problem import (_BLOCK, _CSV_ROWS, InitialData, ProblemSpec, _arrays,
+                      _axis_blocks, _batched, _point_rows, _refuse, _write_csv,
+                      axis_views, displacement_components,
+                      du_displacement_components, space_axes, tensor_points)
 from .quadrature import (TABLE_ORDER, matched_width, panel_count, panel_rule,
                          rule_error)
 
@@ -119,9 +119,6 @@ _MIN_AXIS_NODES = 128
 
 # np.sum of a 1D array, without its argument handling
 _sum = np.add.reduce
-
-# field-grid rows formatted per write in FieldGrid.to_csv
-_CSV_ROWS = 4096
 
 # rows per block of the cell sort, and indices per block of its gathers
 _SORT_BLOCK = 16_384
@@ -412,13 +409,6 @@ def _slope_bound(init: InitialData, box) -> float:
     return bound
 
 
-@lru_cache(maxsize=16)
-def _u_sample(u_range) -> np.ndarray:
-    """201 values of u across ``u_range``, where the flow's reach and
-    stretch are sampled; shared, so callers must not write into it."""
-    return np.linspace(u_range[0], u_range[1], 201)
-
-
 def _stretch(spec: ProblemSpec, t: float) -> float:
     """L = 1 + max_u |dA/du(t, u)| * max_y |grad u0(y)|.  The Jacobian
     of the characteristic map y -> y + A(t, u0(y)) is the rank-one
@@ -428,7 +418,8 @@ def _stretch(spec: ProblemSpec, t: float) -> float:
     problem (``_slope_bound``).  A stretch above 64, or one that is not
     finite, counts as 64: there the reference rule errs by more than 3,
     and the tables are as dense as it is."""
-    b2 = sum(b * b for b in du_displacement_components(spec, t, _u_sample(spec.u_range)))
+    u = np.linspace(*spec.u_range, 201)
+    b2 = sum(b * b for b in du_displacement_components(spec, t, u))
     stretch = 1.0 + math.sqrt(float(np.max(b2))) * _slope_bound(spec.init, spec.box)
     return stretch if stretch <= 64.0 else 64.0
 
@@ -796,7 +787,7 @@ def _support_reach(spec: ProblemSpec, t: float) -> float:
     """Largest distance the transported kernel reaches from a foot point:
     the largest flow displacement over ``u_range`` plus the kernel cutoff
     radius."""
-    disp = displacement_components(spec, t, _u_sample(spec.u_range))
+    disp = displacement_components(spec, t, np.linspace(*spec.u_range, 201))
     reach = max(float(np.max(np.abs(d))) for d in disp)
     return reach + spec.tol.kernel_cutoff * spec.sigma * math.sqrt(t)
 
@@ -845,14 +836,13 @@ def _fields_sigma(spec: ProblemSpec, t: float, x):
 
 @dataclass
 class FieldGrid:
-    """A field sampled on the tensor grid of the problem box.
+    """A field at time ``t`` sampled on the tensor grid of ``axes``.
 
     ``values`` has the grid shape for scalar fields and an extra
     trailing component axis for vector fields.  ``valid`` marks points
     where the evaluation succeeded; failed points hold NaN.
     """
 
-    name: str
     t: float
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
@@ -869,21 +859,18 @@ class FieldGrid:
     def to_csv(self, path) -> None:
         """Write rows in C order: t, coordinates, components, valid.
 
-        All reals use the %.12e format so identical runs produce
-        identical bytes; rows are formatted ``_CSV_ROWS`` per ``%`` call.
+        Reals are %.12e and valid is 0 or 1, so identical runs produce
+        identical bytes; ``_write_csv`` formats ``_CSV_ROWS`` rows per
+        ``%`` call.
         """
         size = self.valid.size
         ncomp = self.values.shape[-1] if self.is_vector else 1
         val_cols = ["value"] if ncomp == 1 else [f"value{i + 1}" for i in range(ncomp)]
         header = ["t"] + [f"x{i + 1}" for i in range(self.n)] + val_cols + ["valid"]
-        row = ",".join(["%.12e"] * (len(header) - 1)) + ",%d\n"
         block = np.column_stack([np.full(size, self.t), tensor_points(self.axes),
                                  self.values.reshape(size, ncomp), self.valid.reshape(size)])
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for a in range(0, size, _CSV_ROWS):
-                rows = block[a:a + _CSV_ROWS]
-                fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
+        _write_csv(path, header, (block[a:a + _CSV_ROWS] for a in range(0, size, _CSV_ROWS)),
+                   row=",".join(["%.12e"] * (len(header) - 1)) + ",%d")
 
 
 def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
@@ -917,7 +904,7 @@ def eval_field_grid(spec: ProblemSpec, t: float, which: str) -> FieldGrid:
     values = evaluate(spec, t, pts) if valid.all() \
         else (means[:, 1:] if which == "a" else means[:, 0]).copy()
     shape = tuple(len(ax) for ax in axes)
-    return FieldGrid(name=which, t=float(t), axes=axes,
+    return FieldGrid(t=float(t), axes=axes,
                      values=values.reshape(shape + values.shape[1:]),
                      valid=valid.reshape(shape))
 

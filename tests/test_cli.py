@@ -174,6 +174,23 @@ def test_converge_rejects_bad_noise_ladder(tmp_path, capsys):
     assert err["message"] == "i_term_persistence requires t > 0"
 
 
+def test_converge_refused_at_a_later_sigma_leaves_no_table(tmp_path, capsys):
+    """sigma = 1 reaches every grid point, sigma = 0.05 leaves x = -8
+    without kernel mass: the run exits 3 before convergence.csv is
+    opened, rather than leaving the sigma = 1 row behind."""
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({
+        "n": 1, "a": ["u"], "u0": "0.5", "rho0": "exp(-10*x1^2)", "sigma": 0.1,
+        "box": [[-8.0, 8.0]], "space_grid": [17], "time_points": [0.5]}))
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "converge", "--config", str(config), "--out", str(out),
+                         "--sigmas", "1.0,0.05", "--t", "0.5")
+    assert code == 3
+    assert err == {"kind": "EmptyKernelSupport",
+                   "message": "no kernel mass at t=0.5, x=[-8.0]"}
+    assert not (out / "convergence.csv").exists()
+
+
 def test_residuals_table_with_ratios(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("residuals", "--config", str(BURGERS), "--out", str(out),

@@ -1,4 +1,5 @@
-"""Configuration loading, validation, and the velocity flow map."""
+"""Configuration loading, validation, the velocity flow map, and the
+shared CSV writer."""
 
 import json
 import math
@@ -21,8 +22,8 @@ from charstoch import (
 from charstoch import problem
 from charstoch.errors import EvalDomainError
 from charstoch.expr import compile_exprs, parse
-from charstoch.problem import (_BLOCK, _arrays, _axis_blocks, axis_views,
-                               tensor_columns, tensor_points)
+from charstoch.problem import (_BLOCK, _CSV_ROWS, _arrays, _axis_blocks, _write_csv,
+                               axis_views, tensor_columns, tensor_points)
 from charstoch.quadrature import adaptive_time_integral
 from test_expr import _random_expr
 
@@ -588,3 +589,62 @@ def test_load_check_peak_3d():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+# cells whose spelling a CSV writer must keep: NaN, +-inf, -0.0, the
+# smallest subnormal and the largest double, beside plain values
+CSV_CELLS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+             0.1, -2.5e-7]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_write_csv_bytes_equal_the_f_string_rows(tmp_path, eol):
+    """Row tuples in one block, as the convergence, residuals and iterms
+    tables are written: each cell as ``f"{v:.12e}"``, and with a ``row``
+    format, string cells (an empty one among them) as they are."""
+    rows = [tuple(CSV_CELLS[(i + k) % len(CSV_CELLS)] for k in range(4))
+            for i in range(len(CSV_CELLS))]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["sigma", "e_u", "e_a", "e_rho"], [rows], eol=eol)
+    want = "sigma,e_u,e_a,e_rho" + eol + "".join(
+        f"{a:.12e},{b:.12e},{c:.12e},{d:.12e}" + eol for a, b, c, d in rows)
+    assert path.read_bytes() == want.encode()
+    mixed = [("mass_sigma", *r, "" if i % 2 else f"{r[0]:.12e}")
+             for i, r in enumerate(rows)]
+    _write_csv(path, ["equation", "h", "dt", "max", "l1", "ratio"], [mixed],
+               row="%s,%.12e,%.12e,%.12e,%.12e,%s", eol=eol)
+    want = "equation,h,dt,max,l1,ratio" + eol + "".join(
+        f"{e},{h:.12e},{dt:.12e},{m:.12e},{l1:.12e},{q}" + eol
+        for e, h, dt, m, l1, q in mixed)
+    assert path.read_bytes() == want.encode()
+    _write_csv(path, ["sigma"], [[]], eol=eol)
+    assert path.read_bytes() == ("sigma" + eol).encode()
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_write_csv_bytes_equal_the_array_blocks(tmp_path, eol):
+    """Array blocks, as field grids and particle dumps are written, with
+    ``_CSV_ROWS`` + 1 rows so that a block edge is crossed: the bytes of
+    one ``%`` call over the whole table, a ``%d`` column included."""
+    count = _CSV_ROWS + 1
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-300, 300, (count, 3))
+    table.ravel()[::997] = np.resize(CSV_CELLS, table.ravel()[::997].shape)
+    table[-1] = CSV_CELLS[:3]
+    blocks = [table[a:a + _CSV_ROWS] for a in range(0, count, _CSV_ROWS)]
+    assert len(blocks) == 2
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["y1", "U", "X1"], iter(blocks), eol=eol)
+    want = "y1,U,X1" + eol + (("%.12e,%.12e,%.12e" + eol) * count) % tuple(
+        table.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    valid = rng.integers(0, 2, count).astype(float)
+    flagged = np.column_stack([table, valid])
+    _write_csv(path, ["t", "x1", "value", "valid"],
+               (flagged[a:a + _CSV_ROWS] for a in range(0, count, _CSV_ROWS)),
+               row="%.12e,%.12e,%.12e,%d", eol=eol)
+    want = "t,x1,value,valid" + eol + (("%.12e,%.12e,%.12e,%d" + eol) * count) % tuple(
+        flagged.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    _write_csv(path, ["y1", "U", "X1"], iter([]), eol=eol)
+    assert path.read_bytes() == ("y1,U,X1" + eol).encode()

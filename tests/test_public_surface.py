@@ -80,3 +80,36 @@ def test_no_global_statement_outside_the_moments_memo():
         total = sum(isinstance(node, ast.Global) for node in ast.walk(tree))
         assert total == sum(m == path.stem for m, _ in owners), path.name
     assert owners == [("representation", "_moments")]
+
+
+def test_only_the_csv_writer_opens_a_csv_file():
+    """Every CSV artifact is written by ``problem._write_csv``: it
+    is the one ``open(..., "w")`` of the package beside the writers of
+    the two JSON files, ``blowup.json`` and ``manifest.json``, and no
+    other file-writing call (``write_text``, ``savetxt``, ``csv.writer``
+    and the like) appears."""
+    package = Path(charstoch.__file__).parent
+    opened, other = [], []
+
+    def visit(node, scope, stem):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "open":
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (k.value for k in child.keywords if k.arg == "mode"), None)
+                    opened.append((stem, inner, getattr(mode, "value", "r")))
+                elif name in ("write_text", "write_bytes", "savetxt", "tofile", "writer"):
+                    other.append((stem, inner, name))
+            visit(child, inner, stem)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.stem)
+    assert sorted(opened) == [("cli", "_Outputs.write_manifest", "w"),
+                              ("cli", "cmd_blowup", "w"),
+                              ("problem", "_write_csv", "w")]
+    assert other == []

@@ -23,13 +23,14 @@ from charstoch import (
     load_problem,
 )
 from charstoch import balance, representation
-from charstoch.problem import (axis_views, displacement_components, space_axes,
-                               tensor_points)
-from charstoch.representation import (_NODE_BUDGET, _build_table, _gaussian_pass,
-                                      _kernel_means, _sources, _stretch,
-                                      _NodeWeights, _table_for, _tabulate,
+from charstoch.problem import (_CSV_ROWS, axis_views, displacement_components,
+                               space_axes, tensor_points)
+from charstoch.representation import (_NODE_BUDGET, FieldGrid, _build_table,
+                                      _gaussian_pass, _kernel_means, _sources,
+                                      _stretch, _NodeWeights, _table_for, _tabulate,
                                       quadrature_grid)
 from test_balance import eval_I_u_sigma_assembled
+from test_problem import CSV_CELLS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUMP2D = CONFIGS / "gaussian_bump_2d.json"
@@ -954,6 +955,22 @@ def test_field_grid_csv_vector_2d(tmp_path):
     assert lines[24].startswith("2.000000000000e-01,2.000000000000e+00,1.000000000000e+00,"
                                 "inf,")
     assert lines[24].endswith(",1")
+
+
+def test_field_grid_csv_crosses_a_block_edge(tmp_path):
+    """A grid of ``_CSV_ROWS`` + 1 points, NaN, +-inf, -0.0 and extreme
+    magnitudes among its values, is written as the whole table formatted
+    in one ``%`` call."""
+    count = _CSV_ROWS + 1
+    axes = (np.linspace(-1.0, 1.0, count),)
+    values = np.sin(np.arange(count) * 0.37) * 1e-3
+    values[::613] = np.resize(CSV_CELLS, values[::613].shape)
+    valid = ~np.isnan(values)
+    FieldGrid(0.5, axes, values, valid).to_csv(tmp_path / "g.csv")
+    table = np.column_stack([np.full(count, 0.5), axes[0], values, valid])
+    want = "t,x1,value,valid\n" + ("%.12e,%.12e,%.12e,%d\n" * count) % tuple(
+        table.ravel().tolist())
+    assert (tmp_path / "g.csv").read_bytes() == want.encode()
 
 
 def test_sigma_sweep_validates_ladder(burgers):
