@@ -207,6 +207,9 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
         ens0 = sample_initial(spec, args.particles)
     prefix = {"quadrature": "sigma", "characteristics": "char",
               "montecarlo": "mc"}[args.method]
+    # every time's grids are built before any is written, so a time that
+    # is refused leaves no fields behind
+    built = []
     for j, t in enumerate(times):
         if args.method == "quadrature":
             grids = {which: eval_field_grid(spec, t, which) for which in ("rho", "u", "a")}
@@ -226,6 +229,8 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
                                       np.ones(shape, dtype=bool)),
                      "u": FieldGrid(float(t), axes, est.u_hat.reshape(shape),
                                     est.valid.reshape(shape))}
+        built.append(grids)
+    for j, grids in enumerate(built):
         for which, grid in grids.items():
             grid.to_csv(out.path(f"fields_{prefix}_t{j}_{which}.csv"))
 

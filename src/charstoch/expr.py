@@ -13,6 +13,18 @@ Grammar, tightest first: ``^`` (right associative), unary minus,
 is ``2^(3^2)``.  Functions are unary: sin, cos, exp, log, tanh, sqrt,
 abs.
 
+The alphabet is ASCII, read by one token pattern: numbers (``2``,
+``2.``, ``.5``, ``1e-3``), identifiers (a letter or ``_``, then letters,
+digits and ``_``), the operators, parentheses and the comma, each after
+optional whitespace (space, tab, newline, return, form feed, vertical
+tab).  Any other character, non-ASCII letters, digits and spaces
+included, is an :class:`IllegalCharacter` at its offset, as is a number
+that runs into a dot (``3..5``).  A source may nest at most 100 levels:
+a pair of parentheses, a unary minus, a ``^``, a call and each operator
+of a ``+ -`` or ``* /`` chain opens one, so neither the parser nor a
+walk over the tree recurses past Python's stack.  A deeper source is an
+:class:`ExprSyntaxError`.  The command line exits 2 on either.
+
 Evaluation is plain IEEE double precision, but domain violations
 (log of a nonpositive value, division by zero, sqrt of a negative,
 fractional powers of negatives) raise :class:`EvalDomainError` instead
@@ -52,13 +64,18 @@ __all__ = ["parse", "eval_expr", "variables", "diff", "numeric_partial"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt", "abs")
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# re.ASCII confines \s, \d and \w, and so the alphabet, to ASCII
+_TOKEN_RE = re.compile(r"""\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+                             | (?P<ident>[A-Za-z_]\w*)
+                             | (?P<op>[-+*/^(),]))?""", re.ASCII | re.VERBOSE)
+_LEVELS = ("+-", "*/")  # the left associative operators, loosest first
+_LEVEL = {op: i for i, ops in enumerate(_LEVELS) for op in ops}
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "number" | "ident" | "op" | "lparen" | "rparen" | "comma"
+    kind: str  # "number" | "ident" | "op" (operators, parentheses, comma)
     text: str
     pos: int   # byte offset into the source string
 
@@ -97,154 +114,101 @@ Expr = Const | Var | Neg | BinOp | Call
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, tracking byte offsets.
 
-    Raises IllegalCharacter (with the offending offset) on anything
-    outside numbers, identifiers, operators, parentheses, commas and
-    whitespace.
+    Raises IllegalCharacter (with the offending offset) where no token
+    of ``_TOKEN_RE`` starts, and where a number runs into a dot.
     """
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(source, i)
-            if m is None:
-                raise IllegalCharacter(f"malformed number near {source[i:i+8]!r}", i)
-            end = m.end()
-            if end < n and (source[end] == "." or source[end].isdigit()):
-                raise IllegalCharacter(
-                    f"malformed number near {source[i:end + 1]!r}", end)
-            tokens.append(Token("number", m.group(), i))
-            i = end
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(source, i)
-            tokens.append(Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(Token("comma", ch, i))
-        else:
-            raise IllegalCharacter(f"illegal character {ch!r}", i)
-        i += 1
+    m = _TOKEN_RE.match(source)
+    while m.lastgroup is not None:
+        start, end = m.span(m.lastgroup)
+        tokens.append(Token(m.lastgroup, m[m.lastgroup], start))
+        if m.lastgroup == "number" and source.startswith(".", end):
+            raise IllegalCharacter(
+                f"malformed number near {source[start:end + 1]!r}", end)
+        m = _TOKEN_RE.match(source, end)
+    i = m.end()
+    if i < len(source):
+        if source[i] == ".":
+            raise IllegalCharacter(f"malformed number near {source[i:i+8]!r}", i)
+        raise IllegalCharacter(f"illegal character {source[i]!r}", i)
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser over a token list."""
+    """Recursive descent over a token list.  ``depth`` counts the levels
+    around the part being parsed, parentheses included, so the parser's
+    own recursion stops past _MAX_DEPTH."""
 
     def __init__(self, tokens: list[Token], allowed_vars: frozenset[str]):
-        self.tokens = tokens
-        self.allowed = allowed_vars
-        self.i = 0
+        self.tokens, self.allowed, self.i = tokens, allowed_vars, 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> str:
+        """The next token's text, or "" at the end."""
+        return self.tokens[self.i].text if self.i < len(self.tokens) else ""
 
-    def next(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
+    def take(self, text: str) -> bool:
+        """Step over the next token if its text is ``text``."""
+        found = self.peek() == text
+        self.i += found
+        return found
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.next()
-        if tok is None:
+    def next(self, closing: bool = False) -> Token:
+        """The next token; with ``closing``, it must be ")"."""
+        if self.i == len(self.tokens):
             raise ExprSyntaxError("unexpected end of expression")
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ExprSyntaxError(f"expected {text or kind}, found {tok.text!r}", tok.pos)
+        self.i += 1
+        tok = self.tokens[self.i - 1]
+        if closing and tok.text != ")":
+            raise ExprSyntaxError(f"expected rparen, found {tok.text!r}", tok.pos)
         return tok
 
-    def parse(self) -> Expr:
-        e = self.sum()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    def binary(self, level: int, depth: int) -> Expr:
+        """A left associative chain of the operators of ``_LEVELS[level:]``."""
+        e = self.unary(depth)
+        while _LEVEL.get(op := self.peek(), -1) >= level:
+            self.i += 1
+            e = BinOp(op, e, self.binary(_LEVEL[op] + 1, depth + 1))
         return e
 
-    def sum(self) -> Expr:
-        e = self.product()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self.next()
-                e = BinOp(tok.text, e, self.product())
-            else:
-                return e
-
-    def product(self) -> Expr:
-        e = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "*/":
-                self.next()
-                e = BinOp(tok.text, e, self.factor())
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.next()
-            # right associative; the exponent may carry its own unary minus
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
+    def unary(self, depth: int) -> Expr:
+        """Unary minus, then a power whose right associative exponent may
+        carry its own minus: ``-2^-x1`` is ``-(2^(-x1))``."""
         tok = self.next()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression")
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                                  tok.pos)
+        if tok.text == "-":
+            return Neg(self.unary(depth + 1))
+        base = self.atom(tok, depth)
+        return BinOp("^", base, self.unary(depth + 1)) if self.take("^") else base
+
+    def atom(self, tok: Token, depth: int) -> Expr:
+        """A number, a variable, a parenthesized expression or a call."""
         if tok.kind == "number":
             return Const(float(tok.text))
-        if tok.kind == "lparen":
-            e = self.sum()
-            self.expect("rparen")
+        if tok.text == "(":
+            e = self.binary(0, depth + 1)
+            self.next(closing=True)
             return e
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "lparen":
-                return self.call(tok)
+        if tok.kind != "ident":
+            raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        if not self.take("("):
             if tok.text in FUNCTIONS:
-                raise ExprSyntaxError(f"function {tok.text!r} used without arguments", tok.pos)
+                raise ExprSyntaxError(f"function {tok.text!r} used without arguments",
+                                      tok.pos)
             if tok.text not in self.allowed:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.pos)
             return Var(tok.text)
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def call(self, name: Token) -> Expr:
-        if name.text not in FUNCTIONS:
-            raise UnknownFunction(f"unknown function {name.text!r}", name.pos)
-        self.expect("lparen")
-        args = [self.sum()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.next()
-                args.append(self.sum())
-            else:
-                break
-        self.expect("rparen")
+        if tok.text not in FUNCTIONS:
+            raise UnknownFunction(f"unknown function {tok.text!r}", tok.pos)
+        args = [self.binary(0, depth + 1)]
+        while self.take(","):
+            args.append(self.binary(0, depth + 1))
+        self.next(closing=True)
         if len(args) != 1:
             raise ArityMismatch(
-                f"function {name.text!r} takes 1 argument, got {len(args)}", name.pos
-            )
-        return Call(name.text, args[0])
+                f"function {tok.text!r} takes 1 argument, got {len(args)}", tok.pos)
+        return Call(tok.text, args[0])
 
 
 def parse(source: str, allowed_vars) -> Expr:
@@ -252,8 +216,22 @@ def parse(source: str, allowed_vars) -> Expr:
 
     ``allowed_vars`` is the variable alphabet for this context, e.g.
     {"t", "u"} for velocity components or {"x1", "x2"} for initial data.
+    A source nested more than _MAX_DEPTH levels deep raises
+    ExprSyntaxError: the parser counts parentheses as levels, and a
+    walk over the finished tree catches the depth of long chains like
+    ``1 + 1 + ... + 1``, so no recursion over a tree runs out of stack.
     """
-    return _Parser(tokenize(source), frozenset(allowed_vars)).parse()
+    p = _Parser(tokenize(source), frozenset(allowed_vars))
+    e = p.binary(0, 1)
+    if p.i < len(p.tokens):
+        raise ExprSyntaxError(f"trailing input {p.peek()!r}", p.tokens[p.i].pos)
+    # level by level, without recursion: a node below _MAX_DEPTH levels is too deep
+    level = [e]
+    for _ in range(_MAX_DEPTH):
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Expr)]
+    if level:
+        raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels")
+    return e
 
 
 def _div(a, b):

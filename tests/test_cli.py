@@ -191,6 +191,45 @@ def test_converge_refused_at_a_later_sigma_leaves_no_table(tmp_path, capsys):
     assert not (out / "convergence.csv").exists()
 
 
+
+def test_solve_refused_at_a_later_time_leaves_no_fields(tmp_path, capsys):
+    """t = 1e-320 makes the kernel degenerate: the run exits 3 before
+    any field file is written, rather than leaving the t = 0.5 grids
+    behind."""
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({
+        "n": 1, "a": ["u"], "u0": "0.5", "rho0": "exp(-10*x1^2)", "sigma": 0.1,
+        "box": [[-8.0, 8.0]], "space_grid": [17], "time_points": [0.5]}))
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "solve", "--config", str(config), "--out", str(out),
+                         "--method", "quadrature", "--t", "0.5", "--t", "1e-320")
+    assert code == 3
+    assert err["kind"] == "DegenerateKernel"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("u0, message", [
+    ("sin(é)", "illegal character 'é' (at offset 4)"),
+    ("1 + ٣", "illegal character '٣' (at offset 4)"),
+    ("(" * 198 + "x1" + ")" * 198, "nested deeper than 100 levels (at offset 100)"),
+    ("-" * 495 + "x1", "nested deeper than 100 levels (at offset 100)"),
+    (" + ".join(["sin(x1)"] * 495), "nested deeper than 100 levels"),
+], ids=["non-ascii-letter", "non-ascii-digit", "parentheses", "minus", "sum"])
+def test_refused_expressions_exit_2(tmp_path, capsys, u0, message):
+    """A character outside the ASCII alphabet, or an expression nested
+    too deep, is a configuration error with the JSON error line, not a
+    traceback, and leaves no output directory."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({
+        "n": 1, "a": ["u"], "u0": u0, "rho0": "1", "sigma": 0.1,
+        "box": [[-1.0, 1.0]], "space_grid": [5], "time_points": [0.1]}))
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "blowup", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert err["kind"] == "SchemaError"
+    assert err["message"].startswith("'u0': ") and err["message"].endswith(message)
+    assert not out.exists()
+
 def test_residuals_table_with_ratios(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("residuals", "--config", str(BURGERS), "--out", str(out),

@@ -10,10 +10,13 @@ import pytest
 from charstoch import (
     ArityMismatch,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     IllegalCharacter,
+    SchemaError,
     UnknownFunction,
     UnknownVariable,
+    blow_up_time,
     diff,
     eval_expr,
     load_problem,
@@ -434,3 +437,103 @@ def test_unbound_variables_are_refused():
         eval_expr(parse("x1 + u", XU), {"x1": 1.0})
     with pytest.raises(UnknownVariable):
         eval_expr(compile_exprs([parse("x1", XU), parse("u", XU)]), {"x1": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the front end: alphabet, depth limit, and Python's parser as an oracle
+
+@pytest.mark.parametrize("src, pos", [("sin(é)", 4), ("٣", 0), ("x1 + ²", 5),
+                                      ("x1\u00a0+ 1", 2), ("1٣", 1)])
+def test_non_ascii_characters_are_illegal(src, pos):
+    """Letters, digits and spaces outside ASCII are refused at their
+    offset, not read as identifiers, numbers or whitespace."""
+    with pytest.raises(IllegalCharacter) as ei:
+        parse(src, XU)
+    assert ei.value.pos == pos
+    assert str(ei.value) == f"illegal character {src[pos]!r} (at offset {pos})"
+
+
+# each shape at a given depth: the number of levels of its tree, with a
+# pair of parentheses counted as a level
+DEPTH_SHAPES = {
+    "parentheses": lambda d: "(" * (d - 1) + "x1" + ")" * (d - 1),
+    "minus": lambda d: "-" * (d - 1) + "x1",
+    "power": lambda d: "0.5^" * (d - 1) + "x1",
+    "calls": lambda d: "sin(" * (d - 1) + "x1" + ")" * (d - 1),
+    "sum": lambda d: " + ".join(["sin(x1)"] * (d - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", list(DEPTH_SHAPES))
+def test_depth_limit_on_both_sides(shape):
+    """The deepest accepted source of each shape loads and runs the
+    blow-up search; one level more is a syntax error, in the parser
+    for nesting and in the tree walk for a long sum."""
+    def config(src):
+        return json.dumps({"n": 1, "a": ["u"], "u0": src, "rho0": "1", "sigma": 0.1,
+                           "box": [[-1.0, 1.0]], "space_grid": [5],
+                           "time_points": [0.1]})
+
+    deepest = DEPTH_SHAPES[shape](100)
+    blow_up_time(load_problem(config(deepest)))
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+        parse(DEPTH_SHAPES[shape](101), XU)
+    with pytest.raises(SchemaError, match="nested deeper than 100 levels"):
+        load_problem(config(DEPTH_SHAPES[shape](101)))
+    with pytest.raises(ExprSyntaxError):
+        parse(DEPTH_SHAPES[shape](2000), XU)
+
+
+ORACLE_TOKENS = ["x1", "x2", "t", "u", "sin", "cos", "exp", "log", "tanh", "sqrt", "abs",
+                 "0", "1", "2", "2.5", ".5", "3.", "1e3", "2E-2", "1.e2",
+                 "+", "-", "*", "/", "^", "(", ")", "(", ")", ","]
+ORACLE_ENV = {"x1": 0.7, "x2": -1.3, "t": 0.4, "u": 2.1}
+PY_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+                "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs}
+
+
+def test_accepted_sources_agree_with_pythons_parser():
+    """Random space-joined token runs that ``parse`` accepts are Python
+    expressions once ``^`` is ``**``; where both evaluate to finite
+    floats they agree to 1e-12 relative, so the precedence and
+    associativity are Python's.  Tokens lie where their offsets say."""
+    rng = np.random.default_rng(20261020)
+    accepted = compared = 0
+    for _ in range(20000):
+        src = " ".join(rng.choice(ORACLE_TOKENS, size=rng.integers(1, 9)))
+        try:
+            e = parse(src, XU)
+        except ExprError:
+            continue
+        accepted += 1
+        assert all(src[t.pos:t.pos + len(t.text)] == t.text for t in tokenize(src))
+        code = compile(src.replace("^", "**"), "<oracle>", "eval")
+        try:
+            want = eval(code, {"__builtins__": {}, **PY_FUNCTIONS}, dict(ORACLE_ENV))
+        except (ArithmeticError, ValueError):
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                got = eval_expr(e, ORACLE_ENV)
+        except EvalDomainError:
+            continue
+        if isinstance(want, float) and math.isfinite(want) and math.isfinite(got):
+            assert got == pytest.approx(want, rel=1e-12, abs=0), src
+            compared += 1
+    assert accepted > 500 and compared > 300, (accepted, compared)
+
+
+def test_any_string_parses_or_raises_an_expression_error():
+    """Random strings over an alphabet with non-ASCII letters, digits
+    and spaces, stray symbols and dots either parse, with every token
+    where its offset says, or raise an ExprError subclass."""
+    pieces = ["x1", "u", "sin", "(", ")", "+", "-", "*", "/", "^", ",", "1", "2.5",
+              ".", "..", "e", "_", "@", "$", "é", "٣", "²", "ß", " ", "\t", " "]
+    rng = np.random.default_rng(20261021)
+    for _ in range(20000):
+        src = "".join(rng.choice(pieces, size=rng.integers(0, 13)))
+        try:
+            parse(src, XU)
+        except ExprError:
+            continue
+        assert all(src[t.pos:t.pos + len(t.text)] == t.text for t in tokenize(src))
