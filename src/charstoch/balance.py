@@ -25,11 +25,12 @@ point's pass whose rows of u0 and a give the covariances and whose
 centers, gathered per axis, give the gradient.  Each distinct column's
 deviation from its mean and its sum are formed once: where a_i is u,
 its column is the u0 column and I_a_i is I_u's sum.  The pair is kept
-with the masses and means of the same passes, so asking for both terms
-and then the fields at the same points, in any order, costs the passes
-once.  The signs above are the ones that close the identities; with
-them the discrete residuals vanish at the order of the space-time
-stencil.  In the vanishing-noise limit the same system without
+with the masses and means of the same passes, in the slot entry of
+their table (``representation._table_for``), and freed with it, so
+asking for both terms and then the fields at the same points, in any
+order, costs the passes once.  The signs above are the ones that close
+the identities; with them the discrete residuals vanish at the order
+of the space-time stencil.  In the vanishing-noise limit the same system without
 diffusion and without I terms holds for the transported fields while
 the solution stays classical.
 

@@ -20,10 +20,15 @@ Field estimates are kernel moments of the quadrature fields' kind:
 each ``estimate_fields`` call makes the particles one kernel-source
 object (``representation._sources``), with their positions as one
 array per axis, their weights, and their labels U as the one column,
-and runs ``representation._kernel_moments`` on it.  The kernel is truncated by the tables' rule: ``kernel_cutoff``
-kernel widths from the target, the width being the bandwidth h.  Each
-target then scans only the particles of the 3^n cells, 8 h wide by
-default, around it, and its sums run in cell order, not particle order.
+and runs ``representation._kernel_moments`` on it.  Those sources
+live for the one call: they never enter the table slot of
+``representation``, and no moments are kept on them.  The
+``FieldEstimate`` is rho_hat, u_hat and valid, in the points' batch
+shape.  The kernel is truncated by the tables' rule:
+``kernel_cutoff`` kernel widths from the target, the width being the
+bandwidth h.  Each target then scans only the particles of the 3^n
+cells, 8 h wide by default, around it, and its sums run in cell
+order, not particle order.
 
 With a constant rho0 every particle has one weight, held as a
 read-only stride-0 view of one float, in the ensemble and in the
@@ -152,11 +157,12 @@ class ParticleEnsemble:
 
 
 class FieldEstimate(NamedTuple):
-    points: np.ndarray     # (..., n)
+    """The particle estimates at a batch of points, each array in the
+    points' batch shape."""
+
     rho_hat: np.ndarray    # (...)
     u_hat: np.ndarray      # (...) NaN where invalid
     valid: np.ndarray      # (...) bool
-    bandwidth: float
 
 
 def sample_initial(spec: ProblemSpec, n_particles: int) -> ParticleEnsemble:
@@ -292,10 +298,9 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     src = _sources(centers, weights.pop(), columns, h * h,
                    spec.tol.kernel_cutoff, (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
     den, means, _ = _kernel_moments(src, X, spec.tol.denom_floor)
-    return FieldEstimate(points=pts, rho_hat=(src.norm * den).reshape(shape),
+    return FieldEstimate(rho_hat=(src.norm * den).reshape(shape),
                          u_hat=means[:, 0].reshape(shape),
-                         valid=(den >= spec.tol.denom_floor).reshape(shape),
-                         bandwidth=h)
+                         valid=(den >= spec.tol.denom_floor).reshape(shape))
 
 
 def dump_ensemble(ens: ParticleEnsemble, path) -> None:

@@ -28,8 +28,9 @@ The pointwise API takes points of shape (..., n).  The one evaluator of
 initial data, ``InitialData.on_columns``, takes any columns that
 broadcast together and returns each value as the program made it.
 Tensor-product samples, such as a table's nodes, the blow-up grid and
-the sample of about 2e5 points on which ``load_problem`` checks u0 and
-rho0, are never formed as points: their columns are the
+the sample on which ``load_problem`` checks u0 and rho0 (about 2e5
+points, and at least 201 per axis up to 201^3 points: 201^3 in 3D,
+53^4 in 4D), are never formed as points: their columns are the
 ``axis_views``, axis i as a view of shape (1, .., m_i, .., 1), so a
 subtree in one variable costs one axis and only a subtree mixing
 variables costs the grid.  Every scan of such a sample walks it in
@@ -590,6 +591,11 @@ def _validate_initial_data(init: InitialData, box, space_grid,
     """Check u0 and rho0 on a tensor sample of the box, read unexpanded
     on ``axis_views``, and return the u0 range inflated by 1%.
 
+    The sample takes about 2e5 points, and at least 201 per axis up to
+    201^3 points in all: 200,000 in 1D, 447^2 in 2D, 201^3 in 3D and
+    m^n with m = int(201^(3/n)) past that (53^4 in 4D), each axis
+    widened to the space grid where that is finer.
+
     The sample is read in ``_axis_blocks`` of ``_BLOCK`` points,
     each tree over every block before the next, and the verdicts are
     those of the whole sample: finiteness, sign, the u0 range and the
@@ -597,7 +603,8 @@ def _validate_initial_data(init: InitialData, box, space_grid,
     supplied grad_u0 anywhere comes before one of the exact gradient.
     """
     started = time.perf_counter()
-    per_axis = max(201, int(round(2e5 ** (1.0 / len(box)))))
+    n = len(box)
+    per_axis = max(round(2e5 ** (1.0 / n)), min(201, int(201 ** (3.0 / n))))
     axes = [np.linspace(lo, hi, max(per_axis, g)) for (lo, hi), g in zip(box, space_grid)]
     blocks = [axis_views(b) for b in _axis_blocks(axes, _BLOCK)]
     finite = {"u0": True, "rho0": True}

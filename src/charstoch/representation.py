@@ -61,21 +61,23 @@ gathers and averages each distinct column around one point once, and
 as Python floats, with the I terms as an optional per-point step
 (``_i_term_step``) on the same gathers.  ``_moments`` is the one call
 for a table's moments at a point set: the masses, the means and, when
-asked, the I terms.  It keeps the results of the last point set, and
-is the only code that reads or writes them, so the three fields and
-the two I terms at the same points cost one pass per point, in any
-order of the public calls; a field grid makes its pass once for all
-three fields.  Sums run in cell order, and equal a scan of all sources
-in that order bit for bit.  The node count still scales like
-sigma^(-n) (halving sigma doubles it per axis), which governs the
+asked, the I terms.  It keeps the moments of the last point set beside
+their table, and is the only code that reads or writes them, so the
+three fields and the two I terms at the same points cost one pass per
+point, in any order of the public calls; a field grid makes its pass
+once for all three fields.  Sums run in cell order, and equal a scan
+of all sources in that order bit for bit.  The node count still scales
+like sigma^(-n) (halving sigma doubles it per axis), which governs the
 table build and its memory, not the cost per point.
 
-One table is held at a time (``_table_for``): every caller asks for
-each (problem, t) in one run of consecutive calls, so the slot is
-emptied, and the kept moments of its (problem, t) with it, before the
-next table is built.  The 3D sigma-residual run of the README then
-holds one 80 MiB table where it held five, and peaks at 133-145 MiB
-RSS where it reached 452 MiB.
+One table is held at a time, in the one entry of the slot ``_slot``
+(``_table_for``) together with the moments kept on it; the slot is the
+module's only mutable state.  Every caller asks for each (problem, t)
+in one run of consecutive calls, so the slot is emptied, which frees
+the table and its kept moments at once, before the next table is
+built.  The 3D sigma-residual run of the README then holds one 80 MiB
+table where it held five, and peaks at 133-145 MiB RSS where it
+reached 452 MiB.
 """
 
 from __future__ import annotations
@@ -134,11 +136,6 @@ class QuadratureGrid:
     @property
     def n(self) -> int:
         return len(self.axis_nodes)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Flattened nodes, shape (M, n), C order."""
-        return tensor_points(self.axis_nodes)
 
     @property
     def weights(self) -> np.ndarray:
@@ -382,8 +379,9 @@ def _gather(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-# the one table held, keyed by (problem digest, sigma, t); at most one entry
-_slot: dict[tuple[str, float, float], _Sources] = {}
+# the one table held, keyed by (problem digest, sigma, t), and the kernel
+# moments of its last point set: at most one entry, [table, kept or None]
+_slot: dict[tuple[str, float, float], list] = {}
 
 
 @lru_cache(maxsize=16)
@@ -554,25 +552,28 @@ def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     return replace(table, columns=columns, fixed=fixed)
 
 
-def _table_for(spec: ProblemSpec, t: float) -> _Sources:
-    """The table of (spec, t), from the one-table slot ``_slot``.
+def _table_for(spec: ProblemSpec, t: float) -> list:
+    """The slot entry of (spec, t), [table, kept], from the one-entry
+    slot ``_slot``: the table of (spec, t) and the kernel moments that
+    ``_moments`` kept on it, None until it keeps some.
 
-    The slot holds the table of the (problem, t) last asked for.  Every
+    The slot holds the entry of the (problem, t) last asked for.  Every
     caller asks for each (problem, t) in one run of consecutive calls,
     so another table would only be read again if the process came back
     to an earlier (problem, t), which costs one rebuild.  On a miss the
-    slot is emptied before the build, so the old table is freed (unless
-    a caller still holds it) before the new one allocates anything."""
+    slot is emptied before the build, so the old table and its kept
+    moments are freed (unless a caller still holds them) before the new
+    table allocates anything."""
     key = (spec.digest, spec.sigma, float(t))
-    table = _slot.get(key)
-    if table is None:
+    entry = _slot.get(key)
+    if entry is None:
         if _slot:
             (_, sigma, t_old), old = _slot.popitem()
             logger.debug("kernel table at sigma=%g t=%g dropped, %d bytes",
-                         sigma, t_old, old.nbytes)
-            del old  # before the build allocates
-        table = _slot[key] = _build_table(spec, t)
-    return table
+                         sigma, t_old, old[0].nbytes)
+            del old  # table and kept moments, before the build allocates
+        entry = _slot[key] = [_build_table(spec, t), None]
+    return entry
 
 
 def _gaussian_pass(src: _Sources, x):
@@ -744,43 +745,32 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
     return step, f"I terms at sigma={spec.sigma:g} t={t:g}"
 
 
-# the kernel moments of the last point set, (key, den, means, I terms or
-# None), so that the fields and the I terms asked for at the same points
-# share one pass per point; ``_moments`` alone reads and writes it, and
-# empties it when it moves on to another (problem, t), with its table
-_last_results = None
-
-
 def _moments(spec: ProblemSpec, t: float, X: np.ndarray, *, iterms: bool = False):
     """The kernel moments of the table of (spec, t) at the points X
     (P, n): (norm, den (P,), means (P, 1 + n), i_terms), i_terms being
     (I_u (P,), I_a (P, n)) with ``iterms`` and None otherwise.
 
-    The results of the last point set are kept, and answer a call at
-    the same (problem, t, X) that asks for no more than they hold; any
-    other call makes one pass per point and is kept in their place.
-    Kept results of another (problem, t) are dropped before the call
-    asks for its table, so they are freed with the table that the slot
-    then drops.
+    The moments of the last point set are kept in the table's slot
+    entry (``_table_for``), as (X's shape and bytes, den, means, I terms
+    or None), and answer a call at the same points that asks for no
+    more than they hold; any other call makes one pass per point and is
+    kept in their place.  They are freed with their table when the slot
+    moves on to another (problem, t).
     An I-term call needs t > 0, and raises EmptyKernelSupport at the
     first point without kernel mass, after its pass, keeping nothing.
     The arrays may be the kept ones, so callers must not write into
     them."""
-    global _last_results
     if iterms and t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
-    key = (spec.digest, float(t), X.shape, X.tobytes())
-    if _last_results is not None and _last_results[0][:2] != key[:2]:
-        # kept on the table that the slot drops next: freed before the build
-        _last_results = None
-    table = _table_for(spec, t)
-    last = _last_results  # read once, so the key and values come together
-    if last is None or last[0] != key or (iterms and last[3] is None):
+    entry = _table_for(spec, t)
+    table, kept = entry
+    key = (X.shape, X.tobytes())
+    if kept is None or kept[0] != key or (iterms and kept[3] is None):
         step = _i_term_step(spec, t, table) if iterms else ()
         den, means, sums = _kernel_moments(table, X, spec.tol.denom_floor, *step)
-        last = _last_results = (key, den, means,
-                                None if sums is None else (sums[:, 0], sums[:, 1:]))
-    return table.norm, last[1], last[2], last[3] if iterms else None
+        kept = entry[1] = (key, den, means,
+                           None if sums is None else (sums[:, 0], sums[:, 1:]))
+    return table.norm, kept[1], kept[2], kept[3] if iterms else None
 
 
 def _support_reach(spec: ProblemSpec, t: float) -> float:
@@ -983,5 +973,6 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     grid = quadrature_grid(big_box, scale,
                            nodes_per_panel=spec.tol.nodes_per_panel,
                            max_panels=spec.tol.max_panels)
+    rho = eval_rho_sigma(spec, t, tensor_points(grid.axis_nodes))
     # cumsum adds in node order, as a running total would
-    return float(np.cumsum(grid.weights * eval_rho_sigma(spec, t, grid.points))[-1])
+    return float(np.cumsum(grid.weights * rho)[-1])

@@ -7,8 +7,7 @@ from charstoch import representation
 
 @pytest.fixture(autouse=True)
 def empty_table_slot():
-    """Each test starts with no kernel table held and no kernel moments
-    kept, so that its table builds and memory peaks do not depend on
-    the tests that ran before it."""
+    """Each test starts with an empty table slot, so no kernel table is
+    held and no kernel moments are kept, and its table builds and
+    memory peaks do not depend on the tests that ran before it."""
     representation._slot.clear()
-    representation._last_results = None

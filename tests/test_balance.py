@@ -92,7 +92,7 @@ def eval_I_u_sigma_assembled(spec, t, x):
     if t <= 0:
         raise ValueError("I-term evaluation requires t > 0")
     X, shape = _point_rows(x, spec.n)
-    table = _table_for(spec, t)
+    table = _table_for(spec, t)[0]
     n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
     s2t = spec.sigma * spec.sigma * t
     out = np.empty(len(X))
@@ -253,7 +253,7 @@ def count_passes(monkeypatch) -> list:
         return real(src, x)
 
     monkeypatch.setattr(representation, "_gaussian_pass", counting)
-    monkeypatch.setattr(representation, "_last_results", None)
+    representation._slot.clear()
     return passes
 
 
@@ -282,7 +282,7 @@ def test_i_terms_share_one_pass_per_point(monkeypatch, first):
             np.testing.assert_array_equal(f(spec, t, X), pair[f])
             for p, x in enumerate(X):
                 np.testing.assert_array_equal(f(spec, t, x), pair[f][p])
-        monkeypatch.setattr(representation, "_last_results", None)
+        representation._slot.clear()
         for f in (second, first):
             np.testing.assert_array_equal(f(spec, t, X), pair[f])
     assert np.all(pair[eval_I_a_sigma] != 0.0)
@@ -336,7 +336,7 @@ def test_field_grids_share_one_pass_per_point(monkeypatch, order):
         grids = [eval_field_grid(spec, t, which) for which in order]
         assert len(passes) == grids[0].valid.size
         for which, grid in zip(order, grids):
-            monkeypatch.setattr(representation, "_last_results", None)
+            representation._slot.clear()
             cold = eval_field_grid(spec, t, which)
             np.testing.assert_array_equal(grid.values, cold.values)
             np.testing.assert_array_equal(grid.valid, cold.valid)
@@ -387,7 +387,7 @@ def test_sigma_residuals_reuse_the_i_term_pass_at_probes(monkeypatch, burgers):
     assert len(passes) == (J + 1) * (2 * n + 1) * P
 
     def cold(spec, t, x):
-        monkeypatch.setattr(representation, "_last_results", None)
+        representation._slot.clear()
         return _fields_sigma(spec, t, x)
 
     monkeypatch.setattr(balance, "_fields_sigma", cold)

@@ -390,7 +390,7 @@ def assert_on_axes_matches_columns(init, program, axes):
 
 def load_sample_axes(spec):
     """The axes of the sample ``load_problem`` checks u0 and rho0 on."""
-    per_axis = max(201, int(round(2e5 ** (1.0 / spec.n))))
+    per_axis = max(round(2e5 ** (1.0 / spec.n)), min(201, int(201 ** (3.0 / spec.n))))
     return [np.linspace(lo, hi, max(per_axis, g))
             for (lo, hi), g in zip(spec.box, spec.space_grid)]
 
@@ -589,6 +589,27 @@ def test_load_check_peak_3d():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 200_000), (2, 447), (3, 201), (4, 53)])
+def test_load_check_sample_stops_at_the_3d_one(monkeypatch, n, per_axis):
+    """The load check reads about 2e5 points, at least 201 per axis, and
+    no more than the 201^3 points of 3D: the 4D bump's sample is 53^4
+    points, where 201 per axis read 1.6 billion in 6.8 s.  With an odd
+    count per axis, the bump's u0 range is that of the box corners and
+    the origin, both of them on the sample at 53 points per axis as at
+    201."""
+    x = [f"x{i + 1}" for i in range(n)]
+    cfg = make(n=n, a=["u"] * n, u0=f"exp(-({'+'.join(v + '^2' for v in x)}))",
+               box=[[-3.0, 3.0]] * n, space_grid=[5] * n, time_points=[0.3])
+    calls = recorded_blocks(monkeypatch)
+    spec = load_problem(cfg)
+    blocks = calls.pop()
+    assert sum(math.prod(map(len, b)) for b in blocks) == per_axis ** n
+    if per_axis % 2:  # the origin is on the sample
+        lo, hi = math.exp(-9.0 * n), 1.0
+        pad = 0.01 * (hi - lo)
+        assert spec.u_range == (lo - pad, hi + pad)
 
 
 # cells whose spelling a CSV writer must keep: NaN, +-inf, -0.0, the

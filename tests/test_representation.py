@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from charstoch.representation import (_NODE_BUDGET, FieldGrid, _build_table,
                                       _gaussian_pass, _kernel_means, _sources,
                                       _stretch, _NodeWeights, _table_for, _tabulate,
                                       quadrature_grid)
-from test_balance import eval_I_u_sigma_assembled
+from test_balance import count_passes, eval_I_u_sigma_assembled
 from test_problem import CSV_CELLS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -63,7 +64,7 @@ def test_quadrature_weights_sum_to_volume():
 
 def test_quadrature_exact_for_smooth_integrand():
     grid = quadrature_grid([(-2.0, 2.0)], scale=0.25)
-    got = float(np.sum(grid.weights * np.exp(-grid.points[:, 0] ** 2)))
+    got = float(np.sum(grid.weights * np.exp(-tensor_points(grid.axis_nodes)[:, 0] ** 2)))
     assert got == pytest.approx(math.sqrt(math.pi) * math.erf(2.0), rel=1e-13)
 
 
@@ -343,7 +344,7 @@ def test_cell_pass_equals_dense_scan(n):
 
 def test_kernel_means_equal_dense_sums_over_table():
     spec = load_problem(BUMP2D.read_text())
-    table = _table_for(spec, 0.3)
+    table = _table_for(spec, 0.3)[0]
     centers = np.stack(table.axes, axis=1)
     assert np.all(np.isfinite(centers))
     u0v, *avals = table.columns
@@ -494,7 +495,7 @@ def test_table_weights_are_the_node_weights_in_the_reference_cell_order(n, rho0)
                            max_panels=4096)
     assert all(len(w) == per_axis for w in grid.axis_weights)
     table = _tabulate(spec, t, grid)
-    points = grid.points
+    points = tensor_points(grid.axis_nodes)
     u0v = spec.init.u0_at(points)
     centers = points + np.stack(displacement_components(spec, t, u0v), axis=-1)
     *_, key = cell_keys(centers, spec.sigma * spec.sigma * t, spec.tol.kernel_cutoff)
@@ -711,48 +712,66 @@ def test_a_held_table_outlives_the_slot():
         step = representation._i_term_step(spec, 0.3, table)
         return representation._kernel_moments(table, X, spec.tol.denom_floor, *step)
 
-    table = _table_for(spec, 0.3)
+    table = _table_for(spec, 0.3)[0]
     held, before = arrays(table), sums(table)
     eval_u_sigma(spec, 1.5, X)  # the slot moves on to t = 1.5
-    assert _table_for(spec, 1.5) is not table
+    assert _table_for(spec, 1.5)[0] is not table
     after = sums(table)
     for got, want in zip(arrays(table), held):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for got, want in zip(after, before):
         assert got.tobytes() == want.tobytes()
-    rebuilt = _table_for(spec, 0.3)
+    rebuilt = _table_for(spec, 0.3)[0]
     assert rebuilt is not table
     for got, want in zip(arrays(rebuilt), held):
         assert got.tobytes() == want.tobytes()
 
 
 def test_kept_moments_are_dropped_before_the_next_build(monkeypatch, burgers):
-    """The kept moments of one (problem, t) are freed before the table of
-    the next is built, and a call at the same (problem, t) still reads
-    them without a pass."""
+    """The kept moments of one (problem, t) are freed with their table,
+    before the table of the next is built, and a call at the same
+    (problem, t) still reads them without a pass."""
     X = np.array([[0.1], [0.2], [0.3]])
     eval_u_sigma(burgers, 0.5, X)
-    kept = representation._last_results
+    entry = _table_for(burgers, 0.5)
+    kept = entry[1]
     eval_a_sigma(burgers, 0.5, X)
-    assert representation._last_results is kept
+    assert entry[1] is kept
+    den, table = weakref.ref(kept[1]), weakref.ref(entry[0])
+    del entry, kept
     seen, build = [], representation._build_table
 
     def build_seeing_the_kept_moments(spec, t):
-        seen.append(representation._last_results)
+        seen.append((den(), table()))
         return build(spec, t)
 
     monkeypatch.setattr(representation, "_build_table", build_seeing_the_kept_moments)
     eval_u_sigma(burgers, 0.75, X)
-    assert seen == [None]
-    assert representation._last_results[0][:2] == (burgers.digest, 0.75)
+    assert seen == [(None, None)]
+    (key, (_, kept)), = representation._slot.items()
+    assert key == (burgers.digest, burgers.sigma, 0.75) and kept[0] == (X.shape, X.tobytes())
+
+
+def test_a_dropped_entry_never_answers_its_rebuilt_table(monkeypatch, burgers):
+    """u_sigma at t = 0.5, then 0.75, then 0.5 on the same points: the
+    third call finds the t = 0.5 table rebuilt with no moments kept,
+    makes one pass per point again, and equals the first bit for bit."""
+    X = np.linspace(-2.0, 2.0, 7)[:, None]
+    passes = count_passes(monkeypatch)
+    first = eval_u_sigma(burgers, 0.5, X)
+    eval_u_sigma(burgers, 0.75, X)
+    passes.clear()
+    again = eval_u_sigma(burgers, 0.5, X)
+    assert len(passes) == len(X)
+    assert again.tobytes() == first.tobytes()
 
 
 def test_debug_log_reports_each_dropped_table(caplog):
     spec = load_problem(BUMP2D.read_text())
     wide = spec.with_sigma(0.2)
     with caplog.at_level("DEBUG", logger="charstoch.representation"):
-        nbytes = _table_for(spec, 0.3).nbytes
-        wide_bytes = _table_for(wide, 0.3).nbytes
+        nbytes = _table_for(spec, 0.3)[0].nbytes
+        wide_bytes = _table_for(wide, 0.3)[0].nbytes
         _table_for(wide, 0.3)  # the table held: nothing dropped
         _table_for(spec, 1.5)
     drops = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
@@ -805,8 +824,8 @@ def test_stretch_matched_tables_are_no_less_accurate(monkeypatch, name, sigma, t
     X = tensor_points(space_axes(spec))
 
     def fields(table):
-        monkeypatch.setattr(representation, "_table_for", lambda *_: table)
-        monkeypatch.setattr(representation, "_last_results", None)
+        entry = [table, None]  # the table, with no kernel moments kept
+        monkeypatch.setattr(representation, "_table_for", lambda *_: entry)
         return {"rho": eval_rho_sigma(spec, t, X), "u": eval_u_sigma(spec, t, X),
                 "I_u": eval_I_u_sigma(spec, t, X)}
 
@@ -847,14 +866,14 @@ def distinct_arrays(table):
 
 
 def test_tables_hold_one_array_per_distinct_velocity_expression(burgers, caplog):
-    table = _table_for(burgers, 0.5)
+    table = _table_for(burgers, 0.5)[0]
     assert len(table.columns) == 2 and distinct_arrays(table) == 1
     for a, count in ((["u", "u"], 1), (["u", "u^2/2"], 2),
                      (["u^2/2", "u^2/2"], 2), (["u*1", "1*u"], 3)):
         spec = bump(a)
         with caplog.at_level("DEBUG", logger="charstoch.representation"):
             caplog.clear()
-            table = _table_for(spec, 0.3)
+            table = _table_for(spec, 0.3)[0]
         assert distinct_arrays(table) == count
         assert len(set(table.first_of)) == count
         assert f"{count} distinct columns, {table.nbytes} bytes" in caplog.text
@@ -883,7 +902,7 @@ def test_shared_columns_give_the_values_of_distinct_ones(aliased, spelled):
                   eval_I_a_sigma, eval_I_u_sigma_assembled)
     pts = np.array([[0.0, 0.0], [0.3, -0.2], [1.1, 0.7], [-2.0, 1.5]])
     shared, distinct = bump(aliased), bump(spelled)
-    assert distinct_arrays(_table_for(distinct, 0.3)) == 3
+    assert distinct_arrays(_table_for(distinct, 0.3)[0]) == 3
     for t in (0.3, 1.5):
         for f in evaluators:
             want = f(shared, t, pts)
