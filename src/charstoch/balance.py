@@ -68,6 +68,13 @@ __all__ = [
     "i_term_persistence",
 ]
 
+# the most time steps a residual window may take: each step builds a
+# kernel table (sigma system) and keeps the fields and sources at every
+# probe, so a count far past this would not finish (the benchmark takes
+# 50), and one such as 1e18 would grow the list of times until memory
+# ran out
+_MAX_STEPS = 100_000
+
 
 @dataclass
 class ResidualReport:
@@ -142,9 +149,9 @@ def _residual_core(spec: ProblemSpec, t_window, resolution,
     if not t1 > t0:
         raise ValueError("time window must satisfy t0 < t1")
     steps = (t1 - t0) / dt if 0 < dt < math.inf else math.nan
-    if not (0 < h < math.inf and math.isfinite(steps)):
+    if not (0 < h < math.inf and steps <= _MAX_STEPS):
         raise ValueError(f"resolution ({h:g}, {dt:g}) needs finite positive h and "
-                         f"dt and a finite step count over ({t0:g}, {t1:g})")
+                         f"dt and at most {_MAX_STEPS} steps over ({t0:g}, {t1:g})")
     J = int(round(steps))
     if J < 2:
         raise ValueError("time window too short for the time stencil")

@@ -28,18 +28,19 @@ at sigma = 0.05 fits the node budget.  Every field takes points
 
 A quadrature table and a particle ensemble are two discretizations of
 the same source measure, and both are one ``_Sources``: centers, one
-contiguous array per axis, weights, per-source columns and the
-kernel's var, cut and norm.  The table of a (problem, t) holds the
-displaced nodes, tensor weight * rho0, and the columns u0 and
-a_1..a_n, and is shared by every point.  ``_tabulate`` takes u0 and
+contiguous array per axis, weights, per-source columns, each distinct
+array once, with a map from the fields to them, and the kernel's var,
+cut and norm.  The table of a (problem, t) holds the displaced nodes,
+tensor weight * rho0, and the columns of the fields u0 and a_1..a_n,
+and is shared by every point.  ``_tabulate`` takes u0 and
 rho0 on the node axes (``InitialData.on_columns`` on their
 ``axis_views``), never on the nodes' points, and each axis's centers
 are its node axis plus the displacement, in one pass.  ``montecarlo``
 builds sources from the particles and their labels U, and one-value
 particle weights (a stride-0 view) stay one value there rather than
-being permuted.  A table holds one array per distinct velocity
-expression: an a_i that is u is the u0 column itself, and equal
-expressions share one array.
+being permuted.  A table holds one column per distinct velocity
+expression: an a_i that is u reads the u0 column, and equal
+expressions share one column.
 The one constructor, ``_sources``, sorts all of it once into cells one
 cutoff radius wide.  Its cell order is a stable counting sort built
 ``_SORT_BLOCK`` keys at a time (``_cell_order``), 4 bytes per source.
@@ -56,10 +57,11 @@ cells with Python scalars and forms the kept weights in place, so the
 cost of a pass is that of its NumPy calls on the slices.  The fields
 here, the covariance sources I_u and I_a of ``balance`` and the
 particle estimates are all moments of that pass: ``_kernel_means``
-gathers and averages each distinct column around one point once, and
-``_kernel_moments`` runs it over a point set, one loop over the points
-as Python floats, with the I terms as an optional per-point step
-(``_i_term_step``) on the same gathers.  ``_moments`` is the one call
+gathers and averages each column around one point once, and
+``_kernel_moments`` runs it over a point set, one loop over the
+points as Python floats, with the I terms as an optional per-point step
+(``_i_term_step``) on the same gathers, and gives each field its
+column's mean.  ``_moments`` is the one call
 for a table's moments at a point set: the masses, the means and, when
 asked, the I terms.  It keeps the moments of the last point set beside
 their table, and is the only code that reads or writes them, so the
@@ -90,7 +92,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateKernel, EmptyKernelSupport, EvalDomainError
+from .errors import (DegenerateKernel, EmptyKernelSupport, EvalDomainError,
+                     NumericalError)
 from .problem import (_BLOCK, _CSV_ROWS, InitialData, ProblemSpec, _arrays,
                       _axis_blocks, _batched, _point_rows, _refuse, _write_csv,
                       axis_views, displacement_components,
@@ -134,17 +137,13 @@ class QuadratureGrid:
     axis_weights: tuple[np.ndarray, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.axis_nodes)
-
-    @property
     def weights(self) -> np.ndarray:
         """Flattened tensor weights, shape (M,): the axis weights
         multiplied into ones in axis order.  A new array on each access,
         which the caller may write."""
         out = np.ones(tuple(len(w) for w in self.axis_weights))
         for i, w in enumerate(self.axis_weights):
-            out *= w.reshape((-1,) + (1,) * (self.n - 1 - i))
+            out *= w.reshape((-1,) + (1,) * (len(self.axis_weights) - 1 - i))
         return out.ravel()
 
 
@@ -168,16 +167,15 @@ class _Sources:
     A quadrature table and a particle ensemble are both such a set: the
     centers (displaced nodes or particle positions) as one contiguous
     array per axis, ``axes``, ``weights`` (tensor weight * rho0, or
-    particle weights) and per-source ``columns`` (u0 and then a_1..a_n,
-    or the labels U), with the kernel's ``var``, ``cut`` and
-    normalization ``norm``.  ``fixed`` holds, per column, its value
-    where every source has that same value, else None; such a column's
-    mean is that value exactly, at no cost per pass.  Columns may be
-    the same array: a table's a_i column is its u0 column when a_i is
-    u, and equal velocity
-    expressions share one array; ``first_of`` names the first column
-    each one repeats, so a pass gathers and averages each distinct
-    array once.  With e = |center - x|^2 / (2 var), a source can
+    particle weights) and per-source ``columns``, each a distinct
+    array, with the kernel's ``var``, ``cut`` and normalization
+    ``norm``.  ``of`` maps each field (u0 and then a_1..a_n for a
+    table, the labels U for particles) to its column: a table's a_i is
+    the u0 column when a_i is u, and equal velocity expressions share
+    one column, so a pass gathers and averages each array once.
+    ``fixed`` holds, per column, its value where every source has that
+    same value, else None; such a column's mean is that value exactly,
+    at no cost per pass.  With e = |center - x|^2 / (2 var), a source can
     satisfy e <= cut only within radius sqrt(2 var cut) of x, so it
     lies in one of the 3^n square cells around x's cell.
     Every array is stably sorted by flat (C order) cell key, so the
@@ -188,7 +186,7 @@ class _Sources:
 
     axes: tuple[np.ndarray, ...]  # n arrays (M,)
     weights: np.ndarray  # (M,)
-    columns: tuple[np.ndarray, ...]  # (M,) each
+    columns: tuple[np.ndarray, ...]  # (M,) each, distinct arrays
     var: float
     cut: float
     norm: float
@@ -197,13 +195,7 @@ class _Sources:
     shape: np.ndarray    # (n,) cells per axis
     starts: np.ndarray   # (cells + 1,)
     fixed: tuple[float | None, ...]  # per column: its one value, or None
-
-    @cached_property
-    def first_of(self) -> tuple[int, ...]:
-        """Per column, the position of the first column that is the
-        same array; a column is distinct where that is its own."""
-        return tuple(next(j for j, d in enumerate(self.columns) if d is c)
-                     for c in self.columns)
+    of: tuple[int, ...]  # per field: the position of its column
 
     @cached_property
     def cell_grid(self) -> tuple[list[float], list[int], list[int]]:
@@ -216,10 +208,9 @@ class _Sources:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the sources' arrays, each distinct one once and
-        one-value weights as one float."""
-        distinct = {id(c): c for c in self.columns}.values()
-        return sum(map(_held_bytes, (*self.axes, self.weights, *distinct,
+        """Bytes held by the sources' arrays, one-value weights as one
+        float."""
+        return sum(map(_held_bytes, (*self.axes, self.weights, *self.columns,
                                      self.starts)))
 
 
@@ -232,18 +223,20 @@ def _held_bytes(a: np.ndarray) -> int:
 def _sources(centers: list, weights, columns: list, var: float,
              cutoff: float, norm: float) -> _Sources:
     """Sort ``centers``, a list of one coordinate array (M,) per axis,
-    ``weights`` (M,), an array or anything with ``take`` such as
-    ``_NodeWeights``, and each of the list ``columns`` (M,) into cells
-    for the Gaussian sum with this var, truncated ``cutoff`` kernel
-    widths sqrt(var) from each target.  The centers come back as one
-    contiguous array per axis.
+    ``weights`` (M,), an array or anything with ``dtype`` and an
+    ``ndarray.take`` such as ``_NodeWeights``, and each of the list
+    ``columns`` (M,), one per field, into cells for the Gaussian sum
+    with this var, truncated ``cutoff`` kernel widths sqrt(var) from
+    each target.  The centers come back as one contiguous array per
+    axis.
 
     The two lists are emptied: the arrays are permuted one at a time,
     and each unsorted one is dropped once its sorted copy exists, the
     weights last.  The permutation is the stable argsort of the cell
     keys, built by ``_cell_order`` as 4-byte indices (8 past 2^31 - 1
-    sources) and read ``_SORT_BLOCK`` indices at a time, so no array of
-    one intp per source exists.  A caller that hands over its only
+    sources), and every array, the weights too, is gathered through it
+    ``_SORT_BLOCK`` indices at a time (``_gather``), so no array of one
+    intp per source exists.  A caller that hands over its only
     references to the centers and columns therefore peaks at one array
     above the sorted sources, plus that half-width order, rather than
     with both copies of every array alive.  Weights that are one value,
@@ -258,6 +251,9 @@ def _sources(centers: list, weights, columns: list, var: float,
     a tiny bandwidth cannot allocate a huge ``starts``; wider cells only
     add candidates.  The bounding box is a plain min and max per axis;
     only when some center is not finite is it masked to the finite ones.
+    Sources whose span on an axis overflows to inf cannot be cut into
+    cells; they raise NumericalError naming the axis, before any key
+    array exists.
     """
     started = time.perf_counter()
     cut = min(0.5 * cutoff ** 2, _UNDERFLOW)
@@ -275,6 +271,11 @@ def _sources(centers: list, weights, columns: list, var: float,
         del ok
     count = M if bad is None else M - int(np.count_nonzero(bad))
     lo, extent = (lo, hi - lo) if count else (np.zeros(n), np.zeros(n))
+    wide = np.flatnonzero(np.isinf(extent))
+    if wide.size:
+        i = wide[0]
+        raise NumericalError(f"kernel sources on axis x{i + 1} span [{lo[i]:g}, "
+                             f"{hi[i]:g}], wider than the largest float")
     per_axis = max(1, int(count ** (1.0 / n)))
     # tiny keeps the width positive when the radius underflows to 0
     width = max(math.sqrt(2.0 * var * cut) * (1.0 + 1e-9),
@@ -307,18 +308,16 @@ def _sources(centers: list, weights, columns: list, var: float,
     columns = tuple(_gather(columns.pop(0), order) for _ in range(len(columns)))
     if isinstance(weights, np.ndarray) and weights.strides == (0,):
         weights = weights[:count]
-    elif isinstance(weights, np.ndarray):
-        weights = _gather(weights, order)
     else:
-        weights = weights.take(order)
+        weights = _gather(weights, order)
     src = _Sources(axes=axes, weights=weights, columns=columns,
                    var=var, cut=cut, norm=norm, lo=lo, width=width,
-                   shape=shape, starts=starts, fixed=(None,) * len(columns))
+                   shape=shape, starts=starts, fixed=(None,) * len(columns),
+                   of=tuple(range(len(columns))))
     logger.debug("kernel sources: %d, %s cells per axis, width %.6g, "
                  "%d distinct columns, sorted in %.3f s, %d bytes",
                  M, "x".join(str(s) for s in shape), width,
-                 len(set(src.first_of)), time.perf_counter() - started,
-                 src.nbytes)
+                 len(columns), time.perf_counter() - started, src.nbytes)
     return src
 
 
@@ -369,9 +368,10 @@ def _cell_order(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _gather(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _gather(a, order: np.ndarray) -> np.ndarray:
     """``a.take(order)``, ``_SORT_BLOCK`` indices at a time, so that a
-    narrow ``order`` is widened to intp one block at a time."""
+    narrow ``order`` is widened to intp one block at a time; ``a`` is an
+    array or anything with its ``dtype`` and ``take(p, out, mode)``."""
     out = np.empty(len(order), dtype=a.dtype)
     for s in range(0, len(order), _SORT_BLOCK):
         # the indices are in range, and "wrap" writes straight to out
@@ -476,7 +476,7 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
     logger.debug("kernel table at sigma=%g t=%g: %d nodes, %d distinct columns, "
                  "%d bytes, built in %.3f s; stretch %.4g, %d-node panels %.4g "
                  "kernel widths wide, %s panels per axis, error target %.3g",
-                 spec.sigma, t, math.prod(per_axis), len(set(table.first_of)),
+                 spec.sigma, t, math.prod(per_axis), len(table.columns),
                  table.nbytes, time.perf_counter() - started, stretch, TABLE_ORDER,
                  width, "x".join(str(m // TABLE_ORDER) for m in per_axis), target)
     return table
@@ -485,44 +485,47 @@ def _build_table(spec: ProblemSpec, t: float) -> _Sources:
 @dataclass(frozen=True)
 class _NodeWeights:
     """Tensor weight * rho0 at the nodes of ``grid``, formed only where
-    ``take`` reads them: at flat (C order) node positions, a chunk at a
-    time, from the axis weights and ``rho0`` (a float, or an array that
-    broadcasts to the grid).  Each weight is the product
-    ``grid.weights * rho0`` forms, in the same order, so a table's
-    weights come out in cell order without an array of every node's
-    weight in node order."""
+    ``take`` reads them, as ``_gather`` does a block at a time: at flat
+    (C order) node positions, from the axis weights and ``rho0`` (a
+    float, or an array that broadcasts to the grid).  Each weight is the
+    product ``grid.weights * rho0`` forms, in the same order, so a
+    table's weights come out in cell order without an array of every
+    node's weight in node order."""
 
     grid: QuadratureGrid
     rho0: float | np.ndarray
+    dtype = np.dtype(float)
 
     def __len__(self) -> int:
         return math.prod(len(w) for w in self.grid.axis_weights)
 
-    def take(self, order: np.ndarray) -> np.ndarray:
+    def take(self, p: np.ndarray, out: np.ndarray, mode: str) -> np.ndarray:
+        """The weights at positions ``p``, written to ``out`` as
+        ``ndarray.take(p, out=out, mode=mode)`` writes them."""
         axis_weights = self.grid.axis_weights
         shape = tuple(len(w) for w in axis_weights)
-        rho0 = np.broadcast_to(self.rho0, shape)
-        out, step = np.empty(len(order)), _SORT_BLOCK
-        for s in range(0, len(order), step):
-            p, idx = order[s:s + step], []
-            for m in shape[:0:-1]:  # the node's index on each axis
-                p, i = np.divmod(p, m)
-                idx.insert(0, i)
-            idx.insert(0, p)
-            # the indices are in range, and "wrap" writes straight to out
-            w = axis_weights[0].take(p, out=out[s:s + step], mode="wrap")
-            for wi, i in zip(axis_weights[1:], idx[1:]):
-                w *= wi.take(i)
-            # a constant rho0 multiplies as it does broadcast
-            w *= self.rho0 if np.ndim(self.rho0) == 0 else rho0[tuple(idx)]
+        idx = []
+        for m in shape[:0:-1]:  # the node's index on each axis
+            p, i = np.divmod(p, m)
+            idx.insert(0, i)
+        idx.insert(0, p)
+        w = axis_weights[0].take(p, out=out, mode=mode)
+        for wi, i in zip(axis_weights[1:], idx[1:]):
+            w *= wi.take(i)
+        # a constant rho0 multiplies as it does broadcast
+        w *= self.rho0 if np.ndim(self.rho0) == 0 \
+            else np.broadcast_to(self.rho0, shape)[tuple(idx)]
         return out
 
 
 def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     """The nodes of ``grid`` as the kernel sources of (spec, t): weights
-    tensor weight * rho0, columns u0 and then a_1..a_n at (t, u0), the
-    a columns evaluated in cell order, and ``fixed`` marking the columns
-    with one value at every node.
+    tensor weight * rho0, the fields u0 and then a_1..a_n at (t, u0),
+    the a fields evaluated in cell order, and ``fixed`` marking the
+    columns with one value at every node.  Each distinct array of those
+    fields is one column, and ``of`` names each field's column: an a_i
+    that ``a_values`` returns as u0 itself, or as the array of an equal
+    expression, is that column.
 
     u0 and rho0 are taken on the ``axis_views`` of the node axes, u0 as
     one array of the grid's shape, each center array is its node axis
@@ -547,9 +550,12 @@ def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     # a is elementwise in u0, so it is evaluated in cell order directly,
     # once the unsorted arrays are freed: that keeps it out of the peak
     u0v = table.columns[0]
-    columns = (u0v, *spec.velocity.a_values(t, u0v))
+    fields = (u0v, *spec.velocity.a_values(t, u0v))
+    distinct = {id(c): c for c in fields}
+    columns = tuple(distinct.values())
     fixed = tuple(float(c[0]) if c.size and np.ptp(c) == 0 else None for c in columns)
-    return replace(table, columns=columns, fixed=fixed)
+    return replace(table, columns=columns, fixed=fixed,
+                   of=tuple(list(distinct).index(id(c)) for c in fields))
 
 
 def _table_for(spec: ProblemSpec, t: float) -> list:
@@ -639,39 +645,32 @@ def _kernel_means(src: _Sources, x, floor: float):
     columns.
 
     Returns (idx, wk, den, rows, means): the sources and weights of
-    ``_gaussian_pass``, their raw mass den = sum(wk), each column's
-    values at idx, and each column's mean sum(wk * row) / den.  Each
-    distinct column array is gathered and averaged once, in one loop
-    over ``first_of``; a column that repeats an earlier one gets that
-    one's row and mean objects.  A column in ``fixed`` has its one
-    value as its mean, exactly.  The means are NaN unless den >=
-    ``floor``, so a vanishing mass is never divided through.
+    ``_gaussian_pass``, their raw mass den = sum(wk), and per column
+    (not per field: ``src.of`` maps the fields to them) its values at
+    idx and its mean sum(wk * row) / den, so each array is gathered and
+    averaged once.  A column in ``fixed`` has its one value as its
+    mean, exactly.  The means are NaN unless den >= ``floor``, so a
+    vanishing mass is never divided through.
     """
     idx, wk = _gaussian_pass(src, x)
     den = float(_sum(wk))
-    rows, means = [], []
-    for i, j in enumerate(src.first_of):
-        if j == i:
-            rows.append(src.columns[i].take(idx))
-            c = src.fixed[i]
-            means.append(math.nan if den < floor else c if c is not None
-                         else float(_sum(wk * rows[i]) / den))
-        else:
-            rows.append(rows[j])
-            means.append(means[j])
+    rows = [c.take(idx) for c in src.columns]
+    means = [math.nan if den < floor else c if c is not None
+             else float(_sum(wk * row) / den) for row, c in zip(rows, src.fixed)]
     return idx, wk, den, rows, means
 
 
 def _kernel_moments(src: _Sources, X: np.ndarray, floor: float,
                     step=None, label: str = ""):
     """``_kernel_means`` at each row of X (P, n): the raw masses (P,),
-    the column means (P, len(src.columns)) and, with a ``step``, what
-    ``step(x, idx, wk, den, rows, means)`` returns after each point's
-    pass, one value per column, as (P, len(src.columns)); else None.
+    the field means (P, len(src.of)), each field's column's mean, and,
+    with a ``step``, what ``step(x, idx, wk, den, rows, means)`` returns
+    after each point's pass, one value per field, as (P, len(src.of));
+    else None.
     The points are passed as Python floats.  With
     ``CHARSTOCH_LOG=debug``, logs one line per batch: the targets, the
     kept sources and the wall time, after ``label`` if there is a step
-    and after "kernel moments" and with the column count if not."""
+    and after "kernel moments" and with the field count if not."""
     started = time.perf_counter()
     den, means, steps, kept = [], [], [], 0
     for x in X.tolist():
@@ -679,17 +678,17 @@ def _kernel_moments(src: _Sources, X: np.ndarray, floor: float,
         if step is not None:
             steps.append(step(x, idx, wk, mass, rows, mean))
         den.append(mass)
-        means.append(mean)
+        means.append([mean[j] for j in src.of])
         kept += idx.size
     if logger.isEnabledFor(logging.DEBUG):
         elapsed = time.perf_counter() - started
         if step is None:
             logger.debug("kernel moments: %d targets, %d kept sources, %d columns "
-                         "in %.3f s", len(X), kept, len(src.columns), elapsed)
+                         "in %.3f s", len(X), kept, len(src.of), elapsed)
         else:
             logger.debug("%s: %d targets, %d kept sources in %.3f s",
                          label, len(X), kept, elapsed)
-    shape = (len(X), len(src.columns))
+    shape = (len(X), len(src.of))
     return (np.array(den, dtype=float), np.array(means, dtype=float).reshape(shape),
             None if step is None else np.array(steps, dtype=float).reshape(shape))
 
@@ -698,15 +697,15 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
     """The I terms of one pass of ``table`` at a point as a step of
     ``_kernel_moments``, [I_u, I_a_1..I_a_n] (``balance``'s module
     docstring), and the batch's log label.  The step raises
-    EmptyKernelSupport at a point without kernel mass.  Each distinct
-    column's deviation from its mean, and its sum, is formed once, in
-    place in the pass's own gathered rows: a column that repeats an
-    earlier one (an a_i column that is the u0 column when a_i is u)
-    takes that one's sum.  The gradient factor is built in place from
-    each axis's gathered centers."""
+    EmptyKernelSupport at a point without kernel mass.  Each column's
+    deviation from its mean, and its sum, is formed once, in place in
+    the pass's own gathered rows, and each field reads its column's
+    through ``table.of`` (an a_i that is u reads the u0 column's).  The
+    gradient factor is built in place from each axis's gathered
+    centers."""
     n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
     s2t = spec.sigma * spec.sigma * t
-    first_of, axes = table.first_of, table.axes
+    of, axes = table.of, table.axes
     dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
 
     def step(x, idx, wk, mass, rows, mean):
@@ -717,27 +716,24 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
             # taken before the rows are written: da_i/dt may be u0 itself
             dt_vals = spec.velocity.dt_values(t, rows[0])
             dt_sums = [norm * _sum(wk * dt_vals[i]) for i in dt_components]
-        # row - mean per distinct column, u0 first, then a_1..a_n
-        for i, j in enumerate(first_of):
-            if j == i:
-                rows[i] -= mean[i]
+        # row - mean per column, u0's first
+        for row, m in zip(rows, mean):
+            row -= m
         # sum_k (a_k - a_sigma_k)(A_k + y_k - x_k) / (sigma^2 t) per node;
         # (c - x_k) * dev equals dev * (c - x_k) bit for bit
         fac = np.zeros(len(wk))
         for k in range(n):
             c = axes[k].take(idx)
             c -= x[k]
-            c *= rows[1 + k]
+            c *= rows[of[1 + k]]
             fac += c
         fac /= s2t
         sums = []
-        for i, j in enumerate(first_of):
-            if j == i:
-                term = wk * rows[i]
-                term *= fac
-                sums.append(norm * _sum(term))
-            else:
-                sums.append(sums[j])
+        for row in rows:
+            term = wk * row
+            term *= fac
+            sums.append(norm * _sum(term))
+        sums = [sums[j] for j in of]
         for i, dt_sum in zip(dt_components, dt_sums):
             sums[1 + i] -= dt_sum
         return sums
@@ -838,14 +834,6 @@ class FieldGrid:
     values: np.ndarray
     valid: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == len(self.axes) + 1
-
     def to_csv(self, path) -> None:
         """Write rows in C order: t, coordinates, components, valid.
 
@@ -854,9 +842,9 @@ class FieldGrid:
         ``%`` call.
         """
         size = self.valid.size
-        ncomp = self.values.shape[-1] if self.is_vector else 1
+        ncomp = self.values.shape[-1] if self.values.ndim > len(self.axes) else 1
         val_cols = ["value"] if ncomp == 1 else [f"value{i + 1}" for i in range(ncomp)]
-        header = ["t"] + [f"x{i + 1}" for i in range(self.n)] + val_cols + ["valid"]
+        header = ["t"] + [f"x{i + 1}" for i in range(len(self.axes))] + val_cols + ["valid"]
         block = np.column_stack([np.full(size, self.t), tensor_points(self.axes),
                                  self.values.reshape(size, ncomp), self.valid.reshape(size)])
         _write_csv(path, header, (block[a:a + _CSV_ROWS] for a in range(0, size, _CSV_ROWS)),

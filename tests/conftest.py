@@ -1,8 +1,17 @@
 """Shared test setup."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from charstoch import representation
+
+# the CLI tests run ``python -m charstoch`` in child processes, which
+# import the package from this checkout's src/ as the tests do, so a
+# plain ``python3 -m pytest`` needs no install and no PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(autouse=True)

@@ -97,7 +97,9 @@ def eval_I_u_sigma_assembled(spec, t, x):
     s2t = spec.sigma * spec.sigma * t
     out = np.empty(len(X))
     for p, xp in enumerate(X.tolist()):
-        idx, wk, den, (u0v, *avals), (u, *a) = _kernel_means(table, xp, floor)
+        idx, wk, den, rows, means = _kernel_means(table, xp, floor)
+        # the rows and means are per column; each field reads its column's
+        (u0v, *avals), (u, *a) = ([c[j] for j in table.of] for c in (rows, means))
         if den < floor:
             _refuse(EmptyKernelSupport, True, X[p:p + 1], t, "no kernel mass")
         total = 0.0

@@ -359,11 +359,26 @@ def test_bandwidth_whose_square_underflows_exits_3(tmp_path, capsys):
     assert err["message"] == "bandwidth^2 = 0.000e+00 is below the representable kernel width"
 
 
+@pytest.mark.parametrize("method", [["quadrature"], ["montecarlo", "--particles", "1000"]])
+def test_sources_whose_span_overflows_exit_3(tmp_path, capsys, method):
+    """At t = 1e308 the kernel sources of burgers_sin span more than the
+    largest float: both kernel routes exit 3 with the JSON error line
+    naming the axis, and leave no output directory."""
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "solve", "--config", str(BURGERS), "--out", str(out),
+                         "--method", *method, "--t", "1e308")
+    assert code == 3
+    assert err["kind"] == "NumericalError"
+    assert "kernel sources on axis x1 span" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("res", ["0.08:1e-300", "0.08:nan", "0.08:inf",
-                                 "nan:0.01", "inf:0.01"])
+                                 "nan:0.01", "inf:0.01", "0.08:1e290"])
 def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
     """A non-finite or non-positive h or dt, or a step count that
-    overflows, is a configuration error naming the resolution."""
+    overflows or is past the cap (1e18 steps at 0.08:1e290), is a
+    configuration error naming the resolution, before any output."""
     code = main(["residuals", "--config", str(BURGERS), "--out", str(tmp_path / "o"),
                  "--system", "sigma", "--window", "0.3", "1e308", "--resolutions", res])
     assert code == 2
@@ -371,6 +386,7 @@ def test_residuals_refuse_extreme_resolutions(tmp_path, capsys, res):
     assert err["kind"] == "ValueError"
     h, dt = (float(v) for v in res.split(":"))
     assert f"resolution ({h:g}, {dt:g})" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def assert_debug_lines(tmp_path, patterns: dict):

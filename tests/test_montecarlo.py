@@ -14,6 +14,7 @@ import pytest
 
 from charstoch import (
     DegenerateKernel,
+    NumericalError,
     ParticleEnsemble,
     ZeroMass,
     estimate_fields,
@@ -655,3 +656,11 @@ def test_positions_redrawn_in_blocks_equal_one_draw(tmp_path, case, count):
             np.column_stack([y, U, at_t, w]).ravel().tolist())).encode()
         dump_ensemble(got, tmp_path / "blocks.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == want
+
+
+def test_particles_whose_span_overflows_are_refused(burgers):
+    """At t = 1e308 the particles spread over more than the largest
+    float: the estimator's sort raises NumericalError naming the axis."""
+    ens = evolve_exact(sample_initial(burgers, 1000), burgers, 1e308)
+    with pytest.raises(NumericalError, match="axis x1"):
+        estimate_fields(ens, burgers, np.array([[0.0]]))

@@ -13,6 +13,7 @@ import pytest
 from charstoch import (
     DegenerateKernel,
     EmptyKernelSupport,
+    NumericalError,
     eval_I_a_sigma,
     eval_I_u_sigma,
     eval_a_sigma,
@@ -27,7 +28,7 @@ from charstoch import balance, representation
 from charstoch.problem import (_CSV_ROWS, axis_views, displacement_components,
                                space_axes, tensor_points)
 from charstoch.representation import (_NODE_BUDGET, FieldGrid, _build_table,
-                                      _gaussian_pass, _kernel_means, _sources,
+                                      _gather, _gaussian_pass, _kernel_means, _sources,
                                       _stretch, _NodeWeights, _table_for, _tabulate,
                                       quadrature_grid)
 from test_balance import count_passes, eval_I_u_sigma_assembled
@@ -347,11 +348,14 @@ def test_kernel_means_equal_dense_sums_over_table():
     table = _table_for(spec, 0.3)[0]
     centers = np.stack(table.axes, axis=1)
     assert np.all(np.isfinite(centers))
-    u0v, *avals = table.columns
+    # a = (u, u): one column, which u0 and both a_i read
+    assert len(table.columns) == 1 and table.of == (0, 0, 0)
+    u0v, *avals = (table.columns[j] for j in table.of)
     for x in ([0.0, 0.0], [1.3, -0.7], [2.9, 2.9], [-3.2, 0.2]):
         x = np.array(x)
-        m_idx, m_wk, m_den, rows, (m_u, *m_a) = _kernel_means(
+        m_idx, m_wk, m_den, rows, means = _kernel_means(
             table, x, spec.tol.denom_floor)
+        m_u, *m_a = (means[j] for j in table.of)
         idx, wk = dense_pass(centers, table.weights, x, table.var, table.cut)
         np.testing.assert_array_equal(m_idx, idx)
         np.testing.assert_array_equal(m_wk, wk)
@@ -407,6 +411,17 @@ def sources_from_rows(centers, weights, columns, var, cutoff, norm):
             "weights": weights[order], "columns": tuple(c[order] for c in columns),
             "var": var, "cut": cut, "norm": norm, "lo": lo, "width": width,
             "shape": shape, "starts": starts}
+
+
+def test_sources_whose_span_overflows_are_refused(burgers):
+    """Centers whose span on an axis overflows to inf cannot be cut into
+    cells: the sort raises NumericalError naming the axis, and so does
+    the burgers table at t = 1e308, whose centers reach about +-1e308."""
+    centers = [np.array([0.0, 1.0, 2.0]), np.array([-1e308, 0.0, 1e308])]
+    with pytest.raises(NumericalError, match=r"axis x2 span \[-1e\+308, 1e\+308\]"):
+        _sources(centers, np.ones(3), [np.zeros(3)], 1.0, 8.0, 1.0)
+    with pytest.raises(NumericalError, match="axis x1"):
+        eval_rho_sigma(burgers, 1e308, np.array([0.0]))
 
 
 def assert_same_sources(got, want: dict):
@@ -528,7 +543,11 @@ def rows_built_table(spec, t, monkeypatch):
                              var, spec.tol.kernel_cutoff,
                              (2.0 * math.pi * var) ** (-spec.n / 2.0))
     u0_sorted, = want["columns"]
-    want["columns"] = (u0_sorted, *spec.velocity.a_values(t, u0_sorted))
+    # one column per distinct array of the fields, and each field's column
+    fields = (u0_sorted, *spec.velocity.a_values(t, u0_sorted))
+    distinct = [f for i, f in enumerate(fields) if all(f is not g for g in fields[:i])]
+    want["columns"] = tuple(distinct)
+    want["of"] = [next(j for j, c in enumerate(distinct) if c is f) for f in fields]
     return table, want
 
 
@@ -559,8 +578,8 @@ def test_table_weights_with_rho0_equal_the_rows_built_reference(n, rho0, monkeyp
 
 @pytest.mark.parametrize("rho0", [1.0, "x1", "x3", "x1x2", "x1x2x3"])
 def test_node_weights_are_the_tensor_products_at_any_positions(rho0):
-    """``_NodeWeights.take`` at a permutation of a 3D grid's nodes, and
-    at a repeated subset, equals taking from grid.weights * rho0."""
+    """``_NodeWeights`` gathered at a permutation of a 3D grid's nodes,
+    and at a repeated subset, equals taking from grid.weights * rho0."""
     rng = np.random.default_rng(7)
     grid = quadrature_grid([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)], 0.5,
                            nodes_per_panel=3, min_panels=2)
@@ -570,7 +589,7 @@ def test_node_weights_are_the_tensor_products_at_any_positions(rho0):
                                 for i, m in enumerate(shape)))
     want = (grid.weights.reshape(shape) * rho0).ravel()
     for order in (rng.permutation(want.size), rng.integers(0, want.size, 50_000)):
-        got = _NodeWeights(grid, rho0).take(order)
+        got = _gather(_NodeWeights(grid, rho0), order)
         assert got.tobytes() == want.take(order).tobytes()
     assert len(_NodeWeights(grid, rho0)) == want.size
 
@@ -867,33 +886,35 @@ def distinct_arrays(table):
 
 def test_tables_hold_one_array_per_distinct_velocity_expression(burgers, caplog):
     table = _table_for(burgers, 0.5)[0]
-    assert len(table.columns) == 2 and distinct_arrays(table) == 1
-    for a, count in ((["u", "u"], 1), (["u", "u^2/2"], 2),
-                     (["u^2/2", "u^2/2"], 2), (["u*1", "1*u"], 3)):
+    assert len(table.columns) == distinct_arrays(table) == 1 and table.of == (0, 0)
+    for a, count, of in ((["u", "u"], 1, (0, 0, 0)), (["u", "u^2/2"], 2, (0, 0, 1)),
+                         (["u^2/2", "u^2/2"], 2, (0, 1, 1)),
+                         (["u*1", "1*u"], 3, (0, 1, 2))):
         spec = bump(a)
         with caplog.at_level("DEBUG", logger="charstoch.representation"):
             caplog.clear()
             table = _table_for(spec, 0.3)[0]
-        assert distinct_arrays(table) == count
-        assert len(set(table.first_of)) == count
+        assert distinct_arrays(table) == len(table.columns) == count
+        assert table.of == of
         assert f"{count} distinct columns, {table.nbytes} bytes" in caplog.text
-        u0v, *avals = table.columns
+        u0v, *avals = (table.columns[j] for j in table.of)
+        assert u0v is table.columns[0]
         for got, want in zip(avals, spec.velocity.a_values(0.3, u0v)):
             np.testing.assert_array_equal(got, want)
         # the centers are one contiguous array per axis
         assert len(table.axes) == 2
         assert all(ax.ndim == 1 and ax.flags.c_contiguous for ax in table.axes)
-        # a repeated column gets the row and mean objects of its first
+        # a pass gathers and averages each column once
         _, _, _, rows, means = _kernel_means(table, np.array([0.3, -0.2]),
                                              spec.tol.denom_floor)
-        for i, j in enumerate(table.first_of):
-            assert rows[i] is rows[j] and means[i] is means[j]
+        assert len(rows) == len(means) == count
     assert table.nbytes == sum(a.nbytes for a in (*table.axes, table.weights,
                                                   *table.columns, table.starts))
 
 
 @pytest.mark.parametrize("aliased, spelled", [(["u", "u"], ["u*1", "1*u"]),
-                                              (["u", "u^2/2"], ["u*1", "u^2/2"])])
+                                              (["u", "u^2/2"], ["u*1", "u^2/2"]),
+                                              (["u^2/2", "u^2/2"], ["u^2/2", "0.5*u^2"])])
 def test_shared_columns_give_the_values_of_distinct_ones(aliased, spelled):
     """Trees spelled differently hold arrays of their own, with the same
     values; every field and I term equals the shared columns' bit for
