@@ -5,7 +5,8 @@ and writes deterministic CSV/JSON artifacts plus a manifest listing
 every output with its content hash.  Same config and seed give the
 same output bytes; only the manifest's wall-clock duration varies.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure
+or out of memory.
 Failures, argparse usage errors included, end with a one-line JSON
 object ``{"error": {"kind", "message"}}`` on stderr.  ``CHARSTOCH_LOG``
 (error, warn, info, debug) controls diagnostics on stderr.
@@ -57,14 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured RNG seed")
 
     p = sub.add_parser("solve", help="evaluate solution fields on the grid")
-    common(p)
+    common(p, cmd_solve)
     p.add_argument("--method", required=True,
                    choices=("quadrature", "characteristics", "montecarlo"))
     p.add_argument("--t", type=float, action="append", default=None,
@@ -77,16 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-time particle CSVs")
 
     p = sub.add_parser("blowup", help="report the classical blow-up time")
-    common(p)
+    common(p, cmd_blowup)
 
     p = sub.add_parser("converge", help="noise ladder vs characteristics oracle")
-    common(p)
+    common(p, cmd_converge)
     p.add_argument("--sigmas", required=True,
                    help="comma-separated decreasing noise levels")
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("residuals", help="discrete balance-law residuals")
-    common(p)
+    common(p, cmd_residuals)
     p.add_argument("--system", required=True, choices=("sigma", "pressureless"))
     p.add_argument("--window", type=float, nargs=2, required=True,
                    metavar=("T0", "T1"))
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one or more h:dt pairs, coarsest first")
 
     p = sub.add_parser("iterms", help="covariance-source persistence table")
-    common(p)
+    common(p, cmd_iterms)
     p.add_argument("--sigmas", required=True,
                    help="comma-separated decreasing noise levels")
     p.add_argument("--t", type=float, required=True)
@@ -283,15 +285,6 @@ def cmd_iterms(args, spec, out: _Outputs) -> None:
                [[(r.sigma, r.i_u_sup, *r.i_a_sup) for r in rows]])
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "blowup": cmd_blowup,
-    "converge": cmd_converge,
-    "residuals": cmd_residuals,
-    "iterms": cmd_iterms,
-}
-
-
 def _fail(exc: Exception, code: int) -> int:
     payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload), file=sys.stderr)
@@ -306,12 +299,14 @@ def main(argv=None) -> int:
         spec = _load_spec(args)
         _check_times(args)
         out = _Outputs(args.out)
-        _COMMANDS[args.subcommand](args, spec, out)
+        args.run(args, spec, out)
         out.write_manifest(args, spec, started)
     except (ConfigError, ValueError) as e:
         return _fail(e, 2)
     except NumericalError as e:
         return _fail(e, 3)
+    except MemoryError as e:  # NumPy raises a subclass of it
+        return _fail(MemoryError(str(e)), 3)
     return 0
 
 

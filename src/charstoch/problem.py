@@ -96,7 +96,9 @@ class Tolerances:
     reference rule (see ``representation._build_table``), so the knob
     sets the accuracy, not the node count.  ``integrate_rho0`` and ``integrate_rho_sigma``
     still use nodes_per_panel nodes per panel directly.  ``max_panels``
-    caps the panels per axis of either kind of rule.
+    caps the panels per axis of the tables and of ``integrate_rho_sigma``'s
+    rule; ``integrate_rho0``'s rule, 64 panels along the shortest side of
+    the box, keeps ``panel_count``'s own cap of 4096.
     """
 
     quad_tol_time: float = 1e-10   # absolute tolerance of time quadrature
@@ -110,8 +112,6 @@ class Tolerances:
     blowup_grid: int = 10_000      # blow-up search points per axis (capped)
     nodes_per_panel: int = 8       # nodes per panel of the reference rule
     max_panels: int = 4096         # spatial panels per axis, hard cap
-
-    _INT_FIELDS = ("max_iter", "blowup_grid", "nodes_per_panel", "max_panels")
 
 
 @dataclass(frozen=True)
@@ -264,31 +264,13 @@ class ProblemSpec:
 
     @cached_property
     def digest(self) -> str:
-        """Content hash of the resolved problem (semantic fields only).
-
-        Expressions enter as the ``repr`` of their parsed trees, which are
-        frozen dataclasses printing each constant as its shortest
-        round-trip float, so two problems share a digest exactly when
-        their trees are equal, however their sources were spelled."""
-        payload = {
-            "n": self.n,
-            "a": [repr(c) for c in self.velocity.components],
-            "A": None if self.velocity.antiderivatives is None
-            else [repr(c) for c in self.velocity.antiderivatives],
-            "u0": repr(self.init.u0),
-            "rho0": repr(self.init.rho0),
-            "sigma": repr(self.sigma),
-            "box": [[repr(lo), repr(hi)] for lo, hi in self.box],
-            "space_grid": list(self.space_grid),
-            "time_points": [repr(t) for t in self.time_points],
-            "rng_seed": self.rng_seed,
-            "tolerances": {
-                f.name: repr(getattr(self.tol, f.name))
-                for f in dataclasses.fields(self.tol)
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """Content hash of the resolved problem: the SHA-256 of its
+        ``repr``.  Every field enters, expressions as the ``repr`` of
+        their parsed trees, which are frozen dataclasses printing each
+        constant as its shortest round-trip float, so two problems share
+        a digest exactly when they are equal, however their sources were
+        spelled."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
 def _arrays(values, shape, inputs=()) -> list[np.ndarray]:
@@ -519,8 +501,8 @@ def _parse_time_points(src) -> tuple[float, ...]:
 def _parse_tolerances(src) -> Tolerances:
     if not isinstance(src, dict):
         raise SchemaError("'tolerances' must be an object")
-    names = {f.name for f in dataclasses.fields(Tolerances)}
-    unknown = sorted(set(src) - names)
+    types = {f.name: f.type for f in dataclasses.fields(Tolerances)}
+    unknown = sorted(set(src) - set(types))
     if unknown:
         raise SchemaError(f"unknown tolerance field(s): {', '.join(unknown)}")
     kwargs = {}
@@ -528,8 +510,9 @@ def _parse_tolerances(src) -> Tolerances:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise SchemaError(f"tolerance '{key}' must be a number")
         # chained comparisons refuse NaN, infinities and ints past the
-        # float range before int() or float() sees them
-        if key in Tolerances._INT_FIELDS:
+        # float range before int() or float() sees them; the declared
+        # types are strings, as the module's annotations are postponed
+        if types[key] == "int":
             if not (1 <= val <= _FLOAT_MAX and int(val) == val):
                 raise SchemaError(
                     f"tolerance '{key}' must be a finite positive integer")

@@ -270,7 +270,8 @@ def _sources(centers: list, weights, columns: list, var: float,
         hi = np.array([np.max(c, where=ok, initial=-np.inf) for c in centers])
         del ok
     count = M if bad is None else M - int(np.count_nonzero(bad))
-    lo, extent = (lo, hi - lo) if count else (np.zeros(n), np.zeros(n))
+    with np.errstate(over="ignore"):  # an infinite extent is refused below
+        lo, extent = (lo, hi - lo) if count else (np.zeros(n), np.zeros(n))
     wide = np.flatnonzero(np.isinf(extent))
     if wide.size:
         i = wide[0]
@@ -417,7 +418,8 @@ def _stretch(spec: ProblemSpec, t: float) -> float:
     finite, counts as 64: there the reference rule errs by more than 3,
     and the tables are as dense as it is."""
     u = np.linspace(*spec.u_range, 201)
-    b2 = sum(b * b for b in du_displacement_components(spec, t, u))
+    with np.errstate(over="ignore"):  # an infinite b2 counts as 64 below
+        b2 = sum(b * b for b in du_displacement_components(spec, t, u))
     stretch = 1.0 + math.sqrt(float(np.max(b2))) * _slope_bound(spec.init, spec.box)
     return stretch if stretch <= 64.0 else 64.0
 

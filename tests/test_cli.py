@@ -371,6 +371,25 @@ def test_sources_whose_span_overflows_exit_3(tmp_path, capsys, method):
     assert err["kind"] == "NumericalError"
     assert "kernel sources on axis x1 span" in err["message"]
     assert not out.exists()
+    # no NumPy overflow warning precedes the JSON line
+    proc = run_cli("solve", "--config", str(BURGERS), "--out", str(out),
+                   "--method", *method, "--t", "1e308")
+    assert proc.stderr == json.dumps({"error": err}) + "\n"
+
+
+def test_running_out_of_memory_exits_3(tmp_path, capsys):
+    """10^15 particles ask for 7.1 PiB, past the 128 TiB of user
+    address space a process is given by default, so the first allocation
+    fails under any overcommit setting: exit 3 with kind MemoryError in
+    the JSON error line, and no output directory."""
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "solve", "--config", str(BURGERS), "--out", str(out),
+                         "--method", "montecarlo", "--particles", str(10 ** 15),
+                         "--t", "0.5")
+    assert code == 3
+    assert err["kind"] == "MemoryError"
+    assert "Unable to allocate" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("res", ["0.08:1e-300", "0.08:nan", "0.08:inf",

@@ -3,7 +3,9 @@ resolves, so a deletion that leaves a stale export fails here."""
 
 import ast
 import importlib
+import io
 import pkgutil
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,31 @@ def test_only_the_csv_writer_opens_a_csv_file():
                               ("cli", "cmd_blowup", "w"),
                               ("problem", "_write_csv", "w")]
     assert other == []
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token other than a comment,
+    NL, NEWLINE, INDENT, DEDENT or ENDMARKER, less the lines of module,
+    class and function docstrings."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_src_code_lines_stay_within_the_budget():
+    """The package's modules hold at most 2,100 code lines, so new work
+    makes room for itself first."""
+    package = Path(charstoch.__file__).parent
+    total = sum(code_lines(path.read_text()) for path in package.glob("*.py"))
+    assert total <= 2100, f"{total} code lines"

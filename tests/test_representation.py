@@ -1,5 +1,6 @@
 """Smoothed-field quadrature: kernels, moments, grids, mass."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -783,6 +784,22 @@ def test_a_dropped_entry_never_answers_its_rebuilt_table(monkeypatch, burgers):
     again = eval_u_sigma(burgers, 0.5, X)
     assert len(passes) == len(X)
     assert again.tobytes() == first.tobytes()
+
+
+def test_the_slot_follows_every_field_of_the_spec():
+    """Two problems that differ only in ``u_range`` (a = u^2, whose
+    stretch reads dA/du on it: 1.61 here, 3.40 on (-4, 4)) have two
+    digests, so the second is served its own table: its values after
+    the first's equal those from an empty slot bit for bit."""
+    s = make(a=["u^2"])
+    r = dataclasses.replace(s, u_range=(-4.0, 4.0))
+    assert r.digest != s.digest
+    assert _stretch(s, 0.3) != _stretch(r, 0.3)
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    eval_u_sigma(s, 0.3, x)
+    served = eval_u_sigma(r, 0.3, x)
+    representation._slot.clear()
+    assert served.tobytes() == eval_u_sigma(r, 0.3, x).tobytes()
 
 
 def test_debug_log_reports_each_dropped_table(caplog):
