@@ -34,7 +34,7 @@ from .characteristics import blow_up_time, classical_fields
 from .errors import ConfigError, NearBlowup, NumericalError
 from .montecarlo import dump_ensemble, estimate_fields, evolve_exact, sample_initial
 from .problem import _write_csv, load_problem, space_axes, tensor_points
-from .representation import FieldGrid, _fields_sigma, _noise_ladder, eval_field_grid
+from .representation import FieldGrid, _fields_sigma, _noise_ladder, _slot, eval_field_grid
 
 logger = logging.getLogger(__name__)
 
@@ -307,6 +307,8 @@ def main(argv=None) -> int:
         return _fail(e, 3)
     except MemoryError as e:  # NumPy raises a subclass of it
         return _fail(MemoryError(str(e)), 3)
+    finally:
+        _slot.clear()  # the command's table ends with it
     return 0
 
 

@@ -79,7 +79,9 @@ in one run of consecutive calls, so the slot is emptied, which frees
 the table and its kept moments at once, before the next table is
 built.  The 3D sigma-residual run of the README then holds one 80 MiB
 table where it held five, and peaks at 133-145 MiB RSS where it
-reached 452 MiB.
+reached 452 MiB.  ``cli.main`` empties the slot when a command ends,
+however it ends, so a process that runs several commands does not
+hold one command's table under the next.
 """
 
 from __future__ import annotations
@@ -571,7 +573,8 @@ def _table_for(spec: ProblemSpec, t: float) -> list:
     to an earlier (problem, t), which costs one rebuild.  On a miss the
     slot is emptied before the build, so the old table and its kept
     moments are freed (unless a caller still holds them) before the new
-    table allocates anything."""
+    table allocates anything.  ``cli.main`` empties the slot when a
+    command ends, so no table outlives the command that built it."""
     key = (spec.digest, spec.sigma, float(t))
     entry = _slot.get(key)
     if entry is None:

@@ -8,10 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from charstoch import cli, load_problem, representation
 from charstoch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -346,6 +348,41 @@ def test_refused_arguments_leave_no_output_directory(tmp_path, capsys, args):
                        *args[1:])
     assert code == 2
     assert not out.exists()
+
+
+def test_each_command_frees_its_kernel_table(tmp_path, capsys, monkeypatch):
+    """A command's kernel table ends with the command: the table slot is
+    empty once ``main`` returns 0, 2 or 3 or raises, and no reference to
+    a table built by ``solve --method quadrature``, in a run that ends
+    well or one refused at a later time, outlives ``main``."""
+    tables, build = [], representation._build_table
+
+    def recording(spec, t):
+        tables.append(weakref.ref(table := build(spec, t)))
+        return table
+
+    monkeypatch.setattr(representation, "_build_table", recording)
+    assert main(["solve", "--config", str(BURGERS), "--out", str(tmp_path / "q"),
+                 "--method", "quadrature", "--t", "0.5"]) == 0
+    assert len(tables) == 1 and tables[0]() is None and not representation._slot
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({
+        "n": 1, "a": ["u"], "u0": "0.5", "rho0": "exp(-10*x1^2)", "sigma": 0.1,
+        "box": [[-8.0, 8.0]], "space_grid": [17], "time_points": [0.5]}))
+    code, _ = run_main(capsys, "solve", "--config", str(config), "--out",
+                       str(tmp_path / "o"), "--method", "quadrature", "--t", "0.5",
+                       "--t", "1e-320")
+    assert code == 3 and len(tables) == 2 and tables[1]() is None
+    assert not representation._slot
+    representation._table_for(load_problem(BURGERS.read_text()), 0.5)
+    code, _ = run_main(capsys, "blowup", "--config", str(tmp_path / "nope.json"),
+                       "--out", str(tmp_path / "b"))
+    assert code == 2 and not representation._slot
+    representation._table_for(load_problem(BURGERS.read_text()), 0.5)
+    monkeypatch.setattr(cli, "blow_up_time", lambda spec: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["blowup", "--config", str(BURGERS), "--out", str(tmp_path / "z")])
+    assert not representation._slot
 
 
 def test_bandwidth_whose_square_underflows_exits_3(tmp_path, capsys):
