@@ -221,12 +221,10 @@ def cmd_solve(args, spec, out: _Outputs) -> None:
             grids = {which: FieldGrid(float(t), axes, values, valid)
                      for which, values in zip(("rho", "u", "a"), fields)}
         else:
-            # the evolved ensemble is not bound here: estimate_fields gets
-            # its only reference and frees X once X is sorted
-            moved = [evolve_exact(ens0, spec, t) if t > 0 else ens0]
+            ens = evolve_exact(ens0, spec, t) if t > 0 else ens0
             if args.dump_particles:
-                dump_ensemble(moved[0], out.path(f"particles_t{j}.csv"))
-            est = estimate_fields(moved.pop(), spec, pts, bandwidth=args.bandwidth)
+                dump_ensemble(ens, out.path(f"particles_t{j}.csv"))
+            est = estimate_fields(ens, spec, pts, bandwidth=args.bandwidth)
             grids = {"rho": FieldGrid(float(t), axes, est.rho_hat.reshape(shape),
                                       np.ones(shape, dtype=bool)),
                      "u": FieldGrid(float(t), axes, est.u_hat.reshape(shape),

@@ -9,35 +9,47 @@ discretization is needed.
 All randomness comes from counter-based generator streams keyed by
 (seed, purpose), so every ensemble and every evolution is reproducible
 bit for bit from the problem seed alone, independent of call order.
-That makes y a function of (seed, box, N): an ensemble does not store
-it, and every reader (``sample_initial``, ``evolve_exact``,
-``dump_ensemble`` and the ``y`` property) draws it again from the
-(seed, init) stream, ``problem._BLOCK`` rows at a time (the dump, one
-CSV block of ``problem._CSV_ROWS`` rows at a time); blocks read
-the stream in order, so they are the rows of one draw bit for bit.
+That makes y a function of (seed, box, N), and the positions at time t
+a function of y, U, the problem and t: an ensemble stores neither.
+``evolve_exact`` records the problem and t, and every reader
+(``estimate_fields``, ``dump_ensemble`` and the ``y`` and ``X``
+properties) draws the positions again, ``problem._BLOCK`` rows at a
+time (``_blocks``): y from the (seed, init) stream and, once evolved,
+the noise from the (seed, exact) stream.  Blocks read the streams in
+order, so they are the rows of one draw bit for bit.  Positions given
+explicitly, as tests build them, are held as given.
 
-Field estimates are kernel moments of the quadrature fields' kind:
-each ``estimate_fields`` call makes the particles one kernel-source
-object (``representation._sources``), with their positions as one
-array per axis, their weights, and their labels U as the one column,
-and runs ``representation._kernel_moments`` on it.  Those sources
-live for the one call: they never enter the table slot of
-``representation``, and no moments are kept on them.  The
-``FieldEstimate`` is rho_hat, u_hat and valid, in the points' batch
-shape.  The kernel is truncated by the tables' rule:
+Field estimates are kernel moments of the quadrature fields' kind,
+taken one block at a time: ``estimate_fields`` makes each block's
+particles one kernel-source object (``representation._sources``), with
+their positions as one array per axis, their weights, and their
+labels U as the one column, and runs ``representation._kernel_moments``
+on it with a step that returns each target's raw sum of wk * U.  The
+masses and those sums are added over the blocks, in block order, and
+each target is divided, and checked against the denominator floor,
+once at the end, so a block without kernel mass at a target is never
+divided through.  Those sources live for one block: they never enter
+the table slot of ``representation``, and no moments are kept on them.
+The ``FieldEstimate`` is rho_hat, u_hat and valid, in the points'
+batch shape.  The kernel is truncated by the tables' rule:
 ``kernel_cutoff`` kernel widths from the target, the width being the
-bandwidth h.  Each target then scans only the particles of the 3^n
-cells, 8 h wide by default, around it, and its sums run in cell
-order, not particle order.
+bandwidth h.  Each target then scans, per block, only the particles of
+the 3^n cells around it, and its sums run in cell order, not particle
+order.  An ensemble of at most ``_BLOCK`` particles is one block, and
+its estimate is that of one sort of every particle, bit for bit; a
+larger one adds the blocks' sums, which moves the estimates by about
+1e-15 relative.
 
 With a constant rho0 every particle has one weight, held as a
 read-only stride-0 view of one float, in the ensemble and in the
-sources alike, so the route holds per particle only U and X.  The CLI
-hands the evolved ensemble over to ``estimate_fields``, which lets
-``_sources`` free X once it is sorted: the peak in 1D is 3.5 arrays of
-N floats, U, X and its sorted copy and the sort order, whose indices
-are 4 bytes each.  Every weight and every sum is the one the
-per-particle arrays gave, bit for bit.
+sources alike, so an ensemble, evolved or not, holds per particle
+only U.  The route sample -> evolve -> estimate then holds U and one
+block's positions and sources at a time: at 10^6 particles it peaks at
+1.46 times 8 N bytes in 1D and 1.79 in 2D under ``tracemalloc``, where
+holding X, its sorted copy and the sort order peaked at 3.52 and 5.52.
+The price is time: each target makes one pass per block, 16 at 10^6
+particles where it made one.  In 1D that costs about what forming X
+whole did, and in 2D the route is slower (README, Numerical notes).
 """
 
 from __future__ import annotations
@@ -45,7 +57,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -54,7 +65,8 @@ import numpy as np
 from .errors import DegenerateKernel, ZeroMass
 from .problem import (_BLOCK, _CSV_ROWS, ProblemSpec, _point_rows, _write_csv,
                       displacement_components)
-from .representation import _held_bytes, _kernel_moments, _sources, integrate_rho0
+from .representation import (_held_bytes, _kernel_moments, _sources, _sum,
+                             integrate_rho0)
 
 __all__ = [
     "ParticleEnsemble",
@@ -106,12 +118,14 @@ class ParticleEnsemble:
     """Weighted particles at a single time.
 
     ``U = u0(y)`` are the frozen characteristic labels of the initial
-    positions y, ``w`` the importance weights, which sum to the initial
-    mass of rho0 over the box and stay fixed under evolution, and
-    ``positions`` the positions at time t, or None at t = 0, in Fortran
-    order so that each axis ``X[:, k]`` is contiguous.  y is not held:
-    the ``y`` property draws it again from (``seed``, ``box``, N), and
-    ``X`` is ``positions``, or that same draw at t = 0.
+    positions y, and ``w`` the importance weights, which sum to the
+    initial mass of rho0 over the box and stay fixed under evolution.
+    Neither y nor the positions at t are held: the ``y`` and ``X``
+    properties, and every reader, draw them again (``_blocks``) from
+    (``seed``, ``box``, N) and, once ``evolve_exact`` has recorded the
+    problem it was evolved under as ``spec``, from that problem's drift
+    and sigma at ``t``.  ``positions`` (N, n) at t, if given, are held
+    and read as they are.
     Nothing writes an ensemble's arrays in place.  Where rho0 is
     constant every weight is one value, and ``w`` is a read-only (N,)
     view of that one float (stride 0), which holds 8 bytes rather than
@@ -123,7 +137,8 @@ class ParticleEnsemble:
     t: float
     seed: int
     box: tuple[tuple[float, float], ...]  # the box y was drawn on
-    positions: np.ndarray | None = None  # (N, n) at t, None at t = 0
+    positions: np.ndarray | None = None  # (N, n) at t, held as given
+    spec: ProblemSpec | None = None  # the problem evolved under, or None
 
     def __len__(self) -> int:
         return self.U.shape[0]
@@ -138,13 +153,21 @@ class ParticleEnsemble:
 
     @property
     def X(self) -> np.ndarray:
-        """The positions (N, n) at time t: ``y`` at t = 0."""
-        return self.y if self.positions is None else self.positions
+        """The positions (N, n) at time t, ``positions`` if given, else
+        drawn again on each read in Fortran order, so that each axis
+        ``X[:, k]`` is contiguous."""
+        if self.positions is not None:
+            return self.positions
+        X = np.empty((len(self), len(self.box)), order="F")
+        for a, b, _, block in _blocks(self):
+            X[a:b] = block
+        return X
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the ensemble's arrays, a one-value ``w`` as one
-        float; y, and X at t = 0, are drawn when read and count none."""
+        float; y, and X unless given as ``positions``, are drawn when
+        read and count none."""
         held = (a for a in (self.U, self.w, self.positions) if a is not None)
         return sum(map(_held_bytes, held))
 
@@ -154,6 +177,35 @@ class ParticleEnsemble:
                          what, len(self), "one-value" if self.w.strides == (0,)
                          else "per-particle", self.nbytes,
                          time.perf_counter() - started)
+
+
+def _blocks(ens: ParticleEnsemble):
+    """The ensemble ``_BLOCK`` rows at a time, as (start, stop, y, X):
+    the block's initial positions and its positions at ``ens.t``.
+
+    X is ``positions`` if they are given, y itself if the ensemble was
+    never evolved, and else y + A(t, U) + sigma * sqrt(t) * Z, Z drawn
+    from the (seed, exact) stream where the last block stopped, formed
+    in Fortran order as a whole (N, n) draw would give each row.
+    """
+    noise = _stream(ens.seed, _KEY_EXACT)
+    for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK):
+        if ens.positions is not None or ens.spec is None:
+            yield a, b, y, y if ens.positions is None else ens.positions[a:b]
+            continue
+        spec = ens.spec
+        X = np.empty(y.shape, order="F")
+        # drift + y + sigma sqrt(t) z, formed in place in each axis' row
+        rows = X.T
+        for x, drift, yk in zip(rows, displacement_components(spec, ens.t, ens.U[a:b]),
+                                y.T):
+            np.add(drift, yk, out=x)
+        del drift
+        z = noise.standard_normal(y.shape)
+        z *= spec.sigma * math.sqrt(ens.t)
+        rows += z.T
+        del z
+        yield a, b, y, X
 
 
 class FieldEstimate(NamedTuple):
@@ -217,29 +269,16 @@ def evolve_exact(ens: ParticleEnsemble, spec: ProblemSpec, t: float) -> Particle
     X = y + A(t, U) + sigma * sqrt(t) * Z reproduces the distribution of
     the characteristic at time t exactly; intermediate times from the
     same ensemble are not a path coupling, only matching marginals.
-    X is formed ``_BLOCK`` rows at a time, drawing y and Z per block,
-    each as the whole arrays would give it.
+    Nothing is drawn here: the moved ensemble shares U and w and
+    records ``spec`` and t, and every reader forms X from them
+    ``_BLOCK`` rows at a time (``_blocks``), drawing y and Z per block,
+    each as the whole arrays would give it.  Given ``positions`` are
+    not carried over.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     started = time.perf_counter()
-    # Fortran order: each axis X[:, k] is one contiguous array
-    X = np.empty((len(ens), len(ens.box)), order="F")
-    noise = _stream(ens.seed, _KEY_EXACT)
-    scale = spec.sigma * math.sqrt(t)
-    for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _BLOCK):
-        # drift + y + sigma sqrt(t) z, formed in place in each axis' rows;
-        # each block's drift, then z, is dropped before the next is formed
-        rows = X[a:b].T
-        for x, drift, yk in zip(rows, displacement_components(spec, t, ens.U[a:b]),
-                                y.T):
-            np.add(drift, yk, out=x)
-        del drift
-        z = noise.standard_normal(y.shape)
-        z *= scale
-        rows += z.T
-        del z
-    moved = replace(ens, positions=X, t=float(t))
+    moved = replace(ens, t=float(t), positions=None, spec=spec)
     moved._log(f"evolved to t={t:g}", started)
     return moved
 
@@ -266,14 +305,12 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     finite and positive (ValueError), and its square no smaller than
     1e-300, as for a table's sigma^2 t (DegenerateKernel).
 
-    The ensemble may be handed over: a caller that passes its only
-    reference, as ``evolve_exact(...)`` written in the call, lets the
-    sort free X, U and per-particle weights as their sorted copies are
-    made, and the route then peaks one array of N floats lower.  The
-    sort order itself holds 4 bytes per particle, half an array.  A
-    caller that holds the ensemble gets the same estimate, and its
-    arrays are left as they are.  Under debug, one line says which of
-    the two it was.
+    The ensemble is read one ``_BLOCK`` of particles at a time
+    (``_blocks``), so the positions are drawn once per call and no
+    array of N positions exists.  Each block's sources give every
+    target its raw mass and raw sum of wk * U; both are added over the
+    blocks, and u_hat is divided once, where the total mass reaches
+    the floor.  The ensemble's arrays are left as they are.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (spec.n,):
@@ -285,22 +322,26 @@ def estimate_fields(ens: ParticleEnsemble, spec: ProblemSpec, points,
     if h * h < 1e-300:
         raise DegenerateKernel(
             f"bandwidth^2 = {h * h:.3e} is below the representable kernel width")
-    # hand the arrays over: _sources empties the lists and gets the only
-    # reference to the weights, so once the ensemble is gone each array
-    # is freed as its sorted copy is made
-    centers, weights, columns = list(ens.X.T), [ens.w], [ens.U]
-    held = weakref.ref(ens)
-    del ens
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("particle ensemble %s when sorting began",
-                     "still held by the caller" if held() is not None
-                     else "released")
-    src = _sources(centers, weights.pop(), columns, h * h,
-                   spec.tol.kernel_cutoff, (2.0 * math.pi * h * h) ** (-spec.n / 2.0))
-    den, means, _ = _kernel_moments(src, X, spec.tol.denom_floor)
-    return FieldEstimate(rho_hat=(src.norm * den).reshape(shape),
-                         u_hat=means[:, 0].reshape(shape),
-                         valid=(den >= spec.tol.denom_floor).reshape(shape))
+    norm = (2.0 * math.pi * h * h) ** (-spec.n / 2.0)
+    # x + -0.0 is x for every x, -0.0 too, so one block's sums keep their bits
+    den, total = np.zeros(len(X)), np.full(len(X), -0.0)
+    for a, b, _, x in _blocks(ens):
+        src = _sources(list(x.T), ens.w[a:b], [ens.U[a:b]], h * h,
+                       spec.tol.kernel_cutoff, norm)
+        # an infinite floor forms no per-block mean: the step sums wk * U raw
+        mass, _, sums = _kernel_moments(src, X, math.inf, _weighted_label_sum,
+                                        "particle sums")
+        den += mass
+        total += sums[:, 0]
+    valid = den >= spec.tol.denom_floor
+    u_hat = np.divide(total, den, out=np.full(len(X), math.nan), where=valid)
+    return FieldEstimate(rho_hat=(norm * den).reshape(shape),
+                         u_hat=u_hat.reshape(shape), valid=valid.reshape(shape))
+
+
+def _weighted_label_sum(x, idx, wk, mass, rows, mean):
+    """The ``_kernel_moments`` step of a particle block: sum(wk * U)."""
+    return [_sum(wk * rows[0])]
 
 
 def dump_ensemble(ens: ParticleEnsemble, path) -> None:
@@ -308,13 +349,14 @@ def dump_ensemble(ens: ParticleEnsemble, path) -> None:
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends, no
     quoting).  ``_write_csv`` formats ``_CSV_ROWS`` rows per ``%`` call,
-    and y is drawn again per block of rows.
+    and y and X are drawn again per ``_BLOCK`` rows (``_blocks``), as
+    every reader forms them.
     """
     n = len(ens.box)
     header = [f"y{i + 1}" for i in range(n)] + ["U"] \
         + [f"X{i + 1}" for i in range(n)] + ["w"]
-    blocks = (np.column_stack([y, ens.U[a:b],
-                               y if ens.positions is None else ens.positions[a:b],
-                               ens.w[a:b]])
-              for a, b, y in _initial_positions(ens.seed, ens.box, len(ens), _CSV_ROWS))
+    blocks = (block[s:s + _CSV_ROWS]
+              for block in (np.column_stack([y, ens.U[a:b], x, ens.w[a:b]])
+                            for a, b, y, x in _blocks(ens))
+              for s in range(0, len(block), _CSV_ROWS))
     _write_csv(path, header, blocks, eol="\r\n")

@@ -27,7 +27,8 @@ at sigma = 0.05 fits the node budget.  Every field takes points
 ``montecarlo`` is cut by the same rule, ``kernel_cutoff`` bandwidths.
 
 A quadrature table and a particle ensemble are two discretizations of
-the same source measure, and both are one ``_Sources``: centers, one
+the same source measure.  A table, and each ``_BLOCK`` of particles as
+``montecarlo`` reads them, is one ``_Sources``: centers, one
 contiguous array per axis, weights, per-source columns, each distinct
 array once, with a map from the fields to them, and the kernel's var,
 cut and norm.  The table of a (problem, t) holds the displaced nodes,
@@ -36,11 +37,11 @@ and is shared by every point.  ``_tabulate`` takes u0 and
 rho0 on the node axes (``InitialData.on_columns`` on their
 ``axis_views``), never on the nodes' points, and each axis's centers
 are its node axis plus the displacement, in one pass.  ``montecarlo``
-builds sources from the particles and their labels U, and one-value
-particle weights (a stride-0 view) stay one value there rather than
-being permuted.  A table holds one column per distinct velocity
-expression: an a_i that is u reads the u0 column, and equal
-expressions share one column.
+builds sources from one block of particles at a time, with their
+labels U as the one column, and one-value particle weights (a stride-0
+view) stay one value there rather than being permuted.  A table holds
+one column per distinct velocity expression: an a_i that is u reads
+the u0 column, and equal expressions share one column.
 The one constructor, ``_sources``, sorts all of it once into cells one
 cutoff radius wide.  Its cell order is a stable counting sort built
 ``_SORT_BLOCK`` keys at a time (``_cell_order``), 4 bytes per source.
@@ -56,7 +57,8 @@ evaluation, scans those slices rather than every source.  It finds the
 cells with Python scalars and forms the kept weights in place, so the
 cost of a pass is that of its NumPy calls on the slices.  The fields
 here, the covariance sources I_u and I_a of ``balance`` and the
-particle estimates are all moments of that pass: ``_kernel_means``
+particle estimates, whose per-block sums of wk * U are a step on the
+same gathers, are all moments of that pass: ``_kernel_means``
 gathers and averages each column around one point once, and
 ``_kernel_moments`` runs it over a point set, one loop over the
 points as Python floats, with the I terms as an optional per-point step
@@ -952,10 +954,11 @@ def integrate_rho_sigma(spec: ProblemSpec, t: float,
     inside the integration domain, so each axis is padded by the largest
     flow displacement plus the kernel cutoff radius (overridable via
     ``margin``).  Cost is one kernel pass per node of an n-dimensional
-    tensor rule, summed in node order.  That suits n = 1.  In 2D it
-    does not finish at the default tolerances: on ``gaussian_bump_2d``
-    at t = 0.3 the rule has 1096^2 = 1.2 million nodes, each a pass of
-    up to about 0.4 ms.
+    tensor rule, summed in node order.  That suits n = 1.  In 2D it is
+    slow at the default tolerances: on ``gaussian_bump_2d`` at t = 0.3
+    the rule has 1096^2 = 1.2 million nodes, and the call takes about
+    105 s on a 2-core machine, returning 35.99999999999281 against
+    ``integrate_rho0``'s 36.0.
     """
     if t == 0:
         return integrate_rho0(spec)

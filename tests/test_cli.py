@@ -508,30 +508,14 @@ def test_debug_log_reports_each_kernel_sum_batch(tmp_path):
     })
 
 
-@pytest.mark.parametrize("dump", [False, True])
-def test_solve_hands_the_evolved_ensemble_over(tmp_path, caplog, dump):
-    """solve --method montecarlo binds no evolved ensemble across its
-    estimate, with or without a particle dump, so estimate_fields holds
-    the only reference and X is freed once sorted; the t = 0 ensemble
-    is the sampled one, which later times still need."""
-    args = ["solve", "--config", str(BURGERS), "--out", str(tmp_path),
-            "--method", "montecarlo", "--particles", "2000",
-            "--t", "0", "--t", "0.5"] + ["--dump-particles"] * dump
-    with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
-        assert main(args) == 0
-    assert [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("particle ensemble")] == [
-        "particle ensemble still held by the caller when sorting began",
-        "particle ensemble released when sorting began"]
-
-
 def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
     """Under debug, sample_initial and each evolve_exact log the particle
     count, whether the weights are one value, the bytes the ensemble
-    holds (U, and X once evolved, of 8 N bytes each, and one float of
-    weight) and the wall time; every draw of the initial positions y,
-    by sample_initial, each evolve_exact and each particle dump, logs
-    its count and seconds; the artifacts keep their bytes."""
+    holds (U of 8 N bytes and one float of weight, evolved or not) and
+    the wall time; every draw of the initial positions y, by
+    sample_initial, each estimate_fields and each particle dump, logs
+    its count and seconds, and evolve_exact draws none; the artifacts
+    keep their bytes."""
     count = 3_000
     args = ["solve", "--config", str(BURGERS), "--method", "montecarlo",
             "--particles", str(count), "--seed", "5", "--dump-particles"]
@@ -545,19 +529,38 @@ def test_debug_log_reports_particle_ensembles(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="charstoch.montecarlo"):
         assert main([*args, "--out", str(tmp_path / "debug")]) == 0
     lines = [r.getMessage() for r in caplog.records if r.name == "charstoch.montecarlo"]
-    draws = [line for line in lines if line.startswith("particle positions")]
-    handed = [line for line in lines if line.startswith("particle ensemble")]
-    lines = [line for line in lines if line not in draws + handed]
-    assert len(draws) == 1 + 2 * 3
-    assert handed == ["particle ensemble released when sorting began"] * 3
-    for line in draws:
+    draws = [i for i, line in enumerate(lines) if line.startswith("particle positions")]
+    for i in draws:
         assert re.fullmatch(rf"particle positions y drawn: {count} in "
-                            rf"\d+\.\d{{3}} s", line), line
-    held = [8 * count + 8] + [16 * count + 8] * 3
+                            rf"\d+\.\d{{3}} s", lines[i]), lines[i]
+    # one draw to sample, then per time none to evolve, one to dump and
+    # one to estimate
+    assert draws == [0, 3, 4, 6, 7, 9, 10]
     whats = ["sampled"] + [f"evolved to t={t}" for t in (0.25, 0.5, 0.75)]
+    lines = [line for i, line in enumerate(lines) if i not in draws]
     assert len(lines) == len(whats)
-    for line, what, nbytes in zip(lines, whats, held):
+    for line, what in zip(lines, whats):
         assert re.fullmatch(rf"particles {what}: {count}, one-value weights, "
-                            rf"{nbytes} bytes in \d+\.\d{{3}} s", line), line
+                            rf"{8 * count + 8} bytes in \d+\.\d{{3}} s", line), line
     assert hashes(tmp_path / "debug") == hashes(tmp_path / "quiet")
     assert len(hashes(tmp_path / "quiet")) == 9
+
+
+def test_montecarlo_times_in_one_run_equal_one_run_each(tmp_path):
+    """solve --method montecarlo at three times writes the field and
+    particle files of three runs at one time each, byte for byte: each
+    time's positions are drawn from the start of their streams, and no
+    generator state passes from one time, its dump or its estimate, to
+    the next."""
+    args = ["solve", "--config", str(BURGERS), "--method", "montecarlo",
+            "--particles", "70000", "--bandwidth", "0.05", "--dump-particles"]
+    times = ("0", "0.5", "0.75")
+    assert main([*args, "--out", str(tmp_path / "all"),
+                 *(v for t in times for v in ("--t", t))]) == 0
+    for j, t in enumerate(times):
+        assert main([*args, "--out", str(tmp_path / t), "--t", t]) == 0
+        for one, every in (("fields_mc_t0_rho.csv", f"fields_mc_t{j}_rho.csv"),
+                           ("fields_mc_t0_u.csv", f"fields_mc_t{j}_u.csv"),
+                           ("particles_t0.csv", f"particles_t{j}.csv")):
+            assert ((tmp_path / t / one).read_bytes()
+                    == (tmp_path / "all" / every).read_bytes()), every
