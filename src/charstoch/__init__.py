@@ -1,6 +1,6 @@
 """Stochastic characteristics for scalar conservation laws.
 
-Solve u_t + sum_i a_i(t, u) u_{x_i} = 0 three ways that cross-check
+Solve u_t + sum_i a_i(u) u_{x_i} = 0 three ways that cross-check
 each other: explicit Gaussian-kernel quadrature of the noise-smoothed
 representation, classical characteristics (implicit relation, exact
 gradients, blow-up detection), and Monte Carlo particles.  A balance

@@ -10,8 +10,7 @@ The moment fields of the smoothed representation satisfy, for sigma > 0,
 covariance moments against the spatial kernel gradient:
 
     I_u   = sum_k integral (u - u_sigma)(a_k - a_sigma_k) dP/dx_k du
-    I_a_i = sum_k integral (a_i - a_sigma_i)(a_k - a_sigma_k) dP/dx_k du
-            - integral (da_i/dt)(t, u) P du.
+    I_a_i = sum_k integral (a_i - a_sigma_i)(a_k - a_sigma_k) dP/dx_k du.
 
 The kernel gradient is available in closed form,
 
@@ -107,12 +106,10 @@ def eval_I_a_sigma(spec: ProblemSpec, t: float, x):
     """Covariance sources of the velocity-moment balances at points
     x (..., n), with a trailing axis of length n.
 
-    The gradient covariance is the same structure as the u source; when
-    a component of the velocity depends on t explicitly, its
-    time-derivative moment is subtracted so the momentum identity still
-    closes.  Both pieces vanish identically for velocities that are
-    constant in u and t respectively.  I_u at the same points comes out
-    of the same passes, so calling both costs one pass per point.
+    The gradient covariance is the same structure as the u source, and
+    vanishes identically for velocities that are constant in u.  I_u at
+    the same points comes out of the same passes, so calling both costs
+    one pass per point.
     """
     X, shape = _point_rows(x, spec.n)
     return _batched(_moments(spec, t, X, iterms=True)[3][1].copy(), shape)

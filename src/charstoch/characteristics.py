@@ -16,21 +16,20 @@ y -> y + A(t, u0(y)), the closed-form spatial gradient
 
 with B_j(t, u) = d/du A_j(t, u), the transported density
 rho0(y) / det C where C = I + B outer grad(u0) is the map's Jacobian,
-and the velocity a(t, u).  The rank-1 structure of C makes det C equal
+and the velocity a(u).  The rank-1 structure of C makes det C equal
 to the gradient denominator and to the Newton slope, so all blow-up
 diagnostics agree.  Every field maps points (..., n) to values (...),
 a float for one point; a point's value does not depend on its batch.
 
 The critical time is the supremum of times for which the condition
 functional G(t, y) = B(t, u0(y)) . grad u0(y) stays above -1 over every
-foot point.  For velocities without explicit time dependence B(t, u) is
-t * da/du(u), so this reduces to the classical criterion
+foot point.  B(t, u) is t * da/du(u), so G(t, .) = t G(1, .) and this
+is the classical criterion
 
     t* = -1 / min_y G(1, y),
 
-infinite when the minimum is nonnegative; otherwise a bisection in t on
-the grid infimum of G(t, .) locates the crossing.  The grid is scanned
-in ``problem._axis_blocks``, each bound as its ``axis_views``, so a
+infinite when the minimum is nonnegative.  The grid is scanned in
+``problem._axis_blocks``, each bound as its ``axis_views``, so a
 subtree of u0 or its gradient in one variable costs one axis of the
 block; G takes u0 and its gradient from one program.  The
 golden-section refinement evaluates G at one point with the
@@ -50,7 +49,7 @@ import numpy as np
 from . import expr as ex
 from .errors import NearBlowup, NoConvergence, OutOfBracket, SingularJacobian
 from .problem import (_BLOCK, ProblemSpec, _axis_blocks, _batched, _point_rows,
-                      _refuse, axis_views, displacement_components,
+                      _refuse, _times_t, axis_views, displacement_components,
                       du_displacement_components)
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _DET_FLOOR = 1e-10
-_BLOWUP_T_CAP = 2.0 ** 30
 
 
 def _foot(spec: ProblemSpec, t: float, X: np.ndarray, u: np.ndarray):
@@ -94,16 +92,16 @@ class BlowupReport:
     """Critical time search result.
 
     For a finite ``t_star`` the minimized functional is the blow-up
-    condition value at (t_star, y_star), which sits at -1 up to the
-    search tolerance.  For an infinite ``t_star`` under the classical
-    criterion it is the (nonnegative) grid minimum of G(1, .), at its
-    minimizing point.
+    condition value at (t_star, y_star), t_star times the refined
+    minimum of G(1, .), which sits at -1 up to rounding.  For an
+    infinite ``t_star`` it is the (nonnegative) grid minimum of G(1, .),
+    at its minimizing point.
     """
 
     t_star: float
     y_star: np.ndarray
     min_functional: float
-    method: str  # "conway" | "lambda_grid"
+    method: str  # always "conway", the closed form t* = -1 / min G(1, .)
 
     def to_json(self) -> str:
         payload = {
@@ -232,7 +230,7 @@ def _condition(spec: ProblemSpec, t: float, jet):
     points, in their shapes broadcast together.  A B_i without u is a
     scalar, which multiplies as it does broadcast."""
     u0v, *grads = jet
-    B = spec.velocity.du_displacement(spec, t, u0v)
+    B = _times_t(spec.velocity.du_program, t, u0v)
     return sum(B[i] * grads[i] for i in range(spec.n))
 
 
@@ -246,13 +244,9 @@ def _condition_at(spec: ProblemSpec, t: float, y: np.ndarray) -> float:
 def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     """Critical time of gradient blow-up, with its minimizing foot point.
 
-    Both methods scan the condition functional G(t, .) on a dense grid
-    and refine the grid minimum by golden-section searches.  Velocities
-    without time dependence have G(t, .) = t G(1, .), so t* follows in
-    closed form from the minimum of G(1, .) (method "conway").
-    Otherwise the grid infimum of G(t, .) is bisected in t to the
-    configured tolerance (method "lambda_grid"); this assumes the
-    functional crosses -1 transversally.
+    Scans G(1, .) on a dense grid, refines the grid minimum by
+    golden-section searches, and takes t* = -1 / min G(1, .) in closed
+    form, as G(t, .) = t G(1, .) (method "conway").
     Grid ties break at the lowest flattened index.  The grid is never
     formed whole: it is scanned in ``_axis_blocks`` of at most
     ``_BLOCK`` points, bound as axes, so memory stays bounded; the
@@ -263,71 +257,31 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
     shape = tuple(len(ax) for ax in axes)
     spacings = [(hi - lo) / (len(ax) - 1) for (lo, hi), ax in zip(spec.box, axes)]
     work = {"chunks": 0, "refine": 0}
-
-    def point(i: int) -> np.ndarray:
-        return np.array([ax[k] for ax, k in zip(axes, np.unravel_index(i, shape))])
-
-    def grid_argmin(t: float) -> tuple[int, float]:
-        i0, s0, offset = 0, None, 0
-        for block in _axis_blocks(axes, _BLOCK):
-            work["chunks"] += 1
-            G = _condition(spec, t, spec.init.on_columns(spec.init.jet_program,
-                                                         axis_views(block)))
-            G = np.broadcast_to(G, tuple(map(len, block)))
-            i = int(np.argmin(G))
-            if s0 is None or G.flat[i] < s0:
-                i0, s0 = offset + i, float(G.flat[i])
-            offset += G.size
-        return i0, s0
-
-    def refine(t: float, i0: int):
+    i0, s0, offset = 0, None, 0
+    for block in _axis_blocks(axes, _BLOCK):
+        work["chunks"] += 1
+        G = _condition(spec, 1.0, spec.init.on_columns(spec.init.jet_program,
+                                                       axis_views(block)))
+        G = np.broadcast_to(G, tuple(map(len, block)))
+        i = int(np.argmin(G))
+        if s0 is None or G.flat[i] < s0:
+            i0, s0 = offset + i, float(G.flat[i])
+        offset += G.size
+    y0 = np.array([ax[k] for ax, k in zip(axes, np.unravel_index(i0, shape))])
+    if s0 >= 0:
+        report = BlowupReport(math.inf, y0, s0, "conway")
+    else:
         def at(y: np.ndarray) -> float:
             work["refine"] += 1
-            return _condition_at(spec, t, y)
+            return _condition_at(spec, 1.0, y)
 
-        return _coordinate_golden(at, point(i0), spacings, spec.box)
-
-    def report(**fields) -> BlowupReport:
-        logger.debug("blow-up search: %d grid points, %d chunks, %d refine "
-                     "evaluations in %.3f s", math.prod(shape), work["chunks"],
-                     work["refine"], time.perf_counter() - started)
-        return BlowupReport(**fields)
-
-    if not any(spec.velocity.time_dependent):
-        i0, s0 = grid_argmin(1.0)
-        if s0 >= 0:
-            return report(t_star=math.inf, y_star=point(i0),
-                          min_functional=s0, method="conway")
-        y_best, s_best = refine(1.0, i0)
+        y_best, s_best = _coordinate_golden(at, y0, spacings, spec.box)
         t_star = -1.0 / s_best
-        return report(t_star=float(t_star), y_star=y_best,
-                      min_functional=float(t_star * s_best), method="conway")
-
-    # time-dependent velocity: bisection on the grid infimum in t
-    def functional_min(t: float):
-        return refine(t, grid_argmin(t)[0])
-
-    t_hi = max(list(spec.time_points) + [1.0])
-    y_hi, m_hi = functional_min(t_hi)
-    t_lo = 0.0
-    while m_hi > -1.0:
-        t_lo = t_hi
-        t_hi *= 2.0
-        if t_hi > _BLOWUP_T_CAP:
-            return report(t_star=math.inf, y_star=y_hi,
-                          min_functional=float(m_hi), method="lambda_grid")
-        y_hi, m_hi = functional_min(t_hi)
-    while t_hi - t_lo > spec.tol.blowup_tol:
-        mid = 0.5 * (t_lo + t_hi)
-        _, m_mid = functional_min(mid)
-        if m_mid > -1.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_star = 0.5 * (t_lo + t_hi)
-    y_star, m_star = functional_min(t_star)
-    return report(t_star=float(t_star), y_star=y_star,
-                  min_functional=float(m_star), method="lambda_grid")
+        report = BlowupReport(float(t_star), y_best, float(t_star * s_best), "conway")
+    logger.debug("blow-up search: %d grid points, %d chunks, %d refine "
+                 "evaluations in %.3f s", math.prod(shape), work["chunks"],
+                 work["refine"], time.perf_counter() - started)
+    return report
 
 
 def invert_char_map(spec: ProblemSpec, t: float, x) -> np.ndarray:
@@ -346,7 +300,7 @@ def eval_rho_bar(spec: ProblemSpec, t: float, x) -> float:
 
 
 def eval_a_bar(spec: ProblemSpec, t: float, x) -> np.ndarray:
-    """Velocity along the classical solution, a(t, u(t, x)); see
+    """Velocity along the classical solution, a(u(t, x)); see
     classical_fields."""
     return classical_fields(spec, t, x)[2]
 
@@ -364,6 +318,6 @@ def classical_fields(spec: ProblemSpec, t: float, x):
     y, _, _, _, det = _foot(spec, t, X, u)
     _refuse(SingularJacobian, det < _DET_FLOOR, X, t,
             "characteristic Jacobian determinant {:.3e}", det)
-    a = np.stack(spec.velocity.a_values(t, u), axis=-1)
+    a = np.stack(spec.velocity.a_values(u), axis=-1)
     return (_batched(spec.init.rho0_at(y) / det, shape), _batched(u, shape),
             _batched(a, shape))

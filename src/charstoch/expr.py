@@ -60,7 +60,7 @@ from .errors import (
     UnknownVariable,
 )
 
-__all__ = ["parse", "eval_expr", "variables", "diff", "numeric_partial"]
+__all__ = ["parse", "eval_expr", "diff", "numeric_partial"]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt", "abs")
 
@@ -386,19 +386,6 @@ def eval_expr(e, bindings: dict):
     if isinstance(e, Program):
         return tuple(map(_result, e.run(bindings)))
     return _result(compile_exprs((e,)).run(bindings)[0])
-
-
-def variables(e: Expr) -> frozenset[str]:
-    """The set of variable names appearing in a tree."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return variables(e.child)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    return frozenset()
 
 
 _ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)

@@ -3,24 +3,22 @@
 A problem is the Cauchy data for a multidimensional scalar conservation
 law in nonconservative form,
 
-    d/dt u + sum_i a_i(t, u) d/dx_i u = 0,      u(0, x) = u0(x),
+    d/dt u + sum_i a_i(u) d/dx_i u = 0,      u(0, x) = u0(x),
 
-together with an initial density rho0 weighting the characteristics, a
-noise amplitude sigma for the stochastic regularization, a bounding box
-that truncates all quadratures, and numerical tolerances.
+where a = f'(u) is the velocity of the flux f, together with an initial
+density rho0 weighting the characteristics, a noise amplitude sigma for
+the stochastic regularization, a bounding box that truncates all
+quadratures, and numerical tolerances.
 
 Everything downstream works off the flow displacement
 
-    A_i(t, u) = integral of a_i(tau, u) over tau in [0, t],
+    A_i(t, u) = t * a_i(u),
 
-which is computed from a closed form when one is supplied, by the
-shortcut t * a_i(u) when a_i does not depend on t, and by adaptive
-Gauss-Legendre quadrature otherwise.
-
-Every derivative is exact: ``load_problem`` differentiates u0 and a once
-(:func:`charstoch.expr.diff`), and B = dA/du is the time integral of
-da/du by the same rule as A.  The config keys ``a_u`` and ``grad_u0`` are
-optional checks against the derived trees, never evaluated otherwise.
+and its u-derivative B_i(t, u) = t * da_i/du(u).  Every derivative is
+exact: ``load_problem`` differentiates u0 and a once
+(:func:`charstoch.expr.diff`).  The config keys ``a_u`` and ``grad_u0``
+are optional checks against the derived trees, never evaluated
+otherwise.
 
 ``InitialData`` and ``VelocityField`` compile their trees once, into the
 programs of :mod:`charstoch.expr`; u0 and its gradient are one program.
@@ -58,7 +56,6 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalDomainError, ExprError, SchemaError, ValidationError
-from .quadrature import adaptive_time_integral
 
 __all__ = [
     "ProblemSpec",
@@ -101,13 +98,11 @@ class Tolerances:
     the box, keeps ``panel_count``'s own cap of 4096.
     """
 
-    quad_tol_time: float = 1e-10   # absolute tolerance of time quadrature
     kernel_cutoff: float = 8.0     # kernel cut at this many kernel widths:
                                    # sigma*sqrt(t), or the particle bandwidth
     newton_tol: float = 1e-12      # residual tolerance of root finders
     max_iter: int = 100            # iteration cap of root finders
     denom_floor: float = 1e-250    # raw weighted-mass floor for ratio fields
-    blowup_tol: float = 1e-3       # reported accuracy of the blow-up time
     near_blowup_margin: float = 1e-6  # gradient-denominator floor
     blowup_grid: int = 10_000      # blow-up search points per axis (capped)
     nodes_per_panel: int = 8       # nodes per panel of the reference rule
@@ -116,23 +111,14 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity components a_i(t, u) and their exact partial derivatives.
-
-    ``du_components`` and ``dt_components`` are the trees of da_i/du and
-    da_i/dt, derived from the components on load.  ``antiderivatives``
-    are optional closed-form time antiderivatives A_i(t, u), validated on
-    load and used in place of time quadrature.  ``time_dependent``
-    caches, per component, whether 't' occurs in a_i.  Each tuple of
-    trees is compiled once per field, on first use, into one program
-    (``a_program``, ``dt_program``, ``antiderivative_program``) or, for
-    the time integrals A and B = dA/du, into ``_TimeIntegrals``.
+    """Velocity components a_i(u) and the trees of their exact
+    derivatives da_i/du, derived from the components on load.  Each
+    tuple of trees is compiled once per field, on first use, into one
+    program: ``a_program`` and ``du_program``.
     """
 
     components: tuple[ex.Expr, ...]
     du_components: tuple[ex.Expr, ...]
-    dt_components: tuple[ex.Expr, ...]
-    antiderivatives: tuple[ex.Expr, ...] | None = None
-    time_dependent: tuple[bool, ...] = ()
 
     @property
     def n(self) -> int:
@@ -143,30 +129,13 @@ class VelocityField:
         return ex.compile_exprs(self.components)
 
     @cached_property
-    def dt_program(self) -> ex.Program:
-        return ex.compile_exprs(self.dt_components)
+    def du_program(self) -> ex.Program:
+        return ex.compile_exprs(self.du_components)
 
-    @cached_property
-    def antiderivative_program(self) -> ex.Program:
-        return ex.compile_exprs(self.antiderivatives)
-
-    @cached_property
-    def displacement(self) -> "_TimeIntegrals":
-        return _TimeIntegrals(self.components)
-
-    @cached_property
-    def du_displacement(self) -> "_TimeIntegrals":
-        return _TimeIntegrals(self.du_components)
-
-    def a_values(self, t: float, u) -> list[np.ndarray]:
-        """Evaluate every component at time t on an array of u values
-        (shared arrays, see ``_values``)."""
-        return _values(self.a_program, t, u)
-
-    def dt_values(self, t: float, u) -> list[np.ndarray]:
-        """Exact time partials da_i/dt at time t on an array of u values;
-        exactly zero for components without t."""
-        return _values(self.dt_program, t, u)
+    def a_values(self, u) -> list[np.ndarray]:
+        """Evaluate every component on an array of u values (shared
+        arrays, see ``_values``)."""
+        return _values(self.a_program, u)
 
 
 @dataclass(frozen=True)
@@ -293,12 +262,29 @@ def _arrays(values, shape, inputs=()) -> list[np.ndarray]:
     return out
 
 
-def _values(program: ex.Program, t: float, u) -> list[np.ndarray]:
-    """The trees of ``program`` in (t, u) at time t on an array of u
-    values.  Equal trees give one array, and a tree that is u gives the
-    u array itself, so callers must not write into the results."""
+def _values(program: ex.Program, u) -> list[np.ndarray]:
+    """The trees of ``program`` in u on an array of u values.  Equal
+    trees give one array, and a tree that is u gives the u array itself,
+    so callers must not write into the results."""
     u_arr = np.asarray(u, dtype=float)
-    return _arrays(ex.eval_expr(program, {"t": t, "u": u_arr}), u_arr.shape)
+    return _arrays(ex.eval_expr(program, {"u": u_arr}), u_arr.shape)
+
+
+def _times_t(program: ex.Program, t: float, u) -> list:
+    """t times each tree of ``program`` in u, as computed: exactly 0.0
+    at t = 0, else a scalar for a tree without u and an array of u's
+    shape for a tree with u, never one callers may write into; equal
+    trees give one value.  A tree without u is so multiplied once, where
+    every element would take the same arithmetic."""
+    if t == 0:
+        return [0.0] * len(program.trees)
+    t = float(t)
+    values = ex.eval_expr(program, {"u": np.asarray(u, dtype=float)})
+    scaled: dict[int, object] = {}
+    for v in values:
+        if id(v) not in scaled:
+            scaled[id(v)] = t * v
+    return [scaled[id(v)] for v in values]
 
 
 def _point_rows(x, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -357,16 +343,17 @@ def tensor_points(axes) -> np.ndarray:
 
 
 _TOP_REQUIRED = ("n", "a", "u0", "rho0", "sigma", "box", "space_grid", "time_points")
-_TOP_OPTIONAL = ("a_u", "A", "grad_u0", "rng_seed", "tolerances")
+_TOP_OPTIONAL = ("a_u", "grad_u0", "rng_seed", "tolerances")
 
 
 def load_problem(config_text: str) -> ProblemSpec:
     """Parse and validate a JSON problem configuration.
 
     Unknown fields are rejected (SchemaError) so typos cannot silently
-    change a run.  Field-level shape/type problems raise SchemaError;
-    semantic inconsistencies (negative density, bad box, a supplied
-    ``a_u``, ``A`` or ``grad_u0`` that disagrees with the exact
+    change a run; so is a variable other than u in ``a`` or ``a_u``, the
+    velocity being a(u).  Field-level shape/type problems raise
+    SchemaError; semantic inconsistencies (negative density, bad box, a
+    supplied ``a_u`` or ``grad_u0`` that disagrees with the exact
     derivative of its tree) raise ValidationError.
     """
     try:
@@ -388,12 +375,11 @@ def load_problem(config_text: str) -> ProblemSpec:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("'n' must be an integer >= 1")
 
-    tu_vars = frozenset({"t", "u"})
+    u_vars = frozenset({"u"})
     x_vars = frozenset(f"x{i + 1}" for i in range(n))
 
-    a = _parse_expr_list(raw, "a", n, tu_vars)
-    a_u = _parse_expr_list(raw, "a_u", n, tu_vars) if "a_u" in raw else None
-    antider = _parse_expr_list(raw, "A", n, tu_vars) if "A" in raw else None
+    a = _parse_expr_list(raw, "a", n, u_vars)
+    a_u = _parse_expr_list(raw, "a_u", n, u_vars) if "a_u" in raw else None
     u0 = _parse_one_expr(raw, "u0", x_vars)
     rho0 = _parse_one_expr(raw, "rho0", x_vars)
     grad_u0 = _parse_expr_list(raw, "grad_u0", n, x_vars) if "grad_u0" in raw else None
@@ -411,14 +397,14 @@ def load_problem(config_text: str) -> ProblemSpec:
         raise SchemaError("'rng_seed' must be an unsigned 64-bit integer")
     tol = _parse_tolerances(raw.get("tolerances", {}))
 
-    time_dep = tuple("t" in ex.variables(c) for c in a)
-    velocity = VelocityField(a, tuple(ex.diff(c, "u") for c in a),
-                             tuple(ex.diff(c, "t") for c in a), antider, time_dep)
+    velocity = VelocityField(a, tuple(ex.diff(c, "u") for c in a))
     init = InitialData(n, u0, rho0, tuple(ex.diff(u0, f"x{i + 1}") for i in range(n)))
 
     u_range = _validate_initial_data(init, box, space_grid, grad_u0)
-    t_max = max(time_points) if time_points and max(time_points) > 0 else 1.0
-    _validate_velocity(velocity, u_range, t_max, a_u)
+    if a_u is not None:
+        us = np.linspace(u_range[0], u_range[1], 20)
+        _check("a_u", _max_errors(_values(ex.compile_exprs(a_u), us),
+                                  _values(velocity.du_program, us)), "d/du of 'a[{i}]'")
 
     return ProblemSpec(
         n=n, velocity=velocity, init=init, sigma=float(sigma), box=box,
@@ -530,11 +516,11 @@ def _max_errors(got, want) -> list:
     return [np.max(np.abs(w - g) / (1.0 + np.abs(w))) for g, w in zip(got, want)]
 
 
-def _check(key: str, errors, what: str, tol: float = 1e-6) -> None:
+def _check(key: str, errors, what: str) -> None:
     """Refuse the first supplied ``key[i]`` whose max relative error
-    ``errors[i]`` (see ``_max_errors``) exceeds ``tol``."""
+    ``errors[i]`` (see ``_max_errors``) exceeds 1e-6."""
     for i, err in enumerate(errors):
-        if not err <= tol:
+        if not err <= 1e-6:
             raise ValidationError(f"'{key}[{i}]' disagrees with "
                                   f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
 
@@ -629,35 +615,14 @@ def _validate_initial_data(init: InitialData, box, space_grid,
     return (lo - pad, hi + pad)
 
 
-def _validate_velocity(vf: VelocityField, u_range, t_max: float, a_u) -> None:
-    """Check a supplied ``a_u`` and ``A`` against the exact derivatives
-    on a 20 x 20 (t, u) grid, and ``A`` for vanishing at t = 0."""
-    us = np.linspace(u_range[0], u_range[1], 20)
-    tt, uu = np.meshgrid(np.linspace(0.0, t_max, 20), us, indexing="ij")
-    if a_u is not None:
-        _check("a_u", _max_errors(_values(ex.compile_exprs(a_u), tt, uu),
-                                  _values(ex.compile_exprs(vf.du_components), tt, uu)),
-               "d/du of 'a[{i}]'")
-    if vf.antiderivatives is not None:
-        dt_A = ex.compile_exprs([ex.diff(A, "t") for A in vf.antiderivatives])
-        _check("A", _max_errors(_values(dt_A, tt, uu), vf.a_values(tt, uu)),
-               "time antiderivative of 'a[{i}]'")
-        _check("A", _max_errors(_values(vf.antiderivative_program, 0.0, us),
-                                [0.0] * vf.n), "zero at t = 0", tol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # flow displacement
 
 
 def displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
-    """A_i(t, u) for an array of u values, one array per component: the
-    closed form when supplied, otherwise the time integrals of the a_i.
-    Equal components give one array."""
-    vf = spec.velocity
-    if vf.antiderivatives is None or t == 0:
-        return _arrays(vf.displacement(spec, t, u), np.shape(u))
-    return _values(vf.antiderivative_program, float(t), u)
+    """A_i(t, u) = t * a_i(u) for an array of u values, one array per
+    component, exactly 0.0 at t = 0.  Equal components give one array."""
+    return _arrays(_times_t(spec.velocity.a_program, t, u), np.shape(u))
 
 
 def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
@@ -666,49 +631,7 @@ def flow_displacement(spec: ProblemSpec, t: float, u: float) -> np.ndarray:
 
 
 def du_displacement_components(spec: ProblemSpec, t: float, u) -> list[np.ndarray]:
-    """B_i(t, u) = d/du A_i(t, u): the time integral of the exact da_i/du,
-    one array of u's shape per component; equal components give one."""
-    return _arrays(spec.velocity.du_displacement(spec, t, u), np.shape(u))
-
-
-class _TimeIntegrals:
-    """Integrals over [0, t] of trees in (t, u), compiled once.
-
-    The trees without t share one program, and each integral is t times
-    the tree's value.  Each distinct tree with t has a program of its
-    own and is integrated by adaptive quadrature, elementwise on the u
-    values; a tree without u has a scalar value at each node, so its
-    integral is computed once and broadcast, where every element would
-    take the same arithmetic.  Each integral is returned as computed:
-    exactly 0.0 at t = 0, else a scalar for a tree without u and an
-    array of u's shape for a tree with u, never one callers may write
-    into; equal trees give one value.  ``displacement_components`` and
-    ``du_displacement_components`` expand them to arrays.
-    """
-
-    def __init__(self, trees) -> None:
-        steady = [c for c in trees if "t" not in ex.variables(c)]
-        timed = list(dict.fromkeys(c for c in trees if "t" in ex.variables(c)))
-        self.size = len(trees)
-        self.steady = ex.compile_exprs(steady)
-        self.timed = [ex.compile_exprs((c,)) for c in timed]
-        # per tree: (timed?, its position among the steady or timed trees)
-        self.plan = [(True, timed.index(c)) if "t" in ex.variables(c)
-                     else (False, steady.index(c)) for c in trees]
-
-    def __call__(self, spec: ProblemSpec, t: float, u) -> list:
-        if t == 0:
-            return [0.0] * self.size
-        u_arr = np.asarray(u, dtype=float)
-        t = float(t)
-        values = ex.eval_expr(self.steady, {"t": t, "u": u_arr}) \
-            if self.steady.trees else ()
-        scaled: dict[int, object] = {}
-        for v in values:
-            if id(v) not in scaled:
-                scaled[id(v)] = t * v
-        timed = [adaptive_time_integral(
-            lambda tau, _p=p: ex.eval_expr(_p, {"t": tau, "u": u_arr})[0],
-            0.0, t, spec.tol.quad_tol_time) for p in self.timed]
-        return [timed[j] if is_timed else scaled[id(values[j])]
-                for is_timed, j in self.plan]
+    """B_i(t, u) = d/du A_i(t, u) = t * da_i/du(u), one array of u's
+    shape per component, exactly 0.0 at t = 0; equal components give
+    one."""
+    return _arrays(_times_t(spec.velocity.du_program, t, u), np.shape(u))

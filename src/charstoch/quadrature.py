@@ -1,9 +1,4 @@
-"""Composite Gauss-Legendre rules.
-
-Two flavors are needed: fixed tensor-product panel rules over the
-spatial box, and an adaptive rule in time for flow displacements when
-no closed form is available, which accepts each element of the
-integrand on its own error.
+"""Composite Gauss-Legendre panel rules over the spatial box.
 
 The panels of a space rule are sized to the kernel it integrates.
 ``rule_error`` is the error model: E(m, rho), the worst relative error,
@@ -26,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["panel_rule", "panel_count", "adaptive_time_integral", "rule_error",
-           "matched_width", "TABLE_ORDER"]
+__all__ = ["panel_rule", "panel_count", "rule_error", "matched_width", "TABLE_ORDER"]
 
 # Gauss-Legendre nodes per panel of the quadrature tables
 TABLE_ORDER = 16
@@ -126,48 +120,3 @@ def panel_rule(lo: float, hi: float, n_panels: int,
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
     return nodes, weights
-
-
-def adaptive_time_integral(f, t0: float, t1: float, tol: float,
-                           max_depth: int = 30) -> np.ndarray:
-    """Integrate an elementwise ``f(tau) -> ndarray`` over [t0, t1].
-
-    Panel-bisection Gauss-Legendre: a panel is accepted for an element
-    when a 15-point estimate and the sum of two half-panel estimates
-    agree there to the panel's share of ``tol``; the elements that fail
-    take the sum over the bisected panels.  The absolute tolerance
-    refers to each element's whole integral.  An element whose
-    half-panel sum is not finite is accepted on the panel where that
-    first shows, as bisection cannot make it finite: its integral is
-    then inf or NaN.
-    """
-    if t1 == t0:
-        return np.asarray(f(t0), dtype=float) * 0.0
-
-    base_x, base_w = _leggauss(15)
-
-    def gl(a: float, b: float) -> np.ndarray:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        acc = None
-        for xi, wi in zip(base_x, base_w):
-            v = np.asarray(f(mid + half * xi), dtype=float) * (wi * half)
-            acc = v if acc is None else acc + v
-        return acc
-
-    total_len = abs(t1 - t0)
-
-    def recurse(a: float, b: float, whole: np.ndarray, depth: int) -> np.ndarray:
-        m = 0.5 * (a + b)
-        left = gl(a, m)
-        right = gl(m, b)
-        est = left + right
-        with np.errstate(invalid="ignore"):  # inf - inf where est is not finite
-            ok = np.abs(est - whole) <= tol * (abs(b - a) / total_len)
-        ok |= ~np.isfinite(est)
-        if np.all(ok) or depth >= max_depth:
-            return est
-        return np.where(ok, est, recurse(a, m, left, depth + 1)
-                        + recurse(m, b, right, depth + 1))
-
-    return recurse(t0, t1, gl(t0, t1), 0)

@@ -11,7 +11,7 @@ y-integral against this density over the problem box:
 
     rho_sigma(t, x) = integral p dy                      (density)
     u_sigma(t, x)   = integral u0(y) p dy / rho_sigma    (profile)
-    a_sigma(t, x)   = integral a(t, u0(y)) p dy / rho_sigma
+    a_sigma(t, x)   = integral a(u0(y)) p dy / rho_sigma
 
 Integrals use tensor-product composite Gauss-Legendre rules, truncated
 to the ball |A + y - x| <= kernel_cutoff * sigma * sqrt(t).  In y the
@@ -556,7 +556,7 @@ def _tabulate(spec: ProblemSpec, t: float, grid: QuadratureGrid) -> _Sources:
     # a is elementwise in u0, so it is evaluated in cell order directly,
     # once the unsorted arrays are freed: that keeps it out of the peak
     u0v = table.columns[0]
-    fields = (u0v, *spec.velocity.a_values(t, u0v))
+    fields = (u0v, *spec.velocity.a_values(u0v))
     distinct = {id(c): c for c in fields}
     columns = tuple(distinct.values())
     fixed = tuple(float(c[0]) if c.size and np.ptp(c) == 0 else None for c in columns)
@@ -713,16 +713,10 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
     n, norm, floor = spec.n, table.norm, spec.tol.denom_floor
     s2t = spec.sigma * spec.sigma * t
     of, axes = table.of, table.axes
-    dt_components = [i for i in range(n) if spec.velocity.time_dependent[i]]
 
     def step(x, idx, wk, mass, rows, mean):
         if mass < floor:
             _refuse(EmptyKernelSupport, True, np.array([x]), t, "no kernel mass")
-        dt_sums = []
-        if dt_components:
-            # taken before the rows are written: da_i/dt may be u0 itself
-            dt_vals = spec.velocity.dt_values(t, rows[0])
-            dt_sums = [norm * _sum(wk * dt_vals[i]) for i in dt_components]
         # row - mean per column, u0's first
         for row, m in zip(rows, mean):
             row -= m
@@ -740,10 +734,7 @@ def _i_term_step(spec: ProblemSpec, t: float, table: _Sources):
             term = wk * row
             term *= fac
             sums.append(norm * _sum(term))
-        sums = [sums[j] for j in of]
-        for i, dt_sum in zip(dt_components, dt_sums):
-            sums[1 + i] -= dt_sum
-        return sums
+        return [sums[j] for j in of]
 
     return step, f"I terms at sigma={spec.sigma:g} t={t:g}"
 
@@ -818,7 +809,7 @@ def _fields_sigma(spec: ProblemSpec, t: float, x):
     X, shape = _point_rows(x, spec.n)
     if t == 0:
         u = spec.init.u0_at(X)
-        rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(0.0, u), axis=-1)
+        rho, a = spec.init.rho0_at(X), np.stack(spec.velocity.a_values(u), axis=-1)
     else:
         norm, den, means, _ = _moments(spec, t, X)
         _refuse(EmptyKernelSupport, den < spec.tol.denom_floor, X, t, "no kernel mass")

@@ -122,36 +122,20 @@ def test_assembled_moments_agree_with_direct(burgers):
             assert assembled == pytest.approx(direct, abs=1e-8)
 
 
-def test_time_moment_of_explicitly_time_dependent_velocity():
-    """a = t u with constant data: the gradient covariance dies and the
-    time moment leaves exactly -c rho_sigma."""
-    c = 0.7
-    spec = make(a=["t*u"], u0="0.7", rho0="exp(-x1^2)", sigma=0.3,
-                box=[[-6.0, 6.0]], space_grid=[25], time_points=[0.5])
-    x = np.array([0.3])
-    ia = eval_I_a_sigma(spec, 0.5, x)
-    rho = eval_rho_sigma(spec, 0.5, x)
-    assert ia[0] == pytest.approx(-c * rho, rel=1e-9)
-    assert eval_I_u_sigma(spec, 0.5, x) == 0.0
-
-
 def test_constant_data_gives_exactly_zero_sources_2d():
-    """Constant u0 in 2D with a = (t u, u): every column of the table is
+    """Constant u0 in 2D with a = (2 u, u): every column of the table is
     constant, so its mean is that constant and each deviation is exactly
-    zero.  I_u and the covariance part of I_a vanish exactly, and
-    I_a_1 is the time moment -c rho_sigma."""
+    zero, and I_u and I_a vanish exactly."""
     c = 0.7
-    spec = make(n=2, a=["t*u", "u"], u0="0.7", rho0="exp(-x1^2-x2^2)", sigma=0.3,
+    spec = make(n=2, a=["2*u", "u"], u0="0.7", rho0="exp(-x1^2-x2^2)", sigma=0.3,
                 box=[[-4.0, 4.0], [-4.0, 4.0]], space_grid=[9, 9], time_points=[0.5])
     x = np.array([[0.3, -0.2], [1.0, 0.5], [-2.5, 2.0]])
     iu = eval_I_u_sigma(spec, 0.5, x)
     ia = eval_I_a_sigma(spec, 0.5, x)
-    rho = eval_rho_sigma(spec, 0.5, x)
     np.testing.assert_array_equal(iu, 0.0)
-    np.testing.assert_array_equal(ia[:, 1], 0.0)
-    np.testing.assert_allclose(ia[:, 0], -c * rho, rtol=1e-9)
+    np.testing.assert_array_equal(ia, 0.0)
     np.testing.assert_array_equal(eval_u_sigma(spec, 0.5, x), c)
-    np.testing.assert_array_equal(eval_a_sigma(spec, 0.5, x), [[0.5 * c, c]] * 3)
+    np.testing.assert_array_equal(eval_a_sigma(spec, 0.5, x), [[2 * c, c]] * 3)
 
 
 def test_i_terms_require_positive_time(burgers):
@@ -200,17 +184,6 @@ def test_sigma_system_second_order_refinement(burgers):
         assert 2.5 <= r.ratio <= 6.0
     for r in coarse:
         assert r.ratio is None
-
-
-def test_time_dependent_sigma_system_closes():
-    spec = make(a=["t*u"], u0="0.7", rho0="exp(-x1^2)", sigma=0.3,
-                box=[[-6.0, 6.0]], space_grid=[25], time_points=[0.5])
-    coarse = residual_sigma_system(spec, (0.3, 0.5), (0.05, 0.02))
-    fine = residual_sigma_system(spec, (0.3, 0.5), (0.025, 0.01))
-    attach_ratios(coarse, fine)
-    for r in fine:
-        assert r.max_residual <= 2e-4
-        assert 2.5 <= r.ratio <= 6.0
 
 
 SMOOTHED = (eval_rho_sigma, eval_u_sigma, eval_a_sigma, eval_I_u_sigma,
@@ -263,16 +236,16 @@ def count_passes(monkeypatch) -> list:
 def test_i_terms_share_one_pass_per_point(monkeypatch, first):
     """I_u and I_a at the same P points cost P kernel passes together, in
     either order, and equal the per-point calls and a cold recomputation
-    bit for bit.  a = t u makes I_a carry the time-derivative moment."""
+    bit for bit, in 2D and on a 1D line with a = u^2 / 2."""
     bump = make(n=2, a=["u", "u^2/2"], u0="exp(-x1^2-x2^2)", sigma=0.2,
                 box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
                 time_points=[0.3])
-    tdep = make(a=["t*u"], u0="0.7+0.2*sin(x1)", rho0="exp(-x1^2)", sigma=0.3,
+    line = make(a=["u^2/2"], u0="0.7+0.2*sin(x1)", rho0="exp(-x1^2)", sigma=0.3,
                 box=[[-6.0, 6.0]], space_grid=[25], time_points=[0.5])
     second = eval_I_a_sigma if first is eval_I_u_sigma else eval_I_u_sigma
     passes = count_passes(monkeypatch)
     for spec, t, X in ((bump, 0.3, np.array([[0.3, -0.2], [0.0, 0.5], [1.0, 1.0]])),
-                       (tdep, 0.5, np.linspace(-2.0, 2.0, 5)[:, None])):
+                       (line, 0.5, np.linspace(-2.0, 2.0, 5)[:, None])):
         passes.clear()
         pair = {f: f(spec, t, X) for f in (first, second)}
         assert len(passes) == len(X)

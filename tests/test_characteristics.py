@@ -155,42 +155,15 @@ def test_rho_bar_is_exact_on_burgers_sin():
         assert abs(eval_rho_bar(spec, t, [x]) - want) <= 1e-12, x
 
 
-def test_blowup_time_dependent_velocity():
-    # A(t,u) = t^2/2 u gives G(t,y) = t^2/2 cos(y), first -1 at t = sqrt(2)
-    spec = make(a=["t*u"])
-    rep = blow_up_time(spec)
-    assert rep.method == "lambda_grid"
-    assert rep.t_star == pytest.approx(math.sqrt(2.0), abs=2e-3)
-
-
-def test_blowup_time_dependent_bump_is_unchanged():
-    """a = (t u, t u) on the bump, whose B = t^2/2 (1, 1) comes from
-    one scalar time integral: the search reports what it reported when
-    the integral ran on every element of the grid (values recorded from
-    that version, on a 41 x 41 search grid)."""
-    spec = load_problem(json.dumps({
-        "n": 2, "a": ["t*u", "t*u"], "u0": "exp(-x1^2-x2^2)", "rho0": "1",
-        "sigma": 0.1, "box": [[-3.0, 3.0], [-3.0, 3.0]], "space_grid": [11, 11],
-        "time_points": [0.3], "tolerances": {"blowup_grid": 41}}))
-    rep = blow_up_time(spec)
-    assert rep.method == "lambda_grid"
-    assert rep.t_star == 1.28369140625
-    assert rep.y_star.tolist() == [0.5002086488136223, 0.49992921131764817]
-    assert rep.min_functional == -0.9994797544684266
-    u = np.linspace(-0.5, 1.5, 7)
-    for B in du_displacement_components(spec, 0.9, u):
-        assert np.array_equal(B, np.full(u.shape, 0.405))
-
-
 @pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json"))
-                         + ["time_dependent", "t_times_u"])
+                         + ["t_times_u"])
 def test_condition_equals_the_product_of_full_arrays(case):
     """G with the B_i that have no u as floats, on unexpanded jet values
     over a block of the blow-up grid, equals sum(B_i * du0/dx_i) formed
     from full arrays, the public ``du_displacement_components`` and the
     jet expanded by ``_arrays``, bit for bit."""
-    spec = {"time_dependent": lambda: make(a=["cos(t)*u^2/2"]),
-            "t_times_u": lambda: make(n=2, a=["t*u", "t*u"],
+    # A = t * u / 2 per component: each B_i = t / 2 has no u
+    spec = {"t_times_u": lambda: make(n=2, a=["0.5*u", "0.5*u"],
                                       u0="exp(-x1^2-x2^2)",
                                       box=[[-3.0, 3.0], [-3.0, 3.0]],
                                       space_grid=[11, 11])
@@ -207,15 +180,13 @@ def test_condition_equals_the_product_of_full_arrays(case):
         assert np.array_equal(np.broadcast_to(got, shape), want), (case, t)
 
 
-@pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json"))
-                         + ["time_dependent"])
+@pytest.mark.parametrize("case", sorted(p.stem for p in CONFIGS.glob("*.json")))
 def test_condition_at_one_point_equals_its_grid_value(case):
     """The golden refinement evaluates G at one point with the
     coordinates bound as floats; at random points of the box that value
     equals G at the same point of a batch, one coordinate array per
     axis, as the grid scan evaluated it, bit for bit."""
-    spec = make(a=["cos(t)*u^2/2"]) if case == "time_dependent" \
-        else load_problem((CONFIGS / f"{case}.json").read_text())
+    spec = load_problem((CONFIGS / f"{case}.json").read_text())
     rng = np.random.default_rng(len(case))
     lo, hi = np.array(spec.box).T
     Y = rng.uniform(lo, hi, (200, spec.n))
@@ -226,19 +197,15 @@ def test_condition_at_one_point_equals_its_grid_value(case):
             assert _condition_at(spec, t, y) == want, (t, y)
 
 
-@pytest.mark.parametrize("case", ["bump_2d", "time_dependent"])
+@pytest.mark.parametrize("case", ["bump_2d"])
 def test_scans_do_not_depend_on_the_block_size(monkeypatch, case):
     """The blow-up grid scan (t*, y*, the minimum) and the slope sample
     (its bound) come out equal at blocks of 7 points, under one row of
     the 40-point axes, so that ``_axis_blocks`` splits the rows, and at
     the default block size."""
-    bump = {"n": 2, "u0": "exp(-x1^2-x2^2)", "box": [[-3.0, 3.0], [-3.0, 3.0]],
-            "space_grid": [11, 11]}
-    # the time-dependent case takes the bisection in t (lambda_grid)
-    spec = make(tolerances={"blowup_grid": 40}, **{
-        "bump_2d": dict(bump, a=["u", "u"]),
-        "time_dependent": {"a": ["t*u"]},
-    }[case])
+    spec = {"bump_2d": make(n=2, a=["u", "u"], u0="exp(-x1^2-x2^2)",
+                            box=[[-3.0, 3.0], [-3.0, 3.0]], space_grid=[11, 11],
+                            tolerances={"blowup_grid": 40})}[case]
 
     def scans():
         representation._slope_bound.cache_clear()
@@ -378,14 +345,12 @@ def test_min_det_decreases_toward_blowup(burgers):
 
 def _batch_case(case):
     """(spec, t, X): 1D Burgers and the 2D a = (u, 2u) case of
-    _foot_cases with their points stacked, or a time-dependent a = t*u."""
-    if case == "t*u":
-        return make(a=["t*u"]), 0.9, np.linspace(-5.0, 5.0, 11)[:, None]
+    _foot_cases with their points stacked."""
     cases = _foot_cases(1 if case == "burgers" else 2)
     return cases[0][0], cases[0][1], np.stack([x for _, _, x in cases])
 
 
-@pytest.mark.parametrize("case", ["burgers", "2d", "t*u"])
+@pytest.mark.parametrize("case", ["burgers", "2d"])
 def test_batch_equals_pointwise_calls(case):
     """A batch of points gives each point the value of its own call."""
     spec, t, X = _batch_case(case)

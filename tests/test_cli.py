@@ -232,6 +232,34 @@ def test_refused_expressions_exit_2(tmp_path, capsys, u0, message):
     assert err["message"].startswith("'u0': ") and err["message"].endswith(message)
     assert not out.exists()
 
+@pytest.mark.parametrize("fields, kind, message", [
+    ({"n": 2, "a": ["u", "t*u"]}, "SchemaError",
+     "'a[1]': unknown variable 't' (at offset 0)"),
+    ({"a_u": ["t"]}, "SchemaError", "'a_u[0]': unknown variable 't' (at offset 0)"),
+    ({"A": ["t*u"]}, "SchemaError", "unknown configuration field(s): A"),
+    ({"tolerances": {"quad_tol_time": 1e-10}}, "SchemaError",
+     "unknown tolerance field(s): quad_tol_time"),
+    ({"tolerances": {"blowup_tol": 1e-3}}, "SchemaError",
+     "unknown tolerance field(s): blowup_tol"),
+], ids=["t-in-a", "t-in-a_u", "A-key", "quad_tol_time", "blowup_tol"])
+def test_time_dependent_velocity_refused_exit_2(tmp_path, capsys, fields, kind, message):
+    """The velocity is a(u): a t in a or a_u, the closed-form ``A`` key
+    and the time-quadrature and bisection tolerances are configuration
+    errors with the JSON error line, naming the component, and leave no
+    output directory."""
+    cfg = {"n": 1, "a": ["u"], "u0": "sin(x1)", "rho0": "1", "sigma": 0.1,
+           "box": [[-1.0, 1.0]], "space_grid": [5], "time_points": [0.1]}
+    cfg.update(fields)
+    cfg.update(box=cfg["box"] * cfg["n"], space_grid=cfg["space_grid"] * cfg["n"])
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code, err = run_main(capsys, "blowup", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert (err["kind"], err["message"]) == (kind, message)
+    assert not out.exists()
+
+
 def test_residuals_table_with_ratios(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("residuals", "--config", str(BURGERS), "--out", str(out),

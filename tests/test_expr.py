@@ -22,7 +22,6 @@ from charstoch import (
     load_problem,
     numeric_partial,
     parse,
-    variables,
 )
 from charstoch.expr import BinOp, Call, Const, Neg, Var, compile_exprs, tokenize
 
@@ -130,11 +129,6 @@ def test_domain_error_on_any_array_element():
     e = parse("log(x1)", XU)
     with pytest.raises(EvalDomainError):
         eval_expr(e, {"x1": np.array([1.0, -1.0, 2.0])})
-
-
-def test_variables_reports_free_names():
-    assert variables(parse("u*sin(x1)+t", XU)) == frozenset({"u", "x1", "t"})
-    assert variables(parse("1+2", XU)) == frozenset()
 
 
 def _random_expr(rng, depth, names=("x1", "x2", "t", "u")):

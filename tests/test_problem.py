@@ -24,7 +24,6 @@ from charstoch.errors import EvalDomainError
 from charstoch.expr import compile_exprs, parse
 from charstoch.problem import (_BLOCK, _CSV_ROWS, _arrays, _axis_blocks, _write_csv,
                                axis_views, tensor_columns, tensor_points)
-from charstoch.quadrature import adaptive_time_integral
 from test_expr import _random_expr
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -55,7 +54,7 @@ def test_defaults():
     spec = load_problem(make())
     assert spec.rng_seed == 0
     assert spec.tol == Tolerances()
-    assert spec.velocity.time_dependent == (False,)
+    assert spec.velocity.du_components == (parse("1", set()),)
 
 
 def test_u_range_covers_data_with_pad():
@@ -137,7 +136,7 @@ def test_tolerance_overrides():
     with pytest.raises(SchemaError):
         load_problem(make(tolerances={"netwon_tol": 1e-10}))
     with pytest.raises(ValidationError):
-        load_problem(make(tolerances={"blowup_tol": 0.0}))
+        load_problem(make(tolerances={"denom_floor": 0.0}))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -151,15 +150,10 @@ def test_non_finite_tolerances_refused_at_load(value):
 
 
 def test_analytic_derivative_validated_against_components():
-    ok = make(a=["t*u"], a_u=["t"], A=["t^2/2*u"])
-    spec = load_problem(ok)
-    assert spec.velocity.time_dependent == (True,)
+    load_problem(make(a=["u^2/2"], a_u=["u"]))
     with pytest.raises(ValidationError) as ei:
-        load_problem(make(a=["t*u"], a_u=["2*t"]))
+        load_problem(make(a=["u^2/2"], a_u=["2*u"]))
     assert "a_u[0]" in str(ei.value)
-    with pytest.raises(ValidationError) as ei:
-        load_problem(make(a=["t*u"], A=["t^2*u"]))
-    assert "A[0]" in str(ei.value)
 
 
 @pytest.mark.parametrize("grad", ["0", "-cos(x1)"])
@@ -178,12 +172,6 @@ def test_supplied_derivatives_are_checks_only():
     assert checked.velocity.du_components == plain.velocity.du_components
     assert checked.init.grad_u0 == plain.init.grad_u0
     assert checked.digest == plain.digest
-
-
-def test_antiderivative_must_vanish_at_zero():
-    with pytest.raises(ValidationError) as ei:
-        load_problem(make(a=["u"], A=["t*u+1"]))
-    assert "t = 0" in str(ei.value)
 
 
 def test_digest_stable_under_key_order():
@@ -214,29 +202,37 @@ def test_with_sigma_returns_new_spec_and_digest():
     assert other.digest != spec.digest
 
 
+def signed_velocity():
+    """a = (u^2/2 - 1, -2u) on u in [-1, 1]: a_1 < 0, a_2 and da_1/du
+    change sign, and da_2/du = -2 is a tree without u."""
+    return load_problem(make(n=2, a=["u^2/2-1", "-2*u"], box=[[-1.0, 1.0]] * 2,
+                             space_grid=[5, 5]))
+
+
 def test_displacement_zero_at_t0():
-    spec = load_problem(make())
-    comps = displacement_components(spec, 0.0, np.array([0.3, -0.7]))
-    assert np.all(comps[0] == 0.0)
+    """A and B are exactly +0.0 at t = 0, also where a or da/du is
+    negative, which 0.0 times the steady value would make -0.0."""
+    spec = signed_velocity()
+    u = np.linspace(-1.0, 1.0, 9)
+    for comps in (displacement_components(spec, 0.0, u),
+                  du_displacement_components(spec, 0.0, u)):
+        for c in comps:
+            assert c.shape == u.shape
+            assert np.all(c == 0.0) and not np.signbit(c).any()
 
 
 def test_displacement_time_independent_shortcut():
-    spec = load_problem(make())
-    u = np.array([-1.0, 0.0, 0.5, 1.0])
-    comps = displacement_components(spec, 2.0, u)
-    np.testing.assert_allclose(comps[0], 2.0 * u, rtol=0, atol=0)
-
-
-def test_displacement_analytic_vs_adaptive_quadrature():
-    """Same velocity with and without a closed-form antiderivative."""
-    with_a = load_problem(make(a=["t*u"], A=["t^2/2*u"]))
-    without = load_problem(make(a=["t*u"]))
+    """A = t * a(u) and B = t * da/du(u) bit for bit at t > 0."""
+    spec = signed_velocity()
     u = np.linspace(-1.0, 1.0, 9)
-    want = 0.5 * 0.8 ** 2 * u
-    got_analytic = displacement_components(with_a, 0.8, u)[0]
-    got_adaptive = displacement_components(without, 0.8, u)[0]
-    np.testing.assert_allclose(got_analytic, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(got_adaptive, want, rtol=1e-9, atol=1e-12)
+    a = spec.velocity.a_values(u)
+    a_u = problem._values(spec.velocity.du_program, u)
+    assert (a[0] < 0).all() and (a_u[1] < 0).all()
+    for t in (0.3, 2.0):
+        for got, steady in ((displacement_components(spec, t, u), a),
+                            (du_displacement_components(spec, t, u), a_u)):
+            for g, v in zip(got, steady):
+                assert g.shape == u.shape and np.array_equal(g, t * v)
 
 
 def test_flow_displacement_vector():
@@ -262,39 +258,6 @@ def test_du_displacement_matches_finite_difference():
     np.testing.assert_allclose(got, 2 * 0.7 * u, rtol=1e-9)
 
 
-@pytest.mark.parametrize("t1", [1.0, 2.0])
-def test_time_integral_accepts_each_element_on_its_own_error(t1):
-    """Panels are accepted per element, so an element's integral does not
-    depend on the rest of the array: the batch equals batches of one."""
-    u = np.array([0.1, 0.7, 40.0])
-
-    def cosine(us):
-        return lambda tau: np.cos(tau * tau * us)
-
-    batch = adaptive_time_integral(cosine(u), 0.0, t1, 1e-10)
-    for i in range(len(u)):
-        one = adaptive_time_integral(cosine(u[i:i + 1]), 0.0, t1, 1e-10)
-        assert batch[i] == one[0], u[i]
-
-
-def test_time_integral_accepts_a_non_finite_element_where_it_shows():
-    """Bisection cannot make a non-finite panel estimate finite, so the
-    element is accepted on the first panel where it shows instead of
-    being bisected down to max_depth (about 10^10 integrand calls)."""
-    calls = []
-
-    def f(tau, bad=True):
-        calls.append(tau)
-        head = [np.cos(0.3 * tau)] + ([np.inf if tau > 0.71 else 1.0] if bad else [])
-        return np.array(head + [np.exp(tau)])
-
-    got = adaptive_time_integral(f, 0.0, 1.0, 1e-10)
-    assert len(calls) <= 45
-    assert got[1] == np.inf
-    ref = adaptive_time_integral(lambda tau: f(tau, bad=False), 0.0, 1.0, 1e-10)
-    assert got[0] == ref[0] and got[2] == ref[1]
-
-
 @pytest.mark.parametrize("sizes", [(5,), (4, 3), (3, 2, 4)])
 def test_tensor_columns_are_contiguous_columns_of_the_points(sizes):
     rng = np.random.default_rng(sum(sizes))
@@ -311,30 +274,27 @@ def test_tensor_columns_are_contiguous_columns_of_the_points(sizes):
 
 
 def test_time_integral_of_a_tree_without_u_is_one_scalar_integral():
-    """da/du = t for a = t*u is integrated once, as a scalar, and
-    broadcast: each element equals the elementwise integral of the
-    broadcast integrand bit for bit."""
-    spec = load_problem(make(a=["t*u"]))
+    """B = t * da/du for a = 0.5*u is one product t * 0.5, broadcast:
+    each element equals t * 0.5 bit for bit, as does B at one u."""
+    spec = load_problem(make(a=["0.5*u"]))
     u = np.linspace(-1.0, 1.0, 9)
     for t in (0.3, 0.8, 2.5):
         got = du_displacement_components(spec, t, u)[0]
-        want = adaptive_time_integral(lambda tau: np.full(u.shape, tau), 0.0, t,
-                                      spec.tol.quad_tol_time)
-        assert got.shape == u.shape and np.array_equal(got, want)
-        assert du_displacement_components(spec, t, 0.4)[0] == want[0]
+        assert got.shape == u.shape and np.array_equal(got, np.full(u.shape, t * 0.5))
+        assert du_displacement_components(spec, t, 0.4)[0] == t * 0.5
 
 
 def test_time_integrals_unexpanded_are_scalars_without_u():
-    """The time integrals return each B_i as computed: a scalar where
-    the tree has no u (t for t*u, by quadrature; t for u, in closed
-    form), an array where it has u, each equal to the public arrays bit
+    """The time integrals t * da_i/du come unexpanded from ``_times_t``,
+    as computed: a scalar where the tree has no u (t / 2 for u / 2, t
+    for u), an array where it has u, each equal to the public arrays bit
     for bit; at t = 0 each is 0.0.  The public arrays are unchanged."""
-    spec = load_problem(make(n=3, a=["t*u", "u", "u^2/2"],
+    spec = load_problem(make(n=3, a=["0.5*u", "u", "u^2/2"],
                              u0="sin(x1)", box=[[-1.0, 1.0]] * 3,
                              space_grid=[5, 5, 5]))
     u = np.linspace(-1.0, 1.0, 9)
     for t in (0.0, 0.3, 2.5):
-        raw = spec.velocity.du_displacement(spec, t, u)
+        raw = problem._times_t(spec.velocity.du_program, t, u)
         full = du_displacement_components(spec, t, u)
         assert all(isinstance(b, np.ndarray) and b.shape == u.shape for b in full)
         if t == 0:

@@ -545,7 +545,7 @@ def rows_built_table(spec, t, monkeypatch):
                              (2.0 * math.pi * var) ** (-spec.n / 2.0))
     u0_sorted, = want["columns"]
     # one column per distinct array of the fields, and each field's column
-    fields = (u0_sorted, *spec.velocity.a_values(t, u0_sorted))
+    fields = (u0_sorted, *spec.velocity.a_values(u0_sorted))
     distinct = [f for i, f in enumerate(fields) if all(f is not g for g in fields[:i])]
     want["columns"] = tuple(distinct)
     want["of"] = [next(j for j, c in enumerate(distinct) if c is f) for f in fields]
@@ -916,7 +916,7 @@ def test_tables_hold_one_array_per_distinct_velocity_expression(burgers, caplog)
         assert f"{count} distinct columns, {table.nbytes} bytes" in caplog.text
         u0v, *avals = (table.columns[j] for j in table.of)
         assert u0v is table.columns[0]
-        for got, want in zip(avals, spec.velocity.a_values(0.3, u0v)):
+        for got, want in zip(avals, spec.velocity.a_values(u0v)):
             np.testing.assert_array_equal(got, want)
         # the centers are one contiguous array per axis
         assert len(table.axes) == 2
