@@ -101,14 +101,14 @@ class BlowupReport:
     t_star: float
     y_star: np.ndarray
     min_functional: float
-    method: str  # always "conway", the closed form t* = -1 / min G(1, .)
 
     def to_json(self) -> str:
         payload = {
             "t_star": "inf" if math.isinf(self.t_star) else self.t_star,
             "y_star": [float(v) for v in self.y_star],
             "min_functional": self.min_functional,
-            "method": self.method,
+            # the one method, the closed form t* = -1 / min G(1, .)
+            "method": "conway",
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -269,7 +269,7 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
         offset += G.size
     y0 = np.array([ax[k] for ax, k in zip(axes, np.unravel_index(i0, shape))])
     if s0 >= 0:
-        report = BlowupReport(math.inf, y0, s0, "conway")
+        report = BlowupReport(math.inf, y0, s0)
     else:
         def at(y: np.ndarray) -> float:
             work["refine"] += 1
@@ -277,7 +277,7 @@ def blow_up_time(spec: ProblemSpec) -> BlowupReport:
 
         y_best, s_best = _coordinate_golden(at, y0, spacings, spec.box)
         t_star = -1.0 / s_best
-        report = BlowupReport(float(t_star), y_best, float(t_star * s_best), "conway")
+        report = BlowupReport(float(t_star), y_best, float(t_star * s_best))
     logger.debug("blow-up search: %d grid points, %d chunks, %d refine "
                  "evaluations in %.3f s", math.prod(shape), work["chunks"],
                  work["refine"], time.perf_counter() - started)

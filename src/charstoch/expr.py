@@ -215,7 +215,7 @@ def parse(source: str, allowed_vars) -> Expr:
     """Tokenize and parse source text into an expression tree.
 
     ``allowed_vars`` is the variable alphabet for this context, e.g.
-    {"t", "u"} for velocity components or {"x1", "x2"} for initial data.
+    {"u"} for velocity components or {"x1", "x2"} for initial data.
     A source nested more than _MAX_DEPTH levels deep raises
     ExprSyntaxError: the parser counts parentheses as levels, and a
     walk over the finished tree catches the depth of long chains like

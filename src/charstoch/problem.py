@@ -16,9 +16,7 @@ Everything downstream works off the flow displacement
 
 and its u-derivative B_i(t, u) = t * da_i/du(u).  Every derivative is
 exact: ``load_problem`` differentiates u0 and a once
-(:func:`charstoch.expr.diff`).  The config keys ``a_u`` and ``grad_u0``
-are optional checks against the derived trees, never evaluated
-otherwise.
+(:func:`charstoch.expr.diff`), and a config supplies neither derivative.
 
 ``InitialData`` and ``VelocityField`` compile their trees once, into the
 programs of :mod:`charstoch.expr`; u0 and its gradient are one program.
@@ -55,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import EvalDomainError, ExprError, SchemaError, ValidationError
+from .errors import ExprError, SchemaError, ValidationError
 
 __all__ = [
     "ProblemSpec",
@@ -343,18 +341,18 @@ def tensor_points(axes) -> np.ndarray:
 
 
 _TOP_REQUIRED = ("n", "a", "u0", "rho0", "sigma", "box", "space_grid", "time_points")
-_TOP_OPTIONAL = ("a_u", "grad_u0", "rng_seed", "tolerances")
+_TOP_OPTIONAL = ("rng_seed", "tolerances")
 
 
 def load_problem(config_text: str) -> ProblemSpec:
     """Parse and validate a JSON problem configuration.
 
     Unknown fields are rejected (SchemaError) so typos cannot silently
-    change a run; so is a variable other than u in ``a`` or ``a_u``, the
-    velocity being a(u).  Field-level shape/type problems raise
-    SchemaError; semantic inconsistencies (negative density, bad box, a
-    supplied ``a_u`` or ``grad_u0`` that disagrees with the exact
-    derivative of its tree) raise ValidationError.
+    change a run; so is a variable other than u in ``a``, the velocity
+    being a(u).  Field-level shape/type problems raise SchemaError;
+    semantic inconsistencies (negative density, bad box) raise
+    ValidationError.  The derivatives da/du and grad u0 are derived
+    here, by :func:`charstoch.expr.diff`.
     """
     try:
         raw = json.loads(config_text)
@@ -379,10 +377,8 @@ def load_problem(config_text: str) -> ProblemSpec:
     x_vars = frozenset(f"x{i + 1}" for i in range(n))
 
     a = _parse_expr_list(raw, "a", n, u_vars)
-    a_u = _parse_expr_list(raw, "a_u", n, u_vars) if "a_u" in raw else None
     u0 = _parse_one_expr(raw, "u0", x_vars)
     rho0 = _parse_one_expr(raw, "rho0", x_vars)
-    grad_u0 = _parse_expr_list(raw, "grad_u0", n, x_vars) if "grad_u0" in raw else None
 
     sigma = _require_real(raw, "sigma")
     if sigma < 0:
@@ -400,11 +396,7 @@ def load_problem(config_text: str) -> ProblemSpec:
     velocity = VelocityField(a, tuple(ex.diff(c, "u") for c in a))
     init = InitialData(n, u0, rho0, tuple(ex.diff(u0, f"x{i + 1}") for i in range(n)))
 
-    u_range = _validate_initial_data(init, box, space_grid, grad_u0)
-    if a_u is not None:
-        us = np.linspace(u_range[0], u_range[1], 20)
-        _check("a_u", _max_errors(_values(ex.compile_exprs(a_u), us),
-                                  _values(velocity.du_program, us)), "d/du of 'a[{i}]'")
+    u_range = _validate_initial_data(init, box, space_grid)
 
     return ProblemSpec(
         n=n, velocity=velocity, init=init, sigma=float(sigma), box=box,
@@ -510,21 +502,6 @@ def _parse_tolerances(src) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def _max_errors(got, want) -> list:
-    """The max relative error of each supplied ``got[i]`` against the
-    exact ``want[i]``: NaN where either holds a NaN."""
-    return [np.max(np.abs(w - g) / (1.0 + np.abs(w))) for g, w in zip(got, want)]
-
-
-def _check(key: str, errors, what: str) -> None:
-    """Refuse the first supplied ``key[i]`` whose max relative error
-    ``errors[i]`` (see ``_max_errors``) exceeds 1e-6."""
-    for i, err in enumerate(errors):
-        if not err <= 1e-6:
-            raise ValidationError(f"'{key}[{i}]' disagrees with "
-                                  f"{what.format(i=i, j=i + 1)} (max relative error {err:.3e})")
-
-
 def _write_csv(path, header, blocks, row=None, eol="\n") -> None:
     """Write a CSV table: the ``header`` names, then each block of rows
     with one ``%`` call.  A block is a 2D array or a list of row tuples,
@@ -555,8 +532,7 @@ def _axis_blocks(axes, size: int):
         yield [axes[0][a:a + step], *axes[1:]]
 
 
-def _validate_initial_data(init: InitialData, box, space_grid,
-                           grad_u0) -> tuple[float, float]:
+def _validate_initial_data(init: InitialData, box, space_grid) -> tuple[float, float]:
     """Check u0 and rho0 on a tensor sample of the box, read unexpanded
     on ``axis_views``, and return the u0 range inflated by 1%.
 
@@ -567,9 +543,7 @@ def _validate_initial_data(init: InitialData, box, space_grid,
 
     The sample is read in ``_axis_blocks`` of ``_BLOCK`` points,
     each tree over every block before the next, and the verdicts are
-    those of the whole sample: finiteness, sign, the u0 range and the
-    max relative error of a supplied grad_u0.  An EvalDomainError of the
-    supplied grad_u0 anywhere comes before one of the exact gradient.
+    those of the whole sample: finiteness, sign and the u0 range.
     """
     started = time.perf_counter()
     n = len(box)
@@ -591,21 +565,6 @@ def _validate_initial_data(init: InitialData, box, space_grid,
             raise ValidationError(f"'{key}' is not finite everywhere on the box")
     if negative:
         raise ValidationError("'rho0' takes negative values on the box")
-    if grad_u0 is not None:
-        supplied, errors, exact_error = ex.compile_exprs(grad_u0), [], None
-        for block in blocks:
-            got = init.on_columns(supplied, block)
-            if exact_error is None:
-                try:
-                    want = init.on_columns(init.jet_program, block)[1:]
-                except EvalDomainError as e:
-                    exact_error = e
-                else:
-                    errors.append(_max_errors(got, want))
-        if exact_error is not None:
-            raise exact_error
-        # NumPy's max, so a NaN in any block gives NaN, as in one pass
-        _check("grad_u0", np.max(errors, axis=0), "d/dx{j} of 'u0'")
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.01 * max(1.0, abs(hi))
     if logger.isEnabledFor(logging.DEBUG):

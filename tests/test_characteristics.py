@@ -99,7 +99,6 @@ def test_gradient_near_fold_raises(burgers):
 
 def test_blowup_sin(burgers):
     rep = blow_up_time(burgers)
-    assert rep.method == "conway"
     assert rep.t_star == pytest.approx(1.0, abs=1e-3)
     assert abs(math.cos(rep.y_star[0]) + 1.0) <= 1e-3
     assert rep.min_functional == pytest.approx(-1.0, abs=1e-9)

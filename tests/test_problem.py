@@ -149,31 +149,6 @@ def test_non_finite_tolerances_refused_at_load(value):
         load_problem(make(tolerances={"nodes_per_panel": value}))
 
 
-def test_analytic_derivative_validated_against_components():
-    load_problem(make(a=["u^2/2"], a_u=["u"]))
-    with pytest.raises(ValidationError) as ei:
-        load_problem(make(a=["u^2/2"], a_u=["2*u"]))
-    assert "a_u[0]" in str(ei.value)
-
-
-@pytest.mark.parametrize("grad", ["0", "-cos(x1)"])
-def test_supplied_grad_u0_validated_against_exact_gradient(grad):
-    cfg = json.loads((CONFIGS / "burgers_sin.json").read_text())
-    with pytest.raises(ValidationError) as ei:
-        load_problem(json.dumps({**cfg, "grad_u0": [grad]}))
-    assert "grad_u0[0]" in str(ei.value)
-
-
-def test_supplied_derivatives_are_checks_only():
-    """A correct ``a_u`` or ``grad_u0`` loads, and the derived trees are
-    the ones evaluated either way."""
-    plain = load_problem(make(a=["u^2"]))
-    checked = load_problem(make(a=["u^2"], a_u=["2*u"], grad_u0=["cos(x1)"]))
-    assert checked.velocity.du_components == plain.velocity.du_components
-    assert checked.init.grad_u0 == plain.init.grad_u0
-    assert checked.digest == plain.digest
-
-
 def test_digest_stable_under_key_order():
     cfg = json.loads(make())
     reordered = json.dumps(dict(reversed(list(cfg.items()))))
@@ -357,14 +332,14 @@ def load_sample_axes(spec):
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_on_axes_matches_columns_on_shipped_programs(path):
-    """u0, rho0, the jet and the gradient a config would supply, on the
-    load-time sample and on a coarse grid of the box."""
+    """u0, rho0, the jet and the gradient on its own, on the load-time
+    sample and on a coarse grid of the box."""
     spec = load_problem(path.read_text())
     init = spec.init
-    supplied = compile_exprs(init.grad_u0)
+    gradient = compile_exprs(init.grad_u0)
     coarse = [np.linspace(lo, hi, 7 + i) for i, (lo, hi) in enumerate(spec.box)]
     for axes in (load_sample_axes(spec), coarse):
-        for program in (init.u0_program, init.rho0_program, init.jet_program, supplied):
+        for program in (init.u0_program, init.rho0_program, init.jet_program, gradient):
             assert assert_on_axes_matches_columns(init, program, axes)
 
 
@@ -493,46 +468,6 @@ def test_load_check_reads_every_block(monkeypatch, key, src, where, message):
     v = [init.on_columns(program, axis_views(b))[0] for b in blocks]
     faults = [bool(np.any(~np.isfinite(x) if key == "u0" else x < 0)) for x in v]
     assert faults.index(True) == where % len(blocks) and sum(faults) == 1
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("overrides", [
-    # a max relative error of 5.025e-3 at the box's last point
-    {"grad_u0": ["cos(x1) + 0.01*exp(1000*(x1 - 3))"]},
-    # NaN in the last block only: the max is NaN, as on the whole sample
-    {"grad_u0": ["cos(x1) + exp(1e5*(x1 - 2.99))*0"]},
-    # the second component wrong, in the last rows only
-    {"n": 2, "a": ["u", "u"], "u0": "exp(-x1^2-x2^2)", "space_grid": [5, 5],
-     "grad_u0": ["-2*x1*exp(-x1^2-x2^2)",
-                 "-2*x2*exp(-x1^2-x2^2) + 0.01*exp(1000*(x1 - 3))"]},
-])
-def test_load_check_grad_message_is_the_whole_sample_one(monkeypatch, overrides):
-    """A supplied grad_u0 that is wrong near the end of the box is
-    refused with the message of one pass over the whole sample,
-    including its max relative error."""
-    n = overrides.get("n", 1)
-    cfg = make(box=[[-3.0, 3.0]] * n, **overrides)
-    calls = recorded_blocks(monkeypatch)
-    with pytest.raises(ValidationError) as blocked:
-        load_problem(cfg)
-    assert len(calls.pop()) > 1
-    monkeypatch.setattr(problem, "_BLOCK", 1 << 40)
-    with pytest.raises(ValidationError) as whole:
-        load_problem(cfg)
-    assert len(calls.pop()) == 1
-    assert str(blocked.value) == str(whole.value)
-    assert f"'grad_u0[{n - 1}]' disagrees" in str(whole.value)
-
-
-def test_load_check_domain_error_of_supplied_grad_comes_first():
-    """A supplied grad_u0 whose only domain error lies in the last block
-    is refused with that error, as the whole sample refused it, not with
-    the exact gradient's error in the first block; a supplied grad_u0
-    without one gets the exact gradient's."""
-    for grad, message in (("log(3 - x1)", "log of a nonpositive value"),
-                          ("1", "division by zero")):
-        with pytest.raises(EvalDomainError, match=f"^{message}$"):
-            load_problem(make(u0="sqrt(x1 + 3)", box=[[-3.0, 3.0]], grad_u0=[grad]))
 
 
 def test_load_check_peak_3d():
